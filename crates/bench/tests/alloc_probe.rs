@@ -1,11 +1,18 @@
-//! Allocation probe for the id-level enumeration core.
+//! Allocation probes for the id-level enumeration core and for MKB
+//! evolution.
 //!
 //! Lives in its own test binary because `#[global_allocator]` is
 //! process-global: a counting allocator here would skew every other
 //! test's timing, and another binary's allocator would skew this one.
+//! Counts are kept per thread, so tests running in parallel do not
+//! count each other's allocations.
 //!
-//! The tentpole claim under test: `TreeCursor::advance` allocates
-//! nothing in the steady state. Concretely —
+//! Evolution: `evolve` copies only what a change mentions, so a change
+//! to a payload attribute no constraint mentions allocates the same
+//! bytes however many join constraints the MKB holds.
+//!
+//! Enumeration: `TreeCursor::advance` allocates nothing in the steady
+//! state. Concretely —
 //!
 //! * the greedy/swap arm (≥ 3 terminals) is *strictly* zero-allocation
 //!   per advance once the cursor is built: emitting a swap variant is
@@ -21,29 +28,39 @@
 //! design, which is why the probe pins the id-level core.
 
 use eve_hypergraph::Hypergraph;
-use eve_misd::{JoinConstraint, MetaKnowledgeBase};
-use eve_relational::{AttrRef, AttributeDef, Clause, Conjunction, DataType, RelName};
+use eve_misd::{evolve, CapabilityChange, JoinConstraint, MetaKnowledgeBase};
+use eve_relational::{AttrName, AttrRef, AttributeDef, Clause, Conjunction, DataType, RelName};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without destructors: safe to touch from
+    // inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -55,11 +72,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Allocations performed while running `f`.
+/// Allocations this thread performed while running `f`.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Bytes this thread allocated while running `f`.
+fn bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 fn rel(n: &str) -> RelName {
@@ -72,6 +96,53 @@ fn describe(name: &str) -> eve_misd::RelationDescription {
         rel(name),
         vec![AttributeDef::new("k", DataType::Int)],
     )
+}
+
+/// A chain of 64 relations `(k, v0)` joined on `k`, each link declared
+/// `parallel` times.
+fn chain_mkb(parallel: usize) -> MetaKnowledgeBase {
+    let mut mkb = MetaKnowledgeBase::new();
+    let names: Vec<String> = (0..64).map(|i| format!("R{i:02}")).collect();
+    for name in &names {
+        let mut d = describe(name);
+        d.attrs.push(AttributeDef::new("v0", DataType::Str));
+        mkb.add_relation(d).expect("fresh relation");
+    }
+    for (i, pair) in names.windows(2).enumerate() {
+        for p in 0..parallel {
+            mkb.add_join(jc(&format!("j{i}_{p}"), &pair[0], &pair[1]))
+                .expect("fresh join");
+        }
+    }
+    mkb
+}
+
+/// `evolve` cost does not grow with the constraint count: changes to a
+/// payload attribute no join mentions allocate the same bytes on an MKB
+/// with 8× the join constraints.
+#[test]
+fn evolve_allocation_is_independent_of_constraint_count() {
+    let (sparse, dense) = (chain_mkb(1), chain_mkb(8));
+    assert_eq!(dense.joins().len(), 8 * sparse.joins().len());
+    let changes = [
+        CapabilityChange::AddAttribute {
+            relation: rel("R10"),
+            attr: AttributeDef::new("v1", DataType::Int),
+        },
+        CapabilityChange::RenameAttribute {
+            from: AttrRef::new("R10", "v0"),
+            to: AttrName::new("w0"),
+        },
+    ];
+    for change in &changes {
+        let (on_sparse, _) = bytes_in(|| evolve(&sparse, change).expect("admissible"));
+        let (on_dense, _) = bytes_in(|| evolve(&dense, change).expect("admissible"));
+        assert!(on_sparse > 0, "{change}: the probe counted nothing");
+        assert_eq!(
+            on_sparse, on_dense,
+            "{change}: evolve allocated more with 8x the join constraints"
+        );
+    }
 }
 
 fn jc(id: &str, l: &str, r: &str) -> JoinConstraint {

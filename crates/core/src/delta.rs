@@ -63,7 +63,7 @@ pub(crate) fn build_pcs(
     for pc in mkb.pcs() {
         pcs.entry(pair_key(&pc.left.relation, &pc.right.relation))
             .or_default()
-            .push(pc.clone());
+            .push(PartialComplete::clone(pc));
     }
     pcs
 }
@@ -176,13 +176,11 @@ impl IndexCore {
                 new_h.component_relations(to).unwrap_or_default()
             }
             GraphDelta::RemoveAttrEdges(attr) | GraphDelta::RenameAttr { from: attr, .. } => {
-                let mut comps: BTreeSet<u32> = BTreeSet::new();
-                for (e, j) in old_h.joins().iter().enumerate() {
-                    if j.contains_attr(attr) {
-                        let (l, _) = old_h.join_endpoints(e as u32);
-                        comps.insert(old_h.component_index(l));
-                    }
-                }
+                let comps: BTreeSet<u32> = old_h
+                    .edges_mentioning_attr(attr)
+                    .into_iter()
+                    .map(|e| old_h.component_index(old_h.join_endpoints(e).0))
+                    .collect();
                 (0..old_h.rel_count())
                     .filter(|&v| comps.contains(&old_h.component_index(v as RelId)))
                     .map(|v| old_h.rel_name(v as RelId).clone())
@@ -275,28 +273,25 @@ pub struct MkbDelta {
 impl MkbDelta {
     /// Project `change` (already validated by `eve_misd::evolve`, which
     /// produced `mkb_prime` from `mkb`) onto the derived index state.
+    ///
+    /// `evolve` is copy-on-write: a constraint list keeps its `Arc` unless
+    /// the change touched one of its constraints. So whether the change
+    /// touched the function-ofs, the PCs or (for attribute changes) the
+    /// joins is one [`Arc::ptr_eq`] each, not a rescan.
     pub fn compute(
         mkb: &MetaKnowledgeBase,
         mkb_prime: &MetaKnowledgeBase,
         change: &CapabilityChange,
     ) -> MkbDelta {
-        let funcof_touched =
-            |test: &dyn Fn(&eve_misd::FunctionOf) -> bool| mkb.function_ofs().iter().any(test);
-        let pc_touched = |test: &dyn Fn(&PartialComplete) -> bool| mkb.pcs().iter().any(test);
-        let attr_in_pc = |p: &PartialComplete, attr: &AttrRef| {
-            let mentions = |side: &eve_misd::ProjSel| {
-                side.attr_refs().contains(attr) || side.cond.attrs().contains(attr)
-            };
-            mentions(&p.left) || mentions(&p.right)
-        };
+        let covers_touched = !Arc::ptr_eq(mkb.function_ofs_arc(), mkb_prime.function_ofs_arc());
+        let pcs_touched = !Arc::ptr_eq(mkb.pcs_arc(), mkb_prime.pcs_arc());
         // Attribute changes only touch the graphs when some join
         // predicate actually mentions the attribute; projecting the
         // common payload-attribute case to `GraphDelta::None` lets
-        // `apply_delta` share the whole graph by `Arc` instead of
-        // deep-cloning it to rewrite nothing.
-        let attr_in_joins = |attr: &AttrRef| mkb.joins().iter().any(|j| j.contains_attr(attr));
+        // `apply_delta` share the whole graph by `Arc`.
+        let joins_touched = !Arc::ptr_eq(mkb.joins_arc(), mkb_prime.joins_arc());
 
-        let (op, graph, graph_join, covers_touched, pcs_touched) = match change {
+        let (op, graph, graph_join) = match change {
             CapabilityChange::AddRelation(desc) => (
                 "add-relation",
                 GraphDelta::AddVertex(desc.name.clone()),
@@ -305,52 +300,32 @@ impl MkbDelta {
                 } else {
                     GraphDelta::None
                 },
-                false,
-                false,
             ),
             CapabilityChange::DeleteRelation(rel) => (
                 "delete-relation",
                 GraphDelta::RemoveVertex(rel.clone()),
                 GraphDelta::RemoveVertex(rel.clone()),
-                funcof_touched(&|f| f.touches(rel)),
-                pc_touched(&|p| p.touches(rel)),
             ),
-            CapabilityChange::RenameRelation { from, to } => (
-                "rename-relation",
-                GraphDelta::RenameVertex {
+            CapabilityChange::RenameRelation { from, to } => {
+                let g = GraphDelta::RenameVertex {
                     from: from.clone(),
                     to: to.clone(),
-                },
-                GraphDelta::RenameVertex {
-                    from: from.clone(),
-                    to: to.clone(),
-                },
-                funcof_touched(&|f| f.touches(from)),
-                pc_touched(&|p| p.touches(from)),
-            ),
-            CapabilityChange::AddAttribute { .. } => (
-                "add-attribute",
-                GraphDelta::None,
-                GraphDelta::None,
-                false,
-                false,
-            ),
+                };
+                ("rename-relation", g.clone(), g)
+            }
+            CapabilityChange::AddAttribute { .. } => {
+                ("add-attribute", GraphDelta::None, GraphDelta::None)
+            }
             CapabilityChange::DeleteAttribute(attr) => {
-                let g = if attr_in_joins(attr) {
+                let g = if joins_touched {
                     GraphDelta::RemoveAttrEdges(attr.clone())
                 } else {
                     GraphDelta::None
                 };
-                (
-                    "delete-attribute",
-                    g.clone(),
-                    g,
-                    funcof_touched(&|f| &f.target == attr || f.source_attrs().contains(attr)),
-                    pc_touched(&|p| attr_in_pc(p, attr)),
-                )
+                ("delete-attribute", g.clone(), g)
             }
             CapabilityChange::RenameAttribute { from, to } => {
-                let g = if attr_in_joins(from) {
+                let g = if joins_touched {
                     GraphDelta::RenameAttr {
                         from: from.clone(),
                         to: to.clone(),
@@ -358,13 +333,7 @@ impl MkbDelta {
                 } else {
                     GraphDelta::None
                 };
-                (
-                    "rename-attribute",
-                    g.clone(),
-                    g,
-                    funcof_touched(&|f| &f.target == from || f.source_attrs().contains(from)),
-                    pc_touched(&|p| attr_in_pc(p, from)),
-                )
+                ("rename-attribute", g.clone(), g)
             }
         };
         // A touched constraint map is rebuilt from the evolved MKB —

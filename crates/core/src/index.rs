@@ -59,7 +59,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Shard count for the memo tables. Small and fixed: the tables are
 /// per-change (short-lived) and the worker pool is small, so a handful of
@@ -258,8 +258,9 @@ pub struct MkbIndex<'m> {
     pcs_by_pair: Arc<BTreeMap<(RelName, RelName), Vec<PartialComplete>>>,
     /// Dense ids for the cover-target attributes (sorted `covers` key
     /// order), so viable-cover memo keys are a pair of `u32`s instead of
-    /// a cloned `AttrRef` + `RelName`.
-    cover_attr_ids: HashMap<AttrRef, u32>,
+    /// a cloned `AttrRef` + `RelName`. Built on the first viable-cover
+    /// lookup: most changes affect no view that needs one.
+    cover_attr_ids: OnceLock<HashMap<AttrRef, u32>>,
     /// Memoized prefixes of the connection-tree stream over `h_prime`,
     /// keyed by `(terminal set, hop bound)`; any requested tree limit
     /// is served from (or extends) the cached prefix.
@@ -335,13 +336,11 @@ impl MemoCarry {
         // entries confined to other components saw no edge change (a
         // capability change never adds edges) and stay warm.
         let old = &self.h_prime;
-        let mut touched_comps: BTreeSet<u32> = BTreeSet::new();
-        for (e, j) in old.joins().iter().enumerate() {
-            if j.attrs().contains(attr) {
-                let (l, _) = old.join_endpoints(e as u32);
-                touched_comps.insert(old.component_index(l));
-            }
-        }
+        let touched_comps: BTreeSet<u32> = old
+            .edges_mentioning_attr(attr)
+            .into_iter()
+            .map(|e| old.component_index(old.join_endpoints(e).0))
+            .collect();
         if touched_comps.is_empty() {
             return Some(self);
         }
@@ -381,13 +380,6 @@ impl<'m> MkbIndex<'m> {
         }));
         let covers = Arc::new(build_covers(mkb));
         let pcs_by_pair = Arc::new(build_pcs(mkb));
-        // Covers is a BTreeMap, so enumeration assigns attribute ids in
-        // ascending AttrRef order — deterministic across builds.
-        let cover_attr_ids: HashMap<AttrRef, u32> = covers
-            .keys()
-            .enumerate()
-            .map(|(i, a)| (a.clone(), i as u32))
-            .collect();
         MkbIndex {
             mkb,
             mkb_prime,
@@ -396,7 +388,7 @@ impl<'m> MkbIndex<'m> {
             h_prime,
             covers,
             pcs_by_pair,
-            cover_attr_ids,
+            cover_attr_ids: OnceLock::new(),
             trees: Memo::new(),
             distances: Memo::new(),
             connects: Memo::new(),
@@ -439,11 +431,6 @@ impl<'m> MkbIndex<'m> {
             Arc::clone(&post.h)
         };
         let covers = Arc::clone(&pre.covers);
-        let cover_attr_ids: HashMap<AttrRef, u32> = covers
-            .keys()
-            .enumerate()
-            .map(|(i, a)| (a.clone(), i as u32))
-            .collect();
         let (trees, distances, connects) = match carry {
             Some(c) => {
                 debug_assert_eq!(
@@ -466,7 +453,7 @@ impl<'m> MkbIndex<'m> {
             h_prime,
             covers,
             pcs_by_pair: Arc::clone(&pre.pcs),
-            cover_attr_ids,
+            cover_attr_ids: OnceLock::new(),
             trees,
             distances,
             connects,
@@ -673,7 +660,16 @@ impl<'m> MkbIndex<'m> {
         if !self.cache_enabled {
             return filter();
         }
-        match (self.cover_attr_ids.get(attr), self.h.rel_id(target)) {
+        // Covers is a BTreeMap, so enumeration assigns attribute ids in
+        // ascending AttrRef order — deterministic across builds.
+        let ids = self.cover_attr_ids.get_or_init(|| {
+            self.covers
+                .keys()
+                .enumerate()
+                .map(|(i, a)| (a.clone(), i as u32))
+                .collect()
+        });
+        match (ids.get(attr), self.h.rel_id(target)) {
             (Some(&aid), Some(tid)) => self.viable.get_or_insert_with((aid, tid), filter),
             // An attribute with no covers, or an undescribed target:
             // the filter is trivially cheap (empty or unfilterable) —

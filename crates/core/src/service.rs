@@ -257,14 +257,20 @@ mod tests {
     use std::thread;
 
     fn shared() -> SharedSynchronizer {
+        shared_named("CPA")
+    }
+
+    /// [`shared`] with the view under another name, so a fault plan
+    /// scoped to that name never fires in tests running concurrently.
+    fn shared_named(view: &str) -> SharedSynchronizer {
         let sync = SynchronizerBuilder::new(travel_mkb())
             .with_view(
-                parse_view(
-                    "CREATE VIEW CPA AS
+                parse_view(&format!(
+                    "CREATE VIEW {view} AS
                      SELECT C.Name (false, true), F.PName (true, true), F.Dest (true, true)
                      FROM Customer C (true, true), FlightRes F (true, true)
-                     WHERE (C.Name = F.PName) (false, true)",
-                )
+                     WHERE (C.Name = F.PName) (false, true)"
+                ))
                 .unwrap(),
             )
             .unwrap()
@@ -368,10 +374,10 @@ mod tests {
     fn failfast_panic_records_identity_and_keeps_handle_usable() {
         let _serial = eve_faults::serial_guard();
         let _ = eve_faults::uninstall();
-        eve_faults::install(eve_faults::FaultPlan::parse("CPA/view.sync#0=panic").unwrap())
+        eve_faults::install(eve_faults::FaultPlan::parse("Faulted-CPA/view.sync#0=panic").unwrap())
             .unwrap();
 
-        let s = shared();
+        let s = shared_named("Faulted-CPA");
         let change = CapabilityChange::DeleteRelation(RelName::new("Customer"));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.apply(&change)));
         let report = eve_faults::uninstall().expect("plan was installed");
@@ -382,10 +388,10 @@ mod tests {
         let sp = payload
             .downcast_ref::<crate::SyncPanic>()
             .expect("typed SyncPanic payload");
-        assert_eq!(sp.view, "CPA");
+        assert_eq!(sp.view, "Faulted-CPA");
         assert!(sp.change.contains("Customer"), "{}", sp.change);
         let failure = s.last_failure().expect("identity recorded");
-        assert_eq!(failure.view.as_deref(), Some("CPA"));
+        assert_eq!(failure.view.as_deref(), Some("Faulted-CPA"));
         assert!(failure.change.contains("Customer"), "{failure}");
         assert!(failure.message.contains("view.sync"), "{failure}");
 
@@ -393,7 +399,7 @@ mod tests {
         // snapshot and the handle keeps working for writes.
         assert!(s.inner.is_poisoned());
         assert!(s
-            .view("CPA")
+            .view("Faulted-CPA")
             .expect("view resolvable after poison")
             .uses_relation(&RelName::new("Customer")));
         let outcome = s.apply(&change).expect("applies once the fault is gone");

@@ -351,7 +351,8 @@ impl SynchronizerBuilder {
 /// A point-in-time snapshot of the synchronizer's evolving state.
 ///
 /// Snapshots share the MKB and view definitions with the live state via
-/// [`Arc`] — taking one is O(number of views), never a deep copy.
+/// [`Arc`] — taking one copies one pointer per view (plus the view
+/// name), never an MKB or a view definition.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The change that produced this state (None for the initial state).
@@ -368,9 +369,16 @@ pub struct Snapshot {
 /// state after the `version`-th applied change, plus what the change did
 /// to the derived index state.
 ///
-/// Entries structurally share everything (`Arc` snapshots and an
-/// `Arc`-shared [`IndexCore`]) — the chain costs `O(delta)` per version,
-/// not `O(MKB)`. Version 0 is the initial state.
+/// Entries structurally share everything their change did not rewrite:
+/// the copy-on-write MKB shares every untouched relation description
+/// and constraint with the previous version, and the [`IndexCore`]
+/// every untouched component and constraint map. What a version retains
+/// of its own is what its change rewrote, plus one pointer per relation
+/// (the MKB's relation map), one per view (the snapshot), and for a
+/// relation-level change the hypergraph's id arrays. Measured on the
+/// standard change mix: ≈0.45 MiB per version at 4,096 relations and
+/// 512 views, ≈1.8 MiB at 16,384 relations and 1,024 views. Version 0
+/// is the initial state.
 #[derive(Debug, Clone)]
 pub struct VersionEntry {
     /// Position in the chain (0 = initial state).
@@ -621,12 +629,19 @@ impl Synchronizer {
 
             // Fan the affected views out across the pool; unaffected
             // views never enter the queue. `map_in_order` hands results
-            // back in submission (= registration) order.
+            // back in submission (= registration) order. The views are
+            // scanned once; the merge below reuses the mask.
+            let is_hit: Vec<bool> = self
+                .views
+                .iter()
+                .map(|(_, v)| is_affected(v, change))
+                .collect();
             let affected: Vec<Arc<ViewDefinition>> = self
                 .views
                 .iter()
-                .filter(|(_, v)| is_affected(v, change))
-                .map(|(_, v)| Arc::clone(v))
+                .zip(&is_hit)
+                .filter(|(_, &hit)| hit)
+                .map(|((_, v), _)| Arc::clone(v))
                 .collect();
             apply_span.field("affected", affected.len() as u64);
             // Stamped only when a fault plan is installed, so chaos
@@ -666,8 +681,8 @@ impl Synchronizer {
 
             let policy = self.opts.failure;
             let mut task_index = 0usize;
-            for (name, view) in &self.views {
-                if !is_affected(view, change) {
+            for ((name, view), &hit) in self.views.iter().zip(&is_hit) {
+                if !hit {
                     outcomes.push((name.clone(), ViewOutcome::Unchanged));
                     next_views.push((name.clone(), Arc::clone(view)));
                     continue;
@@ -994,17 +1009,23 @@ mod tests {
     use eve_relational::{AttrName, AttrRef, RelName};
 
     fn sync() -> Synchronizer {
+        sync_named("Customer-Passengers-Asia")
+    }
+
+    /// [`sync`] with the Asia view under another name, so a fault plan
+    /// scoped to that name never fires in tests running concurrently.
+    fn sync_named(asia: &str) -> Synchronizer {
         SynchronizerBuilder::new(travel_mkb())
             .with_view(
-                parse_view(
-                    "CREATE VIEW Customer-Passengers-Asia AS
+                parse_view(&format!(
+                    "CREATE VIEW {asia} AS
                      SELECT C.Name (false, true), C.Age (true, true),
                             P.Participant (true, true), P.TourID (true, true),
                             P.StartDate (true, true), F.Date (true, true), F.PName (true, true)
                      FROM Customer C (true, true), FlightRes F (true, true), Participant P (true, true)
                      WHERE (C.Name = F.PName) (false, true) AND (F.Dest = 'Asia') (CD = true)
-                       AND (P.StartDate = F.Date) (CD = true) AND (P.Loc = 'Asia') (CD = true)",
-                )
+                       AND (P.StartDate = F.Date) (CD = true) AND (P.Loc = 'Asia') (CD = true)"
+                ))
                 .unwrap(),
             )
             .unwrap()
@@ -1500,7 +1521,7 @@ mod tests {
 
     #[cfg(feature = "faults")]
     fn sync_with_policy(policy: crate::FailurePolicy) -> Synchronizer {
-        let mut s = sync();
+        let mut s = sync_named("Faulted-Asia");
         s.opts = CvsOptions {
             failure: policy,
             ..s.opts
@@ -1517,10 +1538,8 @@ mod tests {
         let expected = baseline.apply(&change).unwrap();
 
         let _ = eve_faults::uninstall();
-        eve_faults::install(
-            eve_faults::FaultPlan::parse("Customer-Passengers-Asia/view.sync=panic").unwrap(),
-        )
-        .unwrap();
+        eve_faults::install(eve_faults::FaultPlan::parse("Faulted-Asia/view.sync=panic").unwrap())
+            .unwrap();
         let mut s = sync_with_policy(crate::FailurePolicy::degrade());
         let outcome = s.apply(&change).expect("degrade contains the panic");
         eve_faults::uninstall().unwrap();
@@ -1541,7 +1560,7 @@ mod tests {
         assert_eq!(outcome.views[1], expected.views[1]);
         // …and the failed view is parked with its last definition for
         // revival, not dropped.
-        assert!(s.view("Customer-Passengers-Asia").is_none());
+        assert!(s.view("Faulted-Asia").is_none());
         assert_eq!(s.disabled_views().count(), 1);
     }
 
@@ -1556,7 +1575,7 @@ mod tests {
         // Hit 0 only: the first attempt dies, the retry sails through.
         let _ = eve_faults::uninstall();
         eve_faults::install(
-            eve_faults::FaultPlan::parse("Customer-Passengers-Asia/view.sync#0=transient").unwrap(),
+            eve_faults::FaultPlan::parse("Faulted-Asia/view.sync#0=transient").unwrap(),
         )
         .unwrap();
         let mut s = sync_with_policy(crate::FailurePolicy::Degrade {
@@ -1571,7 +1590,7 @@ mod tests {
         // A persistent transient exhausts the retries and reports every
         // attempt.
         eve_faults::install(
-            eve_faults::FaultPlan::parse("Customer-Passengers-Asia/view.sync=transient").unwrap(),
+            eve_faults::FaultPlan::parse("Faulted-Asia/view.sync=transient").unwrap(),
         )
         .unwrap();
         let mut s = sync_with_policy(crate::FailurePolicy::Degrade {

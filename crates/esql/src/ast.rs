@@ -302,7 +302,8 @@ impl ViewDefinition {
 
     /// Does the view reference `attr` anywhere?
     pub fn uses_attr(&self, attr: &AttrRef) -> bool {
-        self.referenced_attrs().contains(attr)
+        self.select.iter().any(|s| s.expr.contains_attr(attr))
+            || self.conditions.iter().any(|c| c.clause.contains_attr(attr))
     }
 }
 

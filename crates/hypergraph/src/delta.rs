@@ -24,6 +24,7 @@
 
 use crate::graph::{build_csr, renumber_components, Hypergraph};
 use crate::intern::RelId;
+use eve_misd::mkb::SharedList;
 use eve_misd::JoinConstraint;
 use eve_relational::{AttrName, AttrRef, RelName, ScalarExpr};
 use std::collections::{BTreeSet, VecDeque};
@@ -50,9 +51,9 @@ pub enum GraphDelta {
     /// when the vertex is absent (e.g. a non-join-capable relation in
     /// the capability-filtered graph).
     RemoveVertex(RelName),
-    /// Rename a relation vertex; join predicates are rewritten to match
-    /// (mirroring `eve_misd::evolve`). When `from` is not a vertex the
-    /// topology is untouched and only predicates are rewritten.
+    /// Rename a relation vertex; the join constraints incident to it are
+    /// rewritten to match (mirroring `eve_misd::evolve`). When `from` is
+    /// not a vertex the graph is untouched.
     RenameVertex {
         /// Old vertex name.
         from: RelName,
@@ -62,7 +63,7 @@ pub enum GraphDelta {
     /// Drop every join edge whose predicate mentions the attribute
     /// (`delete-attribute` semantics).
     RemoveAttrEdges(AttrRef),
-    /// Rewrite every join predicate substituting the attribute's new
+    /// Rewrite the join predicates mentioning the attribute to its new
     /// name (`rename-attribute` semantics). Topology is unchanged.
     RenameAttr {
         /// Old attribute reference.
@@ -159,12 +160,9 @@ impl Hypergraph {
         raw.extend_from_slice(&self.comp_of[at..]);
         let (comp_of, comp_count) = renumber_components(&raw, self.comp_count as usize + 1);
 
-        let mut relations = (*self.relations).clone();
-        relations.insert(name.clone());
         Hypergraph {
-            relations: Arc::new(relations),
             joins: Arc::clone(&self.joins),
-            interner,
+            interner: Arc::new(interner),
             adj_offsets,
             adj_targets,
             adj_edges: self.adj_edges.clone(),
@@ -193,7 +191,7 @@ impl Hypergraph {
             if self.join_left[e] == rid || self.join_right[e] == rid {
                 continue;
             }
-            joins.push(self.joins[e].clone());
+            joins.push(Arc::clone(&self.joins[e]));
             join_left.push(drop(self.join_left[e]));
             join_right.push(drop(self.join_right[e]));
             // Carried ranks are a subset of the old ranks: not dense, but
@@ -214,12 +212,9 @@ impl Hypergraph {
         let (comp_of, comp_count) =
             scoped_components(n, &adj_offsets, &adj_targets, &carry, self.comp_count);
 
-        let mut relations = (*self.relations).clone();
-        relations.remove(name);
         Hypergraph {
-            relations: Arc::new(relations),
             joins: Arc::new(joins),
-            interner,
+            interner: Arc::new(interner),
             adj_offsets,
             adj_targets,
             adj_edges,
@@ -232,33 +227,23 @@ impl Hypergraph {
     }
 
     /// Rename a vertex: permute ids, carry component membership through
-    /// the permutation, and rewrite join endpoints/predicates the way
-    /// `eve_misd::evolve` does.
+    /// the permutation, and rewrite the incident join constraints the
+    /// way `eve_misd::evolve` does. Every other edge keeps its `Arc`.
     fn with_vertex_renamed(&self, from: &RelName, to: &RelName) -> Hypergraph {
-        // Predicates are rewritten on every edge regardless of vertex
-        // membership, mirroring evolve (which rewrites all joins).
-        let joins: Vec<JoinConstraint> = self
-            .joins
-            .iter()
-            .map(|j| {
-                let mut j2 = j.clone();
-                if &j2.left == from {
-                    j2.left = to.clone();
-                }
-                if &j2.right == from {
-                    j2.right = to.clone();
-                }
-                j2.predicate = j2.predicate.rename_relation(from, to);
-                j2
-            })
-            .collect();
         let Some((interner, old_id, new_id)) = self.interner.with_renamed(from, to) else {
-            // `from` is not a vertex here (capability-filtered graph):
-            // topology untouched, only predicates rewritten.
-            let mut out = self.clone();
-            out.joins = Arc::new(joins);
-            return out;
+            // `from` is not a vertex here (capability-filtered graph), so
+            // no edge mentions it: predicates only mention endpoints.
+            return self.clone();
         };
+        let rename = |r: &RelName| if r == from { to.clone() } else { r.clone() };
+        let joins = rewrite_edges(&self.joins, &self.incident_edges(old_id), |j| {
+            JoinConstraint {
+                id: j.id.clone(),
+                left: rename(&j.left),
+                right: rename(&j.right),
+                predicate: j.predicate.rename_relation(from, to),
+            }
+        });
         let n = interner.len();
         // remove-at-old then insert-at-new: ids permute in two shifts.
         let perm = |v: RelId| -> RelId {
@@ -284,13 +269,9 @@ impl Hypergraph {
         }
         let (comp_of, comp_count) = renumber_components(&raw, self.comp_count as usize);
 
-        let mut relations = (*self.relations).clone();
-        relations.remove(from);
-        relations.insert(to.clone());
         Hypergraph {
-            relations: Arc::new(relations),
-            joins: Arc::new(joins),
-            interner,
+            joins,
+            interner: Arc::new(interner),
             adj_offsets,
             adj_targets,
             adj_edges,
@@ -305,9 +286,13 @@ impl Hypergraph {
     /// Drop every edge mentioning `attr`; split-recheck only the
     /// components those edges lived in.
     fn with_attr_edges_removed(&self, attr: &AttrRef) -> Hypergraph {
-        let keep: Vec<bool> = self.joins.iter().map(|j| !j.contains_attr(attr)).collect();
-        if keep.iter().all(|&k| k) {
+        let hit = self.edges_mentioning_attr(attr);
+        if hit.is_empty() {
             return self.clone();
+        }
+        let mut keep = vec![true; self.joins.len()];
+        for &e in &hit {
+            keep[e as usize] = false;
         }
         let n = self.interner.len();
         let mut joins = Vec::with_capacity(self.joins.len());
@@ -317,7 +302,7 @@ impl Hypergraph {
         let mut affected: BTreeSet<u32> = BTreeSet::new();
         for (e, &kept) in keep.iter().enumerate() {
             if kept {
-                joins.push(self.joins[e].clone());
+                joins.push(Arc::clone(&self.joins[e]));
                 join_left.push(self.join_left[e]);
                 join_right.push(self.join_right[e]);
                 join_rank.push(self.join_rank[e]);
@@ -334,9 +319,8 @@ impl Hypergraph {
         let (comp_of, comp_count) =
             scoped_components(n, &adj_offsets, &adj_targets, &carry, self.comp_count);
         Hypergraph {
-            relations: Arc::clone(&self.relations),
             joins: Arc::new(joins),
-            interner: self.interner.clone(),
+            interner: Arc::clone(&self.interner),
             adj_offsets,
             adj_targets,
             adj_edges,
@@ -348,24 +332,38 @@ impl Hypergraph {
         }
     }
 
-    /// Rewrite predicates for a renamed attribute. Topology, ids, ranks
-    /// and components are all invariant — only the join constraint
-    /// values change.
+    /// Rewrite the predicates mentioning a renamed attribute. Topology,
+    /// ids, ranks and components are all invariant — only those join
+    /// constraint values change.
     fn with_attr_renamed(&self, from: &AttrRef, to: &AttrName) -> Hypergraph {
         let new_ref = ScalarExpr::Attr(AttrRef::new(from.relation.clone(), to.clone()));
-        let joins = self
-            .joins
-            .iter()
-            .map(|j| {
-                let mut j2 = j.clone();
-                j2.predicate = j2.predicate.substitute(from, &new_ref);
-                j2
-            })
-            .collect();
+        let hit = self.edges_mentioning_attr(from);
         let mut out = self.clone();
-        out.joins = Arc::new(joins);
+        out.joins = rewrite_edges(&self.joins, &hit, |j| JoinConstraint {
+            id: j.id.clone(),
+            left: j.left.clone(),
+            right: j.right.clone(),
+            predicate: j.predicate.substitute(from, &new_ref),
+        });
         out
     }
+}
+
+/// `joins` with the edges `hit` replaced by `rewrite` of them. Every
+/// other edge keeps its `Arc`, and the list its own when `hit` is empty.
+fn rewrite_edges(
+    joins: &SharedList<JoinConstraint>,
+    hit: &[u32],
+    rewrite: impl Fn(&JoinConstraint) -> JoinConstraint,
+) -> SharedList<JoinConstraint> {
+    if hit.is_empty() {
+        return Arc::clone(joins);
+    }
+    let mut out = joins.to_vec();
+    for &e in hit {
+        out[e as usize] = Arc::new(rewrite(&joins[e as usize]));
+    }
+    Arc::new(out)
 }
 
 #[cfg(test)]
@@ -409,7 +407,6 @@ mod tests {
     /// delta-maintained graph must match the from-scratch build, except
     /// ranks, which only have to be order-isomorphic to the id strings.
     fn assert_equivalent(patched: &Hypergraph, rebuilt: &Hypergraph) {
-        assert_eq!(patched.relations, rebuilt.relations);
         assert_eq!(patched.joins, rebuilt.joins);
         assert_eq!(patched.interner.names(), rebuilt.interner.names());
         assert_eq!(patched.join_left, rebuilt.join_left);
@@ -452,8 +449,8 @@ mod tests {
 
     fn rebuild(h: &Hypergraph, delta: &GraphDelta) -> Hypergraph {
         // The oracle: mutate (relations, joins) by hand, then from_parts.
-        let mut relations = (*h.relations).clone();
-        let mut joins = (*h.joins).clone();
+        let mut relations: BTreeSet<RelName> = h.relations().iter().cloned().collect();
+        let mut joins: Vec<JoinConstraint> = h.joins.iter().map(|j| (**j).clone()).collect();
         match delta {
             GraphDelta::None => {}
             GraphDelta::AddVertex(n) => {
@@ -499,7 +496,7 @@ mod tests {
             // Chain several deltas so later ones exercise carried state
             // (non-dense ranks, renumbered components).
             for step in 0..6 {
-                let names: Vec<RelName> = h.relations.iter().cloned().collect();
+                let names: Vec<RelName> = h.relations().to_vec();
                 let delta = if names.is_empty() {
                     GraphDelta::AddVertex(rel(&format!("N{round}_{step}")))
                 } else {

@@ -12,8 +12,9 @@
 
 use crate::intern::{Interner, RelId};
 use crate::relset::RelSet;
+use eve_misd::mkb::SharedList;
 use eve_misd::{JoinConstraint, MetaKnowledgeBase};
-use eve_relational::RelName;
+use eve_relational::{AttrRef, RelName};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -21,22 +22,20 @@ use std::sync::Arc;
 /// relation-level multigraph: vertices are relations, edges are join
 /// constraints.
 ///
-/// The structure owns its data (names and constraints are cloned from the
-/// MKB), so sub-hypergraphs and evolved variants can be derived freely
-/// without borrowing the MKB.
+/// The structure owns its data (names are cloned from the MKB, join
+/// constraints shared with it by `Arc`), so sub-hypergraphs and evolved
+/// variants can be derived freely without borrowing the MKB.
 #[derive(Debug, Clone)]
 pub struct Hypergraph {
-    /// All relation vertices (including isolated ones). `Arc`-shared so
-    /// delta maintenance can carry the set through changes that don't
-    /// touch the vertex population.
-    pub(crate) relations: Arc<BTreeSet<RelName>>,
-    /// Join-constraint edges. `Arc`-shared for the same reason: most
-    /// capability changes leave every join constraint intact, and a
-    /// deep clone of the edge list (id strings, predicates) would
-    /// dominate the delta-apply cost.
-    pub(crate) joins: Arc<Vec<JoinConstraint>>,
-    /// Name ↔ id bijection; id order == name order.
-    pub(crate) interner: Interner,
+    /// Join-constraint edges, each the MKB's own `Arc`. The list is
+    /// `Arc`-shared too: most capability changes leave every join
+    /// constraint intact, and the full graph of an MKB shares the MKB's
+    /// own list.
+    pub(crate) joins: SharedList<JoinConstraint>,
+    /// Name ↔ id bijection over every vertex (isolated ones included);
+    /// id order == name order. `Arc`-shared by the changes that keep the
+    /// vertex set.
+    pub(crate) interner: Arc<Interner>,
     /// CSR adjacency offsets: vertex `v`'s neighbours live at
     /// `adj_targets[adj_offsets[v]..adj_offsets[v + 1]]`.
     pub(crate) adj_offsets: Vec<u32>,
@@ -152,7 +151,7 @@ pub(crate) fn renumber_components(raw: &[u32], bound: usize) -> (Vec<u32>, u32) 
 impl PartialEq for Hypergraph {
     fn eq(&self, other: &Self) -> bool {
         // The derived structures are pure functions of (relations, joins).
-        self.relations == other.relations && self.joins == other.joins
+        self.relations() == other.relations() && self.joins == other.joins
     }
 }
 
@@ -160,8 +159,8 @@ impl Hypergraph {
     /// Build `H(MKB)` from a meta knowledge base.
     pub fn build(mkb: &MetaKnowledgeBase) -> Self {
         let relations: BTreeSet<RelName> = mkb.relation_names().cloned().collect();
-        let joins: Vec<JoinConstraint> = mkb.joins().to_vec();
-        Self::from_parts(relations, joins)
+        // MKB validation guarantees every endpoint is described.
+        Self::from_shared(relations, Arc::clone(mkb.joins_arc()))
     }
 
     /// Build `H(MKB)` restricted to the relations accepted by `keep` —
@@ -178,23 +177,36 @@ impl Hypergraph {
             .filter(|desc| keep(desc))
             .map(|desc| desc.name.clone())
             .collect();
-        Self::from_parts(relations, mkb.joins().to_vec())
+        let joins = mkb
+            .joins()
+            .iter()
+            .filter(|j| relations.contains(&j.left) && relations.contains(&j.right))
+            .cloned()
+            .collect();
+        Self::from_shared(relations, Arc::new(joins))
     }
 
     /// Build from explicit parts (used for sub-hypergraphs and tests).
     /// Join constraints whose endpoints are not both present are dropped.
     pub fn from_parts(relations: BTreeSet<RelName>, joins: Vec<JoinConstraint>) -> Self {
-        let interner = Interner::from_sorted(relations.iter().cloned());
-        let joins: Vec<JoinConstraint> = joins
+        let joins = joins
             .into_iter()
             .filter(|j| relations.contains(&j.left) && relations.contains(&j.right))
+            .map(Arc::new)
             .collect();
+        Self::from_shared(relations, Arc::new(joins))
+    }
+
+    /// [`Hypergraph::from_parts`] over shared joins whose endpoints are
+    /// all in `relations`.
+    fn from_shared(relations: BTreeSet<RelName>, joins: SharedList<JoinConstraint>) -> Self {
+        let interner = Interner::from_sorted(relations.iter().cloned());
         let n = interner.len();
         let m = joins.len();
 
         let mut join_left = Vec::with_capacity(m);
         let mut join_right = Vec::with_capacity(m);
-        for j in &joins {
+        for j in joins.iter() {
             join_left.push(interner.get(&j.left).expect("endpoint present"));
             join_right.push(interner.get(&j.right).expect("endpoint present"));
         }
@@ -215,9 +227,8 @@ impl Hypergraph {
         let (comp_of, comp_count) = components_from(n, &adj_offsets, &adj_targets);
 
         Hypergraph {
-            relations: Arc::new(relations),
-            joins: Arc::new(joins),
-            interner,
+            joins,
+            interner: Arc::new(interner),
             adj_offsets,
             adj_targets,
             adj_edges,
@@ -229,19 +240,19 @@ impl Hypergraph {
         }
     }
 
-    /// The relation vertices.
-    pub fn relations(&self) -> &BTreeSet<RelName> {
-        &self.relations
+    /// The relation vertices, in ascending name order.
+    pub fn relations(&self) -> &[RelName] {
+        self.interner.names()
     }
 
     /// The join-constraint edges.
-    pub fn joins(&self) -> &[JoinConstraint] {
+    pub fn joins(&self) -> &[Arc<JoinConstraint>] {
         &self.joins
     }
 
     /// Does the hypergraph contain this relation?
     pub fn contains(&self, rel: &RelName) -> bool {
-        self.relations.contains(rel)
+        self.interner.get(rel).is_some()
     }
 
     // ---- id-level core -------------------------------------------------
@@ -381,7 +392,7 @@ impl Hypergraph {
     pub fn joins_of<'a>(&'a self, rel: &RelName) -> impl Iterator<Item = &'a JoinConstraint> {
         self.rel_id(rel)
             .into_iter()
-            .flat_map(move |id| self.neighbors(id).map(|(_, e)| &self.joins[e as usize]))
+            .flat_map(move |id| self.neighbors(id).map(|(_, e)| &*self.joins[e as usize]))
     }
 
     /// All join constraints between the unordered pair `{r1, r2}`.
@@ -390,7 +401,10 @@ impl Hypergraph {
         r1: &'a RelName,
         r2: &'a RelName,
     ) -> impl Iterator<Item = &'a JoinConstraint> {
-        self.joins.iter().filter(move |j| j.connects(r1, r2))
+        self.joins
+            .iter()
+            .map(Arc::as_ref)
+            .filter(move |j| j.connects(r1, r2))
     }
 
     /// The set of relations reachable from `start` (its connected
@@ -424,9 +438,9 @@ impl Hypergraph {
             .iter()
             .enumerate()
             .filter(|(e, _)| self.comp_of[self.join_left[*e] as usize] == comp)
-            .map(|(_, j)| j.clone())
+            .map(|(_, j)| Arc::clone(j))
             .collect();
-        Hypergraph::from_parts(rels, joins)
+        Hypergraph::from_shared(rels, Arc::new(joins))
     }
 
     /// All maximal connected components, each as a sub-hypergraph, ordered
@@ -474,15 +488,19 @@ impl Hypergraph {
     /// `rel` (and with it every incident join constraint) — Def. 3's
     /// `H'_R(MKB')`. Erasing a vertex may disconnect the graph.
     pub fn without_relation(&self, rel: &RelName) -> Hypergraph {
-        let mut relations = (*self.relations).clone();
-        relations.remove(rel);
+        let relations = self
+            .relations()
+            .iter()
+            .filter(|r| *r != rel)
+            .cloned()
+            .collect();
         let joins = self
             .joins
             .iter()
             .filter(|j| !j.touches(rel))
             .cloned()
             .collect();
-        Hypergraph::from_parts(relations, joins)
+        Hypergraph::from_shared(relations, Arc::new(joins))
     }
 
     /// Breadth-first shortest join path from `from` to `to`: the sequence
@@ -492,7 +510,7 @@ impl Hypergraph {
     pub fn join_path(&self, from: &RelName, to: &RelName) -> Option<Vec<&JoinConstraint>> {
         let (a, b) = (self.rel_id(from)?, self.rel_id(to)?);
         let path = self.join_path_ids(a, b)?;
-        Some(path.into_iter().map(|e| &self.joins[e as usize]).collect())
+        Some(path.into_iter().map(|e| &*self.joins[e as usize]).collect())
     }
 
     /// Enumerate all simple paths (as join-constraint sequences) from
@@ -558,7 +576,7 @@ impl Hypergraph {
             return;
         }
         if cur == to {
-            out.push(path.iter().map(|&e| &self.joins[e as usize]).collect());
+            out.push(path.iter().map(|&e| &*self.joins[e as usize]).collect());
             return;
         }
         if budget == 0 {
@@ -577,6 +595,28 @@ impl Hypergraph {
             path.pop();
             visited.remove(next);
         }
+    }
+
+    /// The join edges whose predicate mentions `attr`, ascending.
+    /// Predicates only mention endpoint attributes
+    /// (`MetaKnowledgeBase::add_join` checks it), so only the edges of
+    /// `attr`'s relation are examined.
+    pub fn edges_mentioning_attr(&self, attr: &AttrRef) -> Vec<u32> {
+        let Some(id) = self.rel_id(&attr.relation) else {
+            return Vec::new();
+        };
+        let mut hit = self.incident_edges(id);
+        hit.retain(|&e| self.joins[e as usize].contains_attr(attr));
+        hit
+    }
+
+    /// The join edges incident to vertex `id`, ascending.
+    pub(crate) fn incident_edges(&self, id: RelId) -> Vec<u32> {
+        let mut edges: Vec<u32> = self.neighbors(id).map(|(_, e)| e).collect();
+        edges.sort_unstable();
+        // A join of a relation with itself sits in its row twice.
+        edges.dedup();
+        edges
     }
 
     /// Degree of a relation (number of incident join constraints).

@@ -126,12 +126,24 @@ impl Interner {
     /// remaps its arrays through the implied id permutation. `None` when
     /// `from` is absent or `to` already interned.
     pub fn with_renamed(&self, from: &RelName, to: &RelName) -> Option<(Interner, RelId, RelId)> {
-        if self.lookup.contains_key(to) {
-            return None;
+        let old_id = self.get(from)?;
+        // `to`'s slot once `from` is gone: one copy of the table, not two.
+        let new_id = match self.names.binary_search(to) {
+            Ok(_) => return None,
+            Err(pos) if pos > old_id as usize => pos as RelId - 1,
+            Err(pos) => pos as RelId,
+        };
+        let mut names = self.names.clone();
+        names.remove(old_id as usize);
+        names.insert(new_id as usize, to.clone());
+        let mut lookup = self.lookup.clone();
+        lookup.remove(from);
+        for id in lookup.values_mut() {
+            let mid = if *id > old_id { *id - 1 } else { *id };
+            *id = if mid >= new_id { mid + 1 } else { mid };
         }
-        let (mid, old_id) = self.with_removed(from)?;
-        let (out, new_id) = mid.with_inserted(to)?;
-        Some((out, old_id, new_id))
+        lookup.insert(to.clone(), new_id);
+        Some((Interner { names, lookup }, old_id, new_id))
     }
 }
 

@@ -141,7 +141,7 @@ fn materialize(graph: &Hypergraph, rels: &RelSet, edges: &[u32]) -> ConnectionTr
         relations: rels.iter().map(|id| graph.rel_name(id).clone()).collect(),
         joins: edges
             .iter()
-            .map(|&e| graph.joins()[e as usize].clone())
+            .map(|&e| JoinConstraint::clone(&graph.joins()[e as usize]))
             .collect(),
     }
 }

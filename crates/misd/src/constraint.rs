@@ -165,7 +165,13 @@ impl FunctionOf {
 
     /// Does this constraint mention `rel` (as target owner or source)?
     pub fn touches(&self, rel: &RelName) -> bool {
-        &self.target.relation == rel || self.expr.relations().contains(rel)
+        &self.target.relation == rel || self.expr.references_relation(rel)
+    }
+
+    /// Does this constraint mention `attr` (as target or in its source
+    /// expression)?
+    pub(crate) fn mentions_attr(&self, attr: &AttrRef) -> bool {
+        &self.target == attr || self.expr.contains_attr(attr)
     }
 }
 
@@ -283,6 +289,20 @@ impl ProjSel {
         self
     }
 
+    /// Does this side mention `rel` (as its relation or in its
+    /// selection)?
+    pub(crate) fn touches(&self, rel: &RelName) -> bool {
+        &self.relation == rel || self.cond.references_relation(rel)
+    }
+
+    /// Does this side project or select on `attr`? Equivalent to
+    /// `attr_refs().contains(attr) || cond.attrs().contains(attr)`
+    /// without materialising either.
+    pub(crate) fn mentions_attr(&self, attr: &AttrRef) -> bool {
+        (self.relation == attr.relation && self.attrs.contains(&attr.attr))
+            || self.cond.contains_attr(attr)
+    }
+
     /// Qualified projected attributes.
     pub fn attr_refs(&self) -> Vec<AttrRef> {
         self.attrs
@@ -342,10 +362,12 @@ impl PartialComplete {
 
     /// Does this constraint mention `rel` on either side?
     pub fn touches(&self, rel: &RelName) -> bool {
-        &self.left.relation == rel
-            || &self.right.relation == rel
-            || self.left.cond.relations().contains(rel)
-            || self.right.cond.relations().contains(rel)
+        self.left.touches(rel) || self.right.touches(rel)
+    }
+
+    /// Does either side project or select on `attr`?
+    pub(crate) fn mentions_attr(&self, attr: &AttrRef) -> bool {
+        self.left.mentions_attr(attr) || self.right.mentions_attr(attr)
     }
 }
 

@@ -11,6 +11,17 @@
 //! MKB (they encode semantic knowledge that outlives the deleted
 //! relation) while candidate expressions must be built from `MKB'` only.
 //!
+//! [`evolve`] is also copy-on-write, as the paper's wording asks: it
+//! modifies only the *affected* descriptions. `MKB'` starts as a
+//! pointer copy of `MKB` (see [`MetaKnowledgeBase`]); the change then
+//! copies the relation map (one pointer per relation) and replaces the
+//! descriptions and constraints that mention the changed relation or
+//! attribute. A constraint list no such constraint lives in keeps its
+//! `Arc`, so `Arc::ptr_eq` on the lists of `MKB` and `MKB'` tells
+//! whether the change touched them. Cost: `O(relations)` pointer
+//! copies plus a non-allocating scan of the constraints, never a deep
+//! copy.
+//!
 //! Evolution rules per operator:
 //!
 //! * **add-relation / add-attribute** — insert, checking for collisions;
@@ -21,14 +32,65 @@
 //!   join/function-of/PC constraint referencing R.A; truncate order
 //!   constraints at R.A (the prefix ordering remains valid);
 //! * **rename-relation / rename-attribute** — rewrite the description and
-//!   every constraint in place; views are *not* rewritten here (the paper
-//!   treats renames as non-invalidating; the synchronizer in `eve-core`
-//!   transparently rewrites view references).
+//!   every constraint mentioning the old name; views are *not* rewritten
+//!   here (the paper treats renames as non-invalidating; the synchronizer
+//!   in `eve-core` transparently rewrites view references).
 
 use crate::change::CapabilityChange;
+use crate::constraint::{JoinConstraint, OrderIntegrity, PartialComplete, ProjSel};
+use crate::description::RelationDescription;
 use crate::error::MisdError;
-use crate::mkb::MetaKnowledgeBase;
+use crate::mkb::{MetaKnowledgeBase, SharedList};
 use eve_relational::{AttrName, AttrRef, RelName, ScalarExpr};
+use std::sync::Arc;
+
+/// What a change does to one constraint.
+enum Edit<T> {
+    Keep,
+    Drop,
+    Replace(T),
+}
+
+/// Apply `edit` to every element of `list`. Kept elements keep their
+/// `Arc`; when every element is kept, so does the list.
+fn edit_list<T>(list: &mut SharedList<T>, mut edit: impl FnMut(&T) -> Edit<T>) {
+    let mut out: Option<Vec<Arc<T>>> = None;
+    for (i, item) in list.iter().enumerate() {
+        match edit(item) {
+            Edit::Keep => {
+                if let Some(v) = &mut out {
+                    v.push(Arc::clone(item));
+                }
+            }
+            Edit::Drop => {
+                out.get_or_insert_with(|| list[..i].to_vec());
+            }
+            Edit::Replace(new) => out
+                .get_or_insert_with(|| list[..i].to_vec())
+                .push(Arc::new(new)),
+        }
+    }
+    if let Some(v) = out {
+        *list = Arc::new(v);
+    }
+}
+
+/// Drop the elements matching `hit` (see [`edit_list`]).
+fn drop_where<T>(list: &mut SharedList<T>, hit: impl Fn(&T) -> bool) {
+    edit_list(list, |x| if hit(x) { Edit::Drop } else { Edit::Keep });
+}
+
+/// Replace the elements matching `hit` by `rewrite` of them (see
+/// [`edit_list`]).
+fn rewrite_where<T>(list: &mut SharedList<T>, hit: impl Fn(&T) -> bool, rewrite: impl Fn(&T) -> T) {
+    edit_list(list, |x| {
+        if hit(x) {
+            Edit::Replace(rewrite(x))
+        } else {
+            Edit::Keep
+        }
+    });
+}
 
 /// Apply a capability change, producing the evolved `MKB'`.
 pub fn evolve(
@@ -41,20 +103,20 @@ pub fn evolve(
             out.add_relation(desc.clone())?;
         }
         CapabilityChange::DeleteRelation(rel) => {
-            if out.remove_relation_entry(rel).is_none() {
+            if out.relations_mut().remove(rel).is_none() {
                 return Err(MisdError::UnknownRelation(rel.clone()));
             }
-            out.retain_joins(|j| !j.touches(rel));
-            out.retain_funcofs(|f| !f.touches(rel));
-            out.retain_pcs(|p| !p.touches(rel));
-            out.retain_orders(|o| &o.relation != rel);
+            drop_where(out.joins_mut(), |j| j.touches(rel));
+            drop_where(out.funcofs_mut(), |f| f.touches(rel));
+            drop_where(out.pcs_mut(), |p| p.touches(rel));
+            drop_where(out.orders_mut(), |o| &o.relation == rel);
         }
         CapabilityChange::RenameRelation { from, to } => {
             rename_relation(&mut out, from, to)?;
         }
         CapabilityChange::AddAttribute { relation, attr } => {
             let desc = out
-                .relation_mut(relation)
+                .relation(relation)
                 .ok_or_else(|| MisdError::UnknownRelation(relation.clone()))?;
             if desc.has_attr(&attr.name) {
                 return Err(MisdError::NameCollision(format!(
@@ -62,7 +124,9 @@ pub fn evolve(
                     attr.name
                 )));
             }
+            let mut desc = desc.clone();
             desc.attrs.push(attr.clone());
+            out.relations_mut().insert(relation.clone(), Arc::new(desc));
         }
         CapabilityChange::DeleteAttribute(attr) => {
             delete_attribute(&mut out, attr)?;
@@ -82,68 +146,98 @@ fn rename_relation(
     if out.contains_relation(to) {
         return Err(MisdError::NameCollision(to.to_string()));
     }
-    let mut desc = out
-        .remove_relation_entry(from)
+    let relations = out.relations_mut();
+    let desc = relations
+        .remove(from)
         .ok_or_else(|| MisdError::UnknownRelation(from.clone()))?;
+    let mut desc = RelationDescription::clone(&desc);
     desc.name = to.clone();
-    out.reinsert_relation(desc);
+    relations.insert(to.clone(), Arc::new(desc));
 
-    for j in out.joins_mut() {
-        if &j.left == from {
-            j.left = to.clone();
-        }
-        if &j.right == from {
-            j.right = to.clone();
-        }
-        j.predicate = j.predicate.rename_relation(from, to);
-    }
-    for f in out.funcofs_mut() {
-        if &f.target.relation == from {
-            f.target = AttrRef::new(to.clone(), f.target.attr.clone());
-        }
-        f.expr = f.expr.rename_relation(from, to);
-    }
-    for p in out.pcs_mut() {
-        for side in [&mut p.left, &mut p.right] {
-            if &side.relation == from {
-                side.relation = to.clone();
-            }
-            side.cond = side.cond.rename_relation(from, to);
-        }
-    }
-    for o in out.orders_mut() {
-        if &o.relation == from {
-            o.relation = to.clone();
-        }
-    }
+    let rename = |r: &RelName| if r == from { to.clone() } else { r.clone() };
+    // A join predicate only mentions its endpoints' attributes (checked
+    // by `add_join`), so the endpoints decide which joins to rewrite.
+    rewrite_where(
+        out.joins_mut(),
+        |j| j.touches(from),
+        |j| JoinConstraint {
+            id: j.id.clone(),
+            left: rename(&j.left),
+            right: rename(&j.right),
+            predicate: j.predicate.rename_relation(from, to),
+        },
+    );
+    rewrite_where(
+        out.funcofs_mut(),
+        |f| f.touches(from),
+        |f| {
+            let mut f = f.clone();
+            f.target.relation = rename(&f.target.relation);
+            f.expr = f.expr.rename_relation(from, to);
+            f
+        },
+    );
+    let rename_side = |side: &ProjSel| ProjSel {
+        relation: rename(&side.relation),
+        attrs: side.attrs.clone(),
+        cond: side.cond.rename_relation(from, to),
+    };
+    rewrite_where(
+        out.pcs_mut(),
+        |p| p.touches(from),
+        |p| PartialComplete {
+            id: p.id.clone(),
+            left: rename_side(&p.left),
+            op: p.op,
+            right: rename_side(&p.right),
+        },
+    );
+    rewrite_where(
+        out.orders_mut(),
+        |o| &o.relation == from,
+        |o| OrderIntegrity {
+            relation: to.clone(),
+            attrs: o.attrs.clone(),
+        },
+    );
     Ok(())
 }
 
 fn delete_attribute(out: &mut MetaKnowledgeBase, attr: &AttrRef) -> Result<(), MisdError> {
-    let desc = out
-        .relation_mut(&attr.relation)
-        .ok_or_else(|| MisdError::UnknownRelation(attr.relation.clone()))?;
+    let mut desc = out
+        .relation(&attr.relation)
+        .ok_or_else(|| MisdError::UnknownRelation(attr.relation.clone()))?
+        .clone();
     if !desc.remove_attr(&attr.attr) {
         return Err(MisdError::UnknownAttribute(attr.clone()));
     }
-    out.retain_joins(|j| !j.attrs().contains(attr));
-    out.retain_funcofs(|f| &f.target != attr && !f.source_attrs().contains(attr));
-    out.retain_pcs(|p| {
-        let mentions = |side: &crate::constraint::ProjSel| {
-            side.attr_refs().contains(attr) || side.cond.attrs().contains(attr)
-        };
-        !mentions(&p.left) && !mentions(&p.right)
+    out.relations_mut()
+        .insert(attr.relation.clone(), Arc::new(desc));
+    // Endpoints first: a join predicate only mentions their attributes.
+    drop_where(out.joins_mut(), |j| {
+        j.touches(&attr.relation) && j.contains_attr(attr)
     });
+    drop_where(out.funcofs_mut(), |f| f.mentions_attr(attr));
+    drop_where(out.pcs_mut(), |p| p.mentions_attr(attr));
     // Order constraints: ordering by a prefix of the original attribute
-    // list still holds, so truncate at the deleted attribute.
-    for o in out.orders_mut() {
-        if o.relation == attr.relation {
-            if let Some(pos) = o.attrs.iter().position(|a| a == &attr.attr) {
-                o.attrs.truncate(pos);
-            }
+    // list still holds, so truncate at the deleted attribute; an order
+    // left (or already) empty constrains nothing and is dropped.
+    edit_list(out.orders_mut(), |o| {
+        let cut = if o.relation == attr.relation {
+            o.attrs.iter().position(|a| a == &attr.attr)
+        } else {
+            None
+        };
+        match cut {
+            _ if o.attrs.is_empty() => Edit::Drop,
+            Some(0) => Edit::Drop,
+            Some(pos) => Edit::Replace(OrderIntegrity {
+                relation: o.relation.clone(),
+                attrs: o.attrs[..pos].to_vec(),
+            }),
+            None => Edit::Keep,
         }
-    }
-    out.retain_orders(|o| !o.attrs.is_empty());
+    });
     Ok(())
 }
 
@@ -152,46 +246,77 @@ fn rename_attribute(
     from: &AttrRef,
     to: &AttrName,
 ) -> Result<(), MisdError> {
-    let desc = out
-        .relation_mut(&from.relation)
-        .ok_or_else(|| MisdError::UnknownRelation(from.relation.clone()))?;
+    let mut desc = out
+        .relation(&from.relation)
+        .ok_or_else(|| MisdError::UnknownRelation(from.relation.clone()))?
+        .clone();
     if desc.has_attr(to) {
         return Err(MisdError::NameCollision(format!("{}.{to}", from.relation)));
     }
     if !desc.rename_attr(&from.attr, to.clone()) {
         return Err(MisdError::UnknownAttribute(from.clone()));
     }
-    let new_ref = ScalarExpr::Attr(AttrRef::new(from.relation.clone(), to.clone()));
-    for j in out.joins_mut() {
-        j.predicate = j.predicate.substitute(from, &new_ref);
-    }
-    for f in out.funcofs_mut() {
-        if &f.target == from {
-            f.target = AttrRef::new(from.relation.clone(), to.clone());
+    out.relations_mut()
+        .insert(from.relation.clone(), Arc::new(desc));
+
+    let to_ref = AttrRef::new(from.relation.clone(), to.clone());
+    let new_ref = ScalarExpr::Attr(to_ref.clone());
+    let rename = |a: &AttrName| {
+        if a == &from.attr {
+            to.clone()
+        } else {
+            a.clone()
         }
-        f.expr = f.expr.substitute(from, &new_ref);
-    }
-    for p in out.pcs_mut() {
-        for side in [&mut p.left, &mut p.right] {
-            if side.relation == from.relation {
-                for a in &mut side.attrs {
-                    if a == &from.attr {
-                        *a = to.clone();
-                    }
-                }
+    };
+    rewrite_where(
+        out.joins_mut(),
+        |j| j.touches(&from.relation) && j.contains_attr(from),
+        |j| JoinConstraint {
+            id: j.id.clone(),
+            left: j.left.clone(),
+            right: j.right.clone(),
+            predicate: j.predicate.substitute(from, &new_ref),
+        },
+    );
+    rewrite_where(
+        out.funcofs_mut(),
+        |f| f.mentions_attr(from),
+        |f| {
+            let mut f = f.clone();
+            if &f.target == from {
+                f.target = to_ref.clone();
             }
-            side.cond = side.cond.substitute(from, &new_ref);
-        }
-    }
-    for o in out.orders_mut() {
-        if o.relation == from.relation {
-            for a in &mut o.attrs {
-                if a == &from.attr {
-                    *a = to.clone();
-                }
-            }
-        }
-    }
+            f.expr = f.expr.substitute(from, &new_ref);
+            f
+        },
+    );
+    let rename_side = |side: &ProjSel| ProjSel {
+        relation: side.relation.clone(),
+        attrs: if side.relation == from.relation {
+            side.attrs.iter().map(rename).collect()
+        } else {
+            side.attrs.clone()
+        },
+        cond: side.cond.substitute(from, &new_ref),
+    };
+    rewrite_where(
+        out.pcs_mut(),
+        |p| p.mentions_attr(from),
+        |p| PartialComplete {
+            id: p.id.clone(),
+            left: rename_side(&p.left),
+            op: p.op,
+            right: rename_side(&p.right),
+        },
+    );
+    rewrite_where(
+        out.orders_mut(),
+        |o| o.relation == from.relation && o.attrs.contains(&from.attr),
+        |o| OrderIntegrity {
+            relation: o.relation.clone(),
+            attrs: o.attrs.iter().map(rename).collect(),
+        },
+    );
     Ok(())
 }
 

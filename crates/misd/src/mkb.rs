@@ -10,6 +10,14 @@
 //! expressions must draw from a single source relation, PC sides must
 //! project equal arities. An MKB accepted by these checks is internally
 //! consistent, which the CVS algorithm relies on.
+//!
+//! The MKB is copy-on-write: every relation description and every
+//! constraint sits behind its own [`Arc`], and so does each collection.
+//! Cloning an MKB copies five pointers. Evolution (`crate::evolution`)
+//! copies a collection only when the change touches it — the relation
+//! map on every change, the constraint lists only when a constraint
+//! mentions the changed relation or attribute — and replaces only the
+//! touched elements, so consecutive versions share everything else.
 
 use crate::constraint::{FunctionOf, JoinConstraint, OrderIntegrity, PartialComplete};
 use crate::description::RelationDescription;
@@ -17,16 +25,21 @@ use crate::error::MisdError;
 use eve_relational::{AttrRef, RelName};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+/// A shared list of shared constraints: cloning it copies one pointer,
+/// editing it copies the spine of element pointers, never an element.
+pub type SharedList<T> = Arc<Vec<Arc<T>>>;
 
 /// The meta knowledge base: relation descriptions plus semantic
 /// constraints.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetaKnowledgeBase {
-    relations: BTreeMap<RelName, RelationDescription>,
-    joins: Vec<JoinConstraint>,
-    funcofs: Vec<FunctionOf>,
-    pcs: Vec<PartialComplete>,
-    orders: Vec<OrderIntegrity>,
+    relations: Arc<BTreeMap<RelName, Arc<RelationDescription>>>,
+    joins: SharedList<JoinConstraint>,
+    funcofs: SharedList<FunctionOf>,
+    pcs: SharedList<PartialComplete>,
+    orders: SharedList<OrderIntegrity>,
 }
 
 impl MetaKnowledgeBase {
@@ -45,7 +58,7 @@ impl MetaKnowledgeBase {
         if self.relations.contains_key(&desc.name) {
             return Err(MisdError::DuplicateRelation(desc.name));
         }
-        self.relations.insert(desc.name.clone(), desc);
+        Arc::make_mut(&mut self.relations).insert(desc.name.clone(), Arc::new(desc));
         Ok(())
     }
 
@@ -91,7 +104,7 @@ impl MetaKnowledgeBase {
             }
             self.check_attr(&attr)?;
         }
-        self.joins.push(jc);
+        Arc::make_mut(&mut self.joins).push(Arc::new(jc));
         Ok(())
     }
 
@@ -108,7 +121,7 @@ impl MetaKnowledgeBase {
         for attr in f.source_attrs() {
             self.check_attr(&attr)?;
         }
-        self.funcofs.push(f);
+        Arc::make_mut(&mut self.funcofs).push(Arc::new(f));
         Ok(())
     }
 
@@ -130,7 +143,7 @@ impl MetaKnowledgeBase {
                 self.check_attr(&attr)?;
             }
         }
-        self.pcs.push(pc);
+        Arc::make_mut(&mut self.pcs).push(Arc::new(pc));
         Ok(())
     }
 
@@ -142,7 +155,7 @@ impl MetaKnowledgeBase {
         for a in &oc.attrs {
             self.check_attr(&AttrRef::new(oc.relation.clone(), a.clone()))?;
         }
-        self.orders.push(oc);
+        Arc::make_mut(&mut self.orders).push(Arc::new(oc));
         Ok(())
     }
 
@@ -152,7 +165,7 @@ impl MetaKnowledgeBase {
 
     /// The description of a relation, if present.
     pub fn relation(&self, name: &RelName) -> Option<&RelationDescription> {
-        self.relations.get(name)
+        self.relations.get(name).map(Arc::as_ref)
     }
 
     /// Is the relation described?
@@ -167,7 +180,7 @@ impl MetaKnowledgeBase {
 
     /// All relation descriptions, ordered by name.
     pub fn relations(&self) -> impl Iterator<Item = &RelationDescription> {
-        self.relations.values()
+        self.relations.values().map(Arc::as_ref)
     }
 
     /// All relation names, ordered.
@@ -176,13 +189,23 @@ impl MetaKnowledgeBase {
     }
 
     /// All join constraints, in insertion order.
-    pub fn joins(&self) -> &[JoinConstraint] {
+    pub fn joins(&self) -> &[Arc<JoinConstraint>] {
+        &self.joins
+    }
+
+    /// The join list itself: [`Arc::ptr_eq`] on two versions' lists
+    /// tells whether a change touched any join constraint, and a
+    /// hypergraph over every join shares it instead of copying it.
+    pub fn joins_arc(&self) -> &SharedList<JoinConstraint> {
         &self.joins
     }
 
     /// Join constraints touching `rel`.
     pub fn joins_of<'a>(&'a self, rel: &'a RelName) -> impl Iterator<Item = &'a JoinConstraint> {
-        self.joins.iter().filter(move |j| j.touches(rel))
+        self.joins
+            .iter()
+            .map(Arc::as_ref)
+            .filter(move |j| j.touches(rel))
     }
 
     /// Join constraints connecting the unordered pair `{r1, r2}`.
@@ -191,42 +214,62 @@ impl MetaKnowledgeBase {
         r1: &'a RelName,
         r2: &'a RelName,
     ) -> impl Iterator<Item = &'a JoinConstraint> {
-        self.joins.iter().filter(move |j| j.connects(r1, r2))
+        self.joins
+            .iter()
+            .map(Arc::as_ref)
+            .filter(move |j| j.connects(r1, r2))
     }
 
     /// A join constraint by id.
     pub fn join_by_id(&self, id: &str) -> Option<&JoinConstraint> {
-        self.joins.iter().find(|j| j.id == id)
+        self.joins.iter().map(Arc::as_ref).find(|j| j.id == id)
     }
 
     /// All function-of constraints.
-    pub fn function_ofs(&self) -> &[FunctionOf] {
+    pub fn function_ofs(&self) -> &[Arc<FunctionOf>] {
+        &self.funcofs
+    }
+
+    /// The function-of list itself (see [`MetaKnowledgeBase::joins_arc`]).
+    pub fn function_ofs_arc(&self) -> &SharedList<FunctionOf> {
         &self.funcofs
     }
 
     /// Function-of constraints *defining* the given attribute — the
     /// constraints CVS uses to find covers for `attr` (Def. 3 (IV)).
     pub fn covers_of<'a>(&'a self, attr: &'a AttrRef) -> impl Iterator<Item = &'a FunctionOf> {
-        self.funcofs.iter().filter(move |f| &f.target == attr)
+        self.funcofs
+            .iter()
+            .map(Arc::as_ref)
+            .filter(move |f| &f.target == attr)
     }
 
     /// A function-of constraint by id.
     pub fn funcof_by_id(&self, id: &str) -> Option<&FunctionOf> {
-        self.funcofs.iter().find(|f| f.id == id)
+        self.funcofs.iter().map(Arc::as_ref).find(|f| f.id == id)
     }
 
     /// All partial/complete constraints.
-    pub fn pcs(&self) -> &[PartialComplete] {
+    pub fn pcs(&self) -> &[Arc<PartialComplete>] {
+        &self.pcs
+    }
+
+    /// The partial/complete list itself (see
+    /// [`MetaKnowledgeBase::joins_arc`]).
+    pub fn pcs_arc(&self) -> &SharedList<PartialComplete> {
         &self.pcs
     }
 
     /// Partial/complete constraints touching `rel`.
     pub fn pcs_of<'a>(&'a self, rel: &'a RelName) -> impl Iterator<Item = &'a PartialComplete> {
-        self.pcs.iter().filter(move |p| p.touches(rel))
+        self.pcs
+            .iter()
+            .map(Arc::as_ref)
+            .filter(move |p| p.touches(rel))
     }
 
     /// All order-integrity constraints.
-    pub fn orders(&self) -> &[OrderIntegrity] {
+    pub fn orders(&self) -> &[Arc<OrderIntegrity>] {
         &self.orders
     }
 
@@ -236,51 +279,28 @@ impl MetaKnowledgeBase {
     }
 
     // ------------------------------------------------------------------
-    // mutation primitives used by MKB evolution (crate::evolution)
+    // copy-on-write access used by MKB evolution (crate::evolution)
     // ------------------------------------------------------------------
 
-    pub(crate) fn remove_relation_entry(&mut self, name: &RelName) -> Option<RelationDescription> {
-        self.relations.remove(name)
+    /// The relation map, copied first when another version shares it.
+    pub(crate) fn relations_mut(&mut self) -> &mut BTreeMap<RelName, Arc<RelationDescription>> {
+        Arc::make_mut(&mut self.relations)
     }
 
-    pub(crate) fn relation_mut(&mut self, name: &RelName) -> Option<&mut RelationDescription> {
-        self.relations.get_mut(name)
-    }
-
-    pub(crate) fn retain_joins(&mut self, f: impl FnMut(&JoinConstraint) -> bool) {
-        self.joins.retain(f);
-    }
-
-    pub(crate) fn retain_funcofs(&mut self, f: impl FnMut(&FunctionOf) -> bool) {
-        self.funcofs.retain(f);
-    }
-
-    pub(crate) fn retain_pcs(&mut self, f: impl FnMut(&PartialComplete) -> bool) {
-        self.pcs.retain(f);
-    }
-
-    pub(crate) fn retain_orders(&mut self, f: impl FnMut(&OrderIntegrity) -> bool) {
-        self.orders.retain(f);
-    }
-
-    pub(crate) fn joins_mut(&mut self) -> &mut Vec<JoinConstraint> {
+    pub(crate) fn joins_mut(&mut self) -> &mut SharedList<JoinConstraint> {
         &mut self.joins
     }
 
-    pub(crate) fn funcofs_mut(&mut self) -> &mut Vec<FunctionOf> {
+    pub(crate) fn funcofs_mut(&mut self) -> &mut SharedList<FunctionOf> {
         &mut self.funcofs
     }
 
-    pub(crate) fn pcs_mut(&mut self) -> &mut Vec<PartialComplete> {
+    pub(crate) fn pcs_mut(&mut self) -> &mut SharedList<PartialComplete> {
         &mut self.pcs
     }
 
-    pub(crate) fn orders_mut(&mut self) -> &mut Vec<OrderIntegrity> {
+    pub(crate) fn orders_mut(&mut self) -> &mut SharedList<OrderIntegrity> {
         &mut self.orders
-    }
-
-    pub(crate) fn reinsert_relation(&mut self, desc: RelationDescription) {
-        self.relations.insert(desc.name.clone(), desc);
     }
 }
 
@@ -289,16 +309,16 @@ impl fmt::Display for MetaKnowledgeBase {
         for r in self.relations.values() {
             writeln!(f, "{r}")?;
         }
-        for j in &self.joins {
+        for j in self.joins.iter() {
             writeln!(f, "{j}")?;
         }
-        for x in &self.funcofs {
+        for x in self.funcofs.iter() {
             writeln!(f, "{x}")?;
         }
-        for p in &self.pcs {
+        for p in self.pcs.iter() {
             writeln!(f, "{p}")?;
         }
-        for o in &self.orders {
+        for o in self.orders.iter() {
             writeln!(f, "{o}")?;
         }
         Ok(())

@@ -411,6 +411,12 @@ impl Conjunction {
         self.attrs().into_iter().map(|a| a.relation).collect()
     }
 
+    /// Does any clause mention `rel`? Equivalent to
+    /// `self.relations().contains(rel)` without materialising the set.
+    pub fn references_relation(&self, rel: &RelName) -> bool {
+        self.clauses.iter().any(|c| c.references_relation(rel))
+    }
+
     /// Does this conjunction (as a set of facts) imply the clause?
     ///
     /// Conservative but congruence-aware: true when some clause of

@@ -510,7 +510,8 @@ pub fn stop_timer(name: &str, timer: Option<Instant>) {
 /// Fixed-shape latency histogram with power-of-two bucket bounds:
 /// bucket 0 holds exact zeros, bucket `i >= 1` holds values in
 /// `[2^(i-1), 2^i)`. Recording is three relaxed atomic RMWs plus a
-/// `fetch_max`; quantiles are read back as bucket upper bounds.
+/// `fetch_max`; quantiles are read back as bucket upper bounds, clamped
+/// to the largest observation.
 pub struct Histogram {
     buckets: [AtomicU64; 65],
     count: AtomicU64,
@@ -560,12 +561,13 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         let count: u64 = counts.iter().sum();
+        let max_ns = self.max.load(Ordering::Relaxed);
         HistogramSummary {
             count,
             sum_ns: self.sum.load(Ordering::Relaxed),
-            p50_ns: quantile(&counts, count, 0.50),
-            p95_ns: quantile(&counts, count, 0.95),
-            max_ns: self.max.load(Ordering::Relaxed),
+            p50_ns: quantile(&counts, count, 0.50).min(max_ns),
+            p95_ns: quantile(&counts, count, 0.95).min(max_ns),
+            max_ns,
         }
     }
 }
@@ -594,17 +596,21 @@ fn quantile(counts: &[u64], total: u64, q: f64) -> u64 {
     bucket_bound(counts.len() - 1)
 }
 
-/// Point-in-time read-out of a [`Histogram`]. Quantiles are bucket
-/// upper bounds (so `p50_ns` reads "p50 ≤ this many ns").
+/// Point-in-time read-out of a [`Histogram`]. A quantile is the upper
+/// bound of the power-of-two bucket holding it, clamped to `max_ns`, so
+/// it lies within the observed range and `p50_ns` reads "p50 ≤ this
+/// many ns" (at most 2× the true value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSummary {
     /// Number of recorded observations.
     pub count: u64,
     /// Sum of all observations, in nanoseconds.
     pub sum_ns: u64,
-    /// Upper bound of the bucket containing the median.
+    /// Upper bound of the bucket containing the median, at most
+    /// `max_ns`.
     pub p50_ns: u64,
-    /// Upper bound of the bucket containing the 95th percentile.
+    /// Upper bound of the bucket containing the 95th percentile, at
+    /// most `max_ns`.
     pub p95_ns: u64,
     /// Largest observation seen.
     pub max_ns: u64,
@@ -1001,7 +1007,7 @@ mod tests {
         assert_eq!(h.sum_ns, 1025);
         assert_eq!(h.max_ns, 1024);
         assert_eq!(h.p50_ns, 1); // bucket [1,1]
-        assert_eq!(h.p95_ns, 2047); // bucket [1024,2047]
+        assert_eq!(h.p95_ns, 1024); // bucket [1024,2047], clamped to max
     }
 
     #[test]

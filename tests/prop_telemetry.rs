@@ -120,6 +120,31 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Histogram quantiles stay within the observed range:
+    /// `min ≤ p50 ≤ p95 ≤ max`, whatever the magnitudes recorded.
+    #[test]
+    fn histogram_quantiles_within_observed_range(
+        small in proptest::collection::vec(0u64..4096, 1..40),
+        large in proptest::collection::vec(any::<u64>(), 0..8),
+    ) {
+        let _serial = eve::telemetry::serial_guard();
+        eve::telemetry::install(vec![]).expect("no other pipeline installed");
+        let values: Vec<u64> = small.iter().chain(&large).copied().collect();
+        for &ns in &values {
+            eve::telemetry::record_duration_ns("q", ns);
+        }
+        let snap = eve::telemetry::uninstall().expect("pipeline was installed");
+        let h = snap.histogram("q").expect("recorded");
+        let (min, max) = (values.iter().min().copied(), values.iter().max().copied());
+        prop_assert_eq!(Some(h.max_ns), max);
+        prop_assert!(min <= Some(h.p50_ns), "p50 {} below min {:?}", h.p50_ns, min);
+        prop_assert!(h.p50_ns <= h.p95_ns && h.p95_ns <= h.max_ns, "{:?}", h);
+    }
+}
+
 /// The per-thread rings never hold more than their capacity, no matter
 /// how long the event stream runs; overflow is counted, not grown.
 #[test]
