@@ -2,7 +2,7 @@
 //! components (`H_R`), and connection-tree search.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eve_hypergraph::{ConnectionTree, Hypergraph};
+use eve_hypergraph::Hypergraph;
 use eve_relational::RelName;
 use eve_workload::{SynthConfig, SynthWorkload, Topology};
 use std::collections::BTreeSet;
@@ -54,7 +54,7 @@ fn bench_connection_tree(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(n),
             &(h, terminals),
-            |b, (h, t)| b.iter(|| ConnectionTree::connect(h, t).expect("connected topology")),
+            |b, (h, t)| b.iter(|| h.connect_tree(t, usize::MAX).expect("connected topology")),
         );
     }
     group.finish();

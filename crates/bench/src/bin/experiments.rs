@@ -6,19 +6,13 @@
 //!
 //! ids: fig1 fig2 fig3 fig4 ex3 ex4 ex5_10
 //!      sweep-chain sweep-scale sweep-covers sweep-extent
-//!      bench-cvs all
+//!      sweep-lifecycle cost-rank all
 //! ```
 //!
 //! With `--out DIR` (default `results/`), reports are also written to
 //! `<DIR>/<id>.txt` and the Fig. 4 DOT files to `<DIR>/fig4*.dot`.
-//!
-//! `bench-cvs` additionally appends every measured row to the
-//! perf-sentinel ledger `<DIR>/BENCH_history.jsonl` (see
-//! `eve_bench::history`). The timestamp and git revision stamped onto
-//! those rows come from `--ts` / `--rev` (or `EVE_BENCH_TS` /
-//! `EVE_BENCH_REV`), never from an in-process clock or `git` call.
 
-use eve_bench::{cost_rank, examples, figures, history, perf, sweeps};
+use eve_bench::{cost_rank, examples, figures, sweeps};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -36,7 +30,6 @@ const IDS: &[&str] = &[
     "sweep-extent",
     "sweep-lifecycle",
     "cost-rank",
-    "bench-cvs",
 ];
 
 fn main() {
@@ -44,22 +37,12 @@ fn main() {
     let mut out_dir = PathBuf::from("results");
     let mut selected: Vec<String> = Vec::new();
     let mut quick = false;
-    let mut ts = None;
-    let mut rev = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--out" => {
                 i += 1;
                 out_dir = PathBuf::from(args.get(i).map(String::as_str).unwrap_or("results"));
-            }
-            "--ts" => {
-                i += 1;
-                ts = args.get(i).cloned();
-            }
-            "--rev" => {
-                i += 1;
-                rev = args.get(i).cloned();
             }
             "--quick" => quick = true,
             "all" => selected.extend(IDS.iter().map(|s| s.to_string())),
@@ -72,27 +55,21 @@ fn main() {
         i += 1;
     }
     if selected.is_empty() {
-        eprintln!("usage: experiments <id>... | all  [--out DIR] [--quick] [--ts TS] [--rev REV]");
+        eprintln!("usage: experiments <id>... | all  [--out DIR] [--quick]");
         eprintln!("ids: {} all", IDS.join(" "));
         std::process::exit(2);
     }
 
-    let stamp = |flag: Option<String>, env: &str| {
-        flag.or_else(|| std::env::var(env).ok())
-            .unwrap_or_else(|| "unknown".to_string())
-    };
-    let stamp = (stamp(ts, "EVE_BENCH_TS"), stamp(rev, "EVE_BENCH_REV"));
-
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     for id in selected {
-        let report = run(&id, quick, &out_dir, &stamp);
+        let report = run(&id, quick, &out_dir);
         println!("{report}");
         println!("{}", "=".repeat(72));
         write_out(&out_dir, &format!("{id}.txt"), &report);
     }
 }
 
-fn run(id: &str, quick: bool, out_dir: &Path, stamp: &(String, String)) -> String {
+fn run(id: &str, quick: bool, out_dir: &Path) -> String {
     match id {
         "fig1" => figures::fig1(),
         "fig2" => figures::fig2(),
@@ -128,35 +105,6 @@ fn run(id: &str, quick: bool, out_dir: &Path, stamp: &(String, String)) -> Strin
             sweeps::render_lifecycle(&sweeps::sweep_lifecycle(if quick { 5 } else { 30 }, 6))
         }
         "cost-rank" => cost_rank::cost_rank(),
-        "bench-cvs" => {
-            let rows = perf::bench_cvs(quick);
-            // One traced pass outside the timed rows: phase timings and
-            // cache/search counters land in the JSON alongside the medians.
-            let trace = perf::trace_summary();
-            let json = perf::to_json(&rows, trace.as_ref());
-            write_out(out_dir, "BENCH_cvs.json", &json);
-            // Feed the perf-sentinel ledger: one history row per
-            // scenario, stamped with the caller-supplied ts/rev.
-            let (ts, rev) = stamp;
-            let ledger: Vec<history::HistoryRow> = rows
-                .iter()
-                .map(|r| history::HistoryRow {
-                    ts: ts.clone(),
-                    rev: rev.clone(),
-                    scenario: r.scenario.clone(),
-                    median_ns: r.median_ns,
-                })
-                .collect();
-            let ledger_path = out_dir.join("BENCH_history.jsonl");
-            history::append_rows(&ledger_path, &ledger)
-                .unwrap_or_else(|e| panic!("cannot append to {}: {e}", ledger_path.display()));
-            format!(
-                "{}\n(JSON written to {}/BENCH_cvs.json; {} rows appended to BENCH_history.jsonl)\n",
-                perf::render(&rows),
-                out_dir.display(),
-                ledger.len()
-            )
-        }
         other => unreachable!("id {other} validated in main"),
     }
 }

@@ -1,26 +1,13 @@
-//! The perf-regression sentinel's ledger: an append-only
-//! `BENCH_history.jsonl` of timestamped medians, one JSON object per
-//! line, plus the rolling-median check `perf_check --history` runs over
-//! it.
+//! The benchmark ledger's row format: an append-only JSONL file of
+//! timestamped medians, one JSON object per line.
 //!
-//! Timestamps and git revisions are **passed in** (CLI flags or the
-//! `EVE_BENCH_TS` / `EVE_BENCH_REV` environment variables), never
-//! computed in-process — the ledger stays reproducible and the binaries
-//! stay hermetic. Parsing is the same hand-rolled substring scan used
-//! everywhere else in this workspace (no serde): scenario labels are
-//! unique and none of the recorded fields need JSON escapes.
+//! Timestamps and git revisions are **passed in** by the caller, never
+//! computed here — the ledger stays reproducible and the writer stays
+//! hermetic. Scenario labels and the recorded fields need no JSON
+//! escapes.
 
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
-
-/// How many most-recent prior rows per scenario feed the rolling
-/// median.
-pub const ROLLING_WINDOW: usize = 20;
-
-/// Default regression threshold: flag when the current median exceeds
-/// the rolling median of prior rows by more than 20%.
-pub const DEFAULT_THRESHOLD: f64 = 1.20;
 
 /// One appended measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,26 +16,10 @@ pub struct HistoryRow {
     pub ts: String,
     /// Git revision supplied by the caller (opaque; short hash in CI).
     pub rev: String,
-    /// Scenario label, matching [`crate::perf::PerfRow::scenario`].
+    /// Scenario label.
     pub scenario: String,
     /// Median wall-clock nanoseconds for the scenario.
     pub median_ns: u128,
-}
-
-/// The sentinel's judgement for one scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    /// Scenario label.
-    pub scenario: String,
-    /// The median measured now.
-    pub current_ns: u128,
-    /// Rolling median of the prior rows (`None` when the ledger holds
-    /// no earlier row for this scenario — nothing to compare against).
-    pub baseline_ns: Option<u128>,
-    /// `current / baseline`; `None` without a baseline.
-    pub ratio: Option<f64>,
-    /// `true` when `ratio` exceeds the threshold.
-    pub regressed: bool,
 }
 
 /// Render one row as a single JSONL line (no trailing newline).
@@ -57,88 +28,6 @@ pub fn render_row(row: &HistoryRow) -> String {
         "{{\"ts\": \"{}\", \"rev\": \"{}\", \"scenario\": \"{}\", \"median_ns\": {}}}",
         row.ts, row.rev, row.scenario, row.median_ns
     )
-}
-
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        Some(
-            rest.split(|c: char| !c.is_ascii_digit())
-                .next()
-                .unwrap_or(rest),
-        )
-    }
-}
-
-/// Parse a ledger. Malformed or blank lines are skipped rather than
-/// fatal — a corrupt row must not take the sentinel down with it.
-pub fn parse_rows(text: &str) -> Vec<HistoryRow> {
-    text.lines()
-        .filter_map(|line| {
-            Some(HistoryRow {
-                ts: field(line, "ts")?.to_string(),
-                rev: field(line, "rev")?.to_string(),
-                scenario: field(line, "scenario")?.to_string(),
-                median_ns: field(line, "median_ns")?.parse().ok()?,
-            })
-        })
-        .collect()
-}
-
-/// Rolling median of the last [`ROLLING_WINDOW`] prior rows for
-/// `scenario`, in ledger order. `None` when the scenario has no prior
-/// rows.
-pub fn rolling_median(prior: &[HistoryRow], scenario: &str) -> Option<u128> {
-    let mut recent: Vec<u128> = prior
-        .iter()
-        .filter(|r| r.scenario == scenario)
-        .map(|r| r.median_ns)
-        .collect();
-    if recent.is_empty() {
-        return None;
-    }
-    let start = recent.len().saturating_sub(ROLLING_WINDOW);
-    recent = recent.split_off(start);
-    recent.sort_unstable();
-    Some(recent[recent.len() / 2])
-}
-
-/// Judge `current_ns` for `scenario` against the ledger's rolling
-/// median at `threshold` (e.g. `1.20` = flag a > 20% slowdown). A
-/// scenario with no history never regresses — the first row seeds the
-/// baseline.
-pub fn check(prior: &[HistoryRow], scenario: &str, current_ns: u128, threshold: f64) -> Verdict {
-    let baseline_ns = rolling_median(prior, scenario);
-    let ratio = baseline_ns
-        .filter(|&b| b > 0)
-        .map(|b| current_ns as f64 / b as f64);
-    Verdict {
-        scenario: scenario.to_string(),
-        current_ns,
-        baseline_ns,
-        ratio,
-        regressed: ratio.is_some_and(|r| r > threshold),
-    }
-}
-
-/// Render a verdict as the one-line report `perf_check --history`
-/// prints per scenario.
-pub fn render_verdict(v: &Verdict) -> String {
-    let mut out = format!("scenario={} current_ns={}", v.scenario, v.current_ns);
-    match (v.baseline_ns, v.ratio) {
-        (Some(b), Some(r)) => {
-            let _ = write!(out, " baseline_ns={b} ratio={r:.3}");
-            if v.regressed {
-                out.push_str(" REGRESSED");
-            }
-        }
-        _ => out.push_str(" baseline_ns=- ratio=- (no history)"),
-    }
-    out
 }
 
 /// Append rows to the ledger at `path`, creating it (and its parent
@@ -173,79 +62,20 @@ mod tests {
     }
 
     #[test]
-    fn rows_roundtrip_through_jsonl() {
-        let rows = vec![
-            row("2026-08-01T00:00:00Z", "wide_mkb/exhaustive", 1_000_000),
-            row("2026-08-02T00:00:00Z", "parallel_sync/t4", 420),
-        ];
-        let text = rows.iter().map(render_row).collect::<Vec<_>>().join("\n");
-        assert_eq!(parse_rows(&text), rows);
-    }
-
-    #[test]
-    fn malformed_lines_are_skipped() {
-        let text = format!(
-            "not json\n{}\n{{\"ts\": \"t\"}}\n",
-            render_row(&row("t1", "s", 7))
-        );
-        let parsed = parse_rows(&text);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].median_ns, 7);
-    }
-
-    /// The acceptance criterion: a synthetic 25% slowdown against a
-    /// flat history is flagged at the default 20% threshold; a 10%
-    /// wobble is not.
-    #[test]
-    fn flags_25_percent_slowdown_but_not_10() {
-        let prior: Vec<HistoryRow> = (0..5)
-            .map(|i| row(&format!("t{i}"), "wide_mkb/exhaustive", 1_000_000))
-            .collect();
-        let slow = check(&prior, "wide_mkb/exhaustive", 1_250_000, DEFAULT_THRESHOLD);
-        assert!(slow.regressed, "{slow:?}");
-        assert_eq!(slow.baseline_ns, Some(1_000_000));
-        let ok = check(&prior, "wide_mkb/exhaustive", 1_100_000, DEFAULT_THRESHOLD);
-        assert!(!ok.regressed, "{ok:?}");
-    }
-
-    #[test]
-    fn empty_history_never_regresses() {
-        let v = check(&[], "wide_mkb/exhaustive", u128::MAX, DEFAULT_THRESHOLD);
-        assert!(!v.regressed);
-        assert!(v.baseline_ns.is_none());
-        assert!(render_verdict(&v).contains("no history"));
-    }
-
-    /// The rolling window forgets old rows: after 20 fast rows, ancient
-    /// slow ones no longer mask a fresh regression.
-    #[test]
-    fn rolling_window_uses_only_recent_rows() {
-        let mut prior: Vec<HistoryRow> = (0..5)
-            .map(|i| row(&format!("old{i}"), "s", 10_000_000))
-            .collect();
-        prior.extend((0..ROLLING_WINDOW).map(|i| row(&format!("new{i}"), "s", 1_000_000)));
-        assert_eq!(rolling_median(&prior, "s"), Some(1_000_000));
-        assert!(check(&prior, "s", 1_300_000, DEFAULT_THRESHOLD).regressed);
-    }
-
-    #[test]
-    fn scenarios_are_independent() {
-        let prior = vec![row("t0", "a", 100), row("t1", "b", 9_999_999)];
-        let v = check(&prior, "a", 105, DEFAULT_THRESHOLD);
-        assert_eq!(v.baseline_ns, Some(100));
-        assert!(!v.regressed);
-    }
-
-    #[test]
     fn append_creates_and_extends_the_ledger() {
         let dir = std::env::temp_dir().join(format!("eve-history-{}", std::process::id()));
         let path = dir.join("BENCH_history.jsonl");
         let _ = std::fs::remove_file(&path);
-        append_rows(&path, &[row("t0", "s", 1)]).expect("first append");
-        append_rows(&path, &[row("t1", "s", 2)]).expect("second append");
-        let rows = parse_rows(&std::fs::read_to_string(&path).expect("ledger readable"));
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].median_ns, 2);
+        let rows = [row("t0", "s", 1), row("t1", "s", 2)];
+        append_rows(&path, &rows[..1]).expect("first append");
+        append_rows(&path, &rows[1..]).expect("second append");
+        let text = std::fs::read_to_string(&path).expect("ledger readable");
+        let expected: String = rows.iter().map(|r| render_row(r) + "\n").collect();
+        assert_eq!(text, expected);
+        assert_eq!(
+            render_row(&rows[1]),
+            "{\"ts\": \"t1\", \"rev\": \"abc1234\", \"scenario\": \"s\", \"median_ns\": 2}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,7 +21,6 @@ pub mod cost_rank;
 pub mod examples;
 pub mod figures;
 pub mod history;
-pub mod perf;
 pub mod support;
 pub mod sweeps;
 pub mod table;

@@ -23,7 +23,7 @@
 //!   capacity — so once the frontier passes its high-water mark, every
 //!   later advance is allocation-free.
 //!
-//! `ConnectionTreeIter::next` = `advance` + `materialize`; the
+//! `TreeCursor`'s `Iterator::next` = `advance` + `materialize`; the
 //! materialization boundary allocates the owned string-keyed tree by
 //! design, which is why the probe pins the id-level core.
 

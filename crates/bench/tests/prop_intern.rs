@@ -8,7 +8,7 @@
 //! replaced. The string-keyed *boundary* is still in the tree
 //! (`ConnectionTree`, `MkbIndex::enumerate_trees`, `preview`), so each
 //! property drives the same computation through independent entry points
-//! (id-keyed cursor vs. materializing iterator, memoized vs.
+//! (id-keyed cursor scratch vs. materialized trees, memoized vs.
 //! `without_cache`, warm vs. cold index, 1/2/8 sync workers) and asserts
 //! the results compare equal structurally — which for these types means
 //! field-by-field on the resolved strings.
@@ -127,20 +127,17 @@ fn sync_outcomes_identical_across_worker_counts() {
     }
 }
 
-/// All three enumeration entry points — the batch API, the materializing
-/// iterator, and the id-keyed cursor resolved at the boundary — must
-/// yield the same trees in the same order, and the stream must satisfy
-/// the documented invariants (spans the terminals, nondecreasing edge
-/// count).
+/// The materializing iterator and the id-keyed cursor scratch resolved
+/// at the boundary must yield the same trees in the same order, and the
+/// stream must satisfy the documented invariants (spans the terminals,
+/// nondecreasing edge count).
 #[test]
 fn enumeration_entry_points_agree() {
     for (name, w) in workloads() {
         let h = Hypergraph::build(&w.mkb);
         for terminals in terminal_sets(&w) {
             let label = format!("{name} over {terminals:?}");
-            let batch = h.enumerate_trees(&terminals, 64, 8);
-            let via_iter: Vec<ConnectionTree> = h.tree_iter(&terminals, 8).take(64).collect();
-            assert_eq!(batch, via_iter, "{label}: batch vs iterator");
+            let via_iter: Vec<ConnectionTree> = h.tree_cursor(&terminals, 8).take(64).collect();
 
             let mut cursor = h.tree_cursor(&terminals, 8);
             let mut via_cursor = Vec::new();
@@ -156,14 +153,14 @@ fn enumeration_entry_points_agree() {
                 assert_eq!(names, tree.relations, "{label}: scratch vs materialized");
                 via_cursor.push(tree);
             }
-            assert_eq!(batch, via_cursor, "{label}: batch vs cursor");
+            assert_eq!(via_iter, via_cursor, "{label}: iterator vs cursor");
 
-            for tree in &batch {
+            for tree in &via_iter {
                 for t in &terminals {
                     assert!(tree.contains(t), "{label}: tree misses terminal {t}");
                 }
             }
-            for pair in batch.windows(2) {
+            for pair in via_iter.windows(2) {
                 assert!(
                     pair[0].joins.len() <= pair[1].joins.len(),
                     "{label}: stream not in nondecreasing edge count"

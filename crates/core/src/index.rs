@@ -52,7 +52,7 @@
 use crate::delta::{build_covers, build_pcs, pair_key, IndexCore};
 use crate::options::CvsOptions;
 use crate::replacement::CoverChoice;
-use eve_hypergraph::{ConnectionTree, GraphDelta, Hypergraph, RelId, RelSet};
+use eve_hypergraph::{ConnectionTree, GraphDelta, Hypergraph, RelId, RelSet, TreeCursor};
 use eve_misd::{MetaKnowledgeBase, PartialComplete};
 use eve_relational::{AttrRef, RelName};
 use std::collections::hash_map::RandomState;
@@ -195,13 +195,13 @@ type TreeKey = (RelSet, usize);
 /// A growable cached prefix of the deterministic connection-tree stream
 /// for one `(terminal set, hop bound)` key.
 ///
-/// [`eve_hypergraph::ConnectionTreeIter`] yields trees in a fixed
-/// order, so the first `n` trees requested by one view are a prefix of
-/// the first `m ≥ n` trees requested by another — the cache stores the
-/// longest prefix seen so far and serves any shorter request by
-/// truncation, extending (by re-running the iterator, which is pure)
-/// only when a longer prefix is demanded. `exhausted` records that the
-/// stream ended, making the prefix the complete answer for every limit.
+/// [`eve_hypergraph::TreeCursor`] yields trees in a fixed order, so
+/// the first `n` trees requested by one view are a prefix of the first
+/// `m ≥ n` trees requested by another — the cache stores the longest
+/// prefix seen so far and serves any shorter request by truncation,
+/// extending (by re-running the cursor, which is pure) only when a
+/// longer prefix is demanded. `exhausted` records that the stream
+/// ended, making the prefix the complete answer for every limit.
 #[derive(Debug, Default)]
 struct TreePrefix {
     trees: Arc<Vec<ConnectionTree>>,
@@ -544,9 +544,10 @@ impl<'m> MkbIndex<'m> {
             _ => {
                 let mut span = crate::telem::span("tree-enumeration");
                 span.field("terminals", terminals.len() as u64);
-                let trees = self
-                    .h_prime
-                    .enumerate_trees(terminals, limit, max_path_edges);
+                let trees: Vec<ConnectionTree> =
+                    TreeCursor::new(&self.h_prime, terminals, max_path_edges)
+                        .take(limit)
+                        .collect();
                 span.field("yielded", trees.len() as u64);
                 return Arc::new(trees);
             }
@@ -568,13 +569,13 @@ impl<'m> MkbIndex<'m> {
         let mut prefix = cell.write().unwrap_or_else(|e| e.into_inner());
         if !prefix.serves(limit) {
             // Extend by re-running the pure stream from the start — the
-            // iterator is deterministic, so the new prefix agrees with
-            // the old one on every position it already covered.
-            let mut iter = self.h_prime.tree_iter(terminals, max_path_edges);
+            // cursor is deterministic, so the new prefix agrees with the
+            // old one on every position it already covered.
+            let mut cursor = self.h_prime.tree_cursor(terminals, max_path_edges);
             let mut trees = Vec::new();
             let mut exhausted = false;
             while trees.len() < limit {
-                match iter.next() {
+                match cursor.next() {
                     Some(t) => trees.push(t),
                     None => {
                         exhausted = true;

@@ -124,7 +124,7 @@ impl FailurePolicy {
 /// How the per-change [`crate::MkbIndex`] derived state is produced when
 /// [`crate::Synchronizer::apply`] moves from one MKB version to the next.
 ///
-/// Rebuild equivalence is the contract: all three modes produce
+/// Rebuild equivalence is the contract: both modes produce
 /// byte-identical [`crate::ChangeOutcome`]s (the property suite in
 /// `tests/delta_equivalence.rs` enforces it); the modes differ only in
 /// how much work each change costs.
@@ -141,10 +141,6 @@ pub enum IndexMaintenance {
     /// `O(delta)` per change. The default.
     #[default]
     Incremental,
-    /// Delta-maintain the derived state but start every change with
-    /// fresh (empty) memo tables. Isolates the delta-apply contribution
-    /// from the memo-carry contribution in benchmarks.
-    IncrementalFresh,
 }
 
 /// How clause implication is tested when computing the R-mapping

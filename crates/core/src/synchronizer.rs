@@ -589,14 +589,14 @@ impl Synchronizer {
         // from scratch at commit time (the equivalence oracle).
         let (delta, next_core) = match mode {
             IndexMaintenance::Rebuild => (None, None),
-            IndexMaintenance::Incremental | IndexMaintenance::IncrementalFresh => {
+            IndexMaintenance::Incremental => {
                 let d = MkbDelta::compute(&self.mkb, &mkb_prime, change);
                 let next = self.core.apply_delta(&d);
                 (Some(d), Some(next))
             }
         };
-        // Memo tables survive a change only under full Incremental mode,
-        // and only when the change left the relevant H' regions intact.
+        // Memo tables survive a change only under Incremental mode, and
+        // only when the change left the relevant H' regions intact.
         let carry_in = match (mode, delta.as_ref(), next_core.as_ref()) {
             (IndexMaintenance::Incremental, Some(d), Some(next)) => {
                 self.carry.take().and_then(|c| {
@@ -731,11 +731,11 @@ impl Synchronizer {
                 telem::counter_add("index.cache.hits", cache.hits);
                 telem::counter_add("index.cache.misses", cache.misses);
             }
-            // Full Incremental mode keeps this change's warm memo tables
-            // for the next change's index to start from.
+            // Incremental mode keeps this change's warm memo tables for
+            // the next change's index to start from.
             carry_out = match mode {
                 IndexMaintenance::Incremental => Some(index.into_carry()),
-                _ => None,
+                IndexMaintenance::Rebuild => None,
             };
         }
 

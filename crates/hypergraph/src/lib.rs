@@ -28,9 +28,11 @@
 //! * [`Hypergraph::join_path`] / [`Hypergraph::all_simple_paths`] — chains
 //!   of join constraints between two relations (the "possibly complex view
 //!   rewrites through multiple join constraints" of the abstract);
-//! * [`ConnectionTree::connect`] — a minimal tree of join constraints
+//! * [`Hypergraph::connect_tree`] — a minimal tree of join constraints
 //!   connecting a *set* of required relations (used to assemble
-//!   `Max(V_{j,R})` candidates from `Min(H'_R)` plus covers).
+//!   `Max(V_{j,R})` candidates from `Min(H'_R)` plus covers);
+//! * [`Hypergraph::tree_cursor`] — the alternative connection trees for
+//!   such a set, streamed in nondecreasing edge count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,5 +49,5 @@ pub(crate) mod telem;
 pub use delta::GraphDelta;
 pub use graph::Hypergraph;
 pub use intern::{Interner, RelId};
-pub use paths::{ConnectionTree, ConnectionTreeIter, TreeCursor};
+pub use paths::{ConnectionTree, TreeCursor};
 pub use relset::{RelSet, RelSetCapacityError, INLINE_BITS};

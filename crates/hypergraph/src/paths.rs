@@ -26,15 +26,13 @@
 //! relation pair give semantically different joins), so CVS can propose
 //! more than one rewriting per cover combination.
 //!
-//! [`ConnectionTreeIter`] is the string-keyed boundary: a thin wrapper
-//! that advances the cursor and materialises each scratch tree into a
+//! The cursor's [`Iterator`] impl is the string-keyed boundary: each
+//! `next` advances the cursor and materialises the scratch tree into a
 //! [`ConnectionTree`] (names + cloned constraints). The yield sequence
 //! is byte-identical to the legacy string-keyed implementation — the
 //! heap orders partials by `(len, join-id ranks, edge indices, current
 //! vertex, visited set)`, each component an order-preserving image of
-//! the legacy `(len, ids, edges, cur, visited)` key. The collect-all
-//! [`ConnectionTree::enumerate`] / [`ConnectionTree::enumerate_with_limit`]
-//! entry points are thin wrappers over the iterator.
+//! the legacy `(len, ids, edges, cur, visited)` key.
 
 use crate::graph::Hypergraph;
 use crate::intern::RelId;
@@ -68,55 +66,6 @@ impl ConnectionTree {
             relations: [rel].into_iter().collect(),
             joins: Vec::new(),
         }
-    }
-
-    /// Greedily build a connection tree covering all `terminals` inside
-    /// `graph`. Returns `None` when the terminals are not all in one
-    /// component (Def. 3: "if relations left in `Min(H'_R)` are in
-    /// disconnected components then the set R-replacement is empty") or
-    /// when `terminals` is empty.
-    pub fn connect(graph: &Hypergraph, terminals: &BTreeSet<RelName>) -> Option<ConnectionTree> {
-        Self::connect_with_limit(graph, terminals, usize::MAX)
-    }
-
-    /// Like [`ConnectionTree::connect`], but each terminal must be
-    /// attachable to the growing tree by a path of at most
-    /// `max_path_edges` join constraints. With `max_path_edges = 1` this
-    /// reproduces the *one-step-away* rewritings of the authors' earlier
-    /// simple view synchronization (the SVS baseline of [4, 12]).
-    pub fn connect_with_limit(
-        graph: &Hypergraph,
-        terminals: &BTreeSet<RelName>,
-        max_path_edges: usize,
-    ) -> Option<ConnectionTree> {
-        let ids = intern_terminals(graph, terminals)?;
-        let (rels, edges) = connect_ids(graph, &ids, max_path_edges)?;
-        Some(materialize(graph, &rels, &edges))
-    }
-
-    /// Collect up to `limit` alternative connection trees for the same
-    /// terminal set. Thin wrapper over [`ConnectionTreeIter`]; the base
-    /// (fewest-edge) tree is always first.
-    pub fn enumerate(
-        graph: &Hypergraph,
-        terminals: &BTreeSet<RelName>,
-        limit: usize,
-    ) -> Vec<ConnectionTree> {
-        Self::enumerate_with_limit(graph, terminals, limit, usize::MAX)
-    }
-
-    /// [`ConnectionTree::enumerate`] with the hop bound of
-    /// [`ConnectionTree::connect_with_limit`]. Thin wrapper:
-    /// `ConnectionTreeIter::new(..).take(limit).collect()`.
-    pub fn enumerate_with_limit(
-        graph: &Hypergraph,
-        terminals: &BTreeSet<RelName>,
-        limit: usize,
-        max_path_edges: usize,
-    ) -> Vec<ConnectionTree> {
-        ConnectionTreeIter::new(graph, terminals, max_path_edges)
-            .take(limit)
-            .collect()
     }
 
     /// Is `rel` part of the tree?
@@ -232,14 +181,21 @@ enum CursorState {
 /// terminal set in nondecreasing edge count, writing each tree into
 /// reusable scratch buffers owned by the cursor.
 ///
+/// Pulling `n` trees does only the work needed for `n` trees, so a
+/// top-k or budget-bounded caller can abandon the stream early. The
+/// yield sequence is a pure, deterministic function of
+/// `(graph, terminals, max_path_edges)` — the contract that lets
+/// `MkbIndex` memoize prefixes of it.
+///
 /// [`TreeCursor::advance`] allocates nothing in the steady state: the
 /// best-first frontier holds fixed-width [`IdPartial`]s (inline arrays
 /// plus an inline bitset for graphs of ≤ 256 relations), the scratch
 /// relation set and edge list are reused across yields, and the heap's
 /// capacity is retained. Callers that need owned string-keyed trees
-/// materialise at the boundary via [`TreeCursor::materialize`] (that
-/// step allocates, by nature); callers that only inspect the current
-/// tree use [`TreeCursor::relations`] / [`TreeCursor::edges`] for free.
+/// materialise at the boundary via [`TreeCursor::materialize`] or the
+/// [`Iterator`] impl (that step allocates, by nature); callers that
+/// only inspect the current tree use [`TreeCursor::relations`] /
+/// [`TreeCursor::edges`] for free.
 pub struct TreeCursor<'g> {
     graph: &'g Hypergraph,
     state: CursorState,
@@ -582,70 +538,31 @@ fn shortest_path_from_set(graph: &Hypergraph, sources: &RelSet, target: RelId) -
     None
 }
 
-/// Lazy enumeration of connection trees spanning a terminal set, in
-/// nondecreasing edge count — the string-keyed boundary over
-/// [`TreeCursor`].
-///
-/// This is the single budgeted core behind
-/// [`ConnectionTree::enumerate`] / [`ConnectionTree::enumerate_with_limit`]:
-/// pulling `n` trees does only the work needed for `n` trees, so a
-/// top-k or budget-bounded caller can abandon the stream early. The
-/// yield sequence is a pure, deterministic function of
-/// `(graph, terminals, max_path_edges)` — the contract that lets
-/// `MkbIndex` memoize prefixes of it.
-pub struct ConnectionTreeIter<'g> {
-    cursor: TreeCursor<'g>,
-}
-
-impl<'g> ConnectionTreeIter<'g> {
-    /// Start streaming trees for `terminals`, each connecting path
-    /// bounded by `max_path_edges` join constraints.
-    pub fn new(
-        graph: &'g Hypergraph,
-        terminals: &BTreeSet<RelName>,
-        max_path_edges: usize,
-    ) -> Self {
-        ConnectionTreeIter {
-            cursor: TreeCursor::new(graph, terminals, max_path_edges),
-        }
-    }
-}
-
-impl Iterator for ConnectionTreeIter<'_> {
+/// The string-keyed boundary: each item is the next tree, materialised.
+impl Iterator for TreeCursor<'_> {
     type Item = ConnectionTree;
 
     fn next(&mut self) -> Option<ConnectionTree> {
-        if self.cursor.advance() {
-            Some(self.cursor.materialize())
+        if self.advance() {
+            Some(self.materialize())
         } else {
             None
         }
     }
 }
 
-/// Cache-friendly enumeration entry points.
+/// Faulted enumeration entry points.
 ///
-/// All three are pure, deterministic functions of
-/// `(self, terminals, limit, max_path_edges)` — same inputs, same output,
-/// every time — which is the contract that lets `MkbIndex` memoize their
-/// results per change under a `(terminal set, hop bound)` key (serving
-/// any requested prefix length) without risking any behavioural
-/// difference between a cache hit and a recomputation.
+/// Both are pure, deterministic functions of
+/// `(self, terminals, max_path_edges)` — same inputs, same output,
+/// every time — which is the contract that lets `MkbIndex` memoize
+/// their results per change under a `(terminal set, hop bound)` key
+/// without risking any behavioural difference between a cache hit and
+/// a recomputation.
 impl Hypergraph {
     /// Stream connection trees spanning `terminals` in nondecreasing
-    /// edge count, each hop bounded by `max_path_edges`. Method form of
-    /// [`ConnectionTreeIter::new`].
-    pub fn tree_iter<'g>(
-        &'g self,
-        terminals: &BTreeSet<RelName>,
-        max_path_edges: usize,
-    ) -> ConnectionTreeIter<'g> {
-        crate::faults::hit("hypergraph.tree-iter");
-        ConnectionTreeIter::new(self, terminals, max_path_edges)
-    }
-
-    /// Id-level form of [`Hypergraph::tree_iter`]: stream scratch trees
-    /// without materialising names. Same fault site, same telemetry.
+    /// edge count, each hop bounded by `max_path_edges`: a
+    /// [`TreeCursor::new`] behind the `hypergraph.tree-iter` fault site.
     pub fn tree_cursor<'g>(
         &'g self,
         terminals: &BTreeSet<RelName>,
@@ -655,27 +572,23 @@ impl Hypergraph {
         TreeCursor::new(self, terminals, max_path_edges)
     }
 
-    /// Enumerate up to `limit` connection trees spanning `terminals`,
-    /// each hop bounded by `max_path_edges`. Method form of
-    /// [`ConnectionTree::enumerate_with_limit`].
-    pub fn enumerate_trees(
-        &self,
-        terminals: &BTreeSet<RelName>,
-        limit: usize,
-        max_path_edges: usize,
-    ) -> Vec<ConnectionTree> {
-        ConnectionTree::enumerate_with_limit(self, terminals, limit, max_path_edges)
-    }
-
-    /// The single greedy connection tree spanning `terminals` (hop bound
-    /// `max_path_edges`), or `None` when they cannot be connected. Method
-    /// form of [`ConnectionTree::connect_with_limit`].
+    /// Greedily build a connection tree covering all `terminals`, each
+    /// terminal attached to the growing tree by a path of at most
+    /// `max_path_edges` join constraints. Returns `None` when the
+    /// terminals are not all in one component within that bound (Def.
+    /// 3: "if relations left in `Min(H'_R)` are in disconnected
+    /// components then the set R-replacement is empty") or when
+    /// `terminals` is empty. With `max_path_edges = 1` this reproduces
+    /// the *one-step-away* rewritings of the authors' earlier simple
+    /// view synchronization (the SVS baseline of [4, 12]).
     pub fn connect_tree(
         &self,
         terminals: &BTreeSet<RelName>,
         max_path_edges: usize,
     ) -> Option<ConnectionTree> {
-        ConnectionTree::connect_with_limit(self, terminals, max_path_edges)
+        let ids = intern_terminals(self, terminals)?;
+        let (rels, edges) = connect_ids(self, &ids, max_path_edges)?;
+        Some(materialize(self, &rels, &edges))
     }
 }
 
@@ -714,10 +627,20 @@ mod tests {
         )
     }
 
+    /// Up to `limit` trees spanning `terminals`, no hop bound.
+    fn trees(g: &Hypergraph, terminals: &[&str], limit: usize) -> Vec<ConnectionTree> {
+        let t: BTreeSet<RelName> = terminals.iter().map(|s| rel(s)).collect();
+        TreeCursor::new(g, &t, usize::MAX).take(limit).collect()
+    }
+
     #[test]
     fn connect_terminals_through_hub() {
         let g = star();
-        let t = ConnectionTree::connect(&g, &[rel("A"), rel("B"), rel("C")].into_iter().collect())
+        let t = g
+            .connect_tree(
+                &[rel("A"), rel("B"), rel("C")].into_iter().collect(),
+                usize::MAX,
+            )
             .unwrap();
         assert!(t.contains(&rel("HUB"))); // Steiner vertex picked up
         assert_eq!(t.relations.len(), 4);
@@ -727,7 +650,9 @@ mod tests {
     #[test]
     fn connect_single_terminal_is_trivial() {
         let g = star();
-        let t = ConnectionTree::connect(&g, &[rel("B")].into_iter().collect()).unwrap();
+        let t = g
+            .connect_tree(&[rel("B")].into_iter().collect(), usize::MAX)
+            .unwrap();
         assert_eq!(t.relations.len(), 1);
         assert!(t.joins.is_empty());
     }
@@ -735,14 +660,16 @@ mod tests {
     #[test]
     fn disconnected_terminals_yield_none() {
         let g = star();
-        assert!(ConnectionTree::connect(&g, &[rel("A"), rel("D")].into_iter().collect()).is_none());
-        assert!(ConnectionTree::connect(&g, &BTreeSet::new()).is_none());
+        assert!(g
+            .connect_tree(&[rel("A"), rel("D")].into_iter().collect(), usize::MAX)
+            .is_none());
+        assert!(g.connect_tree(&BTreeSet::new(), usize::MAX).is_none());
     }
 
     #[test]
     fn enumerate_surfaces_parallel_constraints() {
         let g = star();
-        let trees = ConnectionTree::enumerate(&g, &[rel("A"), rel("B")].into_iter().collect(), 10);
+        let trees = trees(&g, &["A", "B"], 10);
         assert_eq!(trees.len(), 2); // J1 vs J1b for the HUB—A hop
         let ids: BTreeSet<String> = trees
             .iter()
@@ -754,8 +681,7 @@ mod tests {
     #[test]
     fn enumerate_respects_limit() {
         let g = star();
-        let trees = ConnectionTree::enumerate(&g, &[rel("A"), rel("B")].into_iter().collect(), 1);
-        assert_eq!(trees.len(), 1);
+        assert_eq!(trees(&g, &["A", "B"], 1).len(), 1);
     }
 
     #[test]
@@ -771,20 +697,17 @@ mod tests {
                 jc("J4", "Y", "B"),
             ],
         );
-        let trees = ConnectionTree::enumerate(&g, &[rel("A"), rel("B")].into_iter().collect(), 10);
+        let trees = trees(&g, &["A", "B"], 10);
         assert_eq!(trees.len(), 2, "{trees:?}");
         let routes: BTreeSet<BTreeSet<RelName>> =
             trees.iter().map(|t| t.relations.clone()).collect();
         assert!(routes.contains(&["A", "X", "B"].iter().map(|s| rel(s)).collect()));
         assert!(routes.contains(&["A", "Y", "B"].iter().map(|s| rel(s)).collect()));
         // Hop bound 1 prunes both.
-        assert!(ConnectionTree::enumerate_with_limit(
-            &g,
-            &[rel("A"), rel("B")].into_iter().collect(),
-            10,
-            1
-        )
-        .is_empty());
+        assert_eq!(
+            TreeCursor::new(&g, &[rel("A"), rel("B")].into_iter().collect(), 1).count(),
+            0
+        );
     }
 
     #[test]
@@ -799,28 +722,9 @@ mod tests {
             .map(|(i, w)| jc(&format!("J{i}"), &w[0], &w[1]))
             .collect();
         let g = Hypergraph::from_parts(rels, joins);
-        let trees =
-            ConnectionTree::enumerate(&g, &[rel("N0"), rel("N10")].into_iter().collect(), 4);
+        let trees = trees(&g, &["N0", "N10"], 4);
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].joins.len(), 10);
-    }
-
-    #[test]
-    fn method_entry_points_match_free_functions() {
-        let g = star();
-        let t: BTreeSet<RelName> = [rel("A"), rel("B")].into_iter().collect();
-        assert_eq!(
-            g.enumerate_trees(&t, 10, usize::MAX),
-            ConnectionTree::enumerate(&g, &t, 10)
-        );
-        assert_eq!(
-            g.connect_tree(&t, usize::MAX),
-            ConnectionTree::connect(&g, &t)
-        );
-        assert_eq!(
-            g.tree_iter(&t, usize::MAX).collect::<Vec<_>>(),
-            ConnectionTree::enumerate(&g, &t, usize::MAX)
-        );
     }
 
     #[test]
@@ -831,7 +735,9 @@ mod tests {
             rels,
             vec![jc("J1", "A", "B"), jc("J2", "B", "C"), jc("J3", "C", "D")],
         );
-        let t = ConnectionTree::connect(&g, &[rel("A"), rel("D")].into_iter().collect()).unwrap();
+        let t = g
+            .connect_tree(&[rel("A"), rel("D")].into_iter().collect(), usize::MAX)
+            .unwrap();
         assert_eq!(t.joins.len(), 3);
         assert_eq!(t.relations.len(), 4);
     }
@@ -856,12 +762,12 @@ mod tests {
             ],
         );
         let t: BTreeSet<RelName> = [rel("A"), rel("B")].into_iter().collect();
-        let all: Vec<ConnectionTree> = g.tree_iter(&t, usize::MAX).collect();
+        let all: Vec<ConnectionTree> = g.tree_cursor(&t, usize::MAX).collect();
         assert_eq!(all.len(), 3);
         let lens: Vec<usize> = all.iter().map(|tr| tr.joins.len()).collect();
         assert_eq!(lens, vec![1, 2, 3]);
         for k in 0..=all.len() {
-            let prefix: Vec<ConnectionTree> = g.tree_iter(&t, usize::MAX).take(k).collect();
+            let prefix: Vec<ConnectionTree> = g.tree_cursor(&t, usize::MAX).take(k).collect();
             assert_eq!(prefix, all[..k].to_vec(), "prefix k={k}");
         }
     }
@@ -883,23 +789,9 @@ mod tests {
             ],
         );
         let t: BTreeSet<RelName> = [rel("A"), rel("B")].into_iter().collect();
-        let first = g.tree_iter(&t, usize::MAX).next().unwrap();
+        let first = g.tree_cursor(&t, usize::MAX).next().unwrap();
         assert_eq!(first.joins.len(), 1);
         assert_eq!(first.joins[0].id, "J0");
-    }
-
-    /// The cursor and the boundary iterator must agree tree for tree.
-    #[test]
-    fn cursor_matches_iterator() {
-        let g = star();
-        let t: BTreeSet<RelName> = [rel("A"), rel("B"), rel("C")].into_iter().collect();
-        let via_iter: Vec<ConnectionTree> = g.tree_iter(&t, usize::MAX).collect();
-        let mut via_cursor = Vec::new();
-        let mut cur = g.tree_cursor(&t, usize::MAX);
-        while cur.advance() {
-            via_cursor.push(cur.materialize());
-        }
-        assert_eq!(via_iter, via_cursor);
     }
 
     /// Unknown terminals yield the empty stream (the legacy behaviour:
@@ -913,7 +805,7 @@ mod tests {
             vec![rel("A"), rel("B"), rel("NOPE")],
         ] {
             let t: BTreeSet<RelName> = terms.into_iter().collect();
-            assert_eq!(g.tree_iter(&t, usize::MAX).count(), 0);
+            assert_eq!(g.tree_cursor(&t, usize::MAX).count(), 0);
         }
     }
 }

@@ -52,7 +52,9 @@ pub enum Profile {
     Smoke,
     /// The default: medium schema, balanced mix.
     Standard,
-    /// Larger schema, sparser full checks — long nightly runs.
+    /// Larger schema whose shape follows the seed (topology family,
+    /// cover count, global-cover probability) — long nightly runs, so
+    /// successive seeds sweep every federation shape.
     Soak,
 }
 
@@ -76,7 +78,7 @@ impl Profile {
         }
     }
 
-    fn synth_config(&self) -> SynthConfig {
+    fn synth_config(&self, seed: u64) -> SynthConfig {
         match self {
             Profile::Smoke => SynthConfig {
                 n_relations: 8,
@@ -92,13 +94,27 @@ impl Profile {
                 global_cover_prob: 0.5,
                 ..SynthConfig::default()
             },
-            Profile::Soak => SynthConfig {
-                n_relations: 16,
-                cover_count: 4,
-                topology: Topology::Random { extra: 8 },
-                global_cover_prob: 0.6,
-                ..SynthConfig::default()
-            },
+            Profile::Soak => {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x50A4_50A4_50A4_50A4);
+                let topology = match rng.gen_range(0..4u32) {
+                    0 => Topology::Chain,
+                    1 => Topology::Ring,
+                    2 => Topology::Random {
+                        extra: rng.gen_range(0..10usize),
+                    },
+                    _ => Topology::Clusters {
+                        size: rng.gen_range(3..7usize),
+                        extra: rng.gen_range(0..3usize),
+                    },
+                };
+                SynthConfig {
+                    n_relations: 16,
+                    cover_count: rng.gen_range(1..5usize),
+                    topology,
+                    global_cover_prob: [0.0, 0.25, 0.5, 0.75][rng.gen_range(0..4usize)],
+                    ..SynthConfig::default()
+                }
+            }
         }
     }
 
@@ -326,7 +342,8 @@ pub struct Executor {
 
 impl Executor {
     fn new(config: &SimConfig, clock: Arc<VirtualClock>) -> Executor {
-        let workload = SynthWorkload::random(&config.profile.synth_config(), config.seed);
+        let workload =
+            SynthWorkload::random(&config.profile.synth_config(config.seed), config.seed);
         let views = random_views(
             &workload.mkb,
             config.profile.view_count(),
@@ -953,6 +970,18 @@ impl Executor {
                 "active view sets diverge between incremental and rebuild".to_string(),
             ));
         }
+        let render_disabled = |s: &Synchronizer| {
+            s.disabled_views()
+                .map(|(n, v)| format!("{n}: {v}"))
+                .collect::<Vec<_>>()
+        };
+        if self.shared.read(render_disabled) != render_disabled(&self.shadow) {
+            return Err(Self::violation(
+                step,
+                "delta-rebuild-divergence",
+                "disabled view sets diverge between incremental and rebuild".to_string(),
+            ));
+        }
         self.note(&format!(
             "full:{:016x}",
             fnv1a(FNV_OFFSET, rendered.as_bytes())
@@ -1285,5 +1314,34 @@ pub fn run_trace(config: &SimConfig, trace: &[Action]) -> SimReport {
             Vec::new()
         },
         stats: exec.stats,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The soak profile's federation shape follows the seed — a few
+    /// seeds reach every topology family it draws from — while the
+    /// fixed profiles ignore the seed, so their pinned digests hold.
+    #[test]
+    fn soak_shape_follows_the_seed() {
+        let families: std::collections::BTreeSet<&str> = (0..16u64)
+            .map(|seed| match Profile::Soak.synth_config(seed).topology {
+                Topology::Chain => "chain",
+                Topology::Ring => "ring",
+                Topology::Random { .. } => "random",
+                Topology::Clusters { .. } => "clusters",
+                Topology::Star => "star",
+            })
+            .collect();
+        assert_eq!(
+            families.into_iter().collect::<Vec<_>>(),
+            ["chain", "clusters", "random", "ring"]
+        );
+        for profile in [Profile::Smoke, Profile::Standard] {
+            let shape = |seed| format!("{:?}", profile.synth_config(seed));
+            assert_eq!(shape(1), shape(20260809));
+        }
     }
 }

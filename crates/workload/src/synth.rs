@@ -337,8 +337,9 @@ impl SynthWorkload {
         })
     }
 
-    /// The wide-MKB/high-fanout workload of the budgeted-search
-    /// benchmark (`bench-cvs` scenario `wide_mkb`).
+    /// The wide-MKB/high-fanout workload of the budgeted search (the
+    /// `cvs_wide_mkb_search` criterion group and the pruning test in
+    /// `tests/prop_search.rs`).
     ///
     /// Relations: target `T(k, v)`, witness `W(k, w)` (in the view), one
     /// *shallow* cover `S0(k, v)` a single join hop from `W`, and

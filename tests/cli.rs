@@ -239,7 +239,7 @@ fn trace_out_emits_jsonl_spans_and_metrics() {
     let text = std::fs::read_to_string(&path).expect("trace file written");
     std::fs::remove_dir_all(&dir).ok();
     let mut span_names = Vec::new();
-    let mut counter_names = Vec::new();
+    let mut counters = std::collections::BTreeMap::new();
     let mut gauge_names = Vec::new();
     for line in text.lines() {
         // Every line is a JSON object with "type" and "name" keys.
@@ -256,7 +256,13 @@ fn trace_out_emits_jsonl_spans_and_metrics() {
                 assert!(line.contains("\"dur_ns\":"), "{line}");
                 span_names.push(name);
             }
-            "counter" => counter_names.push(name),
+            "counter" => {
+                let value = line
+                    .split_once("\"value\":")
+                    .and_then(|(_, rest)| rest.trim_end_matches('}').parse::<u64>().ok())
+                    .expect("counter line has an integer value");
+                counters.insert(name, value);
+            }
             "gauge" => gauge_names.push(name),
             "histogram" => {}
             other => panic!("unexpected record type {other}: {line}"),
@@ -274,10 +280,22 @@ fn trace_out_emits_jsonl_spans_and_metrics() {
             "no {phase} span in {span_names:?}"
         );
     }
-    assert!(counter_names.iter().any(|n| n == "index.cache.hits"));
-    assert!(counter_names
-        .iter()
-        .any(|n| n == "search.candidates_generated"));
+    // The CLI runs in its own process, so these counters see exactly
+    // this one change: one delta-built index, at least one candidate
+    // searched, and memo traffic.
+    let counter = |n: &str| counters.get(n).copied();
+    assert_eq!(counter("sync.changes"), Some(1), "{counters:?}");
+    assert_eq!(counter("index.delta_builds"), Some(1), "{counters:?}");
+    assert_eq!(counter("index.delta_applies"), Some(1), "{counters:?}");
+    assert!(
+        counter("search.candidates_generated").unwrap_or(0) > 0,
+        "{counters:?}"
+    );
+    let hits = counter("index.cache.hits").expect("cache hits counter present");
+    assert!(
+        hits + counter("index.cache.misses").unwrap_or(0) > 0,
+        "{counters:?}"
+    );
     assert!(gauge_names.iter().any(|n| n == "sync.views_active"));
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the hypergraph layer, checked against naive
 //! reference implementations (brute-force union-find connectivity).
 
-use eve::hypergraph::{ConnectionTree, Hypergraph};
+use eve::hypergraph::Hypergraph;
 use eve::misd::JoinConstraint;
 use eve::relational::{AttrRef, Clause, Conjunction, RelName};
 use proptest::prelude::*;
@@ -163,7 +163,7 @@ proptest! {
             let first = idx(it.next().expect("nonempty"));
             terminals.iter().all(|t| roots[idx(t)] == roots[first])
         };
-        match ConnectionTree::connect(&g, &terminals) {
+        match g.connect_tree(&terminals, usize::MAX) {
             Some(tree) => {
                 prop_assert!(all_connected);
                 for t in &terminals {

@@ -193,3 +193,33 @@ proptest! {
         }
     }
 }
+
+/// On the wide-MKB workload (one shallow cover, four deep ones),
+/// `top_k = 1` visits at least 5x fewer candidates than the exhaustive
+/// run while still returning the same best rewriting.
+#[test]
+fn budgeted_search_prunes_wide_mkb_at_least_5x() {
+    let wide = SynthWorkload::wide_mkb(4, 3);
+    let mkb2 = evolve(&wide.mkb, &wide.delete_change()).expect("target described");
+    let run = |budget: SearchBudget| {
+        let opts = CvsOptions {
+            budget,
+            ..CvsOptions::default()
+        };
+        let index = MkbIndex::new(&wide.mkb, &mkb2, &opts);
+        cvs_delete_relation_searched(&wide.view, &wide.target, &index, &opts, false, None)
+            .expect("wide workload is synchronizable")
+    };
+    let exhaustive = run(SearchBudget::unlimited());
+    let budgeted = run(SearchBudget::top_k(1));
+    assert!(!exhaustive.stats.budget_exhausted);
+    assert_eq!(budgeted.rewritings.len(), 1);
+    assert_eq!(budgeted.rewritings[0], exhaustive.rewritings[0]);
+    assert!(
+        budgeted.stats.generated * 5 <= exhaustive.stats.generated,
+        "budgeted generated {} vs exhaustive {}",
+        budgeted.stats.generated,
+        exhaustive.stats.generated
+    );
+    assert!(budgeted.stats.pruned > 0);
+}
