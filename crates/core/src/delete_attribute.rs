@@ -25,9 +25,10 @@ use crate::index::MkbIndex;
 use crate::legal::LegalRewriting;
 use crate::options::CvsOptions;
 use crate::replacement::{CoverChoice, Replacement};
+use crate::rewrite::append_join_clauses;
 use eve_esql::{CondItem, EvolutionParams, FromItem, SelectItem, ViewDefinition};
-use eve_misd::{ExtentOp, PartialComplete};
-use eve_relational::{AttrRef, Clause, RelName};
+use eve_misd::{ExtentOp, JoinConstraint, PartialComplete};
+use eve_relational::{AttrRef, RelName};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -238,21 +239,7 @@ fn assemble_with_cover(
             }
         }
         added_joins = tree.joins.clone();
-        let mut seen: BTreeSet<Clause> = new_view
-            .conditions
-            .iter()
-            .map(|c| c.clause.normalized())
-            .collect();
-        for jc in &added_joins {
-            for clause in jc.predicate.clauses() {
-                if seen.insert(clause.normalized()) {
-                    new_view.conditions.push(CondItem {
-                        clause: clause.clone(),
-                        params: EvolutionParams::new(false, true),
-                    });
-                }
-            }
-        }
+        append_join_clauses(&mut new_view.conditions, &added_joins);
     }
 
     if opts.check_consistency && !new_view.where_conjunction().is_consistent() {
@@ -335,7 +322,7 @@ fn certify_attr_swap(
     candidate_pcs: &[PartialComplete],
     attr: &AttrRef,
     cover: &CoverChoice,
-    added_joins: &[eve_misd::JoinConstraint],
+    added_joins: &[Arc<JoinConstraint>],
     dropped_conditions: &[CondItem],
 ) -> ExtentVerdict {
     // Attributes of R the swap relies on: A itself plus R's attributes in

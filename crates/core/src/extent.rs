@@ -34,16 +34,19 @@
 //!   and compares the projections onto the shared interface.
 
 use crate::eval::evaluate_view;
+use crate::index::MkbIndex;
 use crate::mapping::RMapping;
 use crate::replacement::Replacement;
 use eve_esql::{ViewDefinition, ViewExtent};
-use eve_misd::{ExtentOp, MetaKnowledgeBase, PartialComplete};
+use eve_misd::{ExtentOp, JoinConstraint, PartialComplete, ProjSel};
 use eve_relational::{
-    compare_extents, project, AttrName, AttrRef, Database, ExtentRelation, FuncRegistry,
+    compare_extents, project, AttrName, AttrRef, Database, ExtentRelation, FuncRegistry, RelName,
     RelationalError, ScalarExpr,
 };
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Symbolic verdict on `V' vs V` (read left to right: `V' <verdict> V`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,13 +121,14 @@ struct EqClasses<'a> {
     /// Small unordered member lists: the classes involved in one swap
     /// are a handful of attributes each, so linear scans beat ordered
     /// sets and their per-node allocations. The `Min(H_R)` part is
-    /// built once per search ([`ExtentCtx`]) and cloned per candidate;
-    /// only the candidate's own joins are folded in per call.
+    /// built once per search ([`ExtentCtx`]) and cloned for a candidate
+    /// only when a PC constraint needs it ([`SwapClasses`]); only the
+    /// candidate's own joins are folded in then.
     classes: Vec<Vec<&'a AttrRef>>,
 }
 
 impl<'a> EqClasses<'a> {
-    fn build(joins: impl Iterator<Item = &'a eve_misd::JoinConstraint>) -> Self {
+    fn build(joins: &'a [Arc<JoinConstraint>]) -> Self {
         let mut eq = EqClasses {
             classes: Vec::new(),
         };
@@ -135,7 +139,7 @@ impl<'a> EqClasses<'a> {
     /// Fold more join constraints into the classes. Extending a built
     /// set with further joins produces exactly the classes `build`
     /// would on the concatenated sequence.
-    fn extend(&mut self, joins: impl Iterator<Item = &'a eve_misd::JoinConstraint>) {
+    fn extend(&mut self, joins: &'a [Arc<JoinConstraint>]) {
         let classes = &mut self.classes;
         for jc in joins {
             for clause in jc.predicate.clauses() {
@@ -173,33 +177,63 @@ impl<'a> EqClasses<'a> {
     }
 }
 
+/// The equality classes of one swap — the `Min(H_R)` classes plus the
+/// candidate's own joins — built on first use. Most added relations
+/// have no PC constraint that gets as far as comparing attributes, and
+/// then the classes are never read.
+struct SwapClasses<'a> {
+    base: &'a EqClasses<'a>,
+    joins: &'a [Arc<JoinConstraint>],
+    built: OnceCell<EqClasses<'a>>,
+}
+
+impl<'a> SwapClasses<'a> {
+    fn get(&self) -> &EqClasses<'a> {
+        self.built.get_or_init(|| {
+            let mut eq = self.base.clone();
+            eq.extend(self.joins);
+            eq
+        })
+    }
+}
+
 /// Do attributes `s` (of the cover relation) and `r` (of the dropped
-/// relation) correspond — through a function-of constraint, or through
-/// the equality-congruence of the join chains involved in the swap?
-fn corresponds(mkb: &MetaKnowledgeBase, eq: &EqClasses<'_>, s: &AttrRef, r: &AttrRef) -> bool {
-    if eq.equated(s, r) {
+/// relation) correspond — through a function-of constraint of the old
+/// MKB, or through the equality-congruence of the join chains involved
+/// in the swap?
+///
+/// The function-of test reads the index's cover map, which holds
+/// exactly the old MKB's single-source function-ofs, keyed by target.
+/// Both shapes that count are single-source: `F_{r, f(s)}` where `s` is
+/// the only attribute of `f`, and `F_{s, r}`.
+fn corresponds(index: &MkbIndex<'_>, eq: &SwapClasses<'_>, s: &AttrRef, r: &AttrRef) -> bool {
+    if eq.get().equated(s, r) {
         return true;
     }
-    mkb.function_ofs().iter().any(|f| {
-        (&f.target == r && f.expr.attrs() == [s.clone()].into_iter().collect())
-            || (&f.target == s && f.expr == ScalarExpr::Attr(r.clone()))
-    })
+    index
+        .covers_of(r)
+        .iter()
+        .any(|c| c.replacement.contains_attr(s) && c.replacement.all_attrs(&mut |a| a == s))
+        || index
+            .covers_of(s)
+            .iter()
+            .any(|c| matches!(&c.replacement, ScalarExpr::Attr(a) if a == r))
 }
 
 /// Try to certify the swap "drop `R`, join `added`" with a PC constraint
-/// between `added` and `R`. `used_r_attrs` are the attributes of `R`
-/// that `added` must account for: the attributes it covers plus the join
-/// attributes its chain transports.
+/// between `added` and `R`. `added` must account for the attributes of
+/// `R` it covers in `rep`, plus `R`'s `Min(H_R)` join attributes, which
+/// its chain transports.
 fn certify_added_relation(
-    mkb: &MetaKnowledgeBase,
-    eq: &EqClasses<'_>,
-    candidate_pcs: &[PartialComplete],
-    added: &eve_relational::RelName,
-    target: &eve_relational::RelName,
-    used_r_attrs: &BTreeSet<&AttrName>,
+    index: &MkbIndex<'_>,
+    ctx: &ExtentCtx<'_>,
+    rep: &Replacement,
+    eq: &SwapClasses<'_>,
+    added: &RelName,
 ) -> ExtentVerdict {
+    let target = &ctx.rm.target;
     let mut best = ExtentVerdict::Unknown;
-    for pc in candidate_pcs {
+    for pc in index.pcs_between(added, target) {
         let (s_side, op, r_side) = if &pc.left.relation == added && &pc.right.relation == target {
             (&pc.left, pc.op, &pc.right)
         } else if &pc.right.relation == added && &pc.left.relation == target {
@@ -207,7 +241,19 @@ fn certify_added_relation(
         } else {
             continue;
         };
-        if !pc_certifies(pc, mkb, eq, s_side, r_side, used_r_attrs) {
+        let covered = rep
+            .covers
+            .iter()
+            .filter(|(_, cover)| &cover.source == added)
+            .map(|(attr, _)| &attr.attr);
+        if !pc_certifies(
+            pc,
+            index,
+            eq,
+            s_side,
+            r_side,
+            ctx.join_attrs.iter().chain(covered),
+        ) {
             continue;
         }
         let v = verdict_of_op(op);
@@ -216,34 +262,37 @@ fn certify_added_relation(
     best
 }
 
-fn pc_certifies(
+fn pc_certifies<'a>(
     pc: &PartialComplete,
-    mkb: &MetaKnowledgeBase,
-    eq: &EqClasses<'_>,
-    s_side: &eve_misd::ProjSel,
-    r_side: &eve_misd::ProjSel,
-    used_r_attrs: &BTreeSet<&AttrName>,
+    index: &MkbIndex<'_>,
+    eq: &SwapClasses<'_>,
+    s_side: &ProjSel,
+    r_side: &ProjSel,
+    mut used_r_attrs: impl Iterator<Item = &'a AttrName>,
 ) -> bool {
     // Selections on either side would change the compared sets in ways we
     // do not model — require plain projections.
     if !pc.left.cond.is_empty() || !pc.right.cond.is_empty() {
         return false;
     }
-    let s_attrs = s_side.attr_refs();
-    let r_attrs = r_side.attr_refs();
-    if s_attrs.len() != r_attrs.len() {
+    if s_side.attrs.len() != r_side.attrs.len() {
         return false;
     }
     // The R side must mention every attribute this relation accounts for.
-    if !used_r_attrs.iter().all(|a| r_side.attrs.contains(a)) {
+    if !used_r_attrs.all(|a| r_side.attrs.contains(a)) {
         return false;
     }
     // Position-wise correspondence through function-of constraints or
     // join-chain equality congruence.
-    s_attrs
+    let qualified = |side: &ProjSel, attr: &AttrName| AttrRef {
+        relation: side.relation.clone(),
+        attr: attr.clone(),
+    };
+    s_side
+        .attrs
         .iter()
-        .zip(&r_attrs)
-        .all(|(s, r)| corresponds(mkb, eq, s, r))
+        .zip(&r_side.attrs)
+        .all(|(s, r)| corresponds(index, eq, &qualified(s_side, s), &qualified(r_side, r)))
 }
 
 /// Two certificates between the same pair compose: `⊇` and `⊆` together
@@ -271,7 +320,7 @@ pub fn infer_extent_indexed(
     rm: &RMapping,
     rep: &Replacement,
     dropped_conditions: usize,
-    index: &crate::index::MkbIndex<'_>,
+    index: &MkbIndex<'_>,
 ) -> ExtentVerdict {
     infer_extent_with(&ExtentCtx::new(rm), rep, dropped_conditions, index)
 }
@@ -282,7 +331,7 @@ pub fn infer_extent_indexed(
 pub(crate) struct ExtentCtx<'a> {
     rm: &'a RMapping,
     /// `Min(H_R)` relations minus `R`.
-    survivors: BTreeSet<eve_relational::RelName>,
+    survivors: BTreeSet<RelName>,
     /// Join attributes of `R` in `Min(H_R)`: every relation of the
     /// replacement chain must transport them faithfully.
     join_attrs: BTreeSet<AttrName>,
@@ -305,56 +354,45 @@ impl<'a> ExtentCtx<'a> {
             rm,
             survivors: rm.surviving_relations(),
             join_attrs,
-            base_eq: EqClasses::build(rm.min_joins.iter()),
+            base_eq: EqClasses::build(&rm.min_joins),
         }
     }
 }
 
 /// [`infer_extent_indexed`] with the per-search invariants hoisted into
-/// an [`ExtentCtx`] — same verdict, none of the per-candidate set
-/// rebuilding.
+/// an [`ExtentCtx`] — same verdict, and no per-candidate scratch: the
+/// added relations and the attributes each must account for are
+/// iterated, not collected, and the swap's equality classes are built
+/// only if a PC constraint gets as far as comparing attributes.
 pub(crate) fn infer_extent_with(
     ctx: &ExtentCtx<'_>,
     rep: &Replacement,
     dropped_conditions: usize,
-    index: &crate::index::MkbIndex<'_>,
+    index: &MkbIndex<'_>,
 ) -> ExtentVerdict {
-    let mkb = index.mkb();
-    let rm = ctx.rm;
-    let added: Vec<_> = rep
+    let mut added = rep
         .relations
         .iter()
         .filter(|r| !ctx.survivors.contains(*r))
-        .collect();
+        .peekable();
+    let eq = SwapClasses {
+        base: &ctx.base_eq,
+        joins: &rep.joins,
+        built: OnceCell::new(),
+    };
 
-    // Equality congruence over the join chains involved in the swap:
-    // the prebuilt Min(H_R) classes plus the candidate's own joins.
-    let mut eq = ctx.base_eq.clone();
-    eq.extend(rep.joins.iter());
-
-    let mut verdict = if added.is_empty() {
+    let mut verdict = if added.peek().is_none() {
         // Pure drop: R leaves the join, nothing is added — widening.
         ExtentVerdict::Superset
     } else {
         let mut v = ExtentVerdict::Equivalent;
         for s in added {
-            // What must S account for: the attributes it covers, plus the
-            // join attributes (its presence in the chain must not lose
-            // key combinations of R).
-            let mut used: BTreeSet<&AttrName> = ctx.join_attrs.iter().collect();
-            for (covered, cover) in rep.covers.iter() {
-                if &cover.source == s {
-                    used.insert(&covered.attr);
-                }
+            v = v.meet(certify_added_relation(index, ctx, rep, &eq, s));
+            if v == ExtentVerdict::Unknown {
+                // The meet of `Unknown` with anything is `Unknown`: no
+                // later relation can change the verdict.
+                break;
             }
-            v = v.meet(certify_added_relation(
-                mkb,
-                &eq,
-                index.pcs_between(s, &rm.target),
-                s,
-                &rm.target,
-                &used,
-            ));
         }
         v
     };
@@ -473,11 +511,17 @@ mod infer_tests {
         infer_extent_indexed(rm, rep, dropped_conditions, &index)
     }
 
+    /// The MKB's own `Arc` of the join constraint `id`.
+    fn join(mkb: &MetaKnowledgeBase, id: &str) -> Arc<JoinConstraint> {
+        let found = mkb.joins().iter().find(|j| j.id == id);
+        Arc::clone(found.expect("join constraint declared"))
+    }
+
     fn rm(mkb: &MetaKnowledgeBase) -> RMapping {
         RMapping {
             target: RelName::new("T"),
             max_relations: ["T", "W"].into_iter().map(RelName::new).collect(),
-            min_joins: vec![mkb.join_by_id("JT").expect("JT").clone()],
+            min_joins: vec![join(mkb, "JT")],
             c_max_min: Vec::new(),
             rest_relations: Default::default(),
             c_rest: Vec::new(),
@@ -488,7 +532,7 @@ mod infer_tests {
         let mut covers = BTreeMap::new();
         let mut relations: std::collections::BTreeSet<RelName> =
             [RelName::new("W")].into_iter().collect();
-        let mut joins: Vec<JoinConstraint> = Vec::new();
+        let mut joins = Vec::new();
         if with_cover {
             covers.insert(
                 AttrRef::new("T", "v"),
@@ -499,10 +543,10 @@ mod infer_tests {
                 },
             );
             relations.insert(RelName::new("Cov"));
-            joins.push(mkb.join_by_id("JC").expect("JC").clone());
+            joins.push(join(mkb, "JC"));
         }
         Replacement {
-            covers: std::sync::Arc::new(covers),
+            covers: Arc::new(covers),
             relations,
             joins,
             c_max_min: Default::default(),

@@ -32,6 +32,7 @@ use eve_hypergraph::Hypergraph;
 use eve_misd::JoinConstraint;
 use eve_relational::{Clause, RelName};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// The computed R-mapping (Def. 2): `(Max(V_R), Min(H_R))` plus the
 /// partition of the view's conditions.
@@ -43,8 +44,9 @@ pub struct RMapping {
     /// includes `R`).
     pub max_relations: BTreeSet<RelName>,
     /// The join constraints of `Min(H_R)` — a spanning tree of the
-    /// implied-constraint graph over `max_relations`.
-    pub min_joins: Vec<JoinConstraint>,
+    /// implied-constraint graph over `max_relations`. Each is the MKB's
+    /// own `Arc` (held by `H_R`), shared, not copied.
+    pub min_joins: Vec<Arc<JoinConstraint>>,
     /// `C_Max/Min`: the view's conditions over `max_relations` that are
     /// not absorbed by (identical to) a clause of `min_joins`. Evolution
     /// parameters are preserved for Step 4/5.
@@ -102,7 +104,7 @@ pub fn compute_r_mapping(
     // Equality closure of the WHERE conjunction, built once for every
     // pair × constraint-clause implication probe below.
     let congruence = facts.congruence();
-    let mut edges: BTreeMap<(RelName, RelName), JoinConstraint> = BTreeMap::new();
+    let mut edges: BTreeMap<(RelName, RelName), Arc<JoinConstraint>> = BTreeMap::new();
     for (i, s1) in from_rels.iter().enumerate() {
         for s2 in from_rels.iter().skip(i + 1) {
             if !h_r.contains(s1) || !h_r.contains(s2) {
@@ -118,7 +120,7 @@ pub fn compute_r_mapping(
                     .iter()
                     .all(|c| clause_implied(&facts, &congruence, c, opts.implication));
                 if all_implied {
-                    edges.insert((s1.clone(), s2.clone()), jc.clone());
+                    edges.insert((s1.clone(), s2.clone()), Arc::clone(jc));
                     break; // first implied constraint wins (deterministic)
                 }
             }
@@ -129,7 +131,7 @@ pub fn compute_r_mapping(
     //    edges are Min(H_R) (minimal by construction: removing any tree
     //    edge disconnects the relation set).
     let mut max_relations: BTreeSet<RelName> = BTreeSet::new();
-    let mut min_joins: Vec<JoinConstraint> = Vec::new();
+    let mut min_joins: Vec<Arc<JoinConstraint>> = Vec::new();
     max_relations.insert(target.clone());
     let mut queue = VecDeque::from([target.clone()]);
     while let Some(cur) = queue.pop_front() {
@@ -142,23 +144,26 @@ pub fn compute_r_mapping(
                 continue;
             };
             if max_relations.insert(next.clone()) {
-                min_joins.push(jc.clone());
+                min_joins.push(Arc::clone(jc));
                 queue.push_back(next.clone());
             }
         }
     }
 
-    // 3. Partition the view's conditions.
-    let absorbed: BTreeSet<Clause> = min_joins
+    // 3. Partition the view's conditions. A clause is absorbed when its
+    //    normalisation equals that of a Min(H_R) clause.
+    let absorbed: Vec<_> = min_joins
         .iter()
-        .flat_map(|j| j.predicate.clauses().iter().map(Clause::normalized))
+        .flat_map(|j| j.predicate.clauses().iter().map(Clause::normalized_parts))
         .collect();
     let mut c_max_min = Vec::new();
     let mut c_rest = Vec::new();
     for cond in &view.conditions {
-        let rels = cond.clause.relations();
-        if rels.iter().all(|r| max_relations.contains(r)) {
-            if absorbed.contains(&cond.clause.normalized()) {
+        if cond
+            .clause
+            .all_attrs(&mut |a| max_relations.contains(&a.relation))
+        {
+            if absorbed.contains(&cond.clause.normalized_parts()) {
                 continue; // already expressed by Min(H_R)
             }
             c_max_min.push(cond.clone());
@@ -214,8 +219,9 @@ impl RMapping {
     }
 
     /// The join constraints of `Min(H_R)` that do not touch `R` — these
-    /// must all appear in any candidate replacement (Def. 3 III).
-    pub fn surviving_joins(&self) -> Vec<JoinConstraint> {
+    /// must all appear in any candidate replacement (Def. 3 III). The
+    /// `Arc`s of [`RMapping::min_joins`], shared.
+    pub fn surviving_joins(&self) -> Vec<Arc<JoinConstraint>> {
         self.min_joins
             .iter()
             .filter(|j| !j.touches(&self.target))

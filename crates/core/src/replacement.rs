@@ -60,8 +60,9 @@ pub struct Replacement {
     /// The relations `R_1, …, R_k` of `Max(V_{j,R})`.
     pub relations: BTreeSet<RelName>,
     /// The join constraints of `Max(V_{j,R})` (surviving `Min` joins plus
-    /// the connection tree).
-    pub joins: Vec<JoinConstraint>,
+    /// the connection tree). Each is the MKB's own `Arc`, shared with the
+    /// MKB, the hypergraphs and every other candidate using it.
+    pub joins: Vec<Arc<JoinConstraint>>,
     /// `C'_Max/Min` (Def. 3 V), with substitutions applied. Shared like
     /// [`Replacement::covers`].
     pub c_max_min: Arc<Vec<CondItem>>,
@@ -220,6 +221,16 @@ struct ActiveCombo {
     dropped_conditions: Arc<Vec<CondItem>>,
 }
 
+/// Why every candidate's relations intern over `H'(MKB')`, so its
+/// duplicate key always exists. A candidate's relations are its tree's
+/// plus the survivors. Trees hold only `H'` vertices. A non-empty
+/// terminal set contains the survivors, so a survivor outside `H'`
+/// leaves every enumeration for it empty and no candidate is emitted;
+/// an empty terminal set yields the empty relation set.
+const CANDIDATES_INTERN: &str =
+    "candidate relations are H' vertices: trees span H' vertices only, and a survivor \
+     outside H' leaves every enumeration empty";
+
 /// Lazy generator over the (cover combination × connection tree) choice
 /// space of Def. 3.
 ///
@@ -243,7 +254,7 @@ pub(crate) struct ReplacementStream<'a, 'm> {
     /// key is built by adding the tree's few relations to this base
     /// instead of re-hashing the merged set.
     survivor_key: Option<RelSet>,
-    surviving_joins: Vec<JoinConstraint>,
+    surviving_joins: Vec<Arc<JoinConstraint>>,
     combos: Vec<PreparedCombo>,
     combo_idx: usize,
     current: Option<ActiveCombo>,
@@ -253,16 +264,11 @@ pub(crate) struct ReplacementStream<'a, 'm> {
     /// `C'_Max/Min` are combination-level, relations and joins are fully
     /// captured by the bitset and the rank sequence — so the legacy
     /// deep-equality scan over every emitted `Replacement` collapses to
-    /// one hash probe, with no retained clones.
+    /// one hash probe, with no retained clones. Every candidate has a
+    /// key: see [`CANDIDATES_INTERN`].
     seen: HashSet<(u32, RelSet, Vec<u32>)>,
     /// Join-constraint id → dense rank, grown on first sight.
     join_rank: HashMap<String, u32>,
-    /// Deep-equality fallback for candidates whose relations do not all
-    /// intern over `H'` (unreachable in practice: every emitted
-    /// candidate's relations are `H'` vertices). Internability is a
-    /// function of candidate content, so the two filters never need to
-    /// compare across each other.
-    emitted_fallback: Vec<Replacement>,
     max_trees: usize,
     trees_enumerated: usize,
     combos_pruned: usize,
@@ -423,7 +429,6 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
             current: None,
             seen: HashSet::new(),
             join_rank: HashMap::new(),
-            emitted_fallback: Vec::new(),
             max_trees,
             trees_enumerated: 0,
             combos_pruned: 0,
@@ -451,68 +456,46 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
                     let tree = &cur.trees[cur.tree_pos];
                     cur.tree_pos += 1;
                     // Def. 3 (III): include the surviving Min(H_R) joins.
-                    let mut joins = self.surviving_joins.clone();
+                    // Both lists hold the MKB's `Arc`s: the candidate
+                    // clones pointers, never constraints.
+                    let mut joins =
+                        Vec::with_capacity(self.surviving_joins.len() + tree.joins.len());
+                    joins.extend(self.surviving_joins.iter().cloned());
                     for jc in &tree.joins {
                         if !joins.iter().any(|j| j.id == jc.id) {
-                            joins.push(jc.clone());
+                            joins.push(Arc::clone(jc));
                         }
                     }
-                    let mut relations = tree.relations.clone();
-                    relations.extend(self.survivors.iter().cloned());
                     // Duplicate filter on the interned identity; order of
                     // `joins` is significant (candidate equality is
                     // positional), hence a rank *sequence*, not a set.
-                    let rel_key = self.survivor_key.clone().and_then(|mut set| {
-                        for t in &tree.relations {
-                            set.insert(self.index.rel_id_prime(t)?);
-                        }
-                        Some(set)
-                    });
-                    match rel_key {
-                        Some(rel_key) => {
-                            let ranks: Vec<u32> = joins
-                                .iter()
-                                .map(|j| match self.join_rank.get(&j.id) {
-                                    Some(&r) => r,
-                                    None => {
-                                        let next = self.join_rank.len() as u32;
-                                        self.join_rank.insert(j.id.clone(), next);
-                                        next
-                                    }
-                                })
-                                .collect();
-                            if !self.seen.insert((cur.ord, rel_key, ranks)) {
-                                continue;
-                            }
-                        }
-                        None => {
-                            let dup = self.emitted_fallback.iter().any(|e| {
-                                e.covers == cur.covers
-                                    && e.relations == relations
-                                    && e.joins == joins
-                                    && e.c_max_min == cur.c_max_min
-                                    && e.dropped_conditions == cur.dropped_conditions
-                            });
-                            if dup {
-                                continue;
-                            }
-                        }
+                    let mut rel_key = self.survivor_key.clone().expect(CANDIDATES_INTERN);
+                    for t in &tree.relations {
+                        rel_key.insert(self.index.rel_id_prime(t).expect(CANDIDATES_INTERN));
                     }
-                    let candidate = Replacement {
+                    let ranks: Vec<u32> = joins
+                        .iter()
+                        .map(|j| match self.join_rank.get(&j.id) {
+                            Some(&r) => r,
+                            None => {
+                                let next = self.join_rank.len() as u32;
+                                self.join_rank.insert(j.id.clone(), next);
+                                next
+                            }
+                        })
+                        .collect();
+                    if !self.seen.insert((cur.ord, rel_key, ranks)) {
+                        continue;
+                    }
+                    let mut relations = tree.relations.clone();
+                    relations.extend(self.survivors.iter().cloned());
+                    return Some(Replacement {
                         covers: cur.covers.clone(),
                         relations,
                         joins,
                         c_max_min: cur.c_max_min.clone(),
                         dropped_conditions: cur.dropped_conditions.clone(),
-                    };
-                    if candidate
-                        .relations
-                        .iter()
-                        .any(|r| self.index.rel_id_prime(r).is_none())
-                    {
-                        self.emitted_fallback.push(candidate.clone());
-                    }
-                    return Some(candidate);
+                    });
                 }
                 self.current = None;
             }
@@ -655,7 +638,7 @@ fn rewrite_c_max_min(
                 clause = clause.substitute(attr, &cover.replacement);
             }
         }
-        if clause.relations().contains(target) {
+        if clause.references_relation(target) {
             if cond.params.dispensable {
                 dropped_conditions.push(cond.clone());
                 continue;

@@ -26,9 +26,11 @@ use crate::options::CvsOptions;
 use crate::replacement::{CandidateBound, Replacement, ReplacementStream};
 
 use eve_esql::{CondItem, EvolutionParams, FromItem, SelectItem, ViewDefinition};
+use eve_misd::JoinConstraint;
 use eve_relational::{AttrName, Clause, RelName, ScalarExpr};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The result of assembling one candidate: the new view plus the
 /// bookkeeping needed for P4 verification and extent inference.
@@ -58,8 +60,6 @@ pub(crate) struct ComboAssembly {
     /// `C'_Max/Min` followed by the substituted `C_Rest` — the
     /// tree-independent WHERE prefix, in final order.
     conditions: Vec<CondItem>,
-    /// Normalized forms of `conditions`, for the join-clause dedup.
-    seen: BTreeSet<Clause>,
     /// `rep.dropped_conditions` followed by the `C_Rest` drops.
     dropped_conditions: Vec<CondItem>,
 }
@@ -195,8 +195,6 @@ pub(crate) fn prepare_combo_assembly(
         conditions.push(CondItem { clause, params });
     }
 
-    let seen: BTreeSet<Clause> = conditions.iter().map(|c| c.clause.normalized()).collect();
-
     Ok(ComboAssembly {
         select,
         kept_select,
@@ -204,9 +202,27 @@ pub(crate) fn prepare_combo_assembly(
         base_from,
         existing_from,
         conditions,
-        seen,
         dropped_conditions,
     })
+}
+
+/// Append the clauses of `joins` to `conditions` as join conditions
+/// with the Step 5 parameters (required, replaceable), skipping every
+/// clause whose normalisation is already present. The test compares
+/// borrowed normalised parts, so a clause is cloned only when it is
+/// appended. WHERE lists are short, so a scan beats building a set.
+pub(crate) fn append_join_clauses(conditions: &mut Vec<CondItem>, joins: &[Arc<JoinConstraint>]) {
+    for jc in joins {
+        for clause in jc.predicate.clauses() {
+            let n = clause.normalized_parts();
+            if !conditions.iter().any(|c| c.clause.normalized_parts() == n) {
+                conditions.push(CondItem {
+                    clause: clause.clone(),
+                    params: EvolutionParams::new(false, true),
+                });
+            }
+        }
+    }
 }
 
 /// The per-tree third of assembly: append the candidate's relations to
@@ -219,7 +235,10 @@ pub(crate) fn assemble_prepared(
     opts: &CvsOptions,
 ) -> Result<Assembled, CvsError> {
     // ---- FROM -----------------------------------------------------------
-    let mut from = pre.base_from.clone();
+    // FROM and WHERE are each sized once: the combination prefix plus
+    // the most this candidate can append.
+    let mut from = Vec::with_capacity(pre.base_from.len() + rep.relations.len());
+    from.extend_from_slice(&pre.base_from);
     for rel in &rep.relations {
         if !pre.existing_from.contains(rel) {
             from.push(FromItem {
@@ -231,25 +250,12 @@ pub(crate) fn assemble_prepared(
     }
 
     // ---- WHERE ----------------------------------------------------------
-    let mut conditions = pre.conditions.clone();
-
-    // Join conditions of Max(V_{j,R}) (Step 5 parameters: required,
-    // replaceable), deduplicated against what is already present. The
-    // handful of freshly added clauses is scanned linearly instead of
-    // growing a per-candidate set.
-    let mut added: Vec<Clause> = Vec::new();
-    for jc in &rep.joins {
-        for clause in jc.predicate.clauses() {
-            let n = clause.normalized();
-            if !pre.seen.contains(&n) && !added.contains(&n) {
-                added.push(n);
-                conditions.push(CondItem {
-                    clause: clause.clone(),
-                    params: EvolutionParams::new(false, true),
-                });
-            }
-        }
-    }
+    // Join conditions of Max(V_{j,R}), deduplicated against what is
+    // already present.
+    let join_clauses: usize = rep.joins.iter().map(|j| j.predicate.len()).sum();
+    let mut conditions = Vec::with_capacity(pre.conditions.len() + join_clauses);
+    conditions.extend_from_slice(&pre.conditions);
+    append_join_clauses(&mut conditions, &rep.joins);
 
     let assembled = ViewDefinition {
         name: view.name.clone(),

@@ -395,16 +395,14 @@ impl Hypergraph {
             .flat_map(move |id| self.neighbors(id).map(|(_, e)| &*self.joins[e as usize]))
     }
 
-    /// All join constraints between the unordered pair `{r1, r2}`.
+    /// All join constraints between the unordered pair `{r1, r2}`, as
+    /// the graph's own `Arc`s (so a caller keeping one clones a pointer).
     pub fn joins_between<'a>(
         &'a self,
         r1: &'a RelName,
         r2: &'a RelName,
-    ) -> impl Iterator<Item = &'a JoinConstraint> {
-        self.joins
-            .iter()
-            .map(Arc::as_ref)
-            .filter(move |j| j.connects(r1, r2))
+    ) -> impl Iterator<Item = &'a Arc<JoinConstraint>> {
+        self.joins.iter().filter(move |j| j.connects(r1, r2))
     }
 
     /// The set of relations reachable from `start` (its connected

@@ -28,11 +28,12 @@
 //!
 //! The cursor's [`Iterator`] impl is the string-keyed boundary: each
 //! `next` advances the cursor and materialises the scratch tree into a
-//! [`ConnectionTree`] (names + cloned constraints). The yield sequence
-//! is byte-identical to the legacy string-keyed implementation — the
-//! heap orders partials by `(len, join-id ranks, edge indices, current
-//! vertex, visited set)`, each component an order-preserving image of
-//! the legacy `(len, ids, edges, cur, visited)` key.
+//! [`ConnectionTree`] (names + the graph's own constraint `Arc`s). The
+//! yield sequence is byte-identical to the legacy string-keyed
+//! implementation — the heap orders partials by `(len, join-id ranks,
+//! edge indices, current vertex, visited set)`, each component an
+//! order-preserving image of the legacy `(len, ids, edges, cur,
+//! visited)` key.
 
 use crate::graph::Hypergraph;
 use crate::intern::RelId;
@@ -41,6 +42,7 @@ use eve_misd::JoinConstraint;
 use eve_relational::RelName;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// Length cap (in edges) for the exhaustive two-terminal path search.
 /// Paths longer than this are only reachable through the shortest-path
@@ -55,8 +57,11 @@ pub struct ConnectionTree {
     /// The relations joined by the tree (terminals plus any Steiner
     /// relations picked up along connecting paths).
     pub relations: BTreeSet<RelName>,
-    /// The join constraints forming the tree, in attachment order.
-    pub joins: Vec<JoinConstraint>,
+    /// The join constraints forming the tree, in attachment order. Each
+    /// is the graph's own `Arc` — which is the MKB's own `Arc` for graphs
+    /// built from an MKB — so a tree shares its constraints, it never
+    /// copies them.
+    pub joins: Vec<Arc<JoinConstraint>>,
 }
 
 impl ConnectionTree {
@@ -82,15 +87,16 @@ fn intern_terminals(graph: &Hypergraph, terminals: &BTreeSet<RelName>) -> Option
     terminals.iter().map(|t| graph.rel_id(t)).collect()
 }
 
-/// Resolve a scratch `(relation set, edge list)` pair into an owned
+/// Resolve a scratch `(relation set, edge list)` pair into a
 /// string-keyed [`ConnectionTree`]. Bitset iteration ascends by id =
-/// ascending name order, reproducing the legacy `BTreeSet` contents.
+/// ascending name order, reproducing the legacy `BTreeSet` contents;
+/// the joins are the graph's `Arc`s, cloned as pointers.
 fn materialize(graph: &Hypergraph, rels: &RelSet, edges: &[u32]) -> ConnectionTree {
     ConnectionTree {
         relations: rels.iter().map(|id| graph.rel_name(id).clone()).collect(),
         joins: edges
             .iter()
-            .map(|&e| JoinConstraint::clone(&graph.joins()[e as usize]))
+            .map(|&e| Arc::clone(&graph.joins()[e as usize]))
             .collect(),
     }
 }
@@ -191,10 +197,11 @@ enum CursorState {
 /// best-first frontier holds fixed-width [`IdPartial`]s (inline arrays
 /// plus an inline bitset for graphs of ≤ 256 relations), the scratch
 /// relation set and edge list are reused across yields, and the heap's
-/// capacity is retained. Callers that need owned string-keyed trees
+/// capacity is retained. Callers that need string-keyed trees
 /// materialise at the boundary via [`TreeCursor::materialize`] or the
-/// [`Iterator`] impl (that step allocates, by nature); callers that
-/// only inspect the current tree use [`TreeCursor::relations`] /
+/// [`Iterator`] impl (that step allocates the relation set and the
+/// edge list, and shares each constraint by `Arc`); callers that only
+/// inspect the current tree use [`TreeCursor::relations`] /
 /// [`TreeCursor::edges`] for free.
 pub struct TreeCursor<'g> {
     graph: &'g Hypergraph,
@@ -267,8 +274,8 @@ impl<'g> TreeCursor<'g> {
         &self.edges
     }
 
-    /// Resolve the current scratch tree into an owned string-keyed
-    /// [`ConnectionTree`].
+    /// Resolve the current scratch tree into a string-keyed
+    /// [`ConnectionTree`] that shares the graph's constraints.
     pub fn materialize(&self) -> ConnectionTree {
         materialize(self.graph, &self.rels, &self.edges)
     }

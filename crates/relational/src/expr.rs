@@ -224,6 +224,18 @@ impl ScalarExpr {
         }
     }
 
+    /// Does `pred` hold for every attribute reference, in walk order?
+    /// Stops at the first that fails. Equivalent to
+    /// `self.attrs().iter().all(pred)` without materialising the set.
+    pub fn all_attrs<F: FnMut(&AttrRef) -> bool>(&self, pred: &mut F) -> bool {
+        match self {
+            ScalarExpr::Attr(a) => pred(a),
+            ScalarExpr::Const(_) => true,
+            ScalarExpr::Binary { lhs, rhs, .. } => lhs.all_attrs(pred) && rhs.all_attrs(pred),
+            ScalarExpr::Call { args, .. } => args.iter().all(|a| a.all_attrs(pred)),
+        }
+    }
+
     /// True iff the expression references no attributes (it is a constant
     /// expression, possibly via nullary functions such as `today()`).
     pub fn is_constant(&self) -> bool {
@@ -481,5 +493,31 @@ mod tests {
         assert!(ScalarExpr::lit(1i64).is_constant());
         assert!(ScalarExpr::call("today", vec![]).is_constant());
         assert!(!ScalarExpr::attr("R", "x").is_constant());
+    }
+
+    /// `all_attrs` answers as `attrs().iter().all(..)` does, through
+    /// binary operands and call arguments, and is vacuously true for a
+    /// constant.
+    #[test]
+    fn all_attrs_matches_the_attribute_set() {
+        // (f(S.b) - S.c) / 365
+        let e = ScalarExpr::binary(
+            ArithOp::Div,
+            ScalarExpr::binary(
+                ArithOp::Sub,
+                ScalarExpr::call("f", vec![ScalarExpr::attr("S", "b")]),
+                ScalarExpr::attr("S", "c"),
+            ),
+            ScalarExpr::lit(365i64),
+        );
+        let preds: [fn(&AttrRef) -> bool; 3] = [
+            |a| a.relation.as_str() == "S",
+            |a| a.attr.as_str() == "b",
+            |_| false,
+        ];
+        for mut pred in preds {
+            assert_eq!(e.all_attrs(&mut pred), e.attrs().iter().all(pred));
+        }
+        assert!(ScalarExpr::call("today", vec![]).all_attrs(&mut |_| false));
     }
 }

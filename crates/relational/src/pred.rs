@@ -31,7 +31,7 @@ use crate::schema::{AttrRef, RelName, Schema};
 use crate::tuple::Tuple;
 use crate::types::Value;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Comparison operators of primitive clauses.
@@ -162,6 +162,13 @@ impl Clause {
     /// All relations referenced.
     pub fn relations(&self) -> BTreeSet<RelName> {
         self.attrs().into_iter().map(|a| a.relation).collect()
+    }
+
+    /// Does `pred` hold for every attribute reference on either side?
+    /// Equivalent to `self.attrs().iter().all(pred)` without
+    /// materialising the set.
+    pub fn all_attrs<F: FnMut(&AttrRef) -> bool>(&self, pred: &mut F) -> bool {
+        self.lhs.all_attrs(pred) && self.rhs.all_attrs(pred)
     }
 
     /// Canonical orientation: order the operands so that syntactically
@@ -555,7 +562,10 @@ pub fn clauses_consistent<'a, I: IntoIterator<Item = &'a Clause>>(clauses: I) ->
     // The distinct-expression population of one WHERE clause is tiny, so
     // a linear scan replaces hashing (hashing an expression walks and
     // hashes its strings; equality usually fails on the first field).
-    let mut exprs: Vec<&ScalarExpr> = Vec::new();
+    // A clause contributes at most two expressions and one pair or
+    // constant, so every buffer is sized once from the clause count.
+    let n = normalized.len();
+    let mut exprs: Vec<&ScalarExpr> = Vec::with_capacity(2 * n);
     fn id<'a>(e: &'a ScalarExpr, exprs: &mut Vec<&'a ScalarExpr>) -> usize {
         match exprs.iter().position(|x| *x == e) {
             Some(i) => i,
@@ -565,8 +575,8 @@ pub fn clauses_consistent<'a, I: IntoIterator<Item = &'a Clause>>(clauses: I) ->
             }
         }
     }
-    let mut pairs = Vec::new();
-    let mut consts: Vec<(usize, CompareOp, &Value)> = Vec::new();
+    let mut pairs = Vec::with_capacity(n);
+    let mut consts: Vec<(usize, CompareOp, &Value)> = Vec::with_capacity(n);
     for c in &normalized {
         if let Some((e, op, v)) = const_parts_of(*c) {
             let i = id(e, &mut exprs);
@@ -590,16 +600,24 @@ pub fn clauses_consistent<'a, I: IntoIterator<Item = &'a Clause>>(clauses: I) ->
         uf[ri] = rj;
     }
 
-    // 3. Per equivalence class, intersect the constant constraints.
-    let mut by_class: BTreeMap<usize, Vec<(CompareOp, &Value)>> = BTreeMap::new();
-    for (i, op, v) in consts {
-        let r = find(&mut uf, i);
-        by_class.entry(r).or_default().push((op, v));
+    // 3. Per equivalence class, intersect the constant constraints. A
+    // stable sort by class root groups each class in place, its
+    // constraints still in clause order.
+    for c in &mut consts {
+        c.0 = find(&mut uf, c.0);
     }
-    for constraints in by_class.values() {
-        if !interval_satisfiable(constraints) {
+    consts.sort_by_key(|c| c.0);
+    let mut start = 0;
+    while start < consts.len() {
+        let root = consts[start].0;
+        let end = consts[start..]
+            .iter()
+            .position(|c| c.0 != root)
+            .map_or(consts.len(), |len| start + len);
+        if !interval_satisfiable(&consts[start..end]) {
             return false;
         }
+        start = end;
     }
     true
 }
@@ -624,14 +642,14 @@ fn contradictory(a: CompareOp, b: CompareOp) -> bool {
     )
 }
 
-/// Can the conjunction of constant comparisons on a single expression be
-/// satisfied? Intersects lower/upper bounds and checks `=` / `<>`
-/// membership.
-fn interval_satisfiable(constraints: &[(CompareOp, &Value)]) -> bool {
+/// Can the conjunction of constant comparisons on a single expression
+/// (`(class, op, constant)` triples of one class) be satisfied?
+/// Intersects lower/upper bounds and checks `=` / `<>` membership.
+fn interval_satisfiable(constraints: &[(usize, CompareOp, &Value)]) -> bool {
     use CompareOp::*;
     // Track: equalities must all be equal; bounds must leave room.
     let mut eq: Option<&Value> = None;
-    for (op, v) in constraints {
+    for (_, op, v) in constraints {
         if *op == Eq {
             match eq {
                 None => eq = Some(v),
@@ -645,7 +663,7 @@ fn interval_satisfiable(constraints: &[(CompareOp, &Value)]) -> bool {
     }
     if let Some(e) = eq {
         // Every other constraint must admit the equality witness.
-        return constraints.iter().all(|(op, v)| match e.sql_cmp(v) {
+        return constraints.iter().all(|(_, op, v)| match e.sql_cmp(v) {
             Some(ord) => op.test(ord),
             None => true, // incomparable constants: assume satisfiable
         });
@@ -653,7 +671,7 @@ fn interval_satisfiable(constraints: &[(CompareOp, &Value)]) -> bool {
     // No equality: intersect bounds. (lower, strict) and (upper, strict).
     let mut lower: Option<(&Value, bool)> = None;
     let mut upper: Option<(&Value, bool)> = None;
-    for (op, v) in constraints {
+    for (_, op, v) in constraints {
         match op {
             Gt | Ge => {
                 let strict = *op == Gt;
@@ -843,6 +861,24 @@ mod tests {
             Clause::new(attr("R", "x"), CompareOp::Eq, attr("S", "y")),
             Clause::new(attr("R", "x"), CompareOp::Eq, ScalarExpr::lit("a")),
             Clause::new(attr("S", "y"), CompareOp::Eq, ScalarExpr::lit("a")),
+        ]);
+        assert!(ok.is_consistent());
+    }
+
+    #[test]
+    fn consistency_checks_each_class_on_its_own_constants() {
+        // Constants on two unrelated expressions, interleaved in clause
+        // order: R.x's class is empty (x = 5 AND x > 7) whatever S.y does.
+        let bad = Conjunction::new(vec![
+            Clause::new(attr("R", "x"), CompareOp::Eq, ScalarExpr::lit(5i64)),
+            Clause::new(attr("S", "y"), CompareOp::Eq, ScalarExpr::lit(6i64)),
+            Clause::new(attr("R", "x"), CompareOp::Gt, ScalarExpr::lit(7i64)),
+        ]);
+        assert!(!bad.is_consistent());
+        let ok = Conjunction::new(vec![
+            Clause::new(attr("R", "x"), CompareOp::Eq, ScalarExpr::lit(5i64)),
+            Clause::new(attr("S", "y"), CompareOp::Eq, ScalarExpr::lit(6i64)),
+            Clause::new(attr("R", "x"), CompareOp::Lt, ScalarExpr::lit(7i64)),
         ]);
         assert!(ok.is_consistent());
     }

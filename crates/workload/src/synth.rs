@@ -779,9 +779,12 @@ pub fn random_views(
 /// workload for the parallel synchronizer benches (every view is
 /// *affected* by `delete-relation target`). Each view starts at `target`
 /// and grows by `view_relations - 1` randomized steps along the MKB's
-/// join constraints, so the relation sets (and with them the terminal
-/// sets the CVS search enumerates) differ from view to view. Views are
-/// named `Fan0, Fan1, …` and are well-formed by construction.
+/// join constraints. The steps stay in `target`'s neighbourhood, so when
+/// that is small many views share one body (relation set, joins and
+/// terminal sets alike): 64 views of 3 relations over a 64-relation
+/// `Topology::Random { extra: 16 }` MKB have a median of 2 distinct
+/// bodies (mean ≈4, max 25, over 1,280 generated MKBs). Views are named
+/// `Fan0, Fan1, …` and are well-formed by construction.
 pub fn views_touching(
     mkb: &MetaKnowledgeBase,
     target: &RelName,

@@ -4,14 +4,15 @@
 //! empirically observed extent.
 
 use eve::cvs::{
-    cvs_delete_relation_indexed, empirical_extent, svs_delete_relation_indexed, CvsError,
-    CvsOptions, ExtentVerdict, LegalRewriting, MkbIndex,
+    cvs_delete_relation_indexed, empirical_extent, r_mapping_with_index,
+    svs_delete_relation_indexed, CvsError, CvsOptions, ExtentVerdict, LegalRewriting, MkbIndex,
 };
 use eve::esql::{parse_view, ViewDefinition};
-use eve::misd::{evolve, MetaKnowledgeBase};
+use eve::misd::{evolve, JoinConstraint, MetaKnowledgeBase};
 use eve::relational::{FuncRegistry, RelName};
-use eve::workload::{SynthConfig, SynthWorkload, Topology};
+use eve::workload::{views_touching, SynthConfig, SynthWorkload, Topology};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Run CVS delete-relation the way [`eve::cvs::Synchronizer::apply`]
 /// does: build one [`MkbIndex`] for the change, then synchronize.
@@ -157,6 +158,34 @@ proptest! {
             }
             (Err(x), Err(y)) => prop_assert_eq!(x.to_string(), y.to_string()),
             (x, y) => prop_assert!(false, "nondeterministic outcome: {x:?} vs {y:?}"),
+        }
+    }
+
+    /// The search shares the MKB's join constraints and never copies
+    /// one: every join of `Min(H_R)` and of every rewriting's
+    /// replacement is an `Arc` the old MKB holds. Tree joins come from
+    /// `H'(MKB')`, and MKB' shares every join the change left alone.
+    #[test]
+    fn rewritings_share_the_mkb_join_constraints(cfg in config(), seed in 0u64..1000) {
+        let w = SynthWorkload::random(&cfg, seed);
+        let mkb2 = evolve(&w.mkb, &w.delete_change()).expect("target described");
+        let opts = CvsOptions::default();
+        let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
+        let shared = |j: &Arc<JoinConstraint>| w.mkb.joins().iter().any(|m| Arc::ptr_eq(m, j));
+        for view in views_touching(&w.mkb, &w.target, 8, cfg.view_relations, seed) {
+            let rm = r_mapping_with_index(&view, &w.target, &index, &opts);
+            for j in &rm.min_joins {
+                prop_assert!(shared(j), "{}: Min(H_R) join {} is a copy", view.name, j.id);
+            }
+            let Ok(rewritings) = cvs_delete_relation_indexed(&view, &w.target, &index, &opts)
+            else {
+                continue;
+            };
+            for r in &rewritings {
+                for j in &r.replacement.joins {
+                    prop_assert!(shared(j), "{}: join {} is a copy:\n{}", view.name, j.id, r.view);
+                }
+            }
         }
     }
 }

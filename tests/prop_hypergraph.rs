@@ -170,7 +170,8 @@ proptest! {
                     prop_assert!(tree.contains(t));
                 }
                 // The tree's own edges connect its relation set.
-                let sub = Hypergraph::from_parts(tree.relations.clone(), tree.joins.clone());
+                let joins = tree.joins.iter().map(|j| JoinConstraint::clone(j)).collect();
+                let sub = Hypergraph::from_parts(tree.relations.clone(), joins);
                 prop_assert!(sub.is_connected_set(&tree.relations));
             }
             None => prop_assert!(!all_connected),
