@@ -9,7 +9,9 @@
 //!
 //! Evolution: `evolve` copies only what a change mentions, so a change
 //! to a payload attribute no constraint mentions allocates the same
-//! bytes however many join constraints the MKB holds.
+//! bytes however many join constraints the MKB holds, and barely more
+//! however many relations it describes: the relation map and the
+//! hypergraph interner copy one chunk and the chunk spine per edit.
 //!
 //! Enumeration: `TreeCursor::advance` allocates nothing in the steady
 //! state. Concretely —
@@ -27,7 +29,7 @@
 //! materialization boundary allocates the owned string-keyed tree by
 //! design, which is why the probe pins the id-level core.
 
-use eve_hypergraph::Hypergraph;
+use eve_hypergraph::{Hypergraph, Interner};
 use eve_misd::{evolve, CapabilityChange, JoinConstraint, MetaKnowledgeBase};
 use eve_relational::{AttrName, AttrRef, AttributeDef, Clause, Conjunction, DataType, RelName};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,6 +145,53 @@ fn evolve_allocation_is_independent_of_constraint_count() {
             "{change}: evolve allocated more with 8x the join constraints"
         );
     }
+}
+
+/// `n` relations `R00000, R00001, …` of attributes `(k, v0)`.
+fn described(n: usize) -> (MetaKnowledgeBase, Vec<RelName>) {
+    let mut mkb = MetaKnowledgeBase::new();
+    let names: Vec<RelName> = (0..n).map(|i| rel(&format!("R{i:05}"))).collect();
+    for name in &names {
+        let mut d = describe(name.as_str());
+        d.attrs.push(AttributeDef::new("v0", DataType::Str));
+        mkb.add_relation(d).expect("fresh relation");
+    }
+    (mkb, names)
+}
+
+/// Evolution and vertex-level interner maintenance cost what they touch,
+/// not the relation count: with 16x the relations, an add-attribute
+/// `evolve` and `Interner::with_inserted` allocate at most 2x the bytes.
+#[test]
+fn evolution_allocation_is_sublinear_in_relations() {
+    let (small, small_names) = described(1_024);
+    let (large, large_names) = described(16 * 1_024);
+    let add_attr = |names: &[RelName]| CapabilityChange::AddAttribute {
+        relation: names[names.len() / 2].clone(),
+        attr: AttributeDef::new("v1", DataType::Int),
+    };
+    let change = add_attr(&small_names);
+    let (on_small, _) = bytes_in(|| evolve(&small, &change).expect("admissible"));
+    let change = add_attr(&large_names);
+    let (on_large, _) = bytes_in(|| evolve(&large, &change).expect("admissible"));
+    assert!(on_small > 0, "the probe counted nothing");
+    assert!(
+        on_large <= 2 * on_small,
+        "add-attribute evolve: {on_large} bytes at 16x the relations, {on_small} at 1x"
+    );
+
+    // A name between two existing ones, in the middle chunk.
+    let insert = |names: &[RelName]| {
+        let interner = Interner::from_sorted(names.iter().cloned());
+        let name = rel(&format!("{}a", names[names.len() / 2]));
+        bytes_in(|| interner.with_inserted(&name).expect("fresh name")).0
+    };
+    let (on_small, on_large) = (insert(&small_names), insert(&large_names));
+    assert!(on_small > 0, "the probe counted nothing");
+    assert!(
+        on_large <= 2 * on_small,
+        "Interner::with_inserted: {on_large} bytes at 16x the relations, {on_small} at 1x"
+    );
 }
 
 fn jc(id: &str, l: &str, r: &str) -> JoinConstraint {

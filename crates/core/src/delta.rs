@@ -21,7 +21,7 @@ use crate::replacement::CoverChoice;
 use eve_hypergraph::{GraphDelta, Hypergraph, RelId};
 use eve_misd::{CapabilityChange, MetaKnowledgeBase, PartialComplete};
 use eve_relational::{AttrRef, RelName};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Order-normalised key for the PC bucket map.
@@ -136,7 +136,7 @@ impl IndexCore {
                 d => Arc::new(self.h_join.apply_delta(d)),
             }
         };
-        let components = Arc::new(self.patch_components(&h2, &delta.graph));
+        let components = self.patch_components(&h2, &delta.graph);
         IndexCore {
             h: h2,
             h_join: h_join2,
@@ -153,59 +153,110 @@ impl IndexCore {
     /// only the components the delta touched and `Arc`-sharing the rest.
     ///
     /// A capability change never adds a join edge, so every new
-    /// component is either a verbatim old component (reused) or a piece
-    /// of a touched one (rebuilt). Touched membership is decided by the
-    /// new component's smallest member: split pieces stay inside the old
-    /// touched component, so one member speaks for all.
-    fn patch_components(&self, new_h: &Hypergraph, delta: &GraphDelta) -> Vec<Arc<Hypergraph>> {
-        if matches!(delta, GraphDelta::None) {
-            return (*self.components).clone();
-        }
+    /// component is a verbatim old component (shared), a piece of a
+    /// touched one (rebuilt), or the singleton of an added vertex
+    /// (spliced in). A new component is matched to its old one through
+    /// its smallest member, whose old id the delta's id shift gives:
+    /// split pieces stay inside the old touched component, so one member
+    /// speaks for all.
+    fn patch_components(
+        &self,
+        new_h: &Hypergraph,
+        delta: &GraphDelta,
+    ) -> Arc<Vec<Arc<Hypergraph>>> {
         let old_h = &self.h;
-        // Names whose (new) component must be rebuilt.
-        let touched: BTreeSet<RelName> = match delta {
-            GraphDelta::None => BTreeSet::new(),
-            GraphDelta::AddVertex(n) => [n.clone()].into_iter().collect(),
-            GraphDelta::RemoveVertex(n) => old_h
-                .component_relations(n)
-                .unwrap_or_default()
-                .into_iter()
-                .filter(|r| r != n)
-                .collect(),
-            GraphDelta::RenameVertex { to, .. } => {
-                new_h.component_relations(to).unwrap_or_default()
+        let unchanged = || Arc::clone(&self.components);
+        // The old components to rebuild, and how new ids map to old ones.
+        let (touched, shift) = match delta {
+            GraphDelta::None => return unchanged(),
+            GraphDelta::AddVertex(name) => {
+                let id = match new_h.rel_id(name) {
+                    Some(id) if !new_h.shares_interner(old_h) => id,
+                    // Already a vertex: the graph is unchanged.
+                    _ => return unchanged(),
+                };
+                // Components ascend by smallest member, and the new
+                // singleton's is `id`: it goes before every old component
+                // whose smallest member came after it.
+                let at = new_h.component_index(id) as usize;
+                let mut out = Vec::with_capacity(self.components.len() + 1);
+                out.extend_from_slice(&self.components[..at]);
+                out.push(Arc::new(new_h.component(at as u32)));
+                out.extend_from_slice(&self.components[at..]);
+                return Arc::new(out);
+            }
+            GraphDelta::RemoveVertex(name) => {
+                let Some(gone) = old_h.rel_id(name) else {
+                    return unchanged();
+                };
+                (vec![old_h.component_index(gone)], Shift::Removed(gone))
+            }
+            GraphDelta::RenameVertex { from, to } => {
+                let (Some(old), Some(new)) = (old_h.rel_id(from), new_h.rel_id(to)) else {
+                    return unchanged();
+                };
+                (
+                    vec![old_h.component_index(old)],
+                    Shift::Renamed { old, new },
+                )
             }
             GraphDelta::RemoveAttrEdges(attr) | GraphDelta::RenameAttr { from: attr, .. } => {
-                let comps: BTreeSet<u32> = old_h
+                let mut comps: Vec<u32> = old_h
                     .edges_mentioning_attr(attr)
                     .into_iter()
                     .map(|e| old_h.component_index(old_h.join_endpoints(e).0))
                     .collect();
-                (0..old_h.rel_count())
-                    .filter(|&v| comps.contains(&old_h.component_index(v as RelId)))
-                    .map(|v| old_h.rel_name(v as RelId).clone())
-                    .collect()
+                if comps.is_empty() {
+                    return unchanged();
+                }
+                comps.sort_unstable();
+                comps.dedup();
+                (comps, Shift::Same)
             }
         };
         let mut out: Vec<Arc<Hypergraph>> = Vec::with_capacity(new_h.component_count());
         // Canonical numbering = first occurrence over ascending vertex
         // id, so the first member seen of each component is its smallest.
-        for v in 0..new_h.rel_count() {
-            let c = new_h.component_index(v as RelId) as usize;
+        for v in 0..new_h.rel_count() as RelId {
+            let c = new_h.component_index(v) as usize;
             if c < out.len() {
                 continue;
             }
             debug_assert_eq!(c, out.len(), "component numbering is first-occurrence");
-            let name = new_h.rel_name(v as RelId);
-            if touched.contains(name) {
+            let old_c = old_h.component_index(shift.old_id(v));
+            if touched.contains(&old_c) {
                 out.push(Arc::new(new_h.component(c as u32)));
             } else {
-                let old_id = old_h.rel_id(name).expect("untouched member pre-existed");
-                let old_c = old_h.component_index(old_id) as usize;
-                out.push(Arc::clone(&self.components[old_c]));
+                out.push(Arc::clone(&self.components[old_c as usize]));
             }
         }
-        out
+        Arc::new(out)
+    }
+}
+
+/// How a vertex-level graph delta moved the ids of the vertices it kept.
+#[derive(Clone, Copy)]
+enum Shift {
+    /// Ids unchanged.
+    Same,
+    /// The vertex with this old id was removed.
+    Removed(RelId),
+    /// The vertex with old id `old` was renamed and now has id `new`.
+    Renamed { old: RelId, new: RelId },
+}
+
+impl Shift {
+    /// The old id of the vertex with new id `v`.
+    fn old_id(self, v: RelId) -> RelId {
+        match self {
+            Shift::Same => v,
+            Shift::Removed(gone) => v + RelId::from(v >= gone),
+            Shift::Renamed { old, new } if v == new => old,
+            Shift::Renamed { old, new } => {
+                let mid = v - RelId::from(v > new);
+                mid + RelId::from(mid >= old)
+            }
+        }
     }
 }
 
@@ -399,35 +450,107 @@ mod tests {
         let mut mkb = travel_mkb();
         let mut core = IndexCore::build(&mkb);
         for change in &changes {
-            let mkb_prime = evolve(&mkb, change).expect("valid change");
-            let delta = MkbDelta::compute(&mkb, &mkb_prime, change);
-            core = core.apply_delta(&delta);
-            let rebuilt = IndexCore::build(&mkb_prime);
-            assert_eq!(core.h.as_ref(), rebuilt.h.as_ref(), "{change}: H diverged");
-            assert_eq!(
-                core.h_join.as_ref(),
-                rebuilt.h_join.as_ref(),
-                "{change}: join graph diverged"
-            );
-            assert_eq!(
-                core.components.len(),
-                rebuilt.components.len(),
-                "{change}: component count diverged"
-            );
-            for (a, b) in core.components.iter().zip(rebuilt.components.iter()) {
-                assert_eq!(a.as_ref(), b.as_ref(), "{change}: component diverged");
+            (mkb, core) = step_and_compare(&mkb, &core, change);
+        }
+    }
+
+    /// Apply `change` to `mkb` and its core by delta, and check the
+    /// patched core against a from-scratch build of the evolved MKB.
+    fn step_and_compare(
+        mkb: &MetaKnowledgeBase,
+        core: &IndexCore,
+        change: &CapabilityChange,
+    ) -> (MetaKnowledgeBase, IndexCore) {
+        let mkb_prime = evolve(mkb, change).expect("valid change");
+        let core = core.apply_delta(&MkbDelta::compute(mkb, &mkb_prime, change));
+        let rebuilt = IndexCore::build(&mkb_prime);
+        assert_eq!(core.h.as_ref(), rebuilt.h.as_ref(), "{change}: H diverged");
+        assert_eq!(
+            core.h_join.as_ref(),
+            rebuilt.h_join.as_ref(),
+            "{change}: join graph diverged"
+        );
+        assert_eq!(
+            core.components.len(),
+            rebuilt.components.len(),
+            "{change}: component count diverged"
+        );
+        for (a, b) in core.components.iter().zip(rebuilt.components.iter()) {
+            assert_eq!(a.as_ref(), b.as_ref(), "{change}: component diverged");
+        }
+        assert_eq!(
+            core.covers.as_ref(),
+            rebuilt.covers.as_ref(),
+            "{change}: covers diverged"
+        );
+        assert_eq!(
+            core.pcs.as_ref(),
+            rebuilt.pcs.as_ref(),
+            "{change}: pcs diverged"
+        );
+        (mkb_prime, core)
+    }
+
+    /// Random vertex-level and join-attribute changes on random sparse
+    /// graphs, so ids shift across many components: the patched
+    /// component list must equal the rebuilt one after every change.
+    #[test]
+    fn random_vertex_changes_match_rebuild() {
+        use eve_misd::{JoinConstraint, RelationDescription};
+        use eve_relational::{AttributeDef, Clause, Conjunction, DataType};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let describe = |name: &str| {
+            RelationDescription::new(
+                format!("IS_{name}"),
+                name,
+                vec![AttributeDef::new("k", DataType::Int)],
+            )
+        };
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mkb = MetaKnowledgeBase::new();
+            let n: usize = rng.gen_range(20..60);
+            let names: Vec<String> = (0..n).map(|i| format!("R{i:02}")).collect();
+            for name in &names {
+                mkb.add_relation(describe(name)).unwrap();
             }
-            assert_eq!(
-                core.covers.as_ref(),
-                rebuilt.covers.as_ref(),
-                "{change}: covers diverged"
-            );
-            assert_eq!(
-                core.pcs.as_ref(),
-                rebuilt.pcs.as_ref(),
-                "{change}: pcs diverged"
-            );
-            mkb = mkb_prime;
+            for e in 0..n * 2 / 3 {
+                let (a, b) = (&names[rng.gen_range(0..n)], &names[rng.gen_range(0..n)]);
+                if a != b {
+                    let on = Clause::eq_attrs(
+                        AttrRef::new(a.as_str(), "k"),
+                        AttrRef::new(b.as_str(), "k"),
+                    );
+                    mkb.add_join(JoinConstraint::new(
+                        format!("J{e}"),
+                        a.as_str(),
+                        b.as_str(),
+                        Conjunction::new(vec![on]),
+                    ))
+                    .unwrap();
+                }
+            }
+            let mut core = IndexCore::build(&mkb);
+            for step in 0..16 {
+                let rels: Vec<RelName> = mkb.relation_names().cloned().collect();
+                let pick = rels[rng.gen_range(0..rels.len())].clone();
+                // New names sort before, among and after the others.
+                let fresh = ["A", "Q", "Z"][step % 3].to_string() + &step.to_string();
+                let change = match rng.gen_range(0..5) {
+                    0 => CapabilityChange::AddRelation(describe(&fresh)),
+                    1 if rels.len() > 2 => CapabilityChange::DeleteRelation(pick),
+                    2 => CapabilityChange::RenameRelation {
+                        from: pick,
+                        to: RelName::new(fresh),
+                    },
+                    3 if mkb.has_attr(&AttrRef::new(pick.clone(), "k")) => {
+                        CapabilityChange::DeleteAttribute(AttrRef::new(pick, "k"))
+                    }
+                    _ => CapabilityChange::AddRelation(describe(&fresh)),
+                };
+                (mkb, core) = step_and_compare(&mkb, &core, &change);
+            }
         }
     }
 
@@ -446,8 +569,27 @@ mod tests {
         assert!(delta.covers.is_none() && delta.pcs.is_none());
         let next = core.apply_delta(&delta);
         assert!(Arc::ptr_eq(&core.h, &next.h));
+        assert!(Arc::ptr_eq(&core.components, &next.components));
         assert!(Arc::ptr_eq(&core.covers, &next.covers));
         assert!(Arc::ptr_eq(&core.pcs, &next.pcs));
+
+        // add-relation splices the new singleton in and shares every
+        // old component.
+        let change = CapabilityChange::AddRelation(eve_misd::RelationDescription::new(
+            "IS9",
+            "Aaa",
+            vec![eve_relational::AttributeDef::new(
+                "x",
+                eve_relational::DataType::Int,
+            )],
+        ));
+        let mkb_prime = evolve(&mkb, &change).unwrap();
+        let next = core.apply_delta(&MkbDelta::compute(&mkb, &mkb_prime, &change));
+        assert_eq!(next.components.len(), core.components.len() + 1);
+        assert!(next.components[0].contains(&RelName::new("Aaa")));
+        for (old, new) in core.components.iter().zip(&next.components[1..]) {
+            assert!(Arc::ptr_eq(old, new), "an old component was rebuilt");
+        }
 
         // delete-relation rebuilds only the touched component.
         let change = CapabilityChange::DeleteRelation(RelName::new("Customer"));

@@ -311,15 +311,16 @@ impl MemoCarry {
     /// Filter this carry for the change that produced `new_h_prime` from
     /// the carried `H'` (described by `delta`, the change's projection
     /// onto that graph). Returns `None` when nothing can be carried —
-    /// any vertex-level change, or a vertex-set mismatch (defensive:
-    /// memo keys are interned ids, which only survive an identical
-    /// vertex set).
+    /// any vertex-level change, or a graph with another interner (memo
+    /// keys are interned ids, which name the same vertices only under
+    /// the same interner; delta maintenance shares it whenever the
+    /// vertex set is kept).
     pub(crate) fn retained(
         self,
         delta: &GraphDelta,
         new_h_prime: &Hypergraph,
     ) -> Option<MemoCarry> {
-        if self.h_prime.relations() != new_h_prime.relations() {
+        if !self.h_prime.shares_interner(new_h_prime) {
             return None;
         }
         let attr = match delta {
@@ -433,9 +434,8 @@ impl<'m> MkbIndex<'m> {
         let covers = Arc::clone(&pre.covers);
         let (trees, distances, connects) = match carry {
             Some(c) => {
-                debug_assert_eq!(
-                    c.h_prime.relations(),
-                    h_prime.relations(),
+                debug_assert!(
+                    c.h_prime.shares_interner(&h_prime),
                     "carry must be pre-filtered against the new H'"
                 );
                 c.trees.reset_stats();
@@ -836,13 +836,8 @@ mod tests {
         let index = MkbIndex::new(&mkb, &mkb, &opts);
         let raw = MkbIndex::new(&mkb, &mkb, &opts).without_cache();
 
-        let terminals: BTreeSet<RelName> = index
-            .hypergraph()
-            .relations()
-            .iter()
-            .take(2)
-            .cloned()
-            .collect();
+        let terminals: BTreeSet<RelName> =
+            index.hypergraph().relations().take(2).cloned().collect();
         assert_eq!(terminals.len(), 2, "travel MKB has at least 2 relations");
 
         let cold = index.enumerate_trees(&terminals, 4, usize::MAX);
@@ -881,13 +876,8 @@ mod tests {
         let index = MkbIndex::new(&mkb, &mkb, &opts);
         let raw = MkbIndex::new(&mkb, &mkb, &opts).without_cache();
 
-        let terminals: BTreeSet<RelName> = index
-            .hypergraph()
-            .relations()
-            .iter()
-            .take(2)
-            .cloned()
-            .collect();
+        let terminals: BTreeSet<RelName> =
+            index.hypergraph().relations().take(2).cloned().collect();
         // Narrow, widen, narrow again: every answer must match a
         // cache-free enumeration at the same limit, whatever prefix the
         // cache happens to hold.

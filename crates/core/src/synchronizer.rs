@@ -373,12 +373,14 @@ pub struct Snapshot {
 /// the copy-on-write MKB shares every untouched relation description
 /// and constraint with the previous version, and the [`IndexCore`]
 /// every untouched component and constraint map. What a version retains
-/// of its own is what its change rewrote, plus one pointer per relation
-/// (the MKB's relation map), one per view (the snapshot), and for a
-/// relation-level change the hypergraph's id arrays. Measured on the
-/// standard change mix: ≈0.45 MiB per version at 4,096 relations and
-/// 512 views, ≈1.8 MiB at 16,384 relations and 1,024 views. Version 0
-/// is the initial state.
+/// of its own is what its change rewrote: a chunk of the MKB's relation
+/// map and of its relation index plus their chunk spines, any
+/// constraint list the change edited, one pointer per view (the
+/// snapshot), and for a relation-level change the hypergraph's id
+/// arrays. Measured on the standard change mix
+/// (`synchronizer.chain_kb_per_version`): ≈0.17 MiB per version at
+/// 4,096 relations and 512 views, ≈0.64 MiB at 16,384 relations and
+/// 1,024 views. Version 0 is the initial state.
 #[derive(Debug, Clone)]
 pub struct VersionEntry {
     /// Position in the chain (0 = initial state).

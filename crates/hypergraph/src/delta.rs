@@ -408,7 +408,7 @@ mod tests {
     /// ranks, which only have to be order-isomorphic to the id strings.
     fn assert_equivalent(patched: &Hypergraph, rebuilt: &Hypergraph) {
         assert_eq!(patched.joins, rebuilt.joins);
-        assert_eq!(patched.interner.names(), rebuilt.interner.names());
+        assert!(patched.interner.names().eq(rebuilt.interner.names()));
         assert_eq!(patched.join_left, rebuilt.join_left);
         assert_eq!(patched.join_right, rebuilt.join_right);
         assert_eq!(patched.adj_offsets, rebuilt.adj_offsets);
@@ -449,7 +449,7 @@ mod tests {
 
     fn rebuild(h: &Hypergraph, delta: &GraphDelta) -> Hypergraph {
         // The oracle: mutate (relations, joins) by hand, then from_parts.
-        let mut relations: BTreeSet<RelName> = h.relations().iter().cloned().collect();
+        let mut relations: BTreeSet<RelName> = h.relations().cloned().collect();
         let mut joins: Vec<JoinConstraint> = h.joins.iter().map(|j| (**j).clone()).collect();
         match delta {
             GraphDelta::None => {}
@@ -496,7 +496,7 @@ mod tests {
             // Chain several deltas so later ones exercise carried state
             // (non-dense ranks, renumbered components).
             for step in 0..6 {
-                let names: Vec<RelName> = h.relations().to_vec();
+                let names: Vec<RelName> = h.relations().cloned().collect();
                 let delta = if names.is_empty() {
                     GraphDelta::AddVertex(rel(&format!("N{round}_{step}")))
                 } else {

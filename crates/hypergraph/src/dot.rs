@@ -110,7 +110,7 @@ pub fn mkb_to_dot(mkb: &MetaKnowledgeBase) -> String {
 pub fn component_summary(graph: &Hypergraph) -> String {
     let mut out = String::new();
     for (i, comp) in graph.components().iter().enumerate() {
-        let rels: Vec<&str> = comp.relations().iter().map(RelName::as_str).collect();
+        let rels: Vec<&str> = comp.relations().map(RelName::as_str).collect();
         let joins: Vec<&str> = comp.joins().iter().map(|j| j.id.as_str()).collect();
         let _ = writeln!(
             out,

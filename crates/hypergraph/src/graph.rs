@@ -151,16 +151,18 @@ pub(crate) fn renumber_components(raw: &[u32], bound: usize) -> (Vec<u32>, u32) 
 impl PartialEq for Hypergraph {
     fn eq(&self, other: &Self) -> bool {
         // The derived structures are pure functions of (relations, joins).
-        self.relations() == other.relations() && self.joins == other.joins
+        self.relations().eq(other.relations()) && self.joins == other.joins
     }
 }
 
 impl Hypergraph {
     /// Build `H(MKB)` from a meta knowledge base.
     pub fn build(mkb: &MetaKnowledgeBase) -> Self {
-        let relations: BTreeSet<RelName> = mkb.relation_names().cloned().collect();
         // MKB validation guarantees every endpoint is described.
-        Self::from_shared(relations, Arc::clone(mkb.joins_arc()))
+        Self::from_shared(
+            Interner::from_sorted(mkb.relation_names().cloned()),
+            Arc::clone(mkb.joins_arc()),
+        )
     }
 
     /// Build `H(MKB)` restricted to the relations accepted by `keep` —
@@ -172,18 +174,18 @@ impl Hypergraph {
         mkb: &MetaKnowledgeBase,
         keep: impl Fn(&eve_misd::RelationDescription) -> bool,
     ) -> Self {
-        let relations: BTreeSet<RelName> = mkb
-            .relations()
-            .filter(|desc| keep(desc))
-            .map(|desc| desc.name.clone())
-            .collect();
+        let interner = Interner::from_sorted(
+            mkb.relations()
+                .filter(|desc| keep(desc))
+                .map(|desc| desc.name.clone()),
+        );
         let joins = mkb
             .joins()
             .iter()
-            .filter(|j| relations.contains(&j.left) && relations.contains(&j.right))
+            .filter(|j| interner.get(&j.left).is_some() && interner.get(&j.right).is_some())
             .cloned()
             .collect();
-        Self::from_shared(relations, Arc::new(joins))
+        Self::from_shared(interner, Arc::new(joins))
     }
 
     /// Build from explicit parts (used for sub-hypergraphs and tests).
@@ -194,13 +196,12 @@ impl Hypergraph {
             .filter(|j| relations.contains(&j.left) && relations.contains(&j.right))
             .map(Arc::new)
             .collect();
-        Self::from_shared(relations, Arc::new(joins))
+        Self::from_shared(Interner::from_sorted(relations), Arc::new(joins))
     }
 
-    /// [`Hypergraph::from_parts`] over shared joins whose endpoints are
-    /// all in `relations`.
-    fn from_shared(relations: BTreeSet<RelName>, joins: SharedList<JoinConstraint>) -> Self {
-        let interner = Interner::from_sorted(relations.iter().cloned());
+    /// [`Hypergraph::from_parts`] over interned vertices and shared joins
+    /// whose endpoints are all vertices.
+    fn from_shared(interner: Interner, joins: SharedList<JoinConstraint>) -> Self {
         let n = interner.len();
         let m = joins.len();
 
@@ -241,7 +242,7 @@ impl Hypergraph {
     }
 
     /// The relation vertices, in ascending name order.
-    pub fn relations(&self) -> &[RelName] {
+    pub fn relations(&self) -> impl ExactSizeIterator<Item = &RelName> {
         self.interner.names()
     }
 
@@ -262,6 +263,13 @@ impl Hypergraph {
     /// comparisons.
     pub fn interner(&self) -> &Interner {
         &self.interner
+    }
+
+    /// Do the two graphs share one interner (by pointer)? Then an id
+    /// names the same vertex in both. Delta maintenance shares the
+    /// interner across every change that keeps the vertex set.
+    pub fn shares_interner(&self, other: &Hypergraph) -> bool {
+        Arc::ptr_eq(&self.interner, &other.interner)
     }
 
     /// The interned id of `rel`, or `None` when it is not a vertex.
@@ -411,12 +419,7 @@ impl Hypergraph {
     /// traversal, no whole-set clone.
     pub fn component_relations(&self, start: &RelName) -> Option<BTreeSet<RelName>> {
         let comp = self.comp_of[self.rel_id(start)? as usize];
-        Some(
-            (0..self.rel_count())
-                .filter(|&v| self.comp_of[v] == comp)
-                .map(|v| self.interner.name(v as RelId).clone())
-                .collect(),
-        )
+        Some(self.component_members(comp).cloned().collect())
     }
 
     /// The connected sub-hypergraph `H_R(MKB)` containing `start`
@@ -426,11 +429,15 @@ impl Hypergraph {
         Some(self.component_subgraph(comp))
     }
 
+    /// The names of component `comp`'s vertices, ascending.
+    fn component_members(&self, comp: u32) -> impl Iterator<Item = &RelName> {
+        (0..self.rel_count() as RelId)
+            .filter(move |&v| self.comp_of[v as usize] == comp)
+            .map(|v| self.interner.name(v))
+    }
+
     fn component_subgraph(&self, comp: u32) -> Hypergraph {
-        let rels: BTreeSet<RelName> = (0..self.rel_count())
-            .filter(|&v| self.comp_of[v] == comp)
-            .map(|v| self.interner.name(v as RelId).clone())
-            .collect();
+        let rels = Interner::from_sorted(self.component_members(comp).cloned());
         let joins = self
             .joins
             .iter()
@@ -442,12 +449,23 @@ impl Hypergraph {
     }
 
     /// All maximal connected components, each as a sub-hypergraph, ordered
-    /// by their smallest relation name. One pass over the precomputed
-    /// component index — the legacy per-component re-traversal and
-    /// whole-relation-set clone are gone.
+    /// by their smallest relation name. One pass over the vertices and
+    /// one over the edges sort both into their components.
     pub fn components(&self) -> Vec<Hypergraph> {
-        (0..self.comp_count)
-            .map(|c| self.component_subgraph(c))
+        let count = self.comp_count as usize;
+        let mut rels = vec![Vec::new(); count];
+        for (name, &c) in self.relations().zip(&self.comp_of) {
+            rels[c as usize].push(name.clone());
+        }
+        let mut joins = vec![Vec::new(); count];
+        for (e, j) in self.joins.iter().enumerate() {
+            joins[self.comp_of[self.join_left[e] as usize] as usize].push(Arc::clone(j));
+        }
+        rels.into_iter()
+            .zip(joins)
+            .map(|(rels, joins)| {
+                Hypergraph::from_shared(Interner::from_sorted(rels), Arc::new(joins))
+            })
             .collect()
     }
 
@@ -486,12 +504,7 @@ impl Hypergraph {
     /// `rel` (and with it every incident join constraint) — Def. 3's
     /// `H'_R(MKB')`. Erasing a vertex may disconnect the graph.
     pub fn without_relation(&self, rel: &RelName) -> Hypergraph {
-        let relations = self
-            .relations()
-            .iter()
-            .filter(|r| *r != rel)
-            .cloned()
-            .collect();
+        let relations = Interner::from_sorted(self.relations().filter(|r| *r != rel).cloned());
         let joins = self
             .joins
             .iter()
@@ -737,7 +750,7 @@ mod tests {
     #[test]
     fn interner_ids_ascend_with_names() {
         let h = sample();
-        let ids: Vec<RelId> = h.relations().iter().map(|r| h.rel_id(r).unwrap()).collect();
+        let ids: Vec<RelId> = h.relations().map(|r| h.rel_id(r).unwrap()).collect();
         assert_eq!(ids, (0..6).collect::<Vec<RelId>>());
         assert_eq!(h.rel_name(2), &rel("C"));
         assert_eq!(h.rel_id(&rel("Z")), None);

@@ -8,13 +8,71 @@
 //! (heap tie-breaks, component ordering, terminal iteration) without
 //! ever touching a string on the hot path. The string-keyed public API
 //! is a thin boundary: intern on entry, [`Interner::name`] on exit.
+//!
+//! The interner is a sorted set of names in a persistent
+//! [`ChunkMap`]: a name's id is its rank. Lookups are binary searches
+//! that compare an inline eight-byte prefix of each name before the
+//! string, so on a graph that fits in one chunk [`Interner::get`] costs
+//! a handful of integer compares and one string compare. Adding,
+//! removing or renaming a vertex copies one chunk and the chunk spine,
+//! and every other chunk stays shared with the interner it came from.
 
+use eve_misd::ChunkMap;
 use eve_relational::RelName;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::fmt;
 
 /// Dense relation id. Ids are assigned in ascending [`RelName`] order,
 /// so `id_a < id_b ⇔ name_a < name_b` within one interner.
 pub type RelId = u32;
+
+/// A name with its first eight bytes packed big-endian (zero-padded).
+/// Unequal prefixes order two names exactly as the names do; equal ones
+/// defer to the strings.
+#[derive(Clone, PartialEq, Eq)]
+struct Slot {
+    prefix: u64,
+    name: RelName,
+}
+
+fn prefix_of(name: &RelName) -> u64 {
+    let bytes = name.as_str().as_bytes();
+    match bytes.first_chunk::<8>() {
+        Some(head) => u64::from_be_bytes(*head),
+        None => bytes
+            .iter()
+            .enumerate()
+            .fold(0, |p, (i, &b)| p | u64::from(b) << (56 - 8 * i)),
+    }
+}
+
+impl Slot {
+    fn new(name: RelName) -> Slot {
+        Slot {
+            prefix: prefix_of(&name),
+            name,
+        }
+    }
+
+    /// Does this slot order before the name with prefix `prefix`?
+    fn is_before(&self, prefix: u64, name: &RelName) -> bool {
+        self.prefix < prefix || (self.prefix == prefix && self.name < *name)
+    }
+}
+
+impl PartialOrd for Slot {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Slot {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.prefix
+            .cmp(&other.prefix)
+            .then_with(|| self.name.cmp(&other.name))
+    }
+}
 
 /// A bijection between the relation names of one hypergraph and the
 /// dense id range `0..len`.
@@ -22,31 +80,37 @@ pub type RelId = u32;
 /// Ids from different interners (different hypergraphs) are not
 /// comparable; the boundary layer always resolves back to [`RelName`]
 /// before crossing graphs.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Interner {
-    /// Names in id order (ascending name order by construction).
-    names: Vec<RelName>,
-    /// Reverse lookup.
-    lookup: HashMap<RelName, RelId>,
+    /// The names, ascending; a name's id is its rank.
+    slots: ChunkMap<Slot, ()>,
+}
+
+impl fmt::Debug for Interner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.names()).finish()
+    }
 }
 
 impl Interner {
     /// Build from names already in ascending order without duplicates
     /// (e.g. iterating a `BTreeSet<RelName>`).
     pub fn from_sorted(names: impl IntoIterator<Item = RelName>) -> Self {
-        let names: Vec<RelName> = names.into_iter().collect();
-        debug_assert!(names.windows(2).all(|w| w[0] < w[1]), "names sorted+unique");
-        let lookup = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as RelId))
-            .collect();
-        Interner { names, lookup }
+        Interner {
+            slots: ChunkMap::from_sorted(names.into_iter().map(|n| (Slot::new(n), ()))),
+        }
     }
 
     /// The id of `name`, or `None` when it is not interned here.
     pub fn get(&self, name: &RelName) -> Option<RelId> {
-        self.lookup.get(name).copied()
+        let prefix = prefix_of(name);
+        match self
+            .slots
+            .lower_bound_by(|slot| slot.is_before(prefix, name))
+        {
+            (rank, Some((slot, _))) if slot.name == *name => Some(rank as RelId),
+            _ => None,
+        }
     }
 
     /// The name behind `id`.
@@ -54,53 +118,46 @@ impl Interner {
     /// # Panics
     /// When `id` was not produced by this interner.
     pub fn name(&self, id: RelId) -> &RelName {
-        &self.names[id as usize]
+        &self
+            .slots
+            .nth(id as usize)
+            .expect("id produced by this interner")
+            .0
+            .name
     }
 
     /// Number of interned names (the id universe is `0..len()`).
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.slots.len()
     }
 
     /// Is the interner empty?
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.slots.is_empty()
     }
 
     /// All names in id order (ascending name order).
-    pub fn names(&self) -> &[RelName] {
-        &self.names
+    pub fn names(&self) -> impl ExactSizeIterator<Item = &RelName> {
+        self.slots.keys().map(|slot| &slot.name)
     }
 
     // ---- incremental growth (delta maintenance) -----------------------
     //
-    // The three operations below derive a new interner from this one
-    // without re-hashing every name: `RelName` is `Arc<str>`-backed, so
-    // cloning the table is pointer bumps, and only the inserted name is
-    // hashed. Ids shift to keep the id-order == name-order invariant; the
-    // returned positions tell the caller exactly how to remap its own
-    // id-keyed arrays (`old >= pos` shifts by one).
+    // The three operations below derive a new interner from this one by
+    // copying the chunk the name lands in (and the chunk spine); every
+    // other chunk is shared. Ids shift to keep the id-order == name-order
+    // invariant; the returned positions tell the caller exactly how to
+    // remap its own id-keyed arrays (`old >= pos` shifts by one).
 
     /// A new interner with `name` added, plus the id it received.
     /// Every pre-existing id `>= returned id` shifts up by one.
     /// `None` when `name` is already interned.
     pub fn with_inserted(&self, name: &RelName) -> Option<(Interner, RelId)> {
-        let pos = match self.names.binary_search(name) {
-            Ok(_) => return None,
-            Err(pos) => pos,
-        };
-        let mut names = Vec::with_capacity(self.names.len() + 1);
-        names.extend_from_slice(&self.names[..pos]);
-        names.push(name.clone());
-        names.extend_from_slice(&self.names[pos..]);
-        let mut lookup = self.lookup.clone();
-        for id in lookup.values_mut() {
-            if *id >= pos as RelId {
-                *id += 1;
-            }
-        }
-        lookup.insert(name.clone(), pos as RelId);
-        Some((Interner { names, lookup }, pos as RelId))
+        let slot = Slot::new(name.clone());
+        let pos = self.slots.rank(&slot).err()?;
+        let mut slots = self.slots.clone();
+        slots.insert(slot, ());
+        Some((Interner { slots }, pos as RelId))
     }
 
     /// A new interner with `name` removed, plus the id it held.
@@ -108,17 +165,9 @@ impl Interner {
     /// `None` when `name` is not interned.
     pub fn with_removed(&self, name: &RelName) -> Option<(Interner, RelId)> {
         let pos = self.get(name)?;
-        let mut names = Vec::with_capacity(self.names.len() - 1);
-        names.extend_from_slice(&self.names[..pos as usize]);
-        names.extend_from_slice(&self.names[pos as usize + 1..]);
-        let mut lookup = self.lookup.clone();
-        lookup.remove(name);
-        for id in lookup.values_mut() {
-            if *id > pos {
-                *id -= 1;
-            }
-        }
-        Some((Interner { names, lookup }, pos))
+        let mut slots = self.slots.clone();
+        slots.remove_nth(pos as usize);
+        Some((Interner { slots }, pos))
     }
 
     /// A new interner with `from` renamed to `to`, plus `from`'s old id
@@ -127,23 +176,13 @@ impl Interner {
     /// `from` is absent or `to` already interned.
     pub fn with_renamed(&self, from: &RelName, to: &RelName) -> Option<(Interner, RelId, RelId)> {
         let old_id = self.get(from)?;
-        // `to`'s slot once `from` is gone: one copy of the table, not two.
-        let new_id = match self.names.binary_search(to) {
-            Ok(_) => return None,
-            Err(pos) if pos > old_id as usize => pos as RelId - 1,
-            Err(pos) => pos as RelId,
-        };
-        let mut names = self.names.clone();
-        names.remove(old_id as usize);
-        names.insert(new_id as usize, to.clone());
-        let mut lookup = self.lookup.clone();
-        lookup.remove(from);
-        for id in lookup.values_mut() {
-            let mid = if *id > old_id { *id - 1 } else { *id };
-            *id = if mid >= new_id { mid + 1 } else { mid };
-        }
-        lookup.insert(to.clone(), new_id);
-        Some((Interner { names, lookup }, old_id, new_id))
+        let slot = Slot::new(to.clone());
+        self.slots.rank(&slot).err()?;
+        let mut slots = self.slots.clone();
+        slots.remove_nth(old_id as usize);
+        let new_id = slots.rank(&slot).expect_err("`to` is not interned");
+        slots.insert(slot, ());
+        Some((Interner { slots }, old_id, new_id as RelId))
     }
 }
 
@@ -172,11 +211,43 @@ mod tests {
     /// The incremental ops must agree with a from-scratch build of the
     /// mutated name set, id for id.
     fn assert_same(a: &Interner, b: &Interner) {
-        assert_eq!(a.names(), b.names());
-        for (i, n) in a.names().iter().enumerate() {
+        assert!(a.names().eq(b.names()));
+        for (i, n) in a.names().enumerate() {
             assert_eq!(a.get(n), Some(i as RelId));
             assert_eq!(b.get(n), Some(i as RelId));
         }
+    }
+
+    /// The prefix comparison orders names exactly as the strings do,
+    /// also for names that share eight bytes, are shorter, or hold NULs.
+    #[test]
+    fn prefix_order_is_name_order() {
+        let raw = [
+            "",
+            "A",
+            "A\0",
+            "AB",
+            "ABCDEFGG~",
+            "ABCDEFGH",
+            "ABCDEFGH\0",
+            "ABCDEFGHI",
+            "ABCDEFGI",
+            "B",
+            "\u{7f}",
+            "é",
+        ];
+        let names: Vec<RelName> = raw.iter().map(|s| RelName::new(*s)).collect();
+        for a in &names {
+            for b in &names {
+                let slots = (Slot::new(a.clone()), Slot::new(b.clone()));
+                assert_eq!(slots.0.cmp(&slots.1), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+        let it = interner(&raw);
+        for (i, n) in it.names().enumerate() {
+            assert_eq!(it.get(n), Some(i as RelId));
+        }
+        assert_eq!(it.get(&RelName::new("ABCDEFGH\0\0")), None);
     }
 
     #[test]

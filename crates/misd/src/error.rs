@@ -29,6 +29,8 @@ pub enum MisdError {
     PcArityMismatch(String),
     /// A rename's new name collides with an existing one.
     NameCollision(String),
+    /// An order-integrity constraint lists no attribute.
+    EmptyOrder(RelName),
     /// Textual-format parse error.
     Parse(eve_esql::ParseError),
 }
@@ -57,6 +59,7 @@ impl fmt::Display for MisdError {
                 )
             }
             MisdError::NameCollision(n) => write!(f, "name {n} already in use"),
+            MisdError::EmptyOrder(r) => write!(f, "order constraint on {r} lists no attribute"),
             MisdError::Parse(e) => write!(f, "MISD parse error: {e}"),
         }
     }

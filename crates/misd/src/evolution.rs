@@ -13,14 +13,16 @@
 //!
 //! [`evolve`] is also copy-on-write, as the paper's wording asks: it
 //! modifies only the *affected* descriptions. `MKB'` starts as a
-//! pointer copy of `MKB` (see [`MetaKnowledgeBase`]); the change then
-//! copies the relation map (one pointer per relation) and replaces the
-//! descriptions and constraints that mention the changed relation or
-//! attribute. A constraint list no such constraint lives in keeps its
+//! pointer copy of `MKB` (see [`MetaKnowledgeBase`]). The MKB's relation
+//! index names the constraints that mention the changed relation, so
+//! the change reads those and nothing else; it replaces the changed
+//! description (one chunk of the relation map) and edits the index
+//! entries of the relations the touched constraints mention. A
+//! constraint list none of whose constraints the change edits keeps its
 //! `Arc`, so `Arc::ptr_eq` on the lists of `MKB` and `MKB'` tells
-//! whether the change touched them. Cost: `O(relations)` pointer
-//! copies plus a non-allocating scan of the constraints, never a deep
-//! copy.
+//! whether the change touched them. Cost: logarithmic in the relation
+//! count, plus one pointer copy of each list the change edits; never a
+//! scan of the constraints and never a deep copy.
 //!
 //! Evolution rules per operator:
 //!
@@ -30,17 +32,18 @@
 //!   whose target or source mentions R, PC and order constraints over R);
 //! * **delete-attribute R.A** — drop A from R's description; drop every
 //!   join/function-of/PC constraint referencing R.A; truncate order
-//!   constraints at R.A (the prefix ordering remains valid);
+//!   constraints at R.A (the prefix ordering remains valid; one left
+//!   empty is dropped);
 //! * **rename-relation / rename-attribute** — rewrite the description and
 //!   every constraint mentioning the old name; views are *not* rewritten
 //!   here (the paper treats renames as non-invalidating; the synchronizer
 //!   in `eve-core` transparently rewrites view references).
 
 use crate::change::CapabilityChange;
-use crate::constraint::{JoinConstraint, OrderIntegrity, PartialComplete, ProjSel};
+use crate::constraint::{FunctionOf, JoinConstraint, OrderIntegrity, PartialComplete, ProjSel};
 use crate::description::RelationDescription;
 use crate::error::MisdError;
-use crate::mkb::{MetaKnowledgeBase, SharedList};
+use crate::mkb::{EditOf, Indexed, MetaKnowledgeBase, Touching};
 use eve_relational::{AttrName, AttrRef, RelName, ScalarExpr};
 use std::sync::Arc;
 
@@ -51,45 +54,32 @@ enum Edit<T> {
     Replace(T),
 }
 
-/// Apply `edit` to every element of `list`. Kept elements keep their
-/// `Arc`; when every element is kept, so does the list.
-fn edit_list<T>(list: &mut SharedList<T>, mut edit: impl FnMut(&T) -> Edit<T>) {
-    let mut out: Option<Vec<Arc<T>>> = None;
-    for (i, item) in list.iter().enumerate() {
-        match edit(item) {
-            Edit::Keep => {
-                if let Some(v) = &mut out {
-                    v.push(Arc::clone(item));
-                }
-            }
-            Edit::Drop => {
-                out.get_or_insert_with(|| list[..i].to_vec());
-            }
-            Edit::Replace(new) => out
-                .get_or_insert_with(|| list[..i].to_vec())
-                .push(Arc::new(new)),
-        }
-    }
-    if let Some(v) = out {
-        *list = Arc::new(v);
+/// Drop the constraint when `hit`, else keep it.
+fn drop_if<T>(hit: bool) -> Edit<T> {
+    if hit {
+        Edit::Drop
+    } else {
+        Edit::Keep
     }
 }
 
-/// Drop the elements matching `hit` (see [`edit_list`]).
-fn drop_where<T>(list: &mut SharedList<T>, hit: impl Fn(&T) -> bool) {
-    edit_list(list, |x| if hit(x) { Edit::Drop } else { Edit::Keep });
-}
-
-/// Replace the elements matching `hit` by `rewrite` of them (see
-/// [`edit_list`]).
-fn rewrite_where<T>(list: &mut SharedList<T>, hit: impl Fn(&T) -> bool, rewrite: impl Fn(&T) -> T) {
-    edit_list(list, |x| {
-        if hit(x) {
-            Edit::Replace(rewrite(x))
-        } else {
-            Edit::Keep
-        }
-    });
+/// Edit the constraints of one kind that mention the changed relation
+/// (`hits`, from the index, in declaration order); the rest of the MKB
+/// is not read.
+fn edit_touching<T: Indexed>(
+    out: &mut MetaKnowledgeBase,
+    hits: &Touching,
+    mut edit: impl FnMut(&T) -> Edit<T>,
+) {
+    let edits: Vec<EditOf<T>> = T::of(hits)
+        .iter()
+        .filter_map(|c| match edit(c) {
+            Edit::Keep => None,
+            Edit::Drop => Some((Arc::clone(c), None)),
+            Edit::Replace(new) => Some((Arc::clone(c), Some(Arc::new(new)))),
+        })
+        .collect();
+    out.apply_edits(&edits);
 }
 
 /// Apply a capability change, producing the evolved `MKB'`.
@@ -106,13 +96,15 @@ pub fn evolve(
             if out.relations_mut().remove(rel).is_none() {
                 return Err(MisdError::UnknownRelation(rel.clone()));
             }
-            drop_where(out.joins_mut(), |j| j.touches(rel));
-            drop_where(out.funcofs_mut(), |f| f.touches(rel));
-            drop_where(out.pcs_mut(), |p| p.touches(rel));
-            drop_where(out.orders_mut(), |o| &o.relation == rel);
+            if let Some(hits) = mkb.touching(rel) {
+                edit_touching::<JoinConstraint>(&mut out, hits, |_| Edit::Drop);
+                edit_touching::<FunctionOf>(&mut out, hits, |_| Edit::Drop);
+                edit_touching::<PartialComplete>(&mut out, hits, |_| Edit::Drop);
+                edit_touching::<OrderIntegrity>(&mut out, hits, |_| Edit::Drop);
+            }
         }
         CapabilityChange::RenameRelation { from, to } => {
-            rename_relation(&mut out, from, to)?;
+            rename_relation(mkb, &mut out, from, to)?;
         }
         CapabilityChange::AddAttribute { relation, attr } => {
             let desc = out
@@ -129,16 +121,17 @@ pub fn evolve(
             out.relations_mut().insert(relation.clone(), Arc::new(desc));
         }
         CapabilityChange::DeleteAttribute(attr) => {
-            delete_attribute(&mut out, attr)?;
+            delete_attribute(mkb, &mut out, attr)?;
         }
         CapabilityChange::RenameAttribute { from, to } => {
-            rename_attribute(&mut out, from, to)?;
+            rename_attribute(mkb, &mut out, from, to)?;
         }
     }
     Ok(out)
 }
 
 fn rename_relation(
+    mkb: &MetaKnowledgeBase,
     out: &mut MetaKnowledgeBase,
     from: &RelName,
     to: &RelName,
@@ -153,57 +146,54 @@ fn rename_relation(
     let mut desc = RelationDescription::clone(&desc);
     desc.name = to.clone();
     relations.insert(to.clone(), Arc::new(desc));
+    let Some(hits) = mkb.touching(from) else {
+        return Ok(());
+    };
 
     let rename = |r: &RelName| if r == from { to.clone() } else { r.clone() };
     // A join predicate only mentions its endpoints' attributes (checked
-    // by `add_join`), so the endpoints decide which joins to rewrite.
-    rewrite_where(
-        out.joins_mut(),
-        |j| j.touches(from),
-        |j| JoinConstraint {
+    // by `add_join`), so every join the index names is rewritten.
+    edit_touching(out, hits, |j: &JoinConstraint| {
+        Edit::Replace(JoinConstraint {
             id: j.id.clone(),
             left: rename(&j.left),
             right: rename(&j.right),
             predicate: j.predicate.rename_relation(from, to),
-        },
-    );
-    rewrite_where(
-        out.funcofs_mut(),
-        |f| f.touches(from),
-        |f| {
-            let mut f = f.clone();
-            f.target.relation = rename(&f.target.relation);
-            f.expr = f.expr.rename_relation(from, to);
-            f
-        },
-    );
+        })
+    });
+    edit_touching(out, hits, |f: &FunctionOf| {
+        let mut f = f.clone();
+        f.target.relation = rename(&f.target.relation);
+        f.expr = f.expr.rename_relation(from, to);
+        Edit::Replace(f)
+    });
     let rename_side = |side: &ProjSel| ProjSel {
         relation: rename(&side.relation),
         attrs: side.attrs.clone(),
         cond: side.cond.rename_relation(from, to),
     };
-    rewrite_where(
-        out.pcs_mut(),
-        |p| p.touches(from),
-        |p| PartialComplete {
+    edit_touching(out, hits, |p: &PartialComplete| {
+        Edit::Replace(PartialComplete {
             id: p.id.clone(),
             left: rename_side(&p.left),
             op: p.op,
             right: rename_side(&p.right),
-        },
-    );
-    rewrite_where(
-        out.orders_mut(),
-        |o| &o.relation == from,
-        |o| OrderIntegrity {
+        })
+    });
+    edit_touching(out, hits, |o: &OrderIntegrity| {
+        Edit::Replace(OrderIntegrity {
             relation: to.clone(),
             attrs: o.attrs.clone(),
-        },
-    );
+        })
+    });
     Ok(())
 }
 
-fn delete_attribute(out: &mut MetaKnowledgeBase, attr: &AttrRef) -> Result<(), MisdError> {
+fn delete_attribute(
+    mkb: &MetaKnowledgeBase,
+    out: &mut MetaKnowledgeBase,
+    attr: &AttrRef,
+) -> Result<(), MisdError> {
     let mut desc = out
         .relation(&attr.relation)
         .ok_or_else(|| MisdError::UnknownRelation(attr.relation.clone()))?
@@ -213,23 +203,23 @@ fn delete_attribute(out: &mut MetaKnowledgeBase, attr: &AttrRef) -> Result<(), M
     }
     out.relations_mut()
         .insert(attr.relation.clone(), Arc::new(desc));
-    // Endpoints first: a join predicate only mentions their attributes.
-    drop_where(out.joins_mut(), |j| {
-        j.touches(&attr.relation) && j.contains_attr(attr)
+    // A constraint mentioning `attr` mentions its relation, so the
+    // index entry of that relation holds every candidate.
+    let Some(hits) = mkb.touching(&attr.relation) else {
+        return Ok(());
+    };
+    edit_touching(out, hits, |j: &JoinConstraint| {
+        drop_if(j.contains_attr(attr))
     });
-    drop_where(out.funcofs_mut(), |f| f.mentions_attr(attr));
-    drop_where(out.pcs_mut(), |p| p.mentions_attr(attr));
+    edit_touching(out, hits, |f: &FunctionOf| drop_if(f.mentions_attr(attr)));
+    edit_touching(out, hits, |p: &PartialComplete| {
+        drop_if(p.mentions_attr(attr))
+    });
     // Order constraints: ordering by a prefix of the original attribute
     // list still holds, so truncate at the deleted attribute; an order
-    // left (or already) empty constrains nothing and is dropped.
-    edit_list(out.orders_mut(), |o| {
-        let cut = if o.relation == attr.relation {
-            o.attrs.iter().position(|a| a == &attr.attr)
-        } else {
-            None
-        };
-        match cut {
-            _ if o.attrs.is_empty() => Edit::Drop,
+    // left empty constrains nothing and is dropped.
+    edit_touching(out, hits, |o: &OrderIntegrity| {
+        match o.attrs.iter().position(|a| a == &attr.attr) {
             Some(0) => Edit::Drop,
             Some(pos) => Edit::Replace(OrderIntegrity {
                 relation: o.relation.clone(),
@@ -242,6 +232,7 @@ fn delete_attribute(out: &mut MetaKnowledgeBase, attr: &AttrRef) -> Result<(), M
 }
 
 fn rename_attribute(
+    mkb: &MetaKnowledgeBase,
     out: &mut MetaKnowledgeBase,
     from: &AttrRef,
     to: &AttrName,
@@ -258,6 +249,9 @@ fn rename_attribute(
     }
     out.relations_mut()
         .insert(from.relation.clone(), Arc::new(desc));
+    let Some(hits) = mkb.touching(&from.relation) else {
+        return Ok(());
+    };
 
     let to_ref = AttrRef::new(from.relation.clone(), to.clone());
     let new_ref = ScalarExpr::Attr(to_ref.clone());
@@ -268,28 +262,28 @@ fn rename_attribute(
             a.clone()
         }
     };
-    rewrite_where(
-        out.joins_mut(),
-        |j| j.touches(&from.relation) && j.contains_attr(from),
-        |j| JoinConstraint {
+    edit_touching(out, hits, |j: &JoinConstraint| {
+        if !j.contains_attr(from) {
+            return Edit::Keep;
+        }
+        Edit::Replace(JoinConstraint {
             id: j.id.clone(),
             left: j.left.clone(),
             right: j.right.clone(),
             predicate: j.predicate.substitute(from, &new_ref),
-        },
-    );
-    rewrite_where(
-        out.funcofs_mut(),
-        |f| f.mentions_attr(from),
-        |f| {
-            let mut f = f.clone();
-            if &f.target == from {
-                f.target = to_ref.clone();
-            }
-            f.expr = f.expr.substitute(from, &new_ref);
-            f
-        },
-    );
+        })
+    });
+    edit_touching(out, hits, |f: &FunctionOf| {
+        if !f.mentions_attr(from) {
+            return Edit::Keep;
+        }
+        let mut f = f.clone();
+        if &f.target == from {
+            f.target = to_ref.clone();
+        }
+        f.expr = f.expr.substitute(from, &new_ref);
+        Edit::Replace(f)
+    });
     let rename_side = |side: &ProjSel| ProjSel {
         relation: side.relation.clone(),
         attrs: if side.relation == from.relation {
@@ -299,24 +293,26 @@ fn rename_attribute(
         },
         cond: side.cond.substitute(from, &new_ref),
     };
-    rewrite_where(
-        out.pcs_mut(),
-        |p| p.mentions_attr(from),
-        |p| PartialComplete {
+    edit_touching(out, hits, |p: &PartialComplete| {
+        if !p.mentions_attr(from) {
+            return Edit::Keep;
+        }
+        Edit::Replace(PartialComplete {
             id: p.id.clone(),
             left: rename_side(&p.left),
             op: p.op,
             right: rename_side(&p.right),
-        },
-    );
-    rewrite_where(
-        out.orders_mut(),
-        |o| o.relation == from.relation && o.attrs.contains(&from.attr),
-        |o| OrderIntegrity {
+        })
+    });
+    edit_touching(out, hits, |o: &OrderIntegrity| {
+        if !o.attrs.contains(&from.attr) {
+            return Edit::Keep;
+        }
+        Edit::Replace(OrderIntegrity {
             relation: o.relation.clone(),
             attrs: o.attrs.iter().map(rename).collect(),
-        },
-    );
+        })
+    });
     Ok(())
 }
 

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod change;
+pub mod chunkmap;
 pub mod constraint;
 pub mod description;
 pub mod diff;
@@ -39,6 +40,7 @@ pub mod text;
 pub mod typecheck;
 
 pub use change::CapabilityChange;
+pub use chunkmap::ChunkMap;
 pub use constraint::{
     ExtentOp, FunctionOf, JoinConstraint, OrderIntegrity, PartialComplete, ProjSel,
 };

@@ -8,22 +8,27 @@
 //! Constraints are validated eagerly at insertion: endpoints must be
 //! described, predicates may only mention endpoint attributes, function-of
 //! expressions must draw from a single source relation, PC sides must
-//! project equal arities. An MKB accepted by these checks is internally
-//! consistent, which the CVS algorithm relies on.
+//! project equal arities, order constraints must name an attribute. An
+//! MKB accepted by these checks is internally consistent, which the CVS
+//! algorithm relies on.
 //!
 //! The MKB is copy-on-write: every relation description and every
-//! constraint sits behind its own [`Arc`], and so does each collection.
-//! Cloning an MKB copies five pointers. Evolution (`crate::evolution`)
-//! copies a collection only when the change touches it — the relation
-//! map on every change, the constraint lists only when a constraint
-//! mentions the changed relation or attribute — and replaces only the
-//! touched elements, so consecutive versions share everything else.
+//! constraint sits behind its own [`Arc`], the relation map is a
+//! persistent [`ChunkMap`], and each constraint list is a [`SharedList`].
+//! Cloning an MKB copies a handful of pointers. Beside the lists the MKB
+//! keeps a relation index: for every relation, the constraints that
+//! mention it, each kind in declaration order. Evolution
+//! (`crate::evolution`) asks the index which constraints a change
+//! touches, copies one chunk of the relation map and of the index, and
+//! copies a constraint list only when the change edits one of its
+//! constraints. Consecutive versions share everything else.
 
+use crate::chunkmap::ChunkMap;
 use crate::constraint::{FunctionOf, JoinConstraint, OrderIntegrity, PartialComplete};
 use crate::description::RelationDescription;
 use crate::error::MisdError;
 use eve_relational::{AttrRef, RelName};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,15 +36,134 @@ use std::sync::Arc;
 /// editing it copies the spine of element pointers, never an element.
 pub type SharedList<T> = Arc<Vec<Arc<T>>>;
 
+/// The constraints that mention one relation: the MKB's own `Arc`s,
+/// each kind in declaration order.
+#[derive(Clone, Default, PartialEq)]
+pub(crate) struct Touching {
+    joins: Vec<Arc<JoinConstraint>>,
+    funcofs: Vec<Arc<FunctionOf>>,
+    pcs: Vec<Arc<PartialComplete>>,
+    orders: Vec<Arc<OrderIntegrity>>,
+}
+
+impl Touching {
+    fn is_empty(&self) -> bool {
+        self.joins.is_empty()
+            && self.funcofs.is_empty()
+            && self.pcs.is_empty()
+            && self.orders.is_empty()
+    }
+}
+
+/// A constraint kind the MKB keeps in a list and in its relation index.
+pub(crate) trait Indexed: Sized {
+    /// Exactly the relations `touches` accepts.
+    fn touched(&self) -> BTreeSet<RelName>;
+    /// This kind's constraints in one index entry.
+    fn of(t: &Touching) -> &Vec<Arc<Self>>;
+    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>>;
+    /// This kind's list in the MKB.
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self>;
+}
+
+impl Indexed for JoinConstraint {
+    fn touched(&self) -> BTreeSet<RelName> {
+        [self.left.clone(), self.right.clone()]
+            .into_iter()
+            .collect()
+    }
+    fn of(t: &Touching) -> &Vec<Arc<Self>> {
+        &t.joins
+    }
+    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>> {
+        &mut t.joins
+    }
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self> {
+        &mut mkb.joins
+    }
+}
+
+impl Indexed for FunctionOf {
+    fn touched(&self) -> BTreeSet<RelName> {
+        let mut rels = self.expr.relations();
+        rels.insert(self.target.relation.clone());
+        rels
+    }
+    fn of(t: &Touching) -> &Vec<Arc<Self>> {
+        &t.funcofs
+    }
+    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>> {
+        &mut t.funcofs
+    }
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self> {
+        &mut mkb.funcofs
+    }
+}
+
+impl Indexed for PartialComplete {
+    fn touched(&self) -> BTreeSet<RelName> {
+        let mut rels = self.left.cond.relations();
+        rels.extend(self.right.cond.relations());
+        rels.insert(self.left.relation.clone());
+        rels.insert(self.right.relation.clone());
+        rels
+    }
+    fn of(t: &Touching) -> &Vec<Arc<Self>> {
+        &t.pcs
+    }
+    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>> {
+        &mut t.pcs
+    }
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self> {
+        &mut mkb.pcs
+    }
+}
+
+impl Indexed for OrderIntegrity {
+    fn touched(&self) -> BTreeSet<RelName> {
+        [self.relation.clone()].into_iter().collect()
+    }
+    fn of(t: &Touching) -> &Vec<Arc<Self>> {
+        &t.orders
+    }
+    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>> {
+        &mut t.orders
+    }
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self> {
+        &mut mkb.orders
+    }
+}
+
+/// One constraint edit: the MKB's `Arc` of a constraint, and what
+/// replaces it (`None`: the constraint is dropped).
+pub(crate) type EditOf<T> = (Arc<T>, Option<Arc<T>>);
+
 /// The meta knowledge base: relation descriptions plus semantic
 /// constraints.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct MetaKnowledgeBase {
-    relations: Arc<BTreeMap<RelName, Arc<RelationDescription>>>,
+    relations: ChunkMap<RelName, Arc<RelationDescription>>,
     joins: SharedList<JoinConstraint>,
     funcofs: SharedList<FunctionOf>,
     pcs: SharedList<PartialComplete>,
     orders: SharedList<OrderIntegrity>,
+    /// Relation → the constraints that mention it, derived from the
+    /// lists (so equal lists give equal indexes). Relations no
+    /// constraint mentions have no entry.
+    touching: ChunkMap<RelName, Arc<Touching>>,
+}
+
+impl fmt::Debug for MetaKnowledgeBase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The relation index is derived from the lists: not printed.
+        f.debug_struct("MetaKnowledgeBase")
+            .field("relations", &self.relations)
+            .field("joins", &self.joins)
+            .field("funcofs", &self.funcofs)
+            .field("pcs", &self.pcs)
+            .field("orders", &self.orders)
+            .finish_non_exhaustive()
+    }
 }
 
 impl MetaKnowledgeBase {
@@ -58,7 +182,7 @@ impl MetaKnowledgeBase {
         if self.relations.contains_key(&desc.name) {
             return Err(MisdError::DuplicateRelation(desc.name));
         }
-        Arc::make_mut(&mut self.relations).insert(desc.name.clone(), Arc::new(desc));
+        self.relations.insert(desc.name.clone(), Arc::new(desc));
         Ok(())
     }
 
@@ -104,7 +228,7 @@ impl MetaKnowledgeBase {
             }
             self.check_attr(&attr)?;
         }
-        Arc::make_mut(&mut self.joins).push(Arc::new(jc));
+        self.push(jc);
         Ok(())
     }
 
@@ -121,7 +245,7 @@ impl MetaKnowledgeBase {
         for attr in f.source_attrs() {
             self.check_attr(&attr)?;
         }
-        Arc::make_mut(&mut self.funcofs).push(Arc::new(f));
+        self.push(f);
         Ok(())
     }
 
@@ -143,20 +267,45 @@ impl MetaKnowledgeBase {
                 self.check_attr(&attr)?;
             }
         }
-        Arc::make_mut(&mut self.pcs).push(Arc::new(pc));
+        self.push(pc);
         Ok(())
     }
 
-    /// Add an order-integrity constraint.
+    /// Add an order-integrity constraint. It must order by at least one
+    /// attribute of a described relation.
     pub fn add_order(&mut self, oc: OrderIntegrity) -> Result<(), MisdError> {
         if !self.relations.contains_key(&oc.relation) {
             return Err(MisdError::UnknownRelation(oc.relation.clone()));
         }
+        if oc.attrs.is_empty() {
+            return Err(MisdError::EmptyOrder(oc.relation));
+        }
         for a in &oc.attrs {
             self.check_attr(&AttrRef::new(oc.relation.clone(), a.clone()))?;
         }
-        Arc::make_mut(&mut self.orders).push(Arc::new(oc));
+        self.push(oc);
         Ok(())
+    }
+
+    /// Append a validated constraint to its list and to the index entry
+    /// of every relation it mentions.
+    fn push<T: Indexed>(&mut self, c: T) {
+        let c = Arc::new(c);
+        for rel in c.touched() {
+            self.index_append(&rel, &c);
+        }
+        Arc::make_mut(T::list_mut(self)).push(c);
+    }
+
+    /// Append `c` to `rel`'s index entry, creating the entry if needed.
+    fn index_append<T: Indexed>(&mut self, rel: &RelName, c: &Arc<T>) {
+        if let Some(t) = self.touching.get_mut(rel) {
+            T::of_mut(Arc::make_mut(t)).push(Arc::clone(c));
+        } else {
+            let mut t = Touching::default();
+            T::of_mut(&mut t).push(Arc::clone(c));
+            self.touching.insert(rel.clone(), Arc::new(t));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -184,7 +333,7 @@ impl MetaKnowledgeBase {
     }
 
     /// All relation names, ordered.
-    pub fn relation_names(&self) -> impl Iterator<Item = &RelName> {
+    pub fn relation_names(&self) -> impl ExactSizeIterator<Item = &RelName> {
         self.relations.keys()
     }
 
@@ -200,12 +349,12 @@ impl MetaKnowledgeBase {
         &self.joins
     }
 
-    /// Join constraints touching `rel`.
-    pub fn joins_of<'a>(&'a self, rel: &'a RelName) -> impl Iterator<Item = &'a JoinConstraint> {
-        self.joins
-            .iter()
-            .map(Arc::as_ref)
-            .filter(move |j| j.touches(rel))
+    /// Join constraints touching `rel`, in declaration order.
+    pub fn joins_of<'a>(&'a self, rel: &RelName) -> impl Iterator<Item = &'a JoinConstraint> {
+        self.touching
+            .get(rel)
+            .into_iter()
+            .flat_map(|t| t.joins.iter().map(Arc::as_ref))
     }
 
     /// Join constraints connecting the unordered pair `{r1, r2}`.
@@ -260,12 +409,12 @@ impl MetaKnowledgeBase {
         &self.pcs
     }
 
-    /// Partial/complete constraints touching `rel`.
-    pub fn pcs_of<'a>(&'a self, rel: &'a RelName) -> impl Iterator<Item = &'a PartialComplete> {
-        self.pcs
-            .iter()
-            .map(Arc::as_ref)
-            .filter(move |p| p.touches(rel))
+    /// Partial/complete constraints touching `rel`, in declaration order.
+    pub fn pcs_of<'a>(&'a self, rel: &RelName) -> impl Iterator<Item = &'a PartialComplete> {
+        self.touching
+            .get(rel)
+            .into_iter()
+            .flat_map(|t| t.pcs.iter().map(Arc::as_ref))
     }
 
     /// All order-integrity constraints.
@@ -282,25 +431,69 @@ impl MetaKnowledgeBase {
     // copy-on-write access used by MKB evolution (crate::evolution)
     // ------------------------------------------------------------------
 
-    /// The relation map, copied first when another version shares it.
-    pub(crate) fn relations_mut(&mut self) -> &mut BTreeMap<RelName, Arc<RelationDescription>> {
-        Arc::make_mut(&mut self.relations)
+    /// The relation map, for replacing descriptions.
+    pub(crate) fn relations_mut(&mut self) -> &mut ChunkMap<RelName, Arc<RelationDescription>> {
+        &mut self.relations
     }
 
-    pub(crate) fn joins_mut(&mut self) -> &mut SharedList<JoinConstraint> {
-        &mut self.joins
+    /// The constraints that mention `rel` (none: `None`).
+    pub(crate) fn touching(&self, rel: &RelName) -> Option<&Arc<Touching>> {
+        self.touching.get(rel)
     }
 
-    pub(crate) fn funcofs_mut(&mut self) -> &mut SharedList<FunctionOf> {
-        &mut self.funcofs
-    }
-
-    pub(crate) fn pcs_mut(&mut self) -> &mut SharedList<PartialComplete> {
-        &mut self.pcs
-    }
-
-    pub(crate) fn orders_mut(&mut self) -> &mut SharedList<OrderIntegrity> {
-        &mut self.orders
+    /// Apply edits of one constraint kind, given in declaration order,
+    /// to its list and to the index. A replacement mentions the same
+    /// relations as the constraint it replaces, except after a rename of
+    /// a relation to a fresh name, which the index appends in order.
+    /// Without edits the list keeps its `Arc`.
+    pub(crate) fn apply_edits<T: Indexed>(&mut self, edits: &[EditOf<T>]) {
+        if edits.is_empty() {
+            return;
+        }
+        let list = T::list_mut(self);
+        let mut out = Vec::with_capacity(list.len());
+        let mut next = edits.iter().peekable();
+        for c in list.iter() {
+            match next.next_if(|(old, _)| Arc::ptr_eq(old, c)) {
+                Some((_, new)) => out.extend(new.iter().cloned()),
+                None => out.push(Arc::clone(c)),
+            }
+        }
+        debug_assert!(
+            next.peek().is_none(),
+            "every edit names a listed constraint"
+        );
+        *list = Arc::new(out);
+        for (old, new) in edits {
+            let before = old.touched();
+            let after = new.as_ref().map(|n| n.touched()).unwrap_or_default();
+            for rel in &before {
+                let t = self
+                    .touching
+                    .get_mut(rel)
+                    .expect("the index holds every listed constraint");
+                let t = Arc::make_mut(t);
+                let entry = T::of_mut(t);
+                let at = entry
+                    .iter()
+                    .position(|c| Arc::ptr_eq(c, old))
+                    .expect("the index holds every listed constraint");
+                match new {
+                    Some(n) if after.contains(rel) => entry[at] = Arc::clone(n),
+                    _ => {
+                        entry.remove(at);
+                    }
+                }
+                if t.is_empty() {
+                    self.touching.remove(rel);
+                }
+            }
+            if let Some(n) = new {
+                for rel in after.difference(&before) {
+                    self.index_append(rel, n);
+                }
+            }
+        }
     }
 }
 
@@ -506,6 +699,59 @@ mod tests {
                 attrs: vec![AttrName::new("Ghost")],
             })
             .is_err());
+    }
+
+    /// An order by no attribute is rejected: it would render as
+    /// `ORDER R BY`, which the MISD parser does not accept.
+    #[test]
+    fn empty_order_rejected() {
+        let mut mkb = base();
+        let err = mkb
+            .add_order(OrderIntegrity {
+                relation: RelName::new("Customer"),
+                attrs: vec![],
+            })
+            .unwrap_err();
+        assert_eq!(err, MisdError::EmptyOrder(RelName::new("Customer")));
+        assert!(mkb.orders().is_empty());
+    }
+
+    /// The relation index holds each constraint under exactly the
+    /// relations it touches, in declaration order.
+    #[test]
+    fn index_follows_touches() {
+        let mut mkb = base();
+        mkb.add_relation(RelationDescription::new(
+            "IS5",
+            "Tour",
+            vec![AttributeDef::new("Name", DataType::Str)],
+        ))
+        .unwrap();
+        mkb.add_join(jc1()).unwrap();
+        mkb.add_pc(PartialComplete::new(
+            "PC1",
+            ProjSel::new("FlightRes", vec![AttrName::new("PName")]),
+            ExtentOp::Superset,
+            ProjSel::new("Customer", vec![AttrName::new("Name")]).with_cond(Conjunction::new(
+                vec![Clause::eq_attrs(
+                    AttrRef::new("Tour", "Name"),
+                    AttrRef::new("Customer", "Name"),
+                )],
+            )),
+        ))
+        .unwrap();
+        for name in ["Customer", "FlightRes", "Tour"] {
+            let rel = RelName::new(name);
+            let joins: Vec<&str> = mkb.joins_of(&rel).map(|j| j.id.as_str()).collect();
+            let want: Vec<&str> = mkb
+                .joins()
+                .iter()
+                .filter(|j| j.touches(&rel))
+                .map(|j| j.id.as_str())
+                .collect();
+            assert_eq!(joins, want, "joins of {name}");
+            assert_eq!(mkb.pcs_of(&rel).count(), 1, "the PC mentions {name}");
+        }
     }
 }
 

@@ -266,13 +266,29 @@ mod tests {
     fn skewed_batch_is_stolen() {
         // One item is ~1000x the others; with 4 workers the small items
         // must not wait behind it. We can't assert timing robustly, but we
-        // can assert that more than one thread participated.
+        // can assert that more than one thread participated. On a loaded
+        // host one worker could finish the heavy item and drain every
+        // small one before another worker is scheduled, so the heavy item
+        // waits until a small item has run on some other thread.
         let seen = Mutex::new(std::collections::HashSet::new());
+        let (ran_on, small_ran) = std::sync::mpsc::channel();
+        let small_ran = Mutex::new(small_ran);
         let items: Vec<u64> = (0..64)
             .map(|i| if i == 0 { 5_000_000 } else { 5_000 })
             .collect();
-        let out = unwrap_all(map_in_order(4, items, |_, spins| {
-            seen.lock().unwrap().insert(std::thread::current().id());
+        let out = unwrap_all(map_in_order(4, items, |i, spins| {
+            let me = std::thread::current().id();
+            seen.lock().unwrap().insert(me);
+            if i == 0 {
+                let small_ran = small_ran.lock().unwrap();
+                while let Ok(other) = small_ran.recv_timeout(std::time::Duration::from_secs(10)) {
+                    if other != me {
+                        break;
+                    }
+                }
+            } else {
+                let _ = ran_on.send(me);
+            }
             let mut acc = 0u64;
             for k in 0..spins {
                 acc = acc.wrapping_add(std::hint::black_box(k));

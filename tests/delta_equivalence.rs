@@ -17,6 +17,7 @@
 //! rebuild-mode synchronizer passed through at prefix `v`.
 
 use eve::cvs::{CvsOptions, IndexMaintenance, Synchronizer, SynchronizerBuilder};
+use eve::misd::chunkmap::CHUNK;
 use eve::misd::MetaKnowledgeBase;
 use eve::workload::{change_stream, random_views, SynthConfig, SynthWorkload, Topology};
 use proptest::prelude::*;
@@ -42,8 +43,18 @@ fn observe(s: &Synchronizer) -> (MetaKnowledgeBase, Vec<String>, Vec<String>) {
 }
 
 fn config() -> impl Strategy<Value = SynthConfig> {
+    sized_config(6usize..14)
+}
+
+/// Federations of 4–8 map chunks, so the MKB's relation map and the
+/// hypergraph interners split into several chunks.
+fn multi_chunk_config() -> impl Strategy<Value = SynthConfig> {
+    sized_config(4 * CHUNK..8 * CHUNK + 1)
+}
+
+fn sized_config(n_relations: std::ops::Range<usize>) -> impl Strategy<Value = SynthConfig> {
     (
-        6usize..14,
+        n_relations,
         prop_oneof![
             Just(Topology::Chain),
             Just(Topology::Ring),
@@ -61,67 +72,104 @@ fn config() -> impl Strategy<Value = SynthConfig> {
         })
 }
 
+/// After every prefix of a random change stream, both index maintenance
+/// modes agree on the full `ChangeOutcome` (rewritings, per-view search
+/// stats, disabled sets) and on the evolved state.
+fn check_modes_agree(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCaseError> {
+    let w = SynthWorkload::random(cfg, seed);
+    let stream = change_stream(&w.mkb, len, seed);
+    let mut rebuild = build(&w.mkb, IndexMaintenance::Rebuild, seed);
+    let mut inc = build(&w.mkb, IndexMaintenance::Incremental, seed);
+    for (i, c) in stream.iter().enumerate() {
+        let a = rebuild.apply(c);
+        let b = inc.apply(c);
+        prop_assert!(a.is_ok(), "prefix {i} ({c}): rebuild rejected: {a:?}");
+        let (a, b) = (a.unwrap(), b.unwrap());
+        // ChangeOutcome equality covers every view's outcome,
+        // including byte-identical SearchStats (cache counters are
+        // deliberately excluded from its PartialEq).
+        prop_assert_eq!(&a, &b, "prefix {} ({}): incremental diverged", i, c);
+        prop_assert_eq!(
+            observe(&rebuild),
+            observe(&inc),
+            "prefix {} ({}): state diverged",
+            i,
+            c
+        );
+    }
+    Ok(())
+}
+
+/// `at_version(v)` on the delta-maintained synchronizer reproduces, for
+/// every `v`, exactly the state an independent rebuild-mode synchronizer
+/// passed through after the same `v`-change prefix.
+fn check_history(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCaseError> {
+    let w = SynthWorkload::random(cfg, seed);
+    let stream = change_stream(&w.mkb, len, seed);
+    let mut rebuild = build(&w.mkb, IndexMaintenance::Rebuild, seed);
+    let mut inc = build(&w.mkb, IndexMaintenance::Incremental, seed);
+    let mut trail = vec![observe(&rebuild)];
+    for c in &stream {
+        rebuild.apply(c).expect("stream change applies");
+        inc.apply(c).expect("stream change applies");
+        trail.push(observe(&rebuild));
+    }
+    prop_assert_eq!(inc.version(), stream.len());
+    for (v, expected) in trail.iter().enumerate() {
+        let fork = inc.at_version(v).expect("recorded version");
+        prop_assert_eq!(&observe(&fork), expected, "version {} drifted", v);
+        // The fork is a live synchronizer at that version.
+        prop_assert_eq!(fork.version(), v);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// After every prefix of a random change stream, both index
-    /// maintenance modes agree on the full `ChangeOutcome` (rewritings,
-    /// per-view search stats, disabled sets) and on the evolved state.
+    /// Both maintenance modes agree after every prefix of a stream.
     #[test]
     fn all_maintenance_modes_agree_on_every_prefix(
         cfg in config(),
         seed in 0u64..500,
         len in 4usize..14,
     ) {
-        let w = SynthWorkload::random(&cfg, seed);
-        let stream = change_stream(&w.mkb, len, seed);
-        let mut rebuild = build(&w.mkb, IndexMaintenance::Rebuild, seed);
-        let mut inc = build(&w.mkb, IndexMaintenance::Incremental, seed);
-        for (i, c) in stream.iter().enumerate() {
-            let a = rebuild.apply(c);
-            let b = inc.apply(c);
-            prop_assert!(a.is_ok(), "prefix {i} ({c}): rebuild rejected: {a:?}");
-            let (a, b) = (a.unwrap(), b.unwrap());
-            // ChangeOutcome equality covers every view's outcome,
-            // including byte-identical SearchStats (cache counters are
-            // deliberately excluded from its PartialEq).
-            prop_assert_eq!(&a, &b, "prefix {} ({}): incremental diverged", i, c);
-            prop_assert_eq!(
-                observe(&rebuild),
-                observe(&inc),
-                "prefix {} ({}): state diverged",
-                i,
-                c
-            );
-        }
+        check_modes_agree(&cfg, seed, len)?;
     }
 
-    /// `at_version(v)` on the delta-maintained synchronizer reproduces,
-    /// for every `v`, exactly the state an independent rebuild-mode
-    /// synchronizer passed through after the same `v`-change prefix.
+    /// `at_version` replays the rebuild-mode history.
     #[test]
     fn at_version_reproduces_rebuild_history(
         cfg in config(),
         seed in 0u64..500,
         len in 3usize..10,
     ) {
-        let w = SynthWorkload::random(&cfg, seed);
-        let stream = change_stream(&w.mkb, len, seed);
-        let mut rebuild = build(&w.mkb, IndexMaintenance::Rebuild, seed);
-        let mut inc = build(&w.mkb, IndexMaintenance::Incremental, seed);
-        let mut trail = vec![observe(&rebuild)];
-        for c in &stream {
-            rebuild.apply(c).expect("stream change applies");
-            inc.apply(c).expect("stream change applies");
-            trail.push(observe(&rebuild));
-        }
-        prop_assert_eq!(inc.version(), stream.len());
-        for (v, expected) in trail.iter().enumerate() {
-            let fork = inc.at_version(v).expect("recorded version");
-            prop_assert_eq!(&observe(&fork), expected, "version {} drifted", v);
-            // The fork is a live synchronizer at that version.
-            prop_assert_eq!(fork.version(), v);
-        }
+        check_history(&cfg, seed, len)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// [`all_maintenance_modes_agree_on_every_prefix`] over several
+    /// chunks.
+    #[test]
+    fn all_maintenance_modes_agree_on_every_prefix_multi_chunk(
+        cfg in multi_chunk_config(),
+        seed in 0u64..500,
+        len in 4usize..14,
+    ) {
+        check_modes_agree(&cfg, seed, len)?;
+    }
+
+    /// [`at_version_reproduces_rebuild_history`] over several chunks.
+    #[test]
+    fn at_version_reproduces_rebuild_history_multi_chunk(
+        cfg in multi_chunk_config(),
+        seed in 0u64..500,
+        len in 3usize..10,
+    ) {
+        check_history(&cfg, seed, len)?;
     }
 }
 

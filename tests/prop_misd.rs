@@ -2,9 +2,10 @@
 //! algebraic properties of MKB evolution, and copy-on-write `evolve`
 //! against a deep-copy reference.
 
+use eve::misd::chunkmap::CHUNK;
 use eve::misd::{
     evolve, infer_changes, parse_misd, render_misd, CapabilityChange, ExtentOp, MetaKnowledgeBase,
-    OrderIntegrity, PartialComplete, ProjSel,
+    MisdError, OrderIntegrity, PartialComplete, ProjSel,
 };
 use eve::relational::{AttrName, AttrRef, Clause, CompareOp, Conjunction, RelName, ScalarExpr};
 use eve::workload::{ChangeSource, SynthConfig, SynthWorkload, Topology};
@@ -227,8 +228,8 @@ mod reference {
 }
 
 /// A synthetic MKB plus what the generator never declares: order
-/// constraints (one of them empty) and a PC whose selection mentions a
-/// third relation.
+/// constraints and a PC whose selection mentions a third relation. An
+/// order by no attribute is rejected.
 fn enriched_mkb(cfg: &SynthConfig, seed: u64) -> MetaKnowledgeBase {
     let mut mkb = SynthWorkload::random(cfg, seed).mkb;
     let descs: Vec<_> = mkb.relations().cloned().collect();
@@ -246,11 +247,14 @@ fn enriched_mkb(cfg: &SynthConfig, seed: u64) -> MetaKnowledgeBase {
         })
         .expect("attributes of a described relation");
     }
-    mkb.add_order(OrderIntegrity {
-        relation: descs[0].name.clone(),
-        attrs: vec![],
-    })
-    .expect("empty order");
+    assert_eq!(
+        mkb.add_order(OrderIntegrity {
+            relation: descs[0].name.clone(),
+            attrs: vec![],
+        }),
+        Err(MisdError::EmptyOrder(descs[0].name.clone())),
+        "an empty order is rejected"
+    );
     if let [a, b, c, ..] = descs.as_slice() {
         let cond = Conjunction::new(vec![Clause::new(
             ScalarExpr::attr(c.name.clone(), "k"),
@@ -356,7 +360,6 @@ impl Mentions<'_> {
             || self
                 .attr()
                 .is_some_and(|a| o.relation == a.relation && o.attrs.contains(&a.attr))
-            || (matches!(self.0, CapabilityChange::DeleteAttribute(_)) && o.attrs.is_empty())
     }
 
     /// Relations whose description the change rewrites.
@@ -430,7 +433,17 @@ fn assert_sharing(
 }
 
 fn config() -> impl Strategy<Value = SynthConfig> {
-    (3usize..20, 0usize..10, 1usize..4, 0.0f64..=1.0).prop_map(
+    sized_config(3usize..20)
+}
+
+/// MKBs of 4–8 map chunks, so the relation map and the relation index
+/// split into several chunks.
+fn multi_chunk_config() -> impl Strategy<Value = SynthConfig> {
+    sized_config(4 * CHUNK..8 * CHUNK + 1)
+}
+
+fn sized_config(n_relations: std::ops::Range<usize>) -> impl Strategy<Value = SynthConfig> {
+    (n_relations, 0usize..10, 1usize..4, 0.0f64..=1.0).prop_map(
         |(n_relations, extra, cover_count, pc_fraction)| SynthConfig {
             n_relations,
             topology: Topology::Random { extra },
@@ -439,6 +452,47 @@ fn config() -> impl Strategy<Value = SynthConfig> {
             ..SynthConfig::default()
         },
     )
+}
+
+/// Copy-on-write `evolve` equals the deep-copy reference over a random
+/// change stream: same MKB (`PartialEq`, which compares the relation
+/// index too), same rendered text, same errors on inadmissible changes.
+fn check_evolve_matches_reference(cfg: &SynthConfig, seed: u64) -> Result<(), TestCaseError> {
+    let mut mkb = enriched_mkb(cfg, seed);
+    let mut source = ChangeSource::new(seed);
+    for _ in 0..12 {
+        for bad in rejected_changes(&mkb) {
+            prop_assert_eq!(
+                evolve(&mkb, &bad).err(),
+                reference::evolve(&mkb, &bad).err()
+            );
+        }
+        let Some(change) = source.next(&mkb) else {
+            break;
+        };
+        let got = evolve(&mkb, &change).expect("ChangeSource draws admissible changes");
+        let want = reference::evolve(&mkb, &change).expect("the reference agrees");
+        prop_assert_eq!(render_misd(&got), render_misd(&want), "{}", change);
+        prop_assert_eq!(&got, &want, "{}", change);
+        mkb = got;
+    }
+    Ok(())
+}
+
+/// `evolve` copies only what the change mentions: every other
+/// description and constraint is the predecessor's own `Arc`.
+fn check_evolve_shares(cfg: &SynthConfig, seed: u64) -> Result<(), TestCaseError> {
+    let mut mkb = enriched_mkb(cfg, seed);
+    let mut source = ChangeSource::new(seed ^ 1);
+    for _ in 0..12 {
+        let Some(change) = source.next(&mkb) else {
+            break;
+        };
+        let next = evolve(&mkb, &change).expect("admissible");
+        assert_sharing(&mkb, &next, &change);
+        mkb = next;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -557,36 +611,38 @@ proptest! {
     }
 
     /// Copy-on-write `evolve` equals the deep-copy reference over random
-    /// change streams: same MKB (`PartialEq`), same rendered text, same
-    /// errors on inadmissible changes.
+    /// change streams.
     #[test]
     fn evolve_matches_deep_copy_reference(cfg in config(), seed in 0u64..1000) {
-        let mut mkb = enriched_mkb(&cfg, seed);
-        let mut source = ChangeSource::new(seed);
-        for _ in 0..12 {
-            for bad in rejected_changes(&mkb) {
-                prop_assert_eq!(evolve(&mkb, &bad).err(), reference::evolve(&mkb, &bad).err());
-            }
-            let Some(change) = source.next(&mkb) else { break };
-            let got = evolve(&mkb, &change).expect("ChangeSource draws admissible changes");
-            let want = reference::evolve(&mkb, &change).expect("the reference agrees");
-            prop_assert_eq!(render_misd(&got), render_misd(&want), "{}", change);
-            prop_assert_eq!(&got, &want, "{}", change);
-            mkb = got;
-        }
+        check_evolve_matches_reference(&cfg, seed)?;
     }
 
-    /// `evolve` copies only what the change mentions: every other
-    /// description and constraint is the predecessor's own `Arc`.
+    /// `evolve` shares everything the change does not mention.
     #[test]
     fn evolve_shares_everything_unmentioned(cfg in config(), seed in 0u64..1000) {
-        let mut mkb = enriched_mkb(&cfg, seed);
-        let mut source = ChangeSource::new(seed ^ 1);
-        for _ in 0..12 {
-            let Some(change) = source.next(&mkb) else { break };
-            let next = evolve(&mkb, &change).expect("admissible");
-            assert_sharing(&mkb, &next, &change);
-            mkb = next;
-        }
+        check_evolve_shares(&cfg, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// [`evolve_matches_deep_copy_reference`] on MKBs of several chunks.
+    #[test]
+    fn evolve_matches_deep_copy_reference_multi_chunk(
+        cfg in multi_chunk_config(),
+        seed in 0u64..1000,
+    ) {
+        check_evolve_matches_reference(&cfg, seed)?;
+    }
+
+    /// [`evolve_shares_everything_unmentioned`] on MKBs of several
+    /// chunks.
+    #[test]
+    fn evolve_shares_everything_unmentioned_multi_chunk(
+        cfg in multi_chunk_config(),
+        seed in 0u64..1000,
+    ) {
+        check_evolve_shares(&cfg, seed)?;
     }
 }
