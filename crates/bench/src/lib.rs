@@ -11,8 +11,10 @@
 //!
 //! * the `experiments` binary (`cargo run -p eve-bench --bin experiments
 //!   -- <id>`) — regenerates any single artifact or `all` of them;
-//! * the criterion benches under `benches/`;
 //! * golden tests in the root crate's `tests/`.
+//!
+//! Performance is not measured here: `cvsbench/` (declared by
+//! `BENCHMARK.json`) is the repository's only benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

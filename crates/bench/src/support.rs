@@ -1,7 +1,7 @@
 //! Shims driving the indexed CVS entry points the way
 //! [`eve_core::Synchronizer::apply`] does: build one [`MkbIndex`] for
-//! the change, then synchronize against it. The experiments and benches
-//! go through these so they measure the same code path the synchronizer
+//! the change, then synchronize against it. The experiments and tests
+//! go through these so they exercise the same code path the synchronizer
 //! runs in production.
 
 use eve_core::{

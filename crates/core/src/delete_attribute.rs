@@ -117,7 +117,7 @@ pub fn synchronize_delete_attribute_indexed(
     // The drop-only candidate (legal only when nothing required uses the
     // attribute).
     if !required {
-        if let Ok(r) = assemble_drop_only(view, attr, opts) {
+        if let Ok(r) = assemble_drop_only(view, attr) {
             out.push(r);
         }
     }
@@ -242,7 +242,7 @@ fn assemble_with_cover(
         append_join_clauses(&mut new_view.conditions, &added_joins);
     }
 
-    if opts.check_consistency && !new_view.where_conjunction().is_consistent() {
+    if !new_view.where_conjunction().is_consistent() {
         return Err(CvsError::Inconsistent);
     }
 
@@ -275,16 +275,12 @@ fn assemble_with_cover(
     })
 }
 
-fn assemble_drop_only(
-    view: &ViewDefinition,
-    attr: &AttrRef,
-    opts: &CvsOptions,
-) -> Result<LegalRewriting, CvsError> {
+fn assemble_drop_only(view: &ViewDefinition, attr: &AttrRef) -> Result<LegalRewriting, CvsError> {
     let (new_view, kept_select, dropped_conditions, _) = substitute_everywhere(view, attr, None);
     if new_view.select.is_empty() {
         return Err(CvsError::NoLegalRewriting);
     }
-    if opts.check_consistency && !new_view.where_conjunction().is_consistent() {
+    if !new_view.where_conjunction().is_consistent() {
         return Err(CvsError::Inconsistent);
     }
     // Dropping SELECT attributes is neutral under the common-interface

@@ -119,7 +119,7 @@ impl IndexCore {
     /// `mkb_prime` must be the MKB evolved by `delta.change` from the
     /// version this core was derived for.
     pub fn apply_delta(&self, delta: &MkbDelta) -> IndexCore {
-        crate::telem::counter_add("index.delta_applies", 1);
+        eve_telemetry::counter_add("index.delta_applies", 1);
         // Coordinator thread, unscoped; unwinding kinds would escape the
         // parpool panic boundary, so plans should stick to delay/budget
         // here (budget is discarded — the patch has no budget to trip).

@@ -216,9 +216,9 @@ pub fn synchronize_view(
     };
     // Histogram (not span) so direct engine callers — benches, tests —
     // feed the same per-view latency distribution as the fan-out path.
-    let timer = crate::telem::start_timer();
+    let timer = eve_telemetry::start_timer();
     let result = strategy.synchronize(view, change, index, opts, ctx);
-    crate::telem::stop_timer("engine.view_sync_ns", timer);
+    eve_telemetry::stop_timer("engine.view_sync_ns", timer);
     match result {
         Ok(SearchResult {
             mut rewritings,

@@ -1,9 +1,5 @@
-//! Crate-internal facade over `eve-faults`, mirroring the
-//! `crate::telem` pattern: with the default `faults` feature the real
-//! injection registry is consulted (one relaxed atomic load per site
-//! when no plan is installed); without it every site compiles down to a
-//! no-op. Call sites use `crate::faults::…` and never mention the
-//! feature themselves.
+//! The crate's fault-injection sites over `eve-faults`. With no plan
+//! installed a site costs one relaxed atomic load.
 //!
 //! Site naming: `<subsystem>.<event>` — `index.build`,
 //! `index.enumerate-trees`, `search.candidate`, `view.sync` (plus
@@ -11,79 +7,31 @@
 //! scopes each view task by view name, so `EVE_FAULTS=CPA/view.sync#0=panic`
 //! hits view `CPA`'s first synchronization attempt and nothing else.
 
-#[cfg(feature = "faults")]
-mod real {
-    use std::any::Any;
+use std::any::Any;
 
-    #[inline]
-    pub(crate) fn active() -> bool {
-        eve_faults::active()
+/// Count a hit of `site` and execute any fault addressed to it.
+/// Returns `true` exactly when a budget-exhaustion fault fired (the
+/// site truncates its search); panic/transient faults unwind from
+/// inside, delays sleep and return `false`. Every injected fault is
+/// also counted on the `faults.injected` telemetry counter and
+/// captured by the flight recorder (scope/site/hit/kind).
+#[inline]
+pub(crate) fn hit(site: &str) -> bool {
+    if !eve_faults::active() {
+        return false;
     }
-
-    /// Run `f` under the named fault scope (panic-safe pop).
-    #[inline]
-    pub(crate) fn scoped<R>(scope: &str, f: impl FnOnce() -> R) -> R {
-        eve_faults::scoped(scope, f)
-    }
-
-    /// Count a hit of `site` and execute any fault addressed to it.
-    /// Returns `true` exactly when a budget-exhaustion fault fired (the
-    /// site truncates its search); panic/transient faults unwind from
-    /// inside, delays sleep and return `false`. Every injected fault is
-    /// also counted on the `faults.injected` telemetry counter and
-    /// captured by the flight recorder (scope/site/hit/kind).
-    #[inline]
-    pub(crate) fn hit(site: &str) -> bool {
-        if !eve_faults::active() {
-            return false;
+    match eve_faults::check_fired(site) {
+        None => false,
+        Some((kind, fired)) => {
+            eve_telemetry::counter_add("faults.injected", 1);
+            eve_telemetry::flight_fault(&fired.scope, &fired.site, fired.hit, fired.kind);
+            eve_faults::execute(site, kind)
         }
-        match eve_faults::check_fired(site) {
-            None => false,
-            Some((kind, fired)) => {
-                crate::telem::counter_add("faults.injected", 1);
-                crate::telem::flight_fault(&fired.scope, &fired.site, fired.hit, fired.kind);
-                eve_faults::execute(site, kind)
-            }
-        }
-    }
-
-    /// Describe a caught panic payload when it is an injected fault:
-    /// `(deterministic message, retryable?)`.
-    pub(crate) fn injected_info(payload: &(dyn Any + Send)) -> Option<(String, bool)> {
-        eve_faults::injected(payload).map(|f| (f.to_string(), f.transient))
     }
 }
 
-#[cfg(feature = "faults")]
-pub(crate) use real::*;
-
-#[cfg(not(feature = "faults"))]
-pub(crate) use inert::*;
-
-#[cfg(not(feature = "faults"))]
-mod inert {
-    //! Signature-compatible no-op mirror of the facade.
-    #![allow(dead_code)]
-
-    use std::any::Any;
-
-    #[inline(always)]
-    pub(crate) fn active() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub(crate) fn scoped<R>(_scope: &str, f: impl FnOnce() -> R) -> R {
-        f()
-    }
-
-    #[inline(always)]
-    pub(crate) fn hit(_site: &str) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub(crate) fn injected_info(_payload: &(dyn Any + Send)) -> Option<(String, bool)> {
-        None
-    }
+/// Describe a caught panic payload when it is an injected fault:
+/// `(deterministic message, retryable?)`.
+pub(crate) fn injected_info(payload: &(dyn Any + Send)) -> Option<(String, bool)> {
+    eve_faults::injected(payload).map(|f| (f.to_string(), f.transient))
 }

@@ -281,8 +281,8 @@ pub struct MkbIndex<'m> {
     /// Memoized `Min(H_R)` survival sets, keyed by `(Min(H_R) relation
     /// id set, deleted relation id)` over `H(MKB)`'s interner.
     survivors: Memo<(RelSet, RelId), Arc<BTreeSet<RelName>>>,
-    /// When false, every memoized accessor computes directly (used by the
-    /// benches to A/B the cache against PR 1's plain indexed path).
+    /// When false, every memoized accessor computes directly (the
+    /// uncached reference the tests compare the cache against).
     cache_enabled: bool,
 }
 
@@ -369,10 +369,10 @@ impl<'m> MkbIndex<'m> {
         mkb_prime: &'m MetaKnowledgeBase,
         opts: &CvsOptions,
     ) -> Self {
-        let mut span = crate::telem::span("index-build");
+        let mut span = eve_telemetry::span("index-build");
         span.field("relations", mkb.relation_count() as u64);
         span.field("joins", mkb.joins().len() as u64);
-        crate::telem::counter_add("index.builds", 1);
+        eve_telemetry::counter_add("index.builds", 1);
         crate::faults::hit("index.build");
         let h = Arc::new(Hypergraph::build(mkb));
         let components = Arc::new(h.components().into_iter().map(Arc::new).collect::<Vec<_>>());
@@ -419,10 +419,10 @@ impl<'m> MkbIndex<'m> {
         opts: &CvsOptions,
         carry: Option<MemoCarry>,
     ) -> Self {
-        let mut span = crate::telem::span("index-from-cores");
+        let mut span = eve_telemetry::span("index-from-cores");
         span.field("relations", mkb.relation_count() as u64);
         span.field("carried", carry.is_some() as u64);
-        crate::telem::counter_add("index.delta_builds", 1);
+        eve_telemetry::counter_add("index.delta_builds", 1);
         // Distinct from `index.build` (the full-rebuild path) so fault
         // plans can address delta maintenance specifically.
         crate::faults::hit("index.delta-build");
@@ -542,7 +542,7 @@ impl<'m> MkbIndex<'m> {
             // deterministically empty — nothing worth memoizing):
             // compute directly.
             _ => {
-                let mut span = crate::telem::span("tree-enumeration");
+                let mut span = eve_telemetry::span("tree-enumeration");
                 span.field("terminals", terminals.len() as u64);
                 let trees: Vec<ConnectionTree> =
                     TreeCursor::new(&self.h_prime, terminals, max_path_edges)
@@ -564,7 +564,7 @@ impl<'m> MkbIndex<'m> {
             }
         }
         self.trees.count_miss();
-        let mut span = crate::telem::span("tree-enumeration");
+        let mut span = eve_telemetry::span("tree-enumeration");
         span.field("terminals", terminals.len() as u64);
         let mut prefix = cell.write().unwrap_or_else(|e| e.into_inner());
         if !prefix.serves(limit) {

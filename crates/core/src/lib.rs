@@ -58,17 +58,15 @@
 //! rewritings for *maximal view preservation* (§7 future work),
 //! [`materialize`]/[`maintain`]/[`adapt`] close the data loop
 //! (materialization, counting-based incremental maintenance, and the
-//! Gupta-style adaptation of §6's related work), [`answering`]
-//! implements the classical answering-queries-using-views baseline,
-//! [`explain`] narrates rewritings, and [`service`] is a thread-safe
-//! handle for service deployments.
+//! Gupta-style adaptation of §6's related work), [`explain`] narrates
+//! rewritings, and [`service`] is a thread-safe handle for service
+//! deployments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapt;
 pub mod affected;
-pub mod answering;
 pub mod clock;
 pub mod cost;
 pub mod delete_attribute;
@@ -90,14 +88,12 @@ pub mod rewrite;
 pub mod service;
 pub mod svs;
 pub mod synchronizer;
-pub(crate) mod telem;
 
 #[cfg(test)]
 pub(crate) mod testutil;
 
 pub use adapt::{adapt_materialization, AdaptationReport, AdaptationStrategy};
 pub use affected::{affected_views, is_affected, is_evaluable, revivable};
-pub use answering::{answer_using_view, answer_using_views};
 pub use clock::VirtualClock;
 pub use cost::{rank_rewritings as rank_by_cost, CostBreakdown, CostModel};
 pub use delete_attribute::synchronize_delete_attribute_indexed;

@@ -170,18 +170,12 @@ pub struct CvsOptions {
     /// construction. [`CvsOptions::validated`] (applied by the
     /// synchronizer when it builds) clamps it to ≥ 1.
     pub max_path_edges: usize,
-    /// Maximum number of connection-tree variants considered per cover
-    /// combination (alternative parallel join constraints).
-    pub max_trees_per_combination: usize,
     /// Maximum number of cover combinations explored (the cartesian
     /// product over per-attribute cover choices is truncated, breadth
     /// first, at this bound).
     pub max_cover_combinations: usize,
     /// Clause-implication strength for the R-mapping.
     pub implication: ImplicationMode,
-    /// Run the Step 4 WHERE-consistency check and discard inconsistent
-    /// candidates.
-    pub check_consistency: bool,
     /// Exclude relations whose IS does not advertise the *join*
     /// capability from replacement search: a cover that cannot be joined
     /// is unusable (§2's capability descriptions, enforced).
@@ -216,10 +210,8 @@ impl Default for CvsOptions {
     fn default() -> Self {
         CvsOptions {
             max_path_edges: usize::MAX,
-            max_trees_per_combination: 4,
             max_cover_combinations: 32,
             implication: ImplicationMode::Interval,
-            check_consistency: true,
             respect_capabilities: true,
             parallelism: None,
             budget: SearchBudget::default(),
@@ -286,7 +278,6 @@ mod tests {
         let o = CvsOptions::default();
         assert_eq!(o.max_path_edges, usize::MAX);
         assert_eq!(o.implication, ImplicationMode::Interval);
-        assert!(o.check_consistency);
     }
 
     #[test]

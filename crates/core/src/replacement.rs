@@ -140,8 +140,8 @@ pub fn compute_replacements_indexed(
     }
     // Same single accumulation path as the budgeted search: counters
     // are read out of the stream, never counted in parallel.
-    if crate::telem::enabled() && stream.disconnected_combos() > 0 {
-        crate::telem::counter_add(
+    if eve_telemetry::enabled() && stream.disconnected_combos() > 0 {
+        eve_telemetry::counter_add(
             "search.disconnected_combos",
             stream.disconnected_combos() as u64,
         );
@@ -230,6 +230,10 @@ struct ActiveCombo {
 const CANDIDATES_INTERN: &str =
     "candidate relations are H' vertices: trees span H' vertices only, and a survivor \
      outside H' leaves every enumeration empty";
+
+/// Connection-tree variants (alternative parallel join constraints)
+/// considered per cover combination.
+const MAX_TREES_PER_COMBINATION: usize = 4;
 
 /// Lazy generator over the (cover combination × connection tree) choice
 /// space of Def. 3.
@@ -552,7 +556,7 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
                     self.tree_budget_exhausted = true;
                     return None;
                 }
-                let chunk = self.opts.max_trees_per_combination.min(remaining);
+                let chunk = MAX_TREES_PER_COMBINATION.min(remaining);
                 // Memoized per (terminal set, hop bound): a second view
                 // sharing this combination's terminals reuses the walk,
                 // and smaller limits are served from the cached prefix.
@@ -568,7 +572,7 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
                     continue;
                 }
                 self.trees_enumerated += trees.len();
-                if chunk < self.opts.max_trees_per_combination && trees.len() == chunk {
+                if chunk < MAX_TREES_PER_COMBINATION && trees.len() == chunk {
                     // The per-combination limit was clipped by the global
                     // budget and the clipped enumeration filled up.
                     self.tree_budget_exhausted = true;

@@ -232,7 +232,6 @@ pub(crate) fn assemble_prepared(
     view: &ViewDefinition,
     pre: &ComboAssembly,
     rep: &Replacement,
-    opts: &CvsOptions,
 ) -> Result<Assembled, CvsError> {
     // ---- FROM -----------------------------------------------------------
     // FROM and WHERE are each sized once: the combination prefix plus
@@ -269,9 +268,7 @@ pub(crate) fn assemble_prepared(
     // Step 4 consistency check, over the assembled clauses in place
     // (identical verdict to `where_conjunction().is_consistent()`,
     // without cloning the WHERE list).
-    if opts.check_consistency
-        && !eve_relational::clauses_consistent(assembled.conditions.iter().map(|c| &c.clause))
-    {
+    if !eve_relational::clauses_consistent(assembled.conditions.iter().map(|c| &c.clause)) {
         return Err(CvsError::Inconsistent);
     }
 
@@ -524,7 +521,7 @@ pub fn cvs_delete_relation_searched(
         .collect();
 
     let k = budget.top_k;
-    let mut rank_span = crate::telem::span("ranking");
+    let mut rank_span = eve_telemetry::span("ranking");
     rank_span.label(|| view.name.clone());
     // Kept candidates, sorted ascending by `cmp_keys`; ties inserted
     // after their equals, reproducing the legacy stable sorts.
@@ -599,7 +596,7 @@ pub fn cvs_delete_relation_searched(
             }
         };
         let asm_res = match pre {
-            Ok(pre) => assemble_prepared(view, pre, &rep, opts),
+            Ok(pre) => assemble_prepared(view, pre, &rep),
             Err(e) => Err(e.clone()),
         };
         match asm_res {
@@ -643,17 +640,17 @@ pub fn cvs_delete_relation_searched(
     // the stream's accumulators) — one accumulation path, so the
     // per-view public API and the process-wide metrics can never
     // disagree.
-    if crate::telem::enabled() {
+    if eve_telemetry::enabled() {
         rank_span.field("generated", stats.generated as u64);
         rank_span.field("pruned", stats.pruned as u64);
         rank_span.field("kept", stats.kept as u64);
         rank_span.field("trees", stats.trees_enumerated as u64);
-        crate::telem::counter_add("search.candidates_generated", stats.generated as u64);
-        crate::telem::counter_add("search.candidates_pruned", stats.pruned as u64);
-        crate::telem::counter_add("search.candidates_kept", stats.kept as u64);
-        crate::telem::counter_add("search.trees_enumerated", stats.trees_enumerated as u64);
+        eve_telemetry::counter_add("search.candidates_generated", stats.generated as u64);
+        eve_telemetry::counter_add("search.candidates_pruned", stats.pruned as u64);
+        eve_telemetry::counter_add("search.candidates_kept", stats.kept as u64);
+        eve_telemetry::counter_add("search.trees_enumerated", stats.trees_enumerated as u64);
         if stats.disconnected_combos > 0 {
-            crate::telem::counter_add(
+            eve_telemetry::counter_add(
                 "search.disconnected_combos",
                 stats.disconnected_combos as u64,
             );
@@ -661,10 +658,10 @@ pub fn cvs_delete_relation_searched(
         if stream.tree_budget_exhausted() {
             // Covers both exhaustion sites (budget spent mid-stream and
             // the clipped-fill case the old inline counter missed).
-            crate::telem::counter_add("search.tree_budget_exhausted", 1);
+            eve_telemetry::counter_add("search.tree_budget_exhausted", 1);
         }
         if stats.budget_exhausted {
-            crate::telem::counter_add("search.budget_exhausted", 1);
+            eve_telemetry::counter_add("search.budget_exhausted", 1);
         }
     }
     drop(rank_span);

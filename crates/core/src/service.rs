@@ -18,7 +18,6 @@
 //! commits fully-built state.
 
 use crate::synchronizer::{ChangeOutcome, SyncPanic, Synchronizer};
-use crate::telem;
 use eve_esql::ViewDefinition;
 use eve_misd::{CapabilityChange, MetaKnowledgeBase, MisdError};
 use std::fmt;
@@ -76,9 +75,9 @@ impl SharedSynchronizer {
     /// span labelled with the recorded identity of the panicking change,
     /// so the trace answers "recovered from *what*?".
     fn note_poison_recovery(&self) {
-        telem::counter_add("service.poison_recoveries", 1);
-        if telem::enabled() {
-            let mut span = telem::span("poison-recovery");
+        eve_telemetry::counter_add("service.poison_recoveries", 1);
+        if eve_telemetry::enabled() {
+            let mut span = eve_telemetry::span("poison-recovery");
             span.label(|| {
                 self.last_failure()
                     .map(|f| f.to_string())
@@ -88,9 +87,9 @@ impl SharedSynchronizer {
     }
 
     fn read_lock(&self) -> RwLockReadGuard<'_, Synchronizer> {
-        let wait = telem::start_timer();
+        let wait = eve_telemetry::start_timer();
         let result = self.inner.read();
-        telem::stop_timer("service.read_wait_ns", wait);
+        eve_telemetry::stop_timer("service.read_wait_ns", wait);
         result.unwrap_or_else(|e| {
             self.note_poison_recovery();
             e.into_inner()
@@ -98,9 +97,9 @@ impl SharedSynchronizer {
     }
 
     fn write_lock(&self) -> RwLockWriteGuard<'_, Synchronizer> {
-        let wait = telem::start_timer();
+        let wait = eve_telemetry::start_timer();
         let result = self.inner.write();
-        telem::stop_timer("service.write_wait_ns", wait);
+        eve_telemetry::stop_timer("service.write_wait_ns", wait);
         result.unwrap_or_else(|e| {
             self.note_poison_recovery();
             e.into_inner()
@@ -323,9 +322,7 @@ mod tests {
 
     #[test]
     fn panic_while_writing_leaves_readers_on_last_snapshot() {
-        #[cfg(feature = "telemetry")]
         let _serial = eve_telemetry::serial_guard();
-        #[cfg(feature = "telemetry")]
         eve_telemetry::install(vec![]).expect("no pipeline installed");
 
         let s = shared();
@@ -358,18 +355,14 @@ mod tests {
             .expect("alive")
             .uses_relation(&RelName::new("Customer")));
 
-        #[cfg(feature = "telemetry")]
-        {
-            let snap = eve_telemetry::uninstall().expect("pipeline was installed");
-            let recoveries = snap.counter("service.poison_recoveries").unwrap_or(0);
-            assert!(
-                recoveries >= 3,
-                "read+read+write recoveries, got {recoveries}"
-            );
-        }
+        let snap = eve_telemetry::uninstall().expect("pipeline was installed");
+        let recoveries = snap.counter("service.poison_recoveries").unwrap_or(0);
+        assert!(
+            recoveries >= 3,
+            "read+read+write recoveries, got {recoveries}"
+        );
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn failfast_panic_records_identity_and_keeps_handle_usable() {
         let _serial = eve_faults::serial_guard();

@@ -39,7 +39,6 @@ use crate::index::{CacheStats, MemoCarry, MkbIndex};
 use crate::legal::LegalRewriting;
 use crate::options::{CvsOptions, FailurePolicy, IndexMaintenance};
 use crate::rewrite::SearchStats;
-use crate::telem;
 use eve_esql::{validate_view, ViewDefinition};
 use eve_misd::{evolve, CapabilityChange, MetaKnowledgeBase, MisdError};
 use std::fmt;
@@ -581,7 +580,7 @@ impl Synchronizer {
     /// registration order, so the outcome is byte-identical to a
     /// sequential run.
     pub fn apply(&mut self, change: &CapabilityChange) -> Result<ChangeOutcome, MisdError> {
-        let mut apply_span = telem::span("apply");
+        let mut apply_span = eve_telemetry::span("apply");
         apply_span.label(|| change.to_string());
         let mkb_prime = evolve(&self.mkb, change)?;
         let mode = self.opts.index_maintenance;
@@ -649,7 +648,7 @@ impl Synchronizer {
             // Stamped only when a fault plan is installed, so chaos
             // traces are distinguishable while fault-free traces keep
             // their pinned golden shape.
-            if faults::active() {
+            if eve_faults::active() {
                 apply_span.field("fault-injection", 1);
             }
             let apply_ctx = apply_span.ctx();
@@ -663,11 +662,11 @@ impl Synchronizer {
             // name — which also keeps injected-fault hit counts
             // deterministic across worker counts).
             let run_view = |task: usize, view: &ViewDefinition| {
-                faults::scoped(&view.name, || {
+                eve_faults::scoped(&view.name, || {
                     // Pool workers have no span stack of their own:
                     // parent explicitly under the apply span so the
                     // fan-out shows up as one tree.
-                    let mut view_span = telem::span_under("view-sync", apply_ctx);
+                    let mut view_span = eve_telemetry::span_under("view-sync", apply_ctx);
                     view_span.label(|| view.name.clone());
                     view_span.field("task", task as u64);
                     engine::synchronize_view(
@@ -694,7 +693,7 @@ impl Synchronizer {
                 let outcome = match results.next().expect("one pool result per affected view") {
                     Ok(outcome) => outcome,
                     Err(panic) => Self::resolve_failure(policy, change, name, panic, || {
-                        telem::counter_add("sync.view_retries", 1);
+                        eve_telemetry::counter_add("sync.view_retries", 1);
                         parpool::call_caught(task, || run_view(task, view))
                     }),
                 };
@@ -729,9 +728,9 @@ impl Synchronizer {
             // Fold the per-index memo counters into the registry before
             // the index (and its atomics) goes away.
             cache = index.cache_stats();
-            if telem::enabled() {
-                telem::counter_add("index.cache.hits", cache.hits);
-                telem::counter_add("index.cache.misses", cache.misses);
+            if eve_telemetry::enabled() {
+                eve_telemetry::counter_add("index.cache.hits", cache.hits);
+                eve_telemetry::counter_add("index.cache.misses", cache.misses);
             }
             // Incremental mode keeps this change's warm memo tables for
             // the next change's index to start from.
@@ -766,21 +765,21 @@ impl Synchronizer {
             views: outcomes,
             cache,
         };
-        if telem::enabled() {
-            telem::counter_add("sync.changes", 1);
-            telem::counter_add("sync.views.rewritten", outcome.rewritten() as u64);
+        if eve_telemetry::enabled() {
+            eve_telemetry::counter_add("sync.changes", 1);
+            eve_telemetry::counter_add("sync.views.rewritten", outcome.rewritten() as u64);
             let disabled = outcome.views.iter().filter(|(_, o)| !o.survived()).count();
-            telem::counter_add("sync.views.disabled", disabled as u64);
+            eve_telemetry::counter_add("sync.views.disabled", disabled as u64);
             let revived = outcome
                 .views
                 .iter()
                 .filter(|(_, o)| matches!(o, ViewOutcome::Revived))
                 .count();
-            telem::counter_add("sync.views.revived", revived as u64);
+            eve_telemetry::counter_add("sync.views.revived", revived as u64);
             // Point-in-time levels for the scrape endpoint: how many
             // views are live vs parked after this change.
-            telem::gauge_set("sync.views_active", self.views.len() as u64);
-            telem::gauge_set("sync.views_disabled", self.disabled.len() as u64);
+            eve_telemetry::gauge_set("sync.views_active", self.views.len() as u64);
+            eve_telemetry::gauge_set("sync.views_disabled", self.disabled.len() as u64);
         }
         Ok(outcome)
     }
@@ -815,7 +814,7 @@ impl Synchronizer {
                 FailurePolicy::FailFast => {
                     // Last chance for evidence: dump the flight-recorder
                     // window before the panic unwinds out of the engine.
-                    telem::flight_trigger("sync-panic", &change.to_string(), name);
+                    eve_telemetry::flight_trigger("sync-panic", &change.to_string(), name);
                     std::panic::resume_unwind(Box::new(SyncPanic {
                         change: change.to_string(),
                         view: name.to_string(),
@@ -841,8 +840,8 @@ impl Synchronizer {
                             }
                         }
                     }
-                    telem::counter_add("service.view_failures", 1);
-                    telem::flight_trigger("view-failed", &change.to_string(), name);
+                    eve_telemetry::counter_add("service.view_failures", 1);
+                    eve_telemetry::flight_trigger("view-failed", &change.to_string(), name);
                     return ViewOutcome::Failed {
                         error: if transient {
                             SyncFailure::Transient { message }
@@ -1521,7 +1520,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "faults")]
     fn sync_with_policy(policy: crate::FailurePolicy) -> Synchronizer {
         let mut s = sync_named("Faulted-Asia");
         s.opts = CvsOptions {
@@ -1531,7 +1529,6 @@ mod tests {
         s
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn degrade_contains_injected_panic_to_one_view() {
         let _serial = eve_faults::serial_guard();
@@ -1566,7 +1563,6 @@ mod tests {
         assert_eq!(s.disabled_views().count(), 1);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn degrade_retries_transient_faults_to_convergence() {
         let _serial = eve_faults::serial_guard();

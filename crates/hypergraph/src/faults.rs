@@ -1,7 +1,6 @@
-//! Crate-internal facade over `eve-faults` (one site — the connection
-//! tree stream — the richer sites live in `eve-core`). Without the
-//! default `faults` feature every call compiles down to a no-op; with it
-//! an uninstalled plan costs one relaxed atomic load per site.
+//! The crate's one fault-injection site over `eve-faults` — the
+//! connection tree stream; the richer sites live in `eve-core`. With no
+//! plan installed it costs one relaxed atomic load.
 //!
 //! The `hypergraph.tree-iter` site fires when a tree stream is opened.
 //! Under the core index's shared enumeration cache, *which* view's task
@@ -9,19 +8,14 @@
 //! this site are chaos-only — the deterministic-replay guarantees are
 //! documented for the core sites (see DESIGN.md).
 
-#[cfg(feature = "faults")]
 pub(crate) fn hit(site: &str) {
     if !eve_faults::active() {
         return;
     }
     if let Some(kind) = eve_faults::check(site) {
-        crate::telem::counter_add("faults.injected", 1);
+        eve_telemetry::counter_add("faults.injected", 1);
         // Budget faults have no meaning at a stream opening; treat the
         // returned truncation flag as a no-op here.
         let _ = eve_faults::execute(site, kind);
     }
 }
-
-#[cfg(not(feature = "faults"))]
-#[inline(always)]
-pub(crate) fn hit(_site: &str) {}

@@ -44,7 +44,6 @@ pub mod graph;
 pub mod intern;
 pub mod paths;
 pub mod relset;
-pub(crate) mod telem;
 
 pub use delta::GraphDelta;
 pub use graph::Hypergraph;

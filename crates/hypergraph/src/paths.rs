@@ -438,9 +438,9 @@ fn write_path_scratch(
 
 impl Drop for TreeCursor<'_> {
     fn drop(&mut self) {
-        if crate::telem::enabled() {
-            crate::telem::counter_add("hypergraph.tree_iters", 1);
-            crate::telem::counter_add("hypergraph.trees_yielded", self.yielded);
+        if eve_telemetry::enabled() {
+            eve_telemetry::counter_add("hypergraph.tree_iters", 1);
+            eve_telemetry::counter_add("hypergraph.trees_yielded", self.yielded);
         }
     }
 }

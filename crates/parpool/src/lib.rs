@@ -1,7 +1,7 @@
 //! A minimal scoped **work-stealing thread pool**, vendored for the EVE
 //! workspace (the build environment has no route to crates.io, so this
 //! plays the role `rayon` would otherwise play — same offline-shim
-//! pattern as the workspace's `rand`/`proptest`/`criterion` crates).
+//! pattern as the workspace's `rand`/`proptest` crates).
 //!
 //! The one entry point, [`map_in_order`], runs a closure over a batch of
 //! work items on `threads` scoped OS threads and returns the results **in

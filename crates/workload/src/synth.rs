@@ -338,8 +338,7 @@ impl SynthWorkload {
     }
 
     /// The wide-MKB/high-fanout workload of the budgeted search (the
-    /// `cvs_wide_mkb_search` criterion group and the pruning test in
-    /// `tests/prop_search.rs`).
+    /// pruning test in `tests/prop_search.rs`).
     ///
     /// Relations: target `T(k, v)`, witness `W(k, w)` (in the view), one
     /// *shallow* cover `S0(k, v)` a single join hop from `W`, and
@@ -776,7 +775,7 @@ pub fn random_views(
 }
 
 /// Generate `count` views that all reference `target` — the fan-out
-/// workload for the parallel synchronizer benches (every view is
+/// workload of the parallel synchronizer (every view is
 /// *affected* by `delete-relation target`). Each view starts at `target`
 /// and grows by `view_relations - 1` randomized steps along the MKB's
 /// join constraints. The steps stay in `target`'s neighbourhood, so when

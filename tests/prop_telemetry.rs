@@ -229,12 +229,17 @@ fn flight_dump_is_byte_identical_across_worker_counts() {
         );
 
         let dump = eve::telemetry::flight_last_dump().expect("a failure triggered a dump");
-        eve::faults::uninstall().expect("plan still installed");
+        let report = eve::faults::uninstall().expect("plan still installed");
         let stats = eve::telemetry::flight_uninstall().expect("recorder was installed");
-        eve::telemetry::uninstall().expect("pipeline was installed");
+        let snap = eve::telemetry::uninstall().expect("pipeline was installed");
         assert_eq!(
             stats.dropped, 0,
             "windows must not overflow for byte-identity"
+        );
+        assert_eq!(
+            snap.counter("faults.injected"),
+            Some(report.injected),
+            "every injected fault bumps the faults.injected counter"
         );
         dump
     };
