@@ -232,10 +232,11 @@ pub fn render_covers(rows: &[CoverRow]) -> String {
     }
     format!(
         "sweep-covers — rewriting alternatives vs function-of density\n\n{}\n\
-         note: candidate counts are capped by CvsOptions::max_cover_combinations \
-         (default {}); the plateau is the cap, not the search space.\n",
+         note: candidate counts are capped by replacement::MAX_COVER_COMBINATIONS \
+         ({} per view; a cut sets budget_exhausted); the plateau is the cap, not the \
+         search space.\n",
         t.render(),
-        CvsOptions::default().max_cover_combinations
+        eve_core::replacement::MAX_COVER_COMBINATIONS
     )
 }
 

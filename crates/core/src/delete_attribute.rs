@@ -239,10 +239,11 @@ fn assemble_with_cover(
             }
         }
         added_joins = tree.joins.clone();
-        append_join_clauses(&mut new_view.conditions, &added_joins);
     }
 
-    if !new_view.where_conjunction().is_consistent() {
+    // Append the join clauses (none when the cover was already in FROM);
+    // the append returns the WHERE list's consistency verdict.
+    if !append_join_clauses(&mut new_view.conditions, &added_joins) {
         return Err(CvsError::Inconsistent);
     }
 

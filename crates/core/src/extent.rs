@@ -322,7 +322,8 @@ pub fn infer_extent_indexed(
     dropped_conditions: usize,
     index: &MkbIndex<'_>,
 ) -> ExtentVerdict {
-    infer_extent_with(&ExtentCtx::new(rm), rep, dropped_conditions, index)
+    let ctx = ExtentCtx::new(rm, Arc::new(rm.surviving_relations()));
+    infer_extent_with(&ctx, rep, dropped_conditions, index)
 }
 
 /// Per-search invariants of the extent inference: everything derived
@@ -330,8 +331,8 @@ pub fn infer_extent_indexed(
 /// candidate of one rewriting search.
 pub(crate) struct ExtentCtx<'a> {
     rm: &'a RMapping,
-    /// `Min(H_R)` relations minus `R`.
-    survivors: BTreeSet<RelName>,
+    /// `Min(H_R)` relations minus `R` — the search's own set, shared.
+    survivors: Arc<BTreeSet<RelName>>,
     /// Join attributes of `R` in `Min(H_R)`: every relation of the
     /// replacement chain must transport them faithfully.
     join_attrs: BTreeSet<AttrName>,
@@ -341,18 +342,21 @@ pub(crate) struct ExtentCtx<'a> {
 }
 
 impl<'a> ExtentCtx<'a> {
-    pub(crate) fn new(rm: &'a RMapping) -> Self {
+    /// `survivors` must be `rm.surviving_relations()`.
+    pub(crate) fn new(rm: &'a RMapping, survivors: Arc<BTreeSet<RelName>>) -> Self {
+        debug_assert_eq!(*survivors, rm.surviving_relations());
         let mut join_attrs: BTreeSet<AttrName> = BTreeSet::new();
-        for jc in &rm.min_joins {
-            for a in jc.attrs() {
+        for clause in rm.min_joins.iter().flat_map(|jc| jc.predicate.clauses()) {
+            clause.all_attrs(&mut |a| {
                 if a.relation == rm.target {
-                    join_attrs.insert(a.attr);
+                    join_attrs.insert(a.attr.clone());
                 }
-            }
+                true
+            });
         }
         ExtentCtx {
             rm,
-            survivors: rm.surviving_relations(),
+            survivors,
             join_attrs,
             base_eq: EqClasses::build(&rm.min_joins),
         }

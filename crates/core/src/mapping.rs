@@ -28,7 +28,7 @@
 
 use crate::options::{CvsOptions, ImplicationMode};
 use eve_esql::{CondItem, ViewDefinition};
-use eve_hypergraph::Hypergraph;
+use eve_hypergraph::{Hypergraph, RelId};
 use eve_misd::JoinConstraint;
 use eve_relational::{Clause, RelName};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -105,15 +105,25 @@ pub fn compute_r_mapping(
     // pair × constraint-clause implication probe below.
     let congruence = facts.congruence();
     let mut edges: BTreeMap<(RelName, RelName), Arc<JoinConstraint>> = BTreeMap::new();
+    // Each FROM relation is interned into `H_R` once; relations outside
+    // it have no id and join nothing.
+    let ids: Vec<Option<RelId>> = from_rels.iter().map(|r| h_r.rel_id(r)).collect();
     for (i, s1) in from_rels.iter().enumerate() {
-        for s2 in from_rels.iter().skip(i + 1) {
-            if !h_r.contains(s1) || !h_r.contains(s2) {
+        for (j, s2) in from_rels.iter().enumerate().skip(i + 1) {
+            let (Some(a), Some(b)) = (ids[i], ids[j]) else {
                 continue;
-            }
+            };
             if facts.is_empty() {
                 continue;
             }
-            for jc in h_r.joins_between(s1, s2) {
+            // The constraints between the pair, in declaration order:
+            // `a`'s CSR edges to `b`, so a pair costs `a`'s degree, not
+            // a scan of every join in the component.
+            let between = h_r
+                .neighbors(a)
+                .filter(|&(n, _)| n == b)
+                .map(|(_, e)| &h_r.joins()[e as usize]);
+            for jc in between {
                 let all_implied = jc
                     .predicate
                     .clauses()

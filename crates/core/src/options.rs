@@ -170,10 +170,6 @@ pub struct CvsOptions {
     /// construction. [`CvsOptions::validated`] (applied by the
     /// synchronizer when it builds) clamps it to ≥ 1.
     pub max_path_edges: usize,
-    /// Maximum number of cover combinations explored (the cartesian
-    /// product over per-attribute cover choices is truncated, breadth
-    /// first, at this bound).
-    pub max_cover_combinations: usize,
     /// Clause-implication strength for the R-mapping.
     pub implication: ImplicationMode,
     /// Exclude relations whose IS does not advertise the *join*
@@ -210,7 +206,6 @@ impl Default for CvsOptions {
     fn default() -> Self {
         CvsOptions {
             max_path_edges: usize::MAX,
-            max_cover_combinations: 32,
             implication: ImplicationMode::Interval,
             respect_capabilities: true,
             parallelism: None,

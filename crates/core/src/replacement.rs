@@ -19,8 +19,9 @@
 //! The full candidate set is exponential; following the minimality spirit
 //! of Def. 2 we enumerate minimal connection trees (per cover
 //! combination, with parallel-join-constraint variants), bounded by
-//! [`CvsOptions`]. Dispensable attributes are covered *opportunistically*
-//! when a cover exists — exactly what Example 10 does for `Customer.Age`
+//! [`MAX_COVER_COMBINATIONS`] and [`MAX_TREES_PER_COMBINATION`].
+//! Dispensable attributes are covered *opportunistically* when a cover
+//! exists — exactly what Example 10 does for `Customer.Age`
 //! (dispensable, yet replaced through `F3` because `Accident-Ins` happens
 //! to cover it).
 
@@ -28,11 +29,11 @@ use crate::error::CvsError;
 use crate::index::MkbIndex;
 use crate::mapping::RMapping;
 use crate::options::CvsOptions;
-use eve_esql::{CondItem, ViewDefinition};
-use eve_hypergraph::{ConnectionTree, RelId, RelSet};
+use eve_esql::{CondItem, EvolutionParams, ViewDefinition};
+use eve_hypergraph::{ConnectionTree, RelSet};
 use eve_misd::JoinConstraint;
 use eve_relational::{AttrRef, RelName, ScalarExpr};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A chosen cover for one attribute of the dropped relation.
@@ -88,31 +89,29 @@ struct AttrUsage {
 
 fn classify_attrs(view: &ViewDefinition, target: &RelName) -> BTreeMap<AttrRef, AttrUsage> {
     let mut usage: BTreeMap<AttrRef, AttrUsage> = BTreeMap::new();
-    let mut note = |attr: AttrRef, dispensable: bool, replaceable: bool| {
-        let u = usage.entry(attr).or_default();
-        if replaceable {
+    // Noting an attribute twice changes nothing, so the components'
+    // references are visited in place rather than collected into sets.
+    let mut note = |attr: &AttrRef, params: EvolutionParams| {
+        if &attr.relation != target {
+            return true;
+        }
+        let u = usage.entry(attr.clone()).or_default();
+        if params.replaceable {
             u.replace_worthy = true;
         }
-        if !dispensable {
+        if !params.dispensable {
             u.required = true;
-            if !replaceable {
+            if !params.replaceable {
                 u.frozen = true;
             }
         }
+        true
     };
     for item in &view.select {
-        for attr in item.expr.attrs() {
-            if &attr.relation == target {
-                note(attr, item.params.dispensable, item.params.replaceable);
-            }
-        }
+        item.expr.all_attrs(&mut |a| note(a, item.params));
     }
     for cond in &view.conditions {
-        for attr in cond.clause.attrs() {
-            if &attr.relation == target {
-                note(attr, cond.params.dispensable, cond.params.replaceable);
-            }
-        }
+        cond.clause.all_attrs(&mut |a| note(a, cond.params));
     }
     usage
 }
@@ -183,53 +182,62 @@ pub struct CandidateBound {
     pub min_dropped_conditions: usize,
 }
 
-/// A cover combination, prepared for lazy expansion.
+/// A condition list shared by every candidate of one cover combination.
+type SharedConditions = Arc<Vec<CondItem>>;
+
+/// A cover combination, prepared when the stream reaches it.
 #[derive(Debug)]
 struct PreparedCombo {
-    covers: Arc<BTreeMap<AttrRef, CoverChoice>>,
+    covers: BTreeMap<AttrRef, CoverChoice>,
     terminals: BTreeSet<RelName>,
-    /// `terminals` interned over `H'(MKB')`, computed once at stream
-    /// construction (`None` when some terminal is not a vertex there) —
-    /// every chunked tree re-request probes the memo with this key
-    /// instead of re-hashing relation names.
+    /// `terminals` interned over `H'(MKB')` (`None` when some terminal
+    /// is not a vertex there): the view's interned survivors plus this
+    /// combination's cover sources, so each name is interned once.
     terminal_key: Option<RelSet>,
     /// Some terminal pair is provably unreachable in `H'` (memoized
     /// pairwise shortest paths): tree enumeration would come back empty,
     /// so skip it and record the disconnection directly.
     provably_disconnected: bool,
-    /// Hoisted Def. 3 (V) rewrite of `C_Max/Min` — it only depends on the
-    /// cover combination, not on the tree. `None` means a required
-    /// condition survives uncovered: no tree of this combination can
-    /// yield a candidate.
-    cmm: Option<(Vec<CondItem>, Vec<CondItem>)>,
+    /// Def. 3 (V) rewrite of `C_Max/Min` — it only depends on the cover
+    /// combination, not on the tree. `None` means a required condition
+    /// survives uncovered: no tree of this combination can yield a
+    /// candidate.
+    cmm: Option<(SharedConditions, SharedConditions)>,
     bound: CandidateBound,
 }
 
 /// The combination currently being expanded tree-by-tree.
 #[derive(Debug)]
 struct ActiveCombo {
-    /// Ordinal of the combination, part of the duplicate key: distinct
-    /// combinations have pairwise-distinct `covers` maps (each is a
-    /// distinct choice vector over per-attribute options with unique
-    /// function-of ids), so two equal candidates always share a
-    /// combination.
-    ord: u32,
     covers: Arc<BTreeMap<AttrRef, CoverChoice>>,
     trees: Arc<Vec<ConnectionTree>>,
     tree_pos: usize,
-    c_max_min: Arc<Vec<CondItem>>,
-    dropped_conditions: Arc<Vec<CondItem>>,
+    c_max_min: SharedConditions,
+    dropped_conditions: SharedConditions,
 }
 
-/// Why every candidate's relations intern over `H'(MKB')`, so its
-/// duplicate key always exists. A candidate's relations are its tree's
-/// plus the survivors. Trees hold only `H'` vertices. A non-empty
-/// terminal set contains the survivors, so a survivor outside `H'`
-/// leaves every enumeration for it empty and no candidate is emitted;
-/// an empty terminal set yields the empty relation set.
-const CANDIDATES_INTERN: &str =
-    "candidate relations are H' vertices: trees span H' vertices only, and a survivor \
-     outside H' leaves every enumeration empty";
+/// Why no two candidates of one cover combination are equal, so the
+/// stream needs no duplicate filter. Candidates of different
+/// combinations differ in their covers (each combination is a distinct
+/// choice vector over per-attribute options with unique function-of
+/// ids). Within a combination a candidate is its tree's relations and
+/// the surviving `Min(H_R)` joins followed by the tree's other joins, so
+/// two equal candidates need two trees with the same relations and,
+/// outside the surviving joins, the same joins. `TreeCursor` never
+/// yields those: with two terminals it yields distinct simple paths;
+/// otherwise the greedy tree plus single-swap variants, each trading one
+/// join for a distinct parallel one between the same relation pair. A
+/// swap cannot vanish into the surviving joins either, because
+/// `Min(H_R)` holds at most one constraint per relation pair.
+const DUPLICATE_FREE: &str = "two connection trees of one cover combination gave the same \
+     candidate: TreeCursor yields distinct paths and single-swap parallel variants, and \
+     Min(H_R) holds at most one constraint per relation pair";
+
+/// Cover combinations explored per view. The cartesian product over the
+/// per-attribute cover choices is cut, breadth first, at this bound; a
+/// cut is reported through
+/// [`crate::rewrite::SearchStats::budget_exhausted`].
+pub const MAX_COVER_COMBINATIONS: usize = 32;
 
 /// Connection-tree variants (alternative parallel join constraints)
 /// considered per cover combination.
@@ -249,30 +257,36 @@ const MAX_TREES_PER_COMBINATION: usize = 4;
 /// * bound the total number of trees enumerated (`max_trees`), after
 ///   which the stream ends and reports
 ///   [`ReplacementStream::tree_budget_exhausted`].
+///
+/// Everything that depends on the view alone — the survivors, their
+/// interned ids and pairwise distances, FROM minus `R` — is computed
+/// once in [`ReplacementStream::new`]; a combination adds only its
+/// cover sources, when the stream reaches it.
 pub(crate) struct ReplacementStream<'a, 'm> {
     index: &'a MkbIndex<'m>,
     opts: &'a CvsOptions,
+    rm: &'a RMapping,
+    /// The attributes of `R` that take a cover, in attribute order.
+    cover_options: Vec<CoverOption>,
+    /// Cover combinations to explore: their product, capped at
+    /// [`MAX_COVER_COMBINATIONS`].
+    combo_count: usize,
+    /// Did the cap cut the product short?
+    covers_truncated: bool,
+    /// `Min(H_R)` minus `R` (Def. 3 III). A non-empty terminal set
+    /// contains them, so every tree spans them.
     survivors: Arc<BTreeSet<RelName>>,
-    /// `survivors` interned over `H'(MKB')`, computed once — every
-    /// candidate's relation set is `tree ∪ survivors`, so its interned
-    /// key is built by adding the tree's few relations to this base
-    /// instead of re-hashing the merged set.
-    survivor_key: Option<RelSet>,
+    /// `survivors` interned over `H'(MKB')`, `None` when one is not a
+    /// vertex there.
+    survivor_ids: Option<RelSet>,
+    /// The largest survivor-pair distance in `H'`, `None` when some
+    /// pair is disconnected (only read when `survivor_ids` is set).
+    survivor_spread: Option<usize>,
+    /// FROM minus `R`, for the extra-relation bounds.
+    from_rels: BTreeSet<RelName>,
     surviving_joins: Vec<Arc<JoinConstraint>>,
-    combos: Vec<PreparedCombo>,
     combo_idx: usize,
     current: Option<ActiveCombo>,
-    /// Duplicate filter over interned candidate identities:
-    /// `(combination ordinal, relation bitset over H', join-id rank
-    /// sequence)`. Candidate equality reduces to this key — covers and
-    /// `C'_Max/Min` are combination-level, relations and joins are fully
-    /// captured by the bitset and the rank sequence — so the legacy
-    /// deep-equality scan over every emitted `Replacement` collapses to
-    /// one hash probe, with no retained clones. Every candidate has a
-    /// key: see [`CANDIDATES_INTERN`].
-    seen: HashSet<(u32, RelSet, Vec<u32>)>,
-    /// Join-constraint id → dense rank, grown on first sight.
-    join_rank: HashMap<String, u32>,
     max_trees: usize,
     trees_enumerated: usize,
     combos_pruned: usize,
@@ -282,10 +296,10 @@ pub(crate) struct ReplacementStream<'a, 'm> {
 }
 
 impl<'a, 'm> ReplacementStream<'a, 'm> {
-    /// Classify the view's use of `R`, resolve covers and prepare the
-    /// cover combinations. Fails eagerly with the same classification
-    /// errors the eager implementation raised
-    /// ([`CvsError::IndispensableNotReplaceable`], [`CvsError::NoCover`]).
+    /// Classify the view's use of `R`, resolve covers and set the view
+    /// up. Fails eagerly with the same classification errors the eager
+    /// implementation raised ([`CvsError::IndispensableNotReplaceable`],
+    /// [`CvsError::NoCover`]).
     pub(crate) fn new(
         view: &ViewDefinition,
         rm: &'a RMapping,
@@ -311,128 +325,63 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
         // non-replaceable components never take a cover — those
         // components can only be kept (impossible once R is gone) or
         // dropped.
-        let mut cover_options: Vec<(AttrRef, Vec<CoverChoice>, bool)> = Vec::new();
-        for (attr, u) in &usage {
-            let covers: Vec<CoverChoice> = if u.replace_worthy {
-                // Memoized Def. 3 (IV) filter: source distinct from `R`
-                // and alive in `H'`.
-                index.viable_covers(attr, target).to_vec()
-            } else {
-                Vec::new()
+        let mut cover_options = Vec::new();
+        for (attr, u) in usage {
+            // Memoized Def. 3 (IV) filter: source distinct from `R` and
+            // alive in `H'`.
+            let covers = match u.replace_worthy {
+                true => Some(index.viable_covers(&attr, target)).filter(|c| !c.is_empty()),
+                false => None,
             };
-            if u.required && covers.is_empty() {
-                return Err(CvsError::NoCover(attr.clone()));
-            }
-            if !covers.is_empty() {
-                cover_options.push((attr.clone(), covers, u.required));
+            match covers {
+                Some(covers) => cover_options.push((attr, covers, u.required)),
+                None if u.required => return Err(CvsError::NoCover(attr)),
+                None => {}
             }
         }
-
-        // --- enumerate cover combinations -------------------------------
-        // For required attributes every option is a cover; for dispensable
-        // ones we also allow "no cover" (drop the components), tried last
-        // so opportunistic covering is preferred.
-        let mut combinations: Vec<BTreeMap<AttrRef, CoverChoice>> = vec![BTreeMap::new()];
-        for (attr, covers, required) in &cover_options {
-            let mut next = Vec::new();
-            for combo in &combinations {
-                for c in covers {
-                    let mut combo = combo.clone();
-                    combo.insert(attr.clone(), c.clone());
-                    next.push(combo);
-                    if next.len() >= opts.max_cover_combinations {
-                        break;
-                    }
-                }
-                if !required && next.len() < opts.max_cover_combinations {
-                    next.push(combo.clone()); // the "leave uncovered" branch
-                }
-                if next.len() >= opts.max_cover_combinations {
-                    break;
-                }
-            }
-            combinations = next;
-        }
+        let product = cover_options
+            .iter()
+            .fold(1usize, |n, (_, covers, required)| {
+                n.saturating_mul(covers.len() + usize::from(!required))
+            });
 
         let survivors = index.survival_set(&rm.max_relations, target);
-        let surviving_joins = rm.surviving_joins();
-        // FROM minus the dropped relation, for the extra-relations bound.
-        let from_rels: BTreeSet<RelName> = view
+        let survivor_ids = index.intern_terminals(&survivors);
+        let mut survivor_spread = Some(0);
+        if let Some(key) = &survivor_ids {
+            'pairs: for a in key.iter() {
+                for b in key.iter().filter(|&b| b > a) {
+                    match index.pair_distance_ids(a, b) {
+                        Some(d) => survivor_spread = survivor_spread.max(Some(d)),
+                        None => {
+                            survivor_spread = None;
+                            break 'pairs;
+                        }
+                    }
+                }
+            }
+        }
+        let from_rels = view
             .from
             .iter()
             .map(|f| f.relation.clone())
             .filter(|r| r != target)
             .collect();
 
-        let combos = combinations
-            .into_iter()
-            .map(|covers| {
-                let mut terminals: BTreeSet<RelName> = (*survivors).clone();
-                terminals.extend(covers.values().map(|c| c.source.clone()));
-                // Intern once; the pairwise loop and every chunked tree
-                // request below run on ids.
-                let terminal_ids: Vec<Option<RelId>> =
-                    terminals.iter().map(|t| index.rel_id_prime(t)).collect();
-                let terminal_key: Option<RelSet> = index.intern_terminals(&terminals);
-
-                // Pairwise reachability and diameter over the terminals,
-                // through the index's memoized shortest paths. A terminal
-                // that is not a vertex of `H'` is unreachable from
-                // everything, exactly as the legacy name-keyed lookup
-                // reported.
-                let mut provably_disconnected = false;
-                let mut max_dist = 0usize;
-                'pairs: for i in 0..terminal_ids.len() {
-                    for j in i + 1..terminal_ids.len() {
-                        let d = match (terminal_ids[i], terminal_ids[j]) {
-                            (Some(a), Some(b)) => index.pair_distance_ids(a, b),
-                            _ => None,
-                        };
-                        match d {
-                            None => {
-                                provably_disconnected = true;
-                                break 'pairs;
-                            }
-                            Some(d) => max_dist = max_dist.max(d),
-                        }
-                    }
-                }
-
-                let cmm = rewrite_c_max_min(rm, &covers, target);
-                let covers = Arc::new(covers);
-                let t = terminals.len();
-                let bound = CandidateBound {
-                    min_relations: if t == 0 { 0 } else { t.max(max_dist + 1) },
-                    min_joins: surviving_joins.len().max(t.saturating_sub(1)).max(max_dist),
-                    min_extra_relations: terminals
-                        .iter()
-                        .filter(|r| !from_rels.contains(*r))
-                        .count(),
-                    min_dropped_conditions: cmm.as_ref().map(|(_, d)| d.len()).unwrap_or(0),
-                };
-                PreparedCombo {
-                    covers,
-                    terminals,
-                    terminal_key,
-                    provably_disconnected,
-                    cmm,
-                    bound,
-                }
-            })
-            .collect();
-
-        let survivor_key = index.intern_terminals(&survivors);
         Ok(ReplacementStream {
             index,
             opts,
+            rm,
+            cover_options,
+            combo_count: product.min(MAX_COVER_COMBINATIONS),
+            covers_truncated: product > MAX_COVER_COMBINATIONS,
             survivors,
-            survivor_key,
-            surviving_joins,
-            combos,
+            survivor_ids,
+            survivor_spread,
+            from_rels,
+            surviving_joins: rm.surviving_joins(),
             combo_idx: 0,
             current: None,
-            seen: HashSet::new(),
-            join_rank: HashMap::new(),
             max_trees,
             trees_enumerated: 0,
             combos_pruned: 0,
@@ -440,6 +389,73 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
             any_disconnected: false,
             tree_budget_exhausted: false,
         })
+    }
+
+    /// Set combination `ord` up: its terminals (survivors plus cover
+    /// sources), their interned key, reachability and bound, and its
+    /// Def. 3 (V) rewrite of `C_Max/Min`.
+    fn prepare(&self, ord: usize) -> PreparedCombo {
+        let covers = combination(&self.cover_options, ord);
+        let mut terminals: BTreeSet<RelName> = (*self.survivors).clone();
+        let mut terminal_key = self.survivor_ids.clone();
+        // The survivor pairs were measured once per view; only the
+        // pairs with a cover source are new. A terminal that is not a
+        // vertex of `H'` is unreachable from everything, exactly as the
+        // legacy name-keyed lookup reported.
+        let mut provably_disconnected = terminal_key.is_some() && self.survivor_spread.is_none();
+        let mut max_dist = self.survivor_spread.unwrap_or(0);
+        for cover in covers.values() {
+            if !terminals.insert(cover.source.clone()) {
+                continue;
+            }
+            let id = self.index.rel_id_prime(&cover.source);
+            match (id, &mut terminal_key) {
+                (Some(id), Some(key)) => {
+                    if !provably_disconnected {
+                        for other in key.iter() {
+                            match self.index.pair_distance_ids(id, other) {
+                                Some(d) => max_dist = max_dist.max(d),
+                                None => {
+                                    provably_disconnected = true;
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    key.insert(id);
+                }
+                (None, _) => terminal_key = None,
+                (Some(_), None) => {}
+            }
+        }
+        if terminal_key.is_none() && terminals.len() >= 2 {
+            provably_disconnected = true;
+        }
+
+        let cmm = rewrite_c_max_min(self.rm, &covers, &self.rm.target)
+            .map(|(c, d)| (Arc::new(c), Arc::new(d)));
+        let t = terminals.len();
+        let bound = CandidateBound {
+            min_relations: if t == 0 { 0 } else { t.max(max_dist + 1) },
+            min_joins: self
+                .surviving_joins
+                .len()
+                .max(t.saturating_sub(1))
+                .max(max_dist),
+            min_extra_relations: terminals
+                .iter()
+                .filter(|r| !self.from_rels.contains(*r))
+                .count(),
+            min_dropped_conditions: cmm.as_ref().map_or(0, |(_, d)| d.len()),
+        };
+        PreparedCombo {
+            covers,
+            terminals,
+            terminal_key,
+            provably_disconnected,
+            cmm,
+            bound,
+        }
     }
 
     /// Advance to the next candidate replacement, or `None` when the
@@ -456,60 +472,40 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
     ) -> Option<Replacement> {
         loop {
             if let Some(cur) = &mut self.current {
-                while cur.tree_pos < cur.trees.len() {
-                    let tree = &cur.trees[cur.tree_pos];
+                if cur.tree_pos < cur.trees.len() {
+                    let pos = cur.tree_pos;
                     cur.tree_pos += 1;
-                    // Def. 3 (III): include the surviving Min(H_R) joins.
-                    // Both lists hold the MKB's `Arc`s: the candidate
-                    // clones pointers, never constraints.
-                    let mut joins =
-                        Vec::with_capacity(self.surviving_joins.len() + tree.joins.len());
-                    joins.extend(self.surviving_joins.iter().cloned());
-                    for jc in &tree.joins {
-                        if !joins.iter().any(|j| j.id == jc.id) {
-                            joins.push(Arc::clone(jc));
-                        }
-                    }
-                    // Duplicate filter on the interned identity; order of
-                    // `joins` is significant (candidate equality is
-                    // positional), hence a rank *sequence*, not a set.
-                    let mut rel_key = self.survivor_key.clone().expect(CANDIDATES_INTERN);
-                    for t in &tree.relations {
-                        rel_key.insert(self.index.rel_id_prime(t).expect(CANDIDATES_INTERN));
-                    }
-                    let ranks: Vec<u32> = joins
-                        .iter()
-                        .map(|j| match self.join_rank.get(&j.id) {
-                            Some(&r) => r,
-                            None => {
-                                let next = self.join_rank.len() as u32;
-                                self.join_rank.insert(j.id.clone(), next);
-                                next
-                            }
-                        })
-                        .collect();
-                    if !self.seen.insert((cur.ord, rel_key, ranks)) {
-                        continue;
-                    }
-                    let mut relations = tree.relations.clone();
-                    relations.extend(self.survivors.iter().cloned());
+                    let tree = &cur.trees[pos];
+                    let joins = candidate_joins(&self.surviving_joins, tree);
+                    // The tree spans the survivors, so its relations are
+                    // the candidate's.
+                    debug_assert!(tree.relations.is_superset(&self.survivors));
+                    debug_assert!(
+                        cur.trees[..pos].iter().all(|earlier| {
+                            earlier.relations != tree.relations
+                                || !candidate_joins(&self.surviving_joins, earlier)
+                                    .iter()
+                                    .map(|j| &j.id)
+                                    .eq(joins.iter().map(|j| &j.id))
+                        }),
+                        "{DUPLICATE_FREE}"
+                    );
                     return Some(Replacement {
-                        covers: cur.covers.clone(),
-                        relations,
+                        covers: Arc::clone(&cur.covers),
+                        relations: tree.relations.clone(),
                         joins,
-                        c_max_min: cur.c_max_min.clone(),
-                        dropped_conditions: cur.dropped_conditions.clone(),
+                        c_max_min: Arc::clone(&cur.c_max_min),
+                        dropped_conditions: Arc::clone(&cur.dropped_conditions),
                     });
                 }
                 self.current = None;
             }
 
             // Advance to the next cover combination.
-            if self.combo_idx >= self.combos.len() {
+            if self.combo_idx >= self.combo_count {
                 return None;
             }
-            let combo = &self.combos[self.combo_idx];
-            let combo_ord = self.combo_idx as u32;
+            let combo = self.prepare(self.combo_idx);
             self.combo_idx += 1;
 
             if combo.provably_disconnected {
@@ -518,7 +514,7 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
                 self.disconnected_combos += 1;
                 continue;
             }
-            let Some((c_max_min, dropped_conditions)) = combo.cmm.clone() else {
+            let Some((c_max_min, dropped_conditions)) = combo.cmm else {
                 // Def. 3 (V) fails for *every* tree of this combination;
                 // only its connectivity signal matters for the final
                 // error verdict, so probe with a single tree.
@@ -581,14 +577,38 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
             };
 
             self.current = Some(ActiveCombo {
-                ord: combo_ord,
-                covers: combo.covers.clone(),
+                covers: Arc::new(combo.covers),
                 trees,
                 tree_pos: 0,
-                c_max_min: Arc::new(c_max_min),
-                dropped_conditions: Arc::new(dropped_conditions),
+                c_max_min,
+                dropped_conditions,
             });
         }
+    }
+
+    /// Was the candidate just returned the last of its cover
+    /// combination? The next one, if any, has other covers.
+    pub(crate) fn combination_done(&self) -> bool {
+        !matches!(&self.current, Some(cur) if cur.tree_pos < cur.trees.len())
+    }
+
+    /// The exact [`CandidateBound`] of a candidate this stream returned.
+    pub(crate) fn candidate_bound(&self, rep: &Replacement) -> CandidateBound {
+        CandidateBound {
+            min_relations: rep.relations.len(),
+            min_joins: rep.joins.len(),
+            min_extra_relations: rep
+                .relations
+                .iter()
+                .filter(|r| !self.from_rels.contains(*r))
+                .count(),
+            min_dropped_conditions: rep.dropped_conditions.len(),
+        }
+    }
+
+    /// `Min(H_R)` minus `R`, shared with extent inference.
+    pub(crate) fn survivors(&self) -> Arc<BTreeSet<RelName>> {
+        Arc::clone(&self.survivors)
     }
 
     /// Did any combination's tree enumeration come back (provably)
@@ -620,6 +640,56 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
     pub(crate) fn tree_budget_exhausted(&self) -> bool {
         self.tree_budget_exhausted
     }
+
+    /// Did [`MAX_COVER_COMBINATIONS`] cut the cover-combination product
+    /// short?
+    pub(crate) fn covers_truncated(&self) -> bool {
+        self.covers_truncated
+    }
+}
+
+/// An attribute of `R` that takes a cover: its viable covers (the
+/// index's memoized list, shared) and whether it is required (a
+/// dispensable one may also stay uncovered).
+type CoverOption = (AttrRef, Arc<Vec<CoverChoice>>, bool);
+
+/// The covers of cover combination `ord`.
+///
+/// Combinations are the choice vectors over the attributes' options in
+/// lexicographic order, the first attribute most significant; an
+/// attribute's options are its covers in order, then "leave uncovered"
+/// when it is dispensable, so opportunistic covering is tried first.
+/// That is the order of the breadth-first product (each partial
+/// combination extended by every option in turn), and a product cut at
+/// `n` entries keeps exactly the first `n` vectors, so combination `ord`
+/// is `ord` written in the mixed radix of the option counts.
+fn combination(options: &[CoverOption], mut ord: usize) -> BTreeMap<AttrRef, CoverChoice> {
+    let mut covers = BTreeMap::new();
+    for (attr, covers_of_attr, required) in options.iter().rev() {
+        let radix = covers_of_attr.len() + usize::from(!required);
+        if let Some(cover) = covers_of_attr.get(ord % radix) {
+            covers.insert(attr.clone(), cover.clone());
+        }
+        ord /= radix;
+    }
+    covers
+}
+
+/// The joins of the candidate built on `tree` (Def. 3 III): the
+/// surviving `Min(H_R)` joins, then the tree's others. Both lists hold
+/// the MKB's `Arc`s: the candidate clones pointers, never constraints.
+fn candidate_joins(
+    surviving_joins: &[Arc<JoinConstraint>],
+    tree: &ConnectionTree,
+) -> Vec<Arc<JoinConstraint>> {
+    let mut joins = Vec::with_capacity(surviving_joins.len() + tree.joins.len());
+    joins.extend(surviving_joins.iter().cloned());
+    for jc in &tree.joins {
+        if !joins.iter().any(|j| j.id == jc.id) {
+            joins.push(Arc::clone(jc));
+        }
+    }
+    joins
 }
 
 /// Def. 3 (V): rewrite `C_Max/Min` under a cover combination. Returns
@@ -832,6 +902,80 @@ mod tests {
         let index = MkbIndex::new(&mkb, &mkb2, &opts);
         let err = compute_replacements_indexed(&view, &rm, &index, &opts).unwrap_err();
         assert_eq!(err, CvsError::NoCover(AttrRef::new("Customer", "Phone")));
+    }
+
+    /// The breadth-first, capped cartesian product `combination` decodes:
+    /// every partial combination extended by each cover, then by "leave
+    /// uncovered" for a dispensable attribute, cut at `cap` entries.
+    fn breadth_first(options: &[CoverOption], cap: usize) -> Vec<BTreeMap<AttrRef, CoverChoice>> {
+        let mut combos = vec![BTreeMap::new()];
+        for (attr, covers, required) in options {
+            let mut next = Vec::new();
+            'extend: for combo in &combos {
+                for c in covers.iter() {
+                    let mut combo = combo.clone();
+                    combo.insert(attr.clone(), c.clone());
+                    next.push(combo);
+                    if next.len() >= cap {
+                        break 'extend;
+                    }
+                }
+                if !required {
+                    next.push(combo.clone());
+                    if next.len() >= cap {
+                        break;
+                    }
+                }
+            }
+            combos = next;
+        }
+        combos
+    }
+
+    #[test]
+    fn combinations_decode_the_capped_breadth_first_product() {
+        let option = |attr: &str, n: usize, required: bool| -> CoverOption {
+            let covers = (0..n)
+                .map(|i| CoverChoice {
+                    funcof_id: format!("F{attr}{i}"),
+                    source: RelName::new(format!("S{i}")),
+                    replacement: ScalarExpr::attr(format!("S{i}"), attr),
+                })
+                .collect();
+            (AttrRef::new("R", attr), Arc::new(covers), required)
+        };
+        let shapes = [
+            vec![],
+            vec![option("a", 3, true)],
+            vec![option("a", 2, false), option("b", 3, true)],
+            vec![option("a", 7, true), option("b", 7, true)],
+            vec![
+                option("a", 2, true),
+                option("b", 1, false),
+                option("c", 4, false),
+            ],
+            vec![
+                option("a", 3, false),
+                option("b", 4, false),
+                option("c", 2, false),
+            ],
+        ];
+        for options in &shapes {
+            let product: usize = options
+                .iter()
+                .map(|(_, c, required)| c.len() + usize::from(!required))
+                .product();
+            for cap in [1, 5, MAX_COVER_COMBINATIONS] {
+                let decoded: Vec<_> = (0..product.min(cap))
+                    .map(|ord| combination(options, ord))
+                    .collect();
+                assert_eq!(
+                    decoded,
+                    breadth_first(options, cap),
+                    "cap {cap}, {options:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,8 @@ use crate::replacement::{CandidateBound, Replacement, ReplacementStream};
 
 use eve_esql::{CondItem, EvolutionParams, FromItem, SelectItem, ViewDefinition};
 use eve_misd::JoinConstraint;
-use eve_relational::{AttrName, Clause, RelName, ScalarExpr};
+use eve_relational::{AttrName, Clause, NormalizedParts, RelName, ScalarExpr};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The result of assembling one candidate: the new view plus the
@@ -45,9 +44,8 @@ pub(crate) struct Assembled {
 /// depends only on `(view, rm, rep.covers, rep.c_max_min)` — shared by
 /// every connection tree of one cover combination — so the search
 /// computes it once per combination and reuses it across the
-/// combination's candidates. Kept fields are cloned into each
-/// candidate's view; the clones are refcount bumps, the substitution
-/// walks and classification checks are not repeated.
+/// combination's candidates. Earlier candidates clone the parts
+/// (refcount bumps); the combination's last candidate takes them.
 #[derive(Debug)]
 pub(crate) struct ComboAssembly {
     select: Vec<SelectItem>,
@@ -56,7 +54,6 @@ pub(crate) struct ComboAssembly {
     /// FROM minus the dropped relation (candidate relations are appended
     /// per tree).
     base_from: Vec<FromItem>,
-    existing_from: BTreeSet<RelName>,
     /// `C'_Max/Min` followed by the substituted `C_Rest` — the
     /// tree-independent WHERE prefix, in final order.
     conditions: Vec<CondItem>,
@@ -68,9 +65,7 @@ pub(crate) struct ComboAssembly {
 /// the combination it was prepared for (pointer identity is the cache
 /// key) plus the prepared assembly or the error it failed with.
 type ComboAsmCache = (
-    std::sync::Arc<
-        std::collections::BTreeMap<eve_relational::AttrRef, crate::replacement::CoverChoice>,
-    >,
+    Arc<std::collections::BTreeMap<eve_relational::AttrRef, crate::replacement::CoverChoice>>,
     Result<ComboAssembly, CvsError>,
 );
 
@@ -146,16 +141,14 @@ pub(crate) fn prepare_combo_assembly(
     });
 
     // ---- FROM (base) ----------------------------------------------------
-    let base_from: Vec<FromItem> = view
-        .from
-        .iter()
-        .filter(|f| &f.relation != target)
-        .cloned()
-        .collect();
-    let existing_from: BTreeSet<RelName> = base_from.iter().map(|f| f.relation.clone()).collect();
+    // FROM and WHERE have room for what `rep` appends: a combination
+    // usually has one tree, whose candidate then extends them in place.
+    let mut base_from: Vec<FromItem> = Vec::with_capacity(view.from.len() + rep.relations.len());
+    base_from.extend(view.from.iter().filter(|f| &f.relation != target).cloned());
 
     // ---- WHERE (tree-independent prefix) --------------------------------
-    let mut conditions: Vec<CondItem> = Vec::new();
+    let mut conditions: Vec<CondItem> =
+        Vec::with_capacity(rep.c_max_min.len() + rm.c_rest.len() + join_clause_count(&rep.joins));
     let mut dropped_conditions: Vec<CondItem> = (*rep.dropped_conditions).clone();
 
     // C'_Max/Min (already substituted by the replacement computation).
@@ -200,46 +193,84 @@ pub(crate) fn prepare_combo_assembly(
         kept_select,
         interface,
         base_from,
-        existing_from,
         conditions,
         dropped_conditions,
     })
 }
 
+fn join_clause_count(joins: &[Arc<JoinConstraint>]) -> usize {
+    joins.iter().map(|j| j.predicate.len()).sum()
+}
+
 /// Append the clauses of `joins` to `conditions` as join conditions
 /// with the Step 5 parameters (required, replaceable), skipping every
-/// clause whose normalisation is already present. The test compares
-/// borrowed normalised parts, so a clause is cloned only when it is
-/// appended. WHERE lists are short, so a scan beats building a set.
-pub(crate) fn append_join_clauses(conditions: &mut Vec<CondItem>, joins: &[Arc<JoinConstraint>]) {
-    for jc in joins {
-        for clause in jc.predicate.clauses() {
-            let n = clause.normalized_parts();
-            if !conditions.iter().any(|c| c.clause.normalized_parts() == n) {
-                conditions.push(CondItem {
-                    clause: clause.clone(),
-                    params: EvolutionParams::new(false, true),
-                });
-            }
+/// clause whose normalisation is already present, and return the Step 4
+/// consistency verdict of the resulting list (that of
+/// `where_conjunction().is_consistent()`). The list is normalised once:
+/// the same borrowed parts serve the duplicate test and the consistency
+/// check, and a clause is cloned only when it is appended. WHERE lists
+/// are short, so a scan beats building a set.
+#[must_use]
+pub(crate) fn append_join_clauses(
+    conditions: &mut Vec<CondItem>,
+    joins: &[Arc<JoinConstraint>],
+) -> bool {
+    let join_clauses = join_clause_count(joins);
+    let mut parts: Vec<NormalizedParts<'_>> = Vec::with_capacity(conditions.len() + join_clauses);
+    parts.extend(conditions.iter().map(|c| c.clause.normalized_parts()));
+    let mut appended: Vec<&Clause> = Vec::with_capacity(join_clauses);
+    for clause in joins.iter().flat_map(|jc| jc.predicate.clauses()) {
+        let n = clause.normalized_parts();
+        if !parts.contains(&n) {
+            parts.push(n);
+            appended.push(clause);
         }
     }
+    let consistent = eve_relational::normalized_consistent(&parts);
+    conditions.extend(appended.into_iter().map(|clause| CondItem {
+        clause: clause.clone(),
+        params: EvolutionParams::new(false, true),
+    }));
+    consistent
 }
 
 /// The per-tree third of assembly: append the candidate's relations to
 /// FROM, its join conditions to WHERE (deduplicated against the
-/// combination prefix), and check WHERE consistency.
+/// combination prefix), and check WHERE consistency. `last` marks the
+/// combination's last candidate, which takes the prepared parts
+/// instead of cloning them.
 pub(crate) fn assemble_prepared(
     view: &ViewDefinition,
-    pre: &ComboAssembly,
+    pre: &mut ComboAssembly,
     rep: &Replacement,
+    last: bool,
 ) -> Result<Assembled, CvsError> {
+    fn take_or_clone<T: Clone + Default>(part: &mut T, last: bool) -> T {
+        if last {
+            std::mem::take(part)
+        } else {
+            part.clone()
+        }
+    }
+    /// A clone sized for `extra` more elements, so appending to it
+    /// allocates once.
+    fn take_or_extend<T: Clone>(part: &mut Vec<T>, last: bool, extra: usize) -> Vec<T> {
+        if last {
+            let mut v = std::mem::take(part);
+            v.reserve(extra);
+            v
+        } else {
+            let mut v = Vec::with_capacity(part.len() + extra);
+            v.extend_from_slice(part);
+            v
+        }
+    }
+
     // ---- FROM -----------------------------------------------------------
-    // FROM and WHERE are each sized once: the combination prefix plus
-    // the most this candidate can append.
-    let mut from = Vec::with_capacity(pre.base_from.len() + rep.relations.len());
-    from.extend_from_slice(&pre.base_from);
+    let mut from = take_or_extend(&mut pre.base_from, last, rep.relations.len());
+    let base = from.len();
     for rel in &rep.relations {
-        if !pre.existing_from.contains(rel) {
+        if !from[..base].iter().any(|f| &f.relation == rel) {
             from.push(FromItem {
                 relation: rel.clone(),
                 alias: None,
@@ -250,32 +281,23 @@ pub(crate) fn assemble_prepared(
 
     // ---- WHERE ----------------------------------------------------------
     // Join conditions of Max(V_{j,R}), deduplicated against what is
-    // already present.
-    let join_clauses: usize = rep.joins.iter().map(|j| j.predicate.len()).sum();
-    let mut conditions = Vec::with_capacity(pre.conditions.len() + join_clauses);
-    conditions.extend_from_slice(&pre.conditions);
-    append_join_clauses(&mut conditions, &rep.joins);
-
-    let assembled = ViewDefinition {
-        name: view.name.clone(),
-        interface: pre.interface.clone(),
-        extent: view.extent,
-        select: pre.select.clone(),
-        from,
-        conditions,
-    };
-
-    // Step 4 consistency check, over the assembled clauses in place
-    // (identical verdict to `where_conjunction().is_consistent()`,
-    // without cloning the WHERE list).
-    if !eve_relational::clauses_consistent(assembled.conditions.iter().map(|c| &c.clause)) {
+    // already present, then the Step 4 consistency check.
+    let mut conditions = take_or_extend(&mut pre.conditions, last, join_clause_count(&rep.joins));
+    if !append_join_clauses(&mut conditions, &rep.joins) {
         return Err(CvsError::Inconsistent);
     }
 
     Ok(Assembled {
-        view: assembled,
-        kept_select: pre.kept_select.clone(),
-        dropped_conditions: pre.dropped_conditions.clone(),
+        view: ViewDefinition {
+            name: view.name.clone(),
+            interface: take_or_clone(&mut pre.interface, last),
+            extent: view.extent,
+            select: take_or_clone(&mut pre.select, last),
+            from,
+            conditions,
+        },
+        kept_select: take_or_clone(&mut pre.kept_select, last),
+        dropped_conditions: take_or_clone(&mut pre.dropped_conditions, last),
     })
 }
 
@@ -328,10 +350,10 @@ pub struct SearchStats {
     /// Cover combinations whose tree enumeration was (provably or
     /// actually) empty.
     pub disconnected_combos: usize,
-    /// Did any budget (`max_candidates`, `max_trees`, `deadline`) cut
-    /// the search short? When `false` the result is exhaustive up to
-    /// `top_k` — identical to the legacy materialize-then-rank
-    /// pipeline's prefix.
+    /// Did any budget (`max_candidates`, `max_trees`, `deadline`) or
+    /// the cap of 32 cover combinations per view cut the search short?
+    /// When `false` the result is exhaustive up to `top_k` — identical
+    /// to the legacy materialize-then-rank pipeline's prefix.
     pub budget_exhausted: bool,
 }
 
@@ -511,14 +533,7 @@ pub fn cvs_delete_relation_searched(
     // deterministic; outside it this IS wall time.
     let start = crate::clock::anchor();
     let mut stream = ReplacementStream::new(view, &rm, index, opts, budget.max_trees)?;
-    let ext_ctx = ExtentCtx::new(&rm);
-
-    let from_rels: BTreeSet<RelName> = view
-        .from
-        .iter()
-        .map(|f| f.relation.clone())
-        .filter(|r| r != target)
-        .collect();
+    let ext_ctx = ExtentCtx::new(&rm, stream.survivors());
 
     let k = budget.top_k;
     let mut rank_span = eve_telemetry::span("ranking");
@@ -571,34 +586,29 @@ pub fn cvs_delete_relation_searched(
         // now), cutting the assemble + extent inference + costing.
         if full {
             if let Some((w, _)) = selector.last() {
-                let cb = CandidateBound {
-                    min_relations: rep.relations.len(),
-                    min_joins: rep.joins.len(),
-                    min_extra_relations: rep
-                        .relations
-                        .iter()
-                        .filter(|r| !from_rels.contains(*r))
-                        .count(),
-                    min_dropped_conditions: rep.dropped_conditions.len(),
-                };
-                if cmp_bound(&cb, cost_model, w) != Ordering::Less {
+                if cmp_bound(&stream.candidate_bound(&rep), cost_model, w) != Ordering::Less {
                     pruned_candidates += 1;
                     continue;
                 }
             }
         }
         generated += 1;
-        let pre = match &combo_asm {
-            Some((covers, pre)) if std::sync::Arc::ptr_eq(covers, &rep.covers) => pre,
+        let last = stream.combination_done();
+        let pre = match &mut combo_asm {
+            Some((covers, pre)) if Arc::ptr_eq(covers, &rep.covers) => pre,
             _ => {
                 let pre = prepare_combo_assembly(view, &rm, &rep);
-                &combo_asm.insert((rep.covers.clone(), pre)).1
+                &mut combo_asm.insert((rep.covers.clone(), pre)).1
             }
         };
         let asm_res = match pre {
-            Ok(pre) => assemble_prepared(view, pre, &rep),
+            Ok(pre) => assemble_prepared(view, pre, &rep, last),
             Err(e) => Err(e.clone()),
         };
+        if last {
+            // The last candidate took the prepared parts.
+            combo_asm = None;
+        }
         match asm_res {
             Ok(asm) => {
                 assembled_any = true;
@@ -634,7 +644,10 @@ pub fn cvs_delete_relation_searched(
         kept: selector.len(),
         trees_enumerated: stream.trees_enumerated(),
         disconnected_combos: stream.disconnected_combos(),
-        budget_exhausted: deadline_hit || candidate_cap_hit || stream.tree_budget_exhausted(),
+        budget_exhausted: deadline_hit
+            || candidate_cap_hit
+            || stream.tree_budget_exhausted()
+            || stream.covers_truncated(),
     };
     // The registry totals are a read-out of `stats` (which itself reads
     // the stream's accumulators) — one accumulation path, so the

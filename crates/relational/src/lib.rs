@@ -48,7 +48,10 @@ pub use database::Database;
 pub use error::RelationalError;
 pub use expr::ScalarExpr;
 pub use func::{FuncRegistry, NamedFunc};
-pub use pred::{clauses_consistent, Clause, CompareOp, Congruence, Conjunction};
+pub use pred::{
+    clauses_consistent, normalized_consistent, Clause, CompareOp, Congruence, Conjunction,
+    NormalizedParts,
+};
 pub use relation::Relation;
 pub use schema::{AttrName, AttrRef, AttributeDef, RelName, Schema};
 pub use tuple::Tuple;

@@ -544,10 +544,24 @@ impl Conjunction {
 /// verdict, no intermediate `Conjunction` (hot paths check a freshly
 /// assembled WHERE list without cloning it).
 pub fn clauses_consistent<'a, I: IntoIterator<Item = &'a Clause>>(clauses: I) -> bool {
-    // 1. Pairwise direct contradictions on identical operand pairs.
-    let normalized: Vec<(&ScalarExpr, CompareOp, &ScalarExpr)> =
+    let normalized: Vec<NormalizedParts<'a>> =
         clauses.into_iter().map(Clause::normalized_parts).collect();
+    normalized_consistent(&normalized)
+}
+
+/// A clause in canonical orientation, as [`Clause::normalized_parts`]
+/// returns it.
+pub type NormalizedParts<'a> = (&'a ScalarExpr, CompareOp, &'a ScalarExpr);
+
+/// [`clauses_consistent`] over clauses already normalised with
+/// [`Clause::normalized_parts`], in clause order. A caller that
+/// normalises a WHERE list anyway (to deduplicate it) checks it without
+/// normalising twice.
+pub fn normalized_consistent(normalized: &[NormalizedParts<'_>]) -> bool {
+    // 1. Pairwise direct contradictions on identical operand pairs.
+    let mut any_constant = false;
     for (i, a) in normalized.iter().enumerate() {
+        any_constant |= const_parts_of(*a).is_some();
         for b in &normalized[i + 1..] {
             // Operator compatibility first: it is a cheap enum check and
             // rejects the vast majority of pairs (e.g. two equalities
@@ -556,6 +570,12 @@ pub fn clauses_consistent<'a, I: IntoIterator<Item = &'a Clause>>(clauses: I) ->
                 return false;
             }
         }
+    }
+    // The equality classes of steps 2–3 are read only by the per-class
+    // constant check, so without a constant comparison there is nothing
+    // left to detect: skipping them changes no verdict.
+    if !any_constant {
+        return true;
     }
 
     // 2. Union-find over attribute expressions connected by equality.
@@ -577,7 +597,7 @@ pub fn clauses_consistent<'a, I: IntoIterator<Item = &'a Clause>>(clauses: I) ->
     }
     let mut pairs = Vec::with_capacity(n);
     let mut consts: Vec<(usize, CompareOp, &Value)> = Vec::with_capacity(n);
-    for c in &normalized {
+    for c in normalized {
         if let Some((e, op, v)) = const_parts_of(*c) {
             let i = id(e, &mut exprs);
             consts.push((i, op, v));
@@ -881,6 +901,50 @@ mod tests {
             Clause::new(attr("R", "x"), CompareOp::Lt, ScalarExpr::lit(7i64)),
         ]);
         assert!(ok.is_consistent());
+    }
+
+    #[test]
+    fn consistency_constant_left_of_a_compound_expression() {
+        // Normalisation keeps a constant left of a compound operand; the
+        // class check still reads it as a bound on that operand:
+        // 5 < x + 1, x + 1 = y and y < 3 leave y's class empty.
+        let sum = ScalarExpr::binary(
+            crate::expr::ArithOp::Add,
+            attr("R", "x"),
+            ScalarExpr::lit(1i64),
+        );
+        let with_bound = |bound: i64| {
+            Conjunction::new(vec![
+                Clause::new(ScalarExpr::lit(5i64), CompareOp::Lt, sum.clone()),
+                Clause::new(sum.clone(), CompareOp::Eq, attr("S", "y")),
+                Clause::new(attr("S", "y"), CompareOp::Lt, ScalarExpr::lit(bound)),
+            ])
+        };
+        assert!(!with_bound(3).is_consistent());
+        assert!(with_bound(9).is_consistent());
+    }
+
+    #[test]
+    fn consistency_without_constants_needs_no_classes() {
+        // Equalities alone never empty a class; only a direct
+        // contradiction between two clauses is detected.
+        let chain = Conjunction::new(vec![
+            Clause::new(attr("R", "x"), CompareOp::Eq, attr("S", "y")),
+            Clause::new(attr("S", "y"), CompareOp::Eq, attr("T", "z")),
+            Clause::new(attr("R", "x"), CompareOp::Lt, attr("T", "z")),
+        ]);
+        assert!(chain.is_consistent());
+        let parts: Vec<_> = chain
+            .clauses()
+            .iter()
+            .map(Clause::normalized_parts)
+            .collect();
+        assert!(normalized_consistent(&parts));
+        let contradiction = [
+            Clause::new(attr("R", "x"), CompareOp::Lt, attr("S", "y")),
+            Clause::new(attr("S", "y"), CompareOp::Lt, attr("R", "x")),
+        ];
+        assert!(!clauses_consistent(&contradiction));
     }
 
     #[test]

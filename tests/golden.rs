@@ -104,6 +104,151 @@ fn golden_sweep_covers() {
     );
 }
 
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// One line per (case, options): the search's [`eve::cvs::SearchStats`]
+/// (or its error) and an FNV-1a digest of every rewriting it returned,
+/// in order — verdict, relation set, join ids and rendered view.
+fn search_lines(
+    out: &mut String,
+    id: &str,
+    view: &eve::esql::ViewDefinition,
+    target: &eve::relational::RelName,
+    mkb: &eve::misd::MetaKnowledgeBase,
+) {
+    use eve::cvs::{cvs_delete_relation_searched, CvsOptions, MkbIndex, SearchBudget};
+    use eve::misd::{evolve, CapabilityChange};
+    use std::fmt::Write as _;
+
+    let mkb2 = evolve(mkb, &CapabilityChange::DeleteRelation(target.clone())).expect("evolves");
+    let top1 = CvsOptions {
+        budget: SearchBudget::top_k(1),
+        ..CvsOptions::default()
+    };
+    for (label, opts, require_p3) in [
+        ("default", CvsOptions::default(), false),
+        ("top1", top1, false),
+        ("p3", CvsOptions::default(), true),
+    ] {
+        let index = MkbIndex::new(mkb, &mkb2, &opts);
+        let _ = write!(out, "{id} {label}: ");
+        match cvs_delete_relation_searched(view, target, &index, &opts, require_p3, None) {
+            Err(e) => {
+                let _ = writeln!(out, "error {e}");
+            }
+            Ok(res) => {
+                let mut hash = 0xcbf2_9ce4_8422_2325;
+                for lr in &res.rewritings {
+                    let rels: Vec<&str> = lr
+                        .replacement
+                        .relations
+                        .iter()
+                        .map(|r| r.as_str())
+                        .collect();
+                    let joins: Vec<&str> =
+                        lr.replacement.joins.iter().map(|j| j.id.as_str()).collect();
+                    let entry = format!(
+                        "{}|{}|{}|{}\n",
+                        lr.verdict,
+                        rels.join(","),
+                        joins.join(","),
+                        lr.view.rendered()
+                    );
+                    hash = fnv1a(hash, entry.as_bytes());
+                }
+                let _ = writeln!(
+                    out,
+                    "{:?} rewritings={} digest={hash:016x}",
+                    res.stats,
+                    res.rewritings.len()
+                );
+            }
+        }
+    }
+}
+
+/// The rewriting search's full ordered output, pinned: every relation
+/// of the travel fixture deleted under its views (constant selections,
+/// and `JC2` carries `Customer.Age > 1`), the wide MKB (several trees
+/// per cover combination), and random MKBs of four topologies with
+/// fan-out views of 3 and 4 relations, each also with a constant
+/// selection on a non-target relation. Every case runs under the
+/// default options, `top_k = 1` and `require_p3`.
+#[test]
+fn golden_search_outputs() {
+    use eve::esql::{parse_views, CondItem, EvolutionParams};
+    use eve::misd::parse_misd;
+    use eve::relational::{Clause, CompareOp, ScalarExpr, Value};
+    use eve::workload::{views_touching, SynthConfig, SynthWorkload, Topology};
+
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let read = |f: &str| std::fs::read_to_string(root.join(f)).expect("fixture readable");
+    let mut out = String::new();
+
+    let travel = parse_misd(&read("fixtures/travel.misd")).expect("travel MKB parses");
+    let travel_views = parse_views(&read("fixtures/travel_views.esql")).expect("views parse");
+    for target in travel.relation_names() {
+        for view in travel_views.iter().filter(|v| v.uses_relation(target)) {
+            let id = format!("travel/{target}/{}", view.name);
+            search_lines(&mut out, &id, view, target, &travel);
+        }
+    }
+
+    let wide = SynthWorkload::wide_mkb(4, 3);
+    search_lines(&mut out, "wide_4_3", &wide.view, &wide.target, &wide.mkb);
+
+    for (name, topology) in [
+        ("chain", Topology::Chain),
+        ("star", Topology::Star),
+        ("ring", Topology::Ring),
+        ("random8", Topology::Random { extra: 8 }),
+    ] {
+        let cfg = SynthConfig {
+            n_relations: 12,
+            topology,
+            ..SynthConfig::default()
+        };
+        for seed in 1..=3u64 {
+            let w = SynthWorkload::random(&cfg, seed);
+            // The generated view has `VE = superset`, so `require_p3`
+            // filters it; the fan-out views are `VE = any`.
+            search_lines(
+                &mut out,
+                &format!("{name}/s{seed}/view"),
+                &w.view,
+                &w.target,
+                &w.mkb,
+            );
+            for width in [3, 4] {
+                for view in views_touching(&w.mkb, &w.target, 2, width, seed) {
+                    let id = format!("{name}/s{seed}/w{width}/{}", view.name);
+                    search_lines(&mut out, &id, &view, &w.target, &w.mkb);
+                    let Some(other) = view.relations().into_iter().find(|r| *r != w.target) else {
+                        continue;
+                    };
+                    let mut selected = view.clone();
+                    selected.conditions.push(CondItem {
+                        clause: Clause::new(
+                            ScalarExpr::attr(other, "k"),
+                            CompareOp::Gt,
+                            ScalarExpr::Const(Value::Int(2)),
+                        ),
+                        params: EvolutionParams::new(false, true),
+                    });
+                    search_lines(&mut out, &format!("{id}+sel"), &selected, &w.target, &w.mkb);
+                }
+            }
+        }
+    }
+    check("search_outputs", &out);
+}
+
 /// The administrator-facing explanation of a chosen rewriting including
 /// the search summary ([`eve::cvs::SearchStats`]) from the engine — pins
 /// both the narrative and the candidates-generated/pruned/kept counters

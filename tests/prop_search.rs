@@ -223,3 +223,30 @@ fn budgeted_search_prunes_wide_mkb_at_least_5x() {
     );
     assert!(budgeted.stats.pruned > 0);
 }
+
+/// `wide_mkb(6, 1)` covers both attributes of `T` from seven relations,
+/// so it has 7 × 7 = 49 cover combinations. The search explores the
+/// first 32 and must report the cut, in its stats and in the
+/// `search.budget_exhausted` counter; 5 × 5 = 25 combinations are all
+/// explored and report nothing.
+#[test]
+fn cover_combination_cap_is_reported() {
+    let run = |fanout: usize| {
+        let wide = SynthWorkload::wide_mkb(fanout, 1);
+        let mkb2 = evolve(&wide.mkb, &wide.delete_change()).expect("target described");
+        let opts = CvsOptions::default();
+        let index = MkbIndex::new(&wide.mkb, &mkb2, &opts);
+        cvs_delete_relation_searched(&wide.view, &wide.target, &index, &opts, false, None)
+            .expect("wide workload is synchronizable")
+    };
+    let _serial = eve::telemetry::serial_guard();
+    eve::telemetry::install(vec![]).expect("no pipeline installed");
+    let cut = run(6);
+    let snap = eve::telemetry::uninstall().expect("pipeline was installed");
+    assert_eq!(cut.rewritings.len(), 81);
+    assert!(cut.stats.budget_exhausted, "{:?}", cut.stats);
+    assert!(snap.counter("search.budget_exhausted") >= Some(1));
+
+    let whole = run(4);
+    assert!(!whole.stats.budget_exhausted, "{:?}", whole.stats);
+}
