@@ -20,7 +20,7 @@ pub fn cvs_dr(
     mkb_prime: &MetaKnowledgeBase,
     opts: &CvsOptions,
 ) -> Result<Vec<LegalRewriting>, CvsError> {
-    let index = MkbIndex::new(mkb, mkb_prime, opts);
+    let index = MkbIndex::new(mkb, mkb_prime);
     cvs_delete_relation_indexed(view, target, &index, opts)
 }
 
@@ -32,7 +32,7 @@ pub fn svs_dr(
     mkb_prime: &MetaKnowledgeBase,
 ) -> Result<Vec<LegalRewriting>, CvsError> {
     let opts = CvsOptions::default();
-    let index = MkbIndex::new(mkb, mkb_prime, &opts);
+    let index = MkbIndex::new(mkb, mkb_prime);
     svs_delete_relation_indexed(view, target, &index, &opts)
 }
 
@@ -44,7 +44,7 @@ pub fn sync_da(
     mkb_prime: &MetaKnowledgeBase,
     opts: &CvsOptions,
 ) -> Result<Vec<LegalRewriting>, CvsError> {
-    let index = MkbIndex::new(mkb, mkb_prime, opts);
+    let index = MkbIndex::new(mkb, mkb_prime);
     synchronize_delete_attribute_indexed(view, attr, &index, opts)
 }
 
@@ -56,6 +56,6 @@ pub fn r_mapping(
     mkb: &MetaKnowledgeBase,
     opts: &CvsOptions,
 ) -> RMapping {
-    let index = MkbIndex::new(mkb, mkb, opts);
+    let index = MkbIndex::new(mkb, mkb);
     r_mapping_with_index(view, target, &index, opts)
 }

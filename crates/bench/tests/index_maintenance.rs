@@ -54,7 +54,6 @@ fn stream_workload() -> SynthWorkload {
 fn maintain_ab(iters: usize) -> (u128, u128) {
     let sw = stream_workload();
     let stream = change_stream(&sw.mkb, STREAM_CHANGES, 13);
-    let opts = CvsOptions::default();
     let mut states = Vec::with_capacity(stream.len() + 1);
     states.push(sw.mkb.clone());
     for c in &stream {
@@ -63,7 +62,7 @@ fn maintain_ab(iters: usize) -> (u128, u128) {
     }
     let rebuild = median_ns(iters, || {
         for (i, _c) in stream.iter().enumerate() {
-            std::hint::black_box(MkbIndex::new(&states[i], &states[i + 1], &opts));
+            std::hint::black_box(MkbIndex::new(&states[i], &states[i + 1]));
         }
     });
     let core0 = IndexCore::build(&states[0]);
@@ -77,7 +76,6 @@ fn maintain_ab(iters: usize) -> (u128, u128) {
                 &states[i + 1],
                 &core,
                 &next,
-                &opts,
                 None,
             ));
             core = next;

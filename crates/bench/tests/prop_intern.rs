@@ -53,14 +53,14 @@ fn search_results_identical_across_cache_modes() {
         let opts = CvsOptions::default();
 
         let cold = {
-            let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
+            let index = MkbIndex::new(&w.mkb, &mkb2);
             cvs_delete_relation_searched(&w.view, &w.target, &index, &opts, false, None)
         };
-        let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&w.mkb, &mkb2);
         let warm1 = cvs_delete_relation_searched(&w.view, &w.target, &index, &opts, false, None);
         let warm2 = cvs_delete_relation_searched(&w.view, &w.target, &index, &opts, false, None);
         let uncached = {
-            let index = MkbIndex::new(&w.mkb, &mkb2, &opts).without_cache();
+            let index = MkbIndex::new(&w.mkb, &mkb2).without_cache();
             cvs_delete_relation_searched(&w.view, &w.target, &index, &opts, false, None)
         };
 
@@ -180,7 +180,7 @@ fn r_mapping_identical_via_index_and_direct() {
         let change = w.delete_change();
         let mkb2 = evolve(&w.mkb, &change).expect("target is described");
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&w.mkb, &mkb2);
         let via_index = r_mapping_with_index(&w.view, &w.target, &index, &opts);
 
         let h = Hypergraph::build(&w.mkb);
@@ -216,9 +216,8 @@ fn viable_covers_identical_with_and_without_cache() {
     for (name, w) in workloads() {
         let change = w.delete_change();
         let mkb2 = evolve(&w.mkb, &change).expect("target is described");
-        let opts = CvsOptions::default();
-        let cached = MkbIndex::new(&w.mkb, &mkb2, &opts);
-        let plain = MkbIndex::new(&w.mkb, &mkb2, &opts).without_cache();
+        let cached = MkbIndex::new(&w.mkb, &mkb2);
+        let plain = MkbIndex::new(&w.mkb, &mkb2).without_cache();
         for f in w.mkb.function_ofs() {
             let a = cached.viable_covers(&f.target, &w.target);
             let b = plain.viable_covers(&f.target, &w.target);

@@ -1,7 +1,7 @@
 //! Virtual time for deterministic simulation.
 //!
-//! Two places in the engine consult a clock: the [`SearchBudget`]
-//! deadline check inside the CVS candidate search, and the
+//! Two places in the engine consult a clock: the
+//! [`CvsOptions::deadline`] check inside the CVS candidate search, and the
 //! [`FailurePolicy::Degrade`] retry backoff. Under normal operation
 //! both run on wall-clock time. Under the deterministic simulator
 //! (`eve-sim`) wall time is a nondeterminism hole — the same seed
@@ -25,7 +25,7 @@
 //! worker threads inside the search pool observe the same time source
 //! without any plumbing through the parallel iterator.
 //!
-//! [`SearchBudget`]: crate::options::SearchBudget
+//! [`CvsOptions::deadline`]: crate::options::CvsOptions::deadline
 //! [`FailurePolicy::Degrade`]: crate::options::FailurePolicy::Degrade
 //! [`CvsOptions`]: crate::options::CvsOptions
 

@@ -391,7 +391,7 @@ mod tests {
         mkb_prime: &MetaKnowledgeBase,
         opts: &CvsOptions,
     ) -> Result<Vec<LegalRewriting>, CvsError> {
-        let index = MkbIndex::new(mkb, mkb_prime, opts);
+        let index = MkbIndex::new(mkb, mkb_prime);
         synchronize_delete_attribute_indexed(view, attr, &index, opts)
     }
 

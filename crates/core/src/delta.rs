@@ -105,11 +105,6 @@ impl IndexCore {
         }
     }
 
-    /// The full hypergraph of this version.
-    pub fn hypergraph(&self) -> &Hypergraph {
-        &self.h
-    }
-
     /// The join-capability-filtered hypergraph of this version.
     pub fn join_graph(&self) -> &Hypergraph {
         &self.h_join

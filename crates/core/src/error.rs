@@ -30,13 +30,6 @@ pub enum CvsError {
     /// The view, together with a candidate, produced an inconsistent
     /// WHERE clause (Step 4 check) — reported per candidate internally.
     Inconsistent,
-    /// A [`crate::engine::SynchronizationStrategy`] was invoked with a
-    /// change operator it does not handle (engine dispatch should have
-    /// routed elsewhere).
-    UnsupportedChange {
-        /// The change, rendered for diagnostics.
-        change: String,
-    },
     /// MKB evolution itself failed.
     Misd(eve_misd::MisdError),
 }
@@ -59,9 +52,6 @@ impl fmt::Display for CvsError {
             ),
             CvsError::NoLegalRewriting => write!(f, "no legal rewriting exists"),
             CvsError::Inconsistent => write!(f, "candidate WHERE clause is inconsistent"),
-            CvsError::UnsupportedChange { change } => {
-                write!(f, "strategy does not handle change `{change}`")
-            }
             CvsError::Misd(e) => write!(f, "MKB evolution failed: {e}"),
         }
     }

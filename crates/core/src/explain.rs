@@ -12,11 +12,11 @@ use std::fmt::Write as _;
 
 /// [`explain_rewriting`], followed by a summary of the rewriting search
 /// that produced the candidate (see [`SearchStats`]) when one is given:
-/// how many candidates were generated, pruned by the admissible bound,
-/// and kept — plus an explicit truncation note when a
-/// [`crate::options::SearchBudget`] cut the search short, so an
-/// administrator reading the explanation knows whether alternatives may
-/// have been missed.
+/// how many candidates were generated, pruned (always 0) and kept —
+/// plus an explicit truncation note when the search deadline or the
+/// cover-combination cap cut the search short, so an administrator
+/// reading the explanation knows whether alternatives may have been
+/// missed.
 pub fn explain_rewriting_with_stats(
     original: &ViewDefinition,
     rewriting: &LegalRewriting,

@@ -13,7 +13,7 @@
 //! We implement two complementary checkers (see DESIGN.md —
 //! substitutions):
 //!
-//! * [`infer_extent`] — a **sound, conservative symbolic** checker. It
+//! * [`infer_extent_indexed`] — a **sound, conservative symbolic** checker. It
 //!   composes per-effect verdicts:
 //!   * dropping a dispensable condition *widens* the extent (`⊇`);
 //!   * dropping `R` from the join without replacement widens (`⊇`) —
@@ -510,8 +510,7 @@ mod infer_tests {
         dropped_conditions: usize,
         mkb: &MetaKnowledgeBase,
     ) -> ExtentVerdict {
-        let opts = crate::options::CvsOptions::default();
-        let index = crate::index::MkbIndex::new(mkb, mkb, &opts);
+        let index = crate::index::MkbIndex::new(mkb, mkb);
         infer_extent_indexed(rm, rep, dropped_conditions, &index)
     }
 

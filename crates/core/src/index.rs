@@ -50,7 +50,6 @@
 //! parallel synchronizer share one index across workers.
 
 use crate::delta::{build_covers, build_pcs, pair_key, IndexCore};
-use crate::options::CvsOptions;
 use crate::replacement::CoverChoice;
 use eve_hypergraph::{ConnectionTree, GraphDelta, Hypergraph, RelId, RelSet, TreeCursor};
 use eve_misd::{MetaKnowledgeBase, PartialComplete};
@@ -245,7 +244,7 @@ pub struct MkbIndex<'m> {
     /// maintenance can reuse untouched ones across changes.
     components: Arc<Vec<Arc<Hypergraph>>>,
     /// `H'(MKB')`: the post-change hypergraph, restricted to join-capable
-    /// relations when the options say capabilities must be respected.
+    /// relations.
     h_prime: Arc<Hypergraph>,
     /// Function-of covers grouped by the attribute they re-derive. Raw
     /// (unfiltered) covers in MKB declaration order; consumers filter by
@@ -265,11 +264,6 @@ pub struct MkbIndex<'m> {
     /// keyed by `(terminal set, hop bound)`; any requested tree limit
     /// is served from (or extends) the cached prefix.
     trees: Memo<TreeKey, Arc<RwLock<TreePrefix>>>,
-    /// Memoized pairwise shortest-path distances (in join-constraint
-    /// hops) over `h_prime`, keyed by the unordered interned-id pair.
-    /// `None` (disconnected) is cached too. Feeds the admissible lower
-    /// bounds of the budgeted replacement search.
-    distances: Memo<(RelId, RelId), Option<usize>>,
     /// Memoized [`Hypergraph::connect_tree`] over `h_prime`, keyed by
     /// `(terminal id set, hop bound)`. Negative results (`None`:
     /// disconnected terminals) are cached too.
@@ -290,11 +284,10 @@ pub struct MkbIndex<'m> {
 /// change's index can start from them instead of cold
 /// ([`MkbIndex::into_carry`] / [`MkbIndex::from_cores`]).
 ///
-/// Only the `H'(MKB')`-keyed tables (trees, distances, connects) are
-/// carried — and only when the change left `H'` intact
-/// (`add-attribute`) or touched it attribute-locally
-/// (`delete-attribute`/`rename-attribute`, where
-/// [`MemoCarry::retained`] evicts every entry whose component the
+/// Only the `H'(MKB')`-keyed tables (trees, connects) are carried — and
+/// only when the change left `H'` intact (`add-attribute`) or touched
+/// it attribute-locally (`delete-attribute`/`rename-attribute`, where
+/// the synchronizer's filter evicts every entry whose component the
 /// change touched). Vertex-level changes re-intern the graph, so
 /// nothing survives them.
 #[derive(Debug)]
@@ -303,7 +296,6 @@ pub struct MemoCarry {
     /// every `RelSet`/`RelId` key).
     h_prime: Arc<Hypergraph>,
     trees: Memo<TreeKey, Arc<RwLock<TreePrefix>>>,
-    distances: Memo<(RelId, RelId), Option<usize>>,
     connects: Memo<(RelSet, usize), Option<Arc<ConnectionTree>>>,
 }
 
@@ -351,8 +343,6 @@ impl MemoCarry {
                 affected.insert(v as RelId);
             }
         }
-        self.distances
-            .retain(|&(a, b)| !affected.contains(a) && !affected.contains(b));
         self.connects.retain(|(s, _)| !s.intersects(&affected));
         self.trees.retain(|(s, _)| !s.intersects(&affected));
         Some(self)
@@ -364,11 +354,7 @@ impl<'m> MkbIndex<'m> {
     /// views were defined against, `mkb_prime` the evolved state they must
     /// be rewritten against. For read-only uses (e.g. R-mapping outside a
     /// change), pass the same MKB for both.
-    pub fn new(
-        mkb: &'m MetaKnowledgeBase,
-        mkb_prime: &'m MetaKnowledgeBase,
-        opts: &CvsOptions,
-    ) -> Self {
+    pub fn new(mkb: &'m MetaKnowledgeBase, mkb_prime: &'m MetaKnowledgeBase) -> Self {
         let mut span = eve_telemetry::span("index-build");
         span.field("relations", mkb.relation_count() as u64);
         span.field("joins", mkb.joins().len() as u64);
@@ -377,7 +363,7 @@ impl<'m> MkbIndex<'m> {
         let h = Arc::new(Hypergraph::build(mkb));
         let components = Arc::new(h.components().into_iter().map(Arc::new).collect::<Vec<_>>());
         let h_prime = Arc::new(Hypergraph::build_filtered(mkb_prime, |desc| {
-            !opts.respect_capabilities || desc.capabilities.join
+            desc.capabilities.join
         }));
         let covers = Arc::new(build_covers(mkb));
         let pcs_by_pair = Arc::new(build_pcs(mkb));
@@ -391,7 +377,6 @@ impl<'m> MkbIndex<'m> {
             pcs_by_pair,
             cover_attr_ids: OnceLock::new(),
             trees: Memo::new(),
-            distances: Memo::new(),
             connects: Memo::new(),
             viable: Memo::new(),
             survivors: Memo::new(),
@@ -406,17 +391,17 @@ impl<'m> MkbIndex<'m> {
     /// `Arc`-shared — no hypergraph build, no constraint scan.
     ///
     /// Equivalence contract: the result behaves byte-identically to
-    /// `MkbIndex::new(mkb, mkb_prime, opts)` (enforced by the property
-    /// suite in `tests/delta_equivalence.rs`). `carry`, when present,
-    /// seeds the `H'`-keyed memo tables from the previous change's index
-    /// (already filtered by [`MemoCarry::retained`]) — memoized functions
-    /// are pure, so a warm start changes latency, never answers.
+    /// `MkbIndex::new(mkb, mkb_prime)` (enforced by the property suite
+    /// in `tests/delta_equivalence.rs`). `carry`, when present, seeds the
+    /// `H'`-keyed memo tables from the previous change's index (already
+    /// filtered against this change by the synchronizer) — memoized
+    /// functions are pure, so a warm start changes latency, never
+    /// answers.
     pub fn from_cores(
         mkb: &'m MetaKnowledgeBase,
         mkb_prime: &'m MetaKnowledgeBase,
         pre: &IndexCore,
         post: &IndexCore,
-        opts: &CvsOptions,
         carry: Option<MemoCarry>,
     ) -> Self {
         let mut span = eve_telemetry::span("index-from-cores");
@@ -426,24 +411,19 @@ impl<'m> MkbIndex<'m> {
         // Distinct from `index.build` (the full-rebuild path) so fault
         // plans can address delta maintenance specifically.
         crate::faults::hit("index.delta-build");
-        let h_prime = if opts.respect_capabilities {
-            Arc::clone(&post.h_join)
-        } else {
-            Arc::clone(&post.h)
-        };
+        let h_prime = Arc::clone(&post.h_join);
         let covers = Arc::clone(&pre.covers);
-        let (trees, distances, connects) = match carry {
+        let (trees, connects) = match carry {
             Some(c) => {
                 debug_assert!(
                     c.h_prime.shares_interner(&h_prime),
                     "carry must be pre-filtered against the new H'"
                 );
                 c.trees.reset_stats();
-                c.distances.reset_stats();
                 c.connects.reset_stats();
-                (c.trees, c.distances, c.connects)
+                (c.trees, c.connects)
             }
-            None => (Memo::new(), Memo::new(), Memo::new()),
+            None => (Memo::new(), Memo::new()),
         };
         MkbIndex {
             mkb,
@@ -455,7 +435,6 @@ impl<'m> MkbIndex<'m> {
             pcs_by_pair: Arc::clone(&pre.pcs),
             cover_attr_ids: OnceLock::new(),
             trees,
-            distances,
             connects,
             viable: Memo::new(),
             survivors: Memo::new(),
@@ -464,14 +443,12 @@ impl<'m> MkbIndex<'m> {
     }
 
     /// Consume the index, extracting the memo tables a successor index
-    /// may start warm from. The caller filters the result with
-    /// [`MemoCarry::retained`] against the next change before handing it
-    /// to [`MkbIndex::from_cores`].
+    /// may start warm from. The synchronizer filters the result against
+    /// the next change before handing it to [`MkbIndex::from_cores`].
     pub fn into_carry(self) -> MemoCarry {
         MemoCarry {
             h_prime: self.h_prime,
             trees: self.trees,
-            distances: self.distances,
             connects: self.connects,
         }
     }
@@ -490,7 +467,6 @@ impl<'m> MkbIndex<'m> {
         let mut s = CacheStats::default();
         for (h, m) in [
             (&self.trees.hits, &self.trees.misses),
-            (&self.distances.hits, &self.distances.misses),
             (&self.connects.hits, &self.connects.misses),
             (&self.viable.hits, &self.viable.misses),
             (&self.survivors.hits, &self.survivors.misses),
@@ -590,31 +566,14 @@ impl<'m> MkbIndex<'m> {
         prefix.serve(limit)
     }
 
-    /// Shortest-path distance (in join-constraint hops) between `a` and
-    /// `b` in `H'(MKB')`, `None` when they are disconnected (or either
-    /// is not a vertex). Memoized per unordered pair. This is the
-    /// admissible lower bound used by the budgeted replacement search:
-    /// any connection tree containing both relations has at least this
-    /// many joins.
-    pub fn pair_distance(&self, a: &RelName, b: &RelName) -> Option<usize> {
-        match (self.h_prime.rel_id(a), self.h_prime.rel_id(b)) {
-            (Some(a), Some(b)) => self.pair_distance_ids(a, b),
-            // A non-vertex is disconnected from everything; nothing to
-            // memoize.
-            _ => None,
+    /// Do the interned `H'(MKB')` vertices `ids` all lie in one connected
+    /// component? A connection tree spanning them exists only then.
+    pub(crate) fn in_one_component(&self, ids: &RelSet) -> bool {
+        let mut comps = ids.iter().map(|id| self.h_prime.component_index(id));
+        match comps.next() {
+            Some(first) => comps.all(|c| c == first),
+            None => true,
         }
-    }
-
-    /// [`MkbIndex::pair_distance`] over interned `H'(MKB')` ids — the
-    /// form the replacement stream's pairwise lower-bound loop uses, so
-    /// a memo probe hashes two `u32`s instead of cloning two names.
-    pub(crate) fn pair_distance_ids(&self, a: RelId, b: RelId) -> Option<usize> {
-        let compute = || self.h_prime.pair_distance_ids(a, b);
-        if !self.cache_enabled {
-            return compute();
-        }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.distances.get_or_insert_with(key, compute)
     }
 
     /// The greedy connection tree spanning `terminals` in `H'(MKB')`
@@ -730,8 +689,7 @@ impl<'m> MkbIndex<'m> {
     }
 
     /// The capability-filtered post-change hypergraph `H'(MKB')` used by
-    /// R-replacement (Def. 3): when `respect_capabilities` is set, only
-    /// join-capable relations are vertices.
+    /// R-replacement (Def. 3): only join-capable relations are vertices.
     pub fn h_prime(&self) -> &Hypergraph {
         &self.h_prime
     }
@@ -785,8 +743,7 @@ mod tests {
     #[test]
     fn index_matches_direct_mkb_lookups() {
         let mkb = travel_mkb();
-        let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb, &opts);
+        let index = MkbIndex::new(&mkb, &mkb);
 
         // Hypergraph matches a direct build.
         assert_eq!(index.hypergraph(), &Hypergraph::build(&mkb));
@@ -832,9 +789,8 @@ mod tests {
     #[test]
     fn memo_hits_on_repeat_and_matches_uncached() {
         let mkb = travel_mkb();
-        let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb, &opts);
-        let raw = MkbIndex::new(&mkb, &mkb, &opts).without_cache();
+        let index = MkbIndex::new(&mkb, &mkb);
+        let raw = MkbIndex::new(&mkb, &mkb).without_cache();
 
         let terminals: BTreeSet<RelName> =
             index.hypergraph().relations().take(2).cloned().collect();
@@ -872,9 +828,8 @@ mod tests {
     #[test]
     fn tree_cache_serves_any_limit_from_one_prefix() {
         let mkb = travel_mkb();
-        let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb, &opts);
-        let raw = MkbIndex::new(&mkb, &mkb, &opts).without_cache();
+        let index = MkbIndex::new(&mkb, &mkb);
+        let raw = MkbIndex::new(&mkb, &mkb).without_cache();
 
         let terminals: BTreeSet<RelName> =
             index.hypergraph().relations().take(2).cloned().collect();
@@ -891,30 +846,10 @@ mod tests {
     }
 
     #[test]
-    fn pair_distances_match_uncached_and_cache_negatives() {
-        let mkb = travel_mkb();
-        let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb, &opts);
-        let raw = MkbIndex::new(&mkb, &mkb, &opts).without_cache();
-        let rels: Vec<RelName> = mkb.relations().map(|d| d.name.clone()).collect();
-        for a in &rels {
-            for b in &rels {
-                assert_eq!(index.pair_distance(a, b), raw.pair_distance(a, b));
-                // Symmetric by construction.
-                assert_eq!(index.pair_distance(a, b), index.pair_distance(b, a));
-            }
-        }
-        let ghost = RelName::new("NoSuchRelation");
-        assert_eq!(index.pair_distance(&rels[0], &ghost), None);
-        assert_eq!(index.pair_distance(&rels[0], &ghost), None);
-    }
-
-    #[test]
     fn viable_covers_and_survival_sets_match_uncached() {
         let mkb = travel_mkb();
-        let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb, &opts);
-        let raw = MkbIndex::new(&mkb, &mkb, &opts).without_cache();
+        let index = MkbIndex::new(&mkb, &mkb);
+        let raw = MkbIndex::new(&mkb, &mkb).without_cache();
 
         for f in mkb.function_ofs() {
             for desc in mkb.relations() {
@@ -947,23 +882,10 @@ mod tests {
     #[test]
     fn h_prime_respects_capabilities() {
         let mkb = travel_mkb();
-        let respect = MkbIndex::new(&mkb, &mkb, &CvsOptions::default());
-        let ignore = MkbIndex::new(
-            &mkb,
-            &mkb,
-            &CvsOptions {
-                respect_capabilities: false,
-                ..CvsOptions::default()
-            },
-        );
-        // Ignoring capabilities, every described relation is a vertex.
-        assert_eq!(ignore.h_prime().relations().len(), mkb.relation_count());
-        // Respecting them keeps exactly the join-capable subset.
+        let index = MkbIndex::new(&mkb, &mkb);
+        // `H'` keeps exactly the join-capable relations.
         for desc in mkb.relations() {
-            assert_eq!(
-                respect.h_prime().contains(&desc.name),
-                desc.capabilities.join
-            );
+            assert_eq!(index.h_prime().contains(&desc.name), desc.capabilities.join);
         }
     }
 }

@@ -44,10 +44,9 @@
 //!   attribute→cover map and the relation-pair→PC-constraint map, all
 //!   precomputed **once** per capability change and shared by every
 //!   affected view;
-//! * [`engine`] — one [`SynchronizationStrategy`] per change operator
-//!   ([`CvsDeleteRelation`], [`DeleteAttribute`], [`RenameForward`],
-//!   [`SvsBaseline`]) behind a uniform trait, so preference filtering,
-//!   cost ranking and outcome assembly live in exactly one place;
+//! * [`engine`] — [`synchronize_view`] runs the change operator's
+//!   algorithm for one view, so preference filtering, cost ranking and
+//!   outcome assembly live in exactly one place;
 //! * [`synchronizer`] — drives the pipeline for all six change operators
 //!   over a set of registered views (what-if previews, evolution
 //!   history, rollback, disabled-view revival), holding its state as
@@ -98,10 +97,7 @@ pub use clock::VirtualClock;
 pub use cost::{rank_rewritings as rank_by_cost, CostBreakdown, CostModel};
 pub use delete_attribute::synchronize_delete_attribute_indexed;
 pub use delta::{DeltaSummary, IndexCore, MkbDelta};
-pub use engine::{
-    strategy_for, synchronize_view, CvsDeleteRelation, DeleteAttribute, RenameForward,
-    SearchContext, SvsBaseline, SynchronizationStrategy,
-};
+pub use engine::synchronize_view;
 pub use error::CvsError;
 pub use eval::evaluate_view;
 pub use explain::{explain_rewriting, explain_rewriting_with_stats};
@@ -111,7 +107,7 @@ pub use legal::LegalRewriting;
 pub use maintain::{CountedView, Delta, DeltaError};
 pub use mapping::{compute_r_mapping, r_mapping_with_index, RMapping};
 pub use materialize::{MaterializedView, RefreshDelta};
-pub use options::{CvsOptions, FailurePolicy, ImplicationMode, IndexMaintenance, SearchBudget};
+pub use options::{CvsOptions, FailurePolicy, ImplicationMode, IndexMaintenance};
 pub use replacement::{compute_replacements_indexed, CoverChoice, Replacement};
 pub use rewrite::{
     cvs_delete_relation_indexed, cvs_delete_relation_searched, SearchResult, SearchStats,

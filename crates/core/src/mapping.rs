@@ -197,7 +197,7 @@ pub fn compute_r_mapping(
     }
 }
 
-/// Compute the R-mapping against a prebuilt [`MkbIndex`]: `H_R` is the
+/// Compute the R-mapping against a prebuilt [`crate::MkbIndex`]: `H_R` is the
 /// cached component of `H(MKB)` containing `target`, so no hypergraph is
 /// rebuilt per view.
 ///

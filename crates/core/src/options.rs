@@ -3,89 +3,6 @@
 
 use std::time::Duration;
 
-/// Resource bounds for the streaming rewriting search.
-///
-/// The lazy candidate pipeline (see DESIGN.md, "Budgeted rewriting
-/// search") generates candidates best-first; these knobs bound how far
-/// it runs. The default is fully unlimited, which makes the search
-/// byte-identical to the legacy materialize-then-rank pipeline. Any
-/// truncation is reported through `SearchStats::budget_exhausted` —
-/// never silent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchBudget {
-    /// Cap on candidate rewritings generated (assembled and costed)
-    /// for one view. `0` is clamped to unlimited by
-    /// [`CvsOptions::validated`]; use `top_k` to bound the *kept* set.
-    pub max_candidates: usize,
-    /// Global cap on connection trees enumerated across all cover
-    /// combinations of one view's search. `0` is clamped to unlimited.
-    pub max_trees: usize,
-    /// Wall-clock deadline for one view's search, measured from the
-    /// start of the candidate generation. `None` (the default) means no
-    /// deadline. The SVS baseline strips any deadline so the
-    /// CVS-vs-SVS comparison stays exhaustive.
-    pub deadline: Option<Duration>,
-    /// Number of best rewritings retained (and returned) by the
-    /// search. Dominated candidates — provably worse than the current
-    /// top-k — are pruned before expansion. `usize::MAX` (the default)
-    /// keeps everything; `0` is clamped to `1`.
-    pub top_k: usize,
-}
-
-impl Default for SearchBudget {
-    fn default() -> Self {
-        SearchBudget {
-            max_candidates: usize::MAX,
-            max_trees: usize::MAX,
-            deadline: None,
-            top_k: usize::MAX,
-        }
-    }
-}
-
-impl SearchBudget {
-    /// The default, fully unbounded budget (exhaustive search).
-    pub fn unlimited() -> Self {
-        SearchBudget::default()
-    }
-
-    /// A budget that keeps only the best `k` rewritings but bounds
-    /// nothing else.
-    pub fn top_k(k: usize) -> Self {
-        SearchBudget {
-            top_k: k,
-            ..SearchBudget::default()
-        }
-    }
-
-    /// Is every bound at its unlimited setting?
-    pub fn is_unlimited(&self) -> bool {
-        *self == SearchBudget::default()
-    }
-
-    /// Clamp out-of-domain values: `top_k = 0` (which would keep
-    /// nothing and make every search come back empty) becomes `1`, zero
-    /// candidate/tree caps (same degenerate emptiness) become
-    /// unlimited, and a zero deadline (which would truncate every
-    /// search on its first iteration) becomes no deadline.
-    pub fn validated(self) -> Self {
-        SearchBudget {
-            max_candidates: if self.max_candidates == 0 {
-                usize::MAX
-            } else {
-                self.max_candidates
-            },
-            max_trees: if self.max_trees == 0 {
-                usize::MAX
-            } else {
-                self.max_trees
-            },
-            deadline: self.deadline.filter(|d| !d.is_zero()),
-            top_k: self.top_k.max(1),
-        }
-    }
-}
-
 /// What [`crate::Synchronizer::apply`] does when one view's
 /// synchronization task panics (organically, or injected via
 /// `eve-faults`).
@@ -172,10 +89,6 @@ pub struct CvsOptions {
     pub max_path_edges: usize,
     /// Clause-implication strength for the R-mapping.
     pub implication: ImplicationMode,
-    /// Exclude relations whose IS does not advertise the *join*
-    /// capability from replacement search: a cover that cannot be joined
-    /// is unusable (§2's capability descriptions, enforced).
-    pub respect_capabilities: bool,
     /// Worker threads for fanning affected views out during
     /// [`crate::Synchronizer::apply`].
     ///
@@ -188,10 +101,13 @@ pub struct CvsOptions {
     /// (results are merged back in view-registration order), so this is
     /// purely a throughput knob.
     pub parallelism: Option<usize>,
-    /// Resource bounds for the streaming rewriting search. The default
-    /// ([`SearchBudget::unlimited`]) reproduces the exhaustive legacy
-    /// pipeline exactly.
-    pub budget: SearchBudget,
+    /// Time limit for one view's `delete-relation` search, measured
+    /// from the start of its candidate stream. `None` (the default)
+    /// searches exhaustively; a search cut by its deadline keeps what it
+    /// has ranked so far and reports the cut through
+    /// [`crate::SearchStats::budget_exhausted`]. The SVS baseline strips
+    /// it, so the CVS-vs-SVS comparison stays exhaustive.
+    pub deadline: Option<Duration>,
     /// What to do when a view's synchronization task panics: fail fast
     /// (the default) or degrade that view to
     /// [`crate::ViewOutcome::Failed`] after deterministic retries.
@@ -207,9 +123,8 @@ impl Default for CvsOptions {
         CvsOptions {
             max_path_edges: usize::MAX,
             implication: ImplicationMode::Interval,
-            respect_capabilities: true,
             parallelism: None,
-            budget: SearchBudget::default(),
+            deadline: None,
             failure: FailurePolicy::default(),
             index_maintenance: IndexMaintenance::default(),
         }
@@ -226,25 +141,22 @@ impl CvsOptions {
     pub fn svs_baseline() -> Self {
         CvsOptions {
             max_path_edges: 1,
-            budget: SearchBudget {
-                deadline: None,
-                ..SearchBudget::default()
-            },
+            deadline: None,
             ..CvsOptions::default()
         }
     }
 
     /// Clamp out-of-domain values: `max_path_edges = 0` (which could
     /// never attach anything — see the field docs) becomes `1`, the
-    /// tightest meaningful bound, and the budget fields are clamped by
-    /// [`SearchBudget::validated`] (`top_k ≥ 1`, zero caps →
-    /// unlimited). The synchronizer applies this when it is built, so a
-    /// zero smuggled in through a config file degrades gracefully
-    /// instead of silently disabling the search.
+    /// tightest meaningful bound, and a zero deadline (which would cut
+    /// every search before its first candidate) becomes no deadline.
+    /// The synchronizer applies this when it is built, so a zero
+    /// smuggled in through a config file degrades gracefully instead of
+    /// silently disabling the search.
     pub fn validated(self) -> Self {
         CvsOptions {
             max_path_edges: self.max_path_edges.max(1),
-            budget: self.budget.validated(),
+            deadline: self.deadline.filter(|d| !d.is_zero()),
             ..self
         }
     }
@@ -293,64 +205,18 @@ mod tests {
     }
 
     #[test]
-    fn default_budget_is_unlimited() {
-        let b = CvsOptions::default().budget;
-        assert!(b.is_unlimited());
-        assert_eq!(b.top_k, usize::MAX);
-        assert_eq!(b.max_candidates, usize::MAX);
-        assert_eq!(b.max_trees, usize::MAX);
-        assert_eq!(b.deadline, None);
-        assert_eq!(SearchBudget::top_k(1).top_k, 1);
-        assert!(!SearchBudget::top_k(1).is_unlimited());
-    }
-
-    #[test]
-    fn validated_clamps_budget_fields() {
-        let o = CvsOptions {
-            budget: SearchBudget {
-                max_candidates: 0,
-                max_trees: 0,
-                deadline: None,
-                top_k: 0,
-            },
-            ..CvsOptions::default()
-        };
-        let v = o.validated().budget;
-        assert_eq!(v.top_k, 1);
-        assert_eq!(v.max_candidates, usize::MAX);
-        assert_eq!(v.max_trees, usize::MAX);
-        // In-domain budgets pass through untouched.
-        let tight = SearchBudget {
-            max_candidates: 5,
-            max_trees: 7,
-            deadline: Some(std::time::Duration::from_millis(10)),
-            top_k: 2,
-        };
-        assert_eq!(tight.validated(), tight);
-    }
-
-    #[test]
     fn validated_clamps_zero_deadline_to_none() {
         let o = CvsOptions {
-            budget: SearchBudget {
-                deadline: Some(Duration::ZERO),
-                ..SearchBudget::default()
-            },
+            deadline: Some(Duration::ZERO),
             ..CvsOptions::default()
         };
-        assert_eq!(o.validated().budget.deadline, None);
+        assert_eq!(o.validated().deadline, None);
         // A real deadline passes through untouched.
         let o = CvsOptions {
-            budget: SearchBudget {
-                deadline: Some(Duration::from_millis(10)),
-                ..SearchBudget::default()
-            },
+            deadline: Some(Duration::from_millis(10)),
             ..CvsOptions::default()
         };
-        assert_eq!(
-            o.validated().budget.deadline,
-            Some(Duration::from_millis(10))
-        );
+        assert_eq!(o.validated().deadline, Some(Duration::from_millis(10)));
     }
 
     #[test]
@@ -369,8 +235,7 @@ mod tests {
 
     #[test]
     fn svs_baseline_rejects_deadline() {
-        assert_eq!(CvsOptions::svs_baseline().budget.deadline, None);
-        assert!(CvsOptions::svs_baseline().budget.is_unlimited());
+        assert_eq!(CvsOptions::svs_baseline().deadline, None);
     }
 
     #[test]

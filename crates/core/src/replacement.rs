@@ -19,7 +19,7 @@
 //! The full candidate set is exponential; following the minimality spirit
 //! of Def. 2 we enumerate minimal connection trees (per cover
 //! combination, with parallel-join-constraint variants), bounded by
-//! [`MAX_COVER_COMBINATIONS`] and [`MAX_TREES_PER_COMBINATION`].
+//! [`MAX_COVER_COMBINATIONS`] and `MAX_TREES_PER_COMBINATION`.
 //! Dispensable attributes are covered *opportunistically* when a cover
 //! exists — exactly what Example 10 does for `Customer.Age`
 //! (dispensable, yet replaced through `F3` because `Accident-Ins` happens
@@ -132,13 +132,13 @@ pub fn compute_replacements_indexed(
     index: &MkbIndex<'_>,
     opts: &CvsOptions,
 ) -> Result<Vec<Replacement>, CvsError> {
-    let mut stream = ReplacementStream::new(view, rm, index, opts, usize::MAX)?;
+    let mut stream = ReplacementStream::new(view, rm, index, opts)?;
     let mut out = Vec::new();
-    while let Some(rep) = stream.next_candidate(&mut |_| false) {
+    while let Some(rep) = stream.next_candidate() {
         out.push(rep);
     }
-    // Same single accumulation path as the budgeted search: counters
-    // are read out of the stream, never counted in parallel.
+    // Same single accumulation path as the search: counters are read
+    // out of the stream, never counted in parallel.
     if eve_telemetry::enabled() && stream.disconnected_combos() > 0 {
         eve_telemetry::counter_add(
             "search.disconnected_combos",
@@ -155,33 +155,6 @@ pub fn compute_replacements_indexed(
     Ok(out)
 }
 
-/// Admissible lower bounds on every candidate a cover combination can
-/// still produce, computed *before* its connection trees are enumerated.
-///
-/// Each field is component-wise ≤ the corresponding quantity of any real
-/// candidate from the combination, so a search that compares these
-/// bounds against its current worst kept candidate can discard the whole
-/// combination — trees, assembly, costing and all — without ever missing
-/// a better rewriting (see DESIGN.md, "Budgeted rewriting search").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CandidateBound {
-    /// ≤ `replacement.relations.len()` of any candidate. Every candidate
-    /// contains all terminals, and a tree spanning two relations at
-    /// shortest-path distance `d` touches ≥ `d + 1` relations.
-    pub min_relations: usize,
-    /// ≤ `replacement.joins.len()`: the surviving `Min` joins are always
-    /// included, a tree over `t` terminals has ≥ `t − 1` edges, and ≥
-    /// the largest pairwise shortest-path distance.
-    pub min_joins: usize,
-    /// ≤ the number of candidate relations outside the view's current
-    /// FROM clause (terminals not already in FROM must be joined in).
-    pub min_extra_relations: usize,
-    /// ≤ the number of dropped conditions: Def. 3 (V) drops are decided
-    /// per combination, before any tree is chosen, and assembly can only
-    /// drop more.
-    pub min_dropped_conditions: usize,
-}
-
 /// A condition list shared by every candidate of one cover combination.
 type SharedConditions = Arc<Vec<CondItem>>;
 
@@ -194,16 +167,15 @@ struct PreparedCombo {
     /// is not a vertex there): the view's interned survivors plus this
     /// combination's cover sources, so each name is interned once.
     terminal_key: Option<RelSet>,
-    /// Some terminal pair is provably unreachable in `H'` (memoized
-    /// pairwise shortest paths): tree enumeration would come back empty,
-    /// so skip it and record the disconnection directly.
+    /// The terminals span several components of `H'`: tree enumeration
+    /// would come back empty, so skip it and record the disconnection
+    /// directly.
     provably_disconnected: bool,
     /// Def. 3 (V) rewrite of `C_Max/Min` — it only depends on the cover
     /// combination, not on the tree. `None` means a required condition
     /// survives uncovered: no tree of this combination can yield a
     /// candidate.
     cmm: Option<(SharedConditions, SharedConditions)>,
-    bound: CandidateBound,
 }
 
 /// The combination currently being expanded tree-by-tree.
@@ -249,19 +221,11 @@ const MAX_TREES_PER_COMBINATION: usize = 4;
 /// Candidates come out in exactly the order the eager implementation
 /// materialised them (combination order, then tree order within a
 /// combination), so draining the stream reproduces the legacy
-/// R-replacement list verbatim. The caller may additionally:
+/// R-replacement list verbatim.
 ///
-/// * skip a whole combination via the `prune_combo` callback of
-///   [`ReplacementStream::next_candidate`], consulted with the
-///   combination's [`CandidateBound`] before its trees are enumerated;
-/// * bound the total number of trees enumerated (`max_trees`), after
-///   which the stream ends and reports
-///   [`ReplacementStream::tree_budget_exhausted`].
-///
-/// Everything that depends on the view alone — the survivors, their
-/// interned ids and pairwise distances, FROM minus `R` — is computed
-/// once in [`ReplacementStream::new`]; a combination adds only its
-/// cover sources, when the stream reaches it.
+/// Everything that depends on the view alone — the survivors and their
+/// interned ids — is computed once in [`ReplacementStream::new`]; a
+/// combination adds only its cover sources, when the stream reaches it.
 pub(crate) struct ReplacementStream<'a, 'm> {
     index: &'a MkbIndex<'m>,
     opts: &'a CvsOptions,
@@ -279,20 +243,12 @@ pub(crate) struct ReplacementStream<'a, 'm> {
     /// `survivors` interned over `H'(MKB')`, `None` when one is not a
     /// vertex there.
     survivor_ids: Option<RelSet>,
-    /// The largest survivor-pair distance in `H'`, `None` when some
-    /// pair is disconnected (only read when `survivor_ids` is set).
-    survivor_spread: Option<usize>,
-    /// FROM minus `R`, for the extra-relation bounds.
-    from_rels: BTreeSet<RelName>,
     surviving_joins: Vec<Arc<JoinConstraint>>,
     combo_idx: usize,
     current: Option<ActiveCombo>,
-    max_trees: usize,
     trees_enumerated: usize,
-    combos_pruned: usize,
     disconnected_combos: usize,
     any_disconnected: bool,
-    tree_budget_exhausted: bool,
 }
 
 impl<'a, 'm> ReplacementStream<'a, 'm> {
@@ -305,7 +261,6 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
         rm: &'a RMapping,
         index: &'a MkbIndex<'m>,
         opts: &'a CvsOptions,
-        max_trees: usize,
     ) -> Result<Self, CvsError> {
         let target = &rm.target;
 
@@ -347,26 +302,6 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
 
         let survivors = index.survival_set(&rm.max_relations, target);
         let survivor_ids = index.intern_terminals(&survivors);
-        let mut survivor_spread = Some(0);
-        if let Some(key) = &survivor_ids {
-            'pairs: for a in key.iter() {
-                for b in key.iter().filter(|&b| b > a) {
-                    match index.pair_distance_ids(a, b) {
-                        Some(d) => survivor_spread = survivor_spread.max(Some(d)),
-                        None => {
-                            survivor_spread = None;
-                            break 'pairs;
-                        }
-                    }
-                }
-            }
-        }
-        let from_rels = view
-            .from
-            .iter()
-            .map(|f| f.relation.clone())
-            .filter(|r| r != target)
-            .collect();
 
         Ok(ReplacementStream {
             index,
@@ -377,99 +312,53 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
             covers_truncated: product > MAX_COVER_COMBINATIONS,
             survivors,
             survivor_ids,
-            survivor_spread,
-            from_rels,
             surviving_joins: rm.surviving_joins(),
             combo_idx: 0,
             current: None,
-            max_trees,
             trees_enumerated: 0,
-            combos_pruned: 0,
             disconnected_combos: 0,
             any_disconnected: false,
-            tree_budget_exhausted: false,
         })
     }
 
     /// Set combination `ord` up: its terminals (survivors plus cover
-    /// sources), their interned key, reachability and bound, and its
-    /// Def. 3 (V) rewrite of `C_Max/Min`.
+    /// sources), their interned key and connectivity, and its Def. 3 (V)
+    /// rewrite of `C_Max/Min`.
     fn prepare(&self, ord: usize) -> PreparedCombo {
         let covers = combination(&self.cover_options, ord);
         let mut terminals: BTreeSet<RelName> = (*self.survivors).clone();
         let mut terminal_key = self.survivor_ids.clone();
-        // The survivor pairs were measured once per view; only the
-        // pairs with a cover source are new. A terminal that is not a
-        // vertex of `H'` is unreachable from everything, exactly as the
-        // legacy name-keyed lookup reported.
-        let mut provably_disconnected = terminal_key.is_some() && self.survivor_spread.is_none();
-        let mut max_dist = self.survivor_spread.unwrap_or(0);
         for cover in covers.values() {
-            if !terminals.insert(cover.source.clone()) {
-                continue;
-            }
-            let id = self.index.rel_id_prime(&cover.source);
-            match (id, &mut terminal_key) {
-                (Some(id), Some(key)) => {
-                    if !provably_disconnected {
-                        for other in key.iter() {
-                            match self.index.pair_distance_ids(id, other) {
-                                Some(d) => max_dist = max_dist.max(d),
-                                None => {
-                                    provably_disconnected = true;
-                                    break;
-                                }
-                            }
-                        }
+            if terminals.insert(cover.source.clone()) {
+                match (self.index.rel_id_prime(&cover.source), &mut terminal_key) {
+                    (Some(id), Some(key)) => {
+                        key.insert(id);
                     }
-                    key.insert(id);
+                    _ => terminal_key = None,
                 }
-                (None, _) => terminal_key = None,
-                (Some(_), None) => {}
             }
         }
-        if terminal_key.is_none() && terminals.len() >= 2 {
-            provably_disconnected = true;
-        }
-
+        // A tree spans its terminals only inside one component of `H'`.
+        // A terminal that is not a vertex there is unreachable from
+        // everything else.
+        let provably_disconnected = match &terminal_key {
+            Some(key) => !self.index.in_one_component(key),
+            None => terminals.len() >= 2,
+        };
         let cmm = rewrite_c_max_min(self.rm, &covers, &self.rm.target)
             .map(|(c, d)| (Arc::new(c), Arc::new(d)));
-        let t = terminals.len();
-        let bound = CandidateBound {
-            min_relations: if t == 0 { 0 } else { t.max(max_dist + 1) },
-            min_joins: self
-                .surviving_joins
-                .len()
-                .max(t.saturating_sub(1))
-                .max(max_dist),
-            min_extra_relations: terminals
-                .iter()
-                .filter(|r| !self.from_rels.contains(*r))
-                .count(),
-            min_dropped_conditions: cmm.as_ref().map_or(0, |(_, d)| d.len()),
-        };
         PreparedCombo {
             covers,
             terminals,
             terminal_key,
             provably_disconnected,
             cmm,
-            bound,
         }
     }
 
     /// Advance to the next candidate replacement, or `None` when the
-    /// choice space (or the tree budget) is exhausted.
-    ///
-    /// `prune_combo` is consulted once per viable cover combination,
-    /// with its admissible [`CandidateBound`], *before* its connection
-    /// trees are enumerated; returning `true` skips the combination
-    /// (counted in [`ReplacementStream::combos_pruned`]). Pass
-    /// `&mut |_| false` for the exhaustive legacy behaviour.
-    pub(crate) fn next_candidate(
-        &mut self,
-        prune_combo: &mut dyn FnMut(&CandidateBound) -> bool,
-    ) -> Option<Replacement> {
+    /// choice space is exhausted.
+    pub(crate) fn next_candidate(&mut self) -> Option<Replacement> {
         loop {
             if let Some(cur) = &mut self.current {
                 if cur.tree_pos < cur.trees.len() {
@@ -533,10 +422,6 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
                 }
                 continue;
             };
-            if prune_combo(&combo.bound) {
-                self.combos_pruned += 1;
-                continue;
-            }
 
             let trees: Arc<Vec<ConnectionTree>> = if combo.terminals.is_empty() {
                 // Nothing to keep and nothing to cover: Max(V_R)
@@ -546,20 +431,13 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
                     joins: Vec::new(),
                 }])
             } else {
-                let remaining = self.max_trees.saturating_sub(self.trees_enumerated);
-                if remaining == 0 {
-                    // Combinations remain but the tree budget is spent.
-                    self.tree_budget_exhausted = true;
-                    return None;
-                }
-                let chunk = MAX_TREES_PER_COMBINATION.min(remaining);
                 // Memoized per (terminal set, hop bound): a second view
                 // sharing this combination's terminals reuses the walk,
                 // and smaller limits are served from the cached prefix.
                 let trees = self.index.enumerate_trees_interned(
                     combo.terminal_key.as_ref(),
                     &combo.terminals,
-                    chunk,
+                    MAX_TREES_PER_COMBINATION,
                     self.opts.max_path_edges,
                 );
                 if trees.is_empty() {
@@ -568,11 +446,6 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
                     continue;
                 }
                 self.trees_enumerated += trees.len();
-                if chunk < MAX_TREES_PER_COMBINATION && trees.len() == chunk {
-                    // The per-combination limit was clipped by the global
-                    // budget and the clipped enumeration filled up.
-                    self.tree_budget_exhausted = true;
-                }
                 trees
             };
 
@@ -592,20 +465,6 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
         !matches!(&self.current, Some(cur) if cur.tree_pos < cur.trees.len())
     }
 
-    /// The exact [`CandidateBound`] of a candidate this stream returned.
-    pub(crate) fn candidate_bound(&self, rep: &Replacement) -> CandidateBound {
-        CandidateBound {
-            min_relations: rep.relations.len(),
-            min_joins: rep.joins.len(),
-            min_extra_relations: rep
-                .relations
-                .iter()
-                .filter(|r| !self.from_rels.contains(*r))
-                .count(),
-            min_dropped_conditions: rep.dropped_conditions.len(),
-        }
-    }
-
     /// `Min(H_R)` minus `R`, shared with extent inference.
     pub(crate) fn survivors(&self) -> Arc<BTreeSet<RelName>> {
         Arc::clone(&self.survivors)
@@ -623,22 +482,12 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
         self.trees_enumerated
     }
 
-    /// Combinations skipped by the caller's prune callback.
-    pub(crate) fn combos_pruned(&self) -> usize {
-        self.combos_pruned
-    }
-
-    /// Combinations whose tree enumeration was (provably or actually)
-    /// empty. Counted here and only read out by the caller, so the
-    /// `search.disconnected_combos` counter and `SearchStats` can
-    /// never drift apart.
+    /// Combinations whose terminals span several components of `H'`, or
+    /// whose tree enumeration came back empty. Counted here and only
+    /// read out by the caller, so the `search.disconnected_combos`
+    /// counter and `SearchStats` can never drift apart.
     pub(crate) fn disconnected_combos(&self) -> usize {
         self.disconnected_combos
-    }
-
-    /// Did the global tree budget cut the enumeration short?
-    pub(crate) fn tree_budget_exhausted(&self) -> bool {
-        self.tree_budget_exhausted
     }
 
     /// Did [`MAX_COVER_COMBINATIONS`] cut the cover-combination product
@@ -794,7 +643,7 @@ mod tests {
         // FlightRes (= Min(H'_Customer), Def. 3 III) and never Customer.
         let (mkb, mkb2, rm, view) = setup();
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&mkb, &mkb2);
         let reps = compute_replacements_indexed(&view, &rm, &index, &opts).unwrap();
         assert!(!reps.is_empty());
         let customer = RelName::new("Customer");
@@ -855,7 +704,7 @@ mod tests {
         let rm = compute_r_mapping(&view, &customer, &h_r, &CvsOptions::default());
         let mkb2 = evolve(&mkb, &CapabilityChange::DeleteRelation(customer)).unwrap();
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&mkb, &mkb2);
         let reps = compute_replacements_indexed(&view, &rm, &index, &opts).unwrap();
         // No candidate may use the Participant cover: in H'(MKB'),
         // Participant and FlightRes are disconnected (Fig. 4 right).
@@ -879,7 +728,7 @@ mod tests {
         let h_r = h.component_of(&customer).unwrap();
         let rm = compute_r_mapping(&view, &customer, &h_r, &CvsOptions::default());
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&mkb, &mkb2);
         let err = compute_replacements_indexed(&view, &rm, &index, &opts).unwrap_err();
         assert!(matches!(err, CvsError::IndispensableNotReplaceable { .. }));
     }
@@ -899,7 +748,7 @@ mod tests {
         let h_r = h.component_of(&customer).unwrap();
         let rm = compute_r_mapping(&view, &customer, &h_r, &CvsOptions::default());
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&mkb, &mkb2);
         let err = compute_replacements_indexed(&view, &rm, &index, &opts).unwrap_err();
         assert_eq!(err, CvsError::NoCover(AttrRef::new("Customer", "Phone")));
     }
@@ -987,7 +836,7 @@ mod tests {
         // workload/experiment tests).
         let (mkb, mkb2, rm, view) = setup();
         let opts = CvsOptions::svs_baseline();
-        let index = MkbIndex::new(&mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&mkb, &mkb2);
         let reps = compute_replacements_indexed(&view, &rm, &index, &opts).unwrap();
         assert!(reps
             .iter()

@@ -23,7 +23,7 @@ use crate::index::MkbIndex;
 use crate::legal::LegalRewriting;
 use crate::mapping::{compute_r_mapping, RMapping};
 use crate::options::CvsOptions;
-use crate::replacement::{CandidateBound, Replacement, ReplacementStream};
+use crate::replacement::{Replacement, ReplacementStream};
 
 use eve_esql::{CondItem, EvolutionParams, FromItem, SelectItem, ViewDefinition};
 use eve_misd::JoinConstraint;
@@ -330,30 +330,27 @@ pub fn cvs_delete_relation_indexed(
 }
 
 /// Counters describing one view's rewriting search, threaded into
-/// [`crate::synchronizer::ViewOutcome`] so budget truncation is
-/// reported, never silent.
+/// [`crate::synchronizer::ViewOutcome`] so truncation is reported, never
+/// silent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
-    /// Candidates expanded through assembly (Steps 4–6). This is the
-    /// quantity bounded by `SearchBudget::max_candidates` and the one
-    /// the budgeted-vs-exhaustive benchmark compares.
+    /// Candidates expanded through assembly (Steps 4–6).
     pub generated: usize,
-    /// Branches discarded by the admissible lower bound before
-    /// expansion: whole cover combinations (counted once each, before
-    /// their trees were enumerated) plus individual dominated
-    /// candidates cut before assembly.
+    /// Always 0: the search ranks every candidate it generates and
+    /// prunes none. Kept so the counters' shape, and every digest and
+    /// golden file that renders them, stay as they are.
     pub pruned: usize,
-    /// Rewritings retained in the final (top-k) result.
+    /// Rewritings retained in the final result.
     pub kept: usize,
     /// Connection trees enumerated across all cover combinations.
     pub trees_enumerated: usize,
-    /// Cover combinations whose tree enumeration was (provably or
-    /// actually) empty.
+    /// Cover combinations whose terminals span several components of
+    /// `H'(MKB')`, or whose tree enumeration came back empty.
     pub disconnected_combos: usize,
-    /// Did any budget (`max_candidates`, `max_trees`, `deadline`) or
-    /// the cap of 32 cover combinations per view cut the search short?
-    /// When `false` the result is exhaustive up to `top_k` — identical
-    /// to the legacy materialize-then-rank pipeline's prefix.
+    /// Did [`CvsOptions::deadline`] or the cap of
+    /// [`crate::replacement::MAX_COVER_COMBINATIONS`] cover combinations
+    /// per view cut the search short? When `false` the result is the
+    /// exhaustive ranking.
     pub budget_exhausted: bool,
 }
 
@@ -361,17 +358,17 @@ pub struct SearchStats {
 /// was found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
-    /// Best-first rewritings (at most `SearchBudget::top_k`).
+    /// Best-first rewritings.
     pub rewritings: Vec<LegalRewriting>,
-    /// How the search went: candidates generated, pruned, kept, and
-    /// whether any budget truncated it.
+    /// How the search went: candidates generated and kept, and whether
+    /// it was cut short.
     pub stats: SearchStats,
 }
 
 impl SearchResult {
-    /// Wrap an exhaustively computed rewriting list (strategies that do
-    /// not stream, e.g. delete-attribute and rename): everything was
-    /// generated and kept, nothing pruned or truncated.
+    /// Wrap an exhaustively computed rewriting list (the operators that
+    /// do not stream, delete-attribute and rename): everything was
+    /// generated and kept, nothing truncated.
     pub fn exhaustive(rewritings: Vec<LegalRewriting>) -> Self {
         let n = rewritings.len();
         SearchResult {
@@ -385,13 +382,13 @@ impl SearchResult {
     }
 }
 
-/// Comparison key of one (real or lower-bound) candidate in the top-k
-/// selector. Mirrors the legacy two-pass ordering exactly: a stable
-/// structural sort `(¬P3, |relations|, |joins|, rendered view)` followed
-/// by the stable cost re-sort `(total, rendered view)` — composed, that
-/// is the lexicographic key `(total, rendered, ¬P3, |relations|,
-/// |joins|)` when a cost model drives the ranking and the structural key
-/// alone otherwise.
+/// Comparison key of one candidate in the sorted selector. Mirrors the
+/// legacy two-pass ordering exactly: a stable structural sort `(¬P3,
+/// |relations|, |joins|, rendered view)` followed by the stable cost
+/// re-sort `(total, rendered view)` — composed, that is the
+/// lexicographic key `(total, rendered, ¬P3, |relations|, |joins|)` when
+/// a cost model drives the ranking and the structural key alone
+/// otherwise.
 #[derive(Debug, Clone)]
 struct CandKey {
     /// `Some` iff a cost model drives the ranking.
@@ -440,67 +437,19 @@ fn key_for(lr: &LegalRewriting, view: &ViewDefinition, cost_model: Option<&CostM
     }
 }
 
-/// Compare an admissible [`CandidateBound`]'s implied key against a kept
-/// candidate's key, as the legacy `cmp_keys(bound_key(b), w)` did with
-/// the bound's rendered text bottomed out at `""` and `¬P3` at `false`.
-/// A real candidate always renders non-empty (`CREATE VIEW …`), so every
-/// textual tie-break resolves to [`Ordering::Less`] without rendering
-/// `w` at all.
-fn cmp_bound(b: &CandidateBound, cost_model: Option<&CostModel>, w: &CandKey) -> Ordering {
-    if let (Some(ca), Some(cb)) = (cost_model.map(|m| cost_lower_bound(m, b)), &w.cost) {
-        let ord = ca
-            .partial_cmp(cb)
-            .unwrap_or(Ordering::Equal)
-            .then(Ordering::Less);
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    (false, b.min_relations, b.min_joins)
-        .cmp(&(w.not_p3, w.relations, w.joins))
-        .then(Ordering::Less)
-}
-
-/// Admissible lower bound on `CostModel::assess(..).total` for any
-/// candidate satisfying `b`: every cost term is a non-negative weight
-/// times a count, and `b` lower-bounds the extra-relation and
-/// dropped-condition counts. With any negative weight admissibility is
-/// lost, so the bound collapses to `-∞` (cost pruning disabled).
-fn cost_lower_bound(m: &CostModel, b: &CandidateBound) -> f64 {
-    let weights = [
-        m.dropped_attr,
-        m.dropped_condition,
-        m.replaced_component,
-        m.extra_relation,
-        m.extra_join,
-        m.extent_superset,
-        m.extent_subset,
-        m.extent_unknown,
-    ];
-    if weights.iter().any(|w| *w < 0.0) {
-        return f64::NEG_INFINITY;
-    }
-    m.extra_relation * b.min_extra_relations as f64
-        + m.dropped_condition * b.min_dropped_conditions as f64
-}
-
-/// The streaming, budgeted form of [`cvs_delete_relation_indexed`]:
-/// candidates are pulled lazily from the (cover combination × connection
-/// tree) choice space, dominated branches are pruned through admissible
-/// lower bounds, and only the best `opts.budget.top_k` rewritings are
-/// retained in a bounded selector.
+/// The streaming form of [`cvs_delete_relation_indexed`]: candidates
+/// are pulled lazily from the (cover combination × connection tree)
+/// choice space, assembled, and inserted into a sorted selector.
 ///
-/// With an unlimited budget this is *exactly* the legacy
-/// materialize-then-rank pipeline: same rewritings, same order, same
-/// errors. `require_p3` filters unverified rewritings before they enter
-/// the selector (so a budgeted top-k is not wasted on rewritings the
-/// caller will discard), and `cost_model` ranks by assessed cost the way
-/// [`CostModel::rank`] did — both previously applied by the engine
-/// after full materialization.
+/// Without a deadline this is *exactly* the legacy materialize-then-rank
+/// pipeline: same rewritings, same order, same errors. `require_p3`
+/// filters unverified rewritings before they enter the selector, and
+/// `cost_model` ranks by assessed cost the way [`CostModel::rank`] did —
+/// both previously applied by the engine after full materialization.
 ///
-/// Truncation by any budget is reported through
-/// [`SearchStats::budget_exhausted`]; the kept rewritings are then a
-/// prefix-consistent subset of the exhaustive ranking, never a silently
+/// A cut by [`CvsOptions::deadline`] is reported through
+/// [`SearchStats::budget_exhausted`]; the kept rewritings are then the
+/// ranking of the candidates generated before it, never a silently
 /// wrong "best".
 pub fn cvs_delete_relation_searched(
     view: &ViewDefinition,
@@ -527,15 +476,14 @@ pub fn cvs_delete_relation_searched(
 
     // Step 3 becomes a lazy stream over the cached capability-filtered
     // H'(MKB'); Steps 4–6 run per candidate as it is pulled.
-    let budget = opts.budget.validated();
+    let deadline = opts.validated().deadline;
     // `clock::anchor` instead of `Instant::now`: under the simulator a
     // virtual clock governs the deadline, so search truncation is
     // deterministic; outside it this IS wall time.
     let start = crate::clock::anchor();
-    let mut stream = ReplacementStream::new(view, &rm, index, opts, budget.max_trees)?;
+    let mut stream = ReplacementStream::new(view, &rm, index, opts)?;
     let ext_ctx = ExtentCtx::new(&rm, stream.survivors());
 
-    let k = budget.top_k;
     let mut rank_span = eve_telemetry::span("ranking");
     rank_span.label(|| view.name.clone());
     // Kept candidates, sorted ascending by `cmp_keys`; ties inserted
@@ -548,9 +496,7 @@ pub fn cvs_delete_relation_searched(
     // `covers` Arc, so pointer identity detects the switch exactly).
     let mut combo_asm: Option<ComboAsmCache> = None;
     let mut generated = 0usize;
-    let mut pruned_candidates = 0usize;
     let mut deadline_hit = false;
-    let mut candidate_cap_hit = false;
 
     loop {
         // An injected budget-exhaustion fault truncates exactly like a
@@ -560,38 +506,15 @@ pub fn cvs_delete_relation_searched(
             deadline_hit = true;
             break;
         }
-        if let Some(d) = budget.deadline {
+        if let Some(d) = deadline {
             if start.elapsed() >= d {
                 deadline_hit = true;
                 break;
             }
         }
-        let full = selector.len() >= k;
-        let mut prune = |b: &CandidateBound| match selector.last() {
-            // A bound no better than the current worst kept candidate
-            // cannot improve the top-k: cut the whole branch.
-            Some((w, _)) if full => cmp_bound(b, cost_model, w) != Ordering::Less,
-            _ => false,
-        };
-        let Some(rep) = stream.next_candidate(&mut prune) else {
+        let Some(rep) = stream.next_candidate() else {
             break;
         };
-        if generated >= budget.max_candidates {
-            // The stream had more to offer but the candidate budget is
-            // spent — truncation, reported below.
-            candidate_cap_hit = true;
-            break;
-        }
-        // Candidate-level admissible bound (exact counts are known
-        // now), cutting the assemble + extent inference + costing.
-        if full {
-            if let Some((w, _)) = selector.last() {
-                if cmp_bound(&stream.candidate_bound(&rep), cost_model, w) != Ordering::Less {
-                    pruned_candidates += 1;
-                    continue;
-                }
-            }
-        }
         generated += 1;
         let last = stream.combination_done();
         let pre = match &mut combo_asm {
@@ -630,9 +553,6 @@ pub fn cvs_delete_relation_searched(
                 let pos = selector
                     .partition_point(|(k2, lr2)| cmp_keys(k2, lr2, &key, &lr) != Ordering::Greater);
                 selector.insert(pos, (key, lr));
-                if selector.len() > k {
-                    selector.pop();
-                }
             }
             Err(e) => last_err = e,
         }
@@ -640,14 +560,11 @@ pub fn cvs_delete_relation_searched(
 
     let stats = SearchStats {
         generated,
-        pruned: pruned_candidates + stream.combos_pruned(),
+        pruned: 0,
         kept: selector.len(),
         trees_enumerated: stream.trees_enumerated(),
         disconnected_combos: stream.disconnected_combos(),
-        budget_exhausted: deadline_hit
-            || candidate_cap_hit
-            || stream.tree_budget_exhausted()
-            || stream.covers_truncated(),
+        budget_exhausted: deadline_hit || stream.covers_truncated(),
     };
     // The registry totals are a read-out of `stats` (which itself reads
     // the stream's accumulators) — one accumulation path, so the
@@ -667,11 +584,6 @@ pub fn cvs_delete_relation_searched(
                 "search.disconnected_combos",
                 stats.disconnected_combos as u64,
             );
-        }
-        if stream.tree_budget_exhausted() {
-            // Covers both exhaustion sites (budget spent mid-stream and
-            // the clipped-fill case the old inline counter missed).
-            eve_telemetry::counter_add("search.tree_budget_exhausted", 1);
         }
         if stats.budget_exhausted {
             eve_telemetry::counter_add("search.budget_exhausted", 1);

@@ -18,15 +18,15 @@ use crate::cost::CostModel;
 use crate::error::CvsError;
 use crate::index::MkbIndex;
 use crate::legal::LegalRewriting;
-use crate::options::{CvsOptions, SearchBudget};
+use crate::options::CvsOptions;
 use crate::rewrite::{cvs_delete_relation_searched, SearchResult};
 use eve_esql::ViewDefinition;
 use eve_relational::RelName;
 
 /// Synchronize `view` under `delete-relation target` using only
 /// one-step-away rewritings, against a prebuilt [`MkbIndex`]: `opts` is
-/// the caller's configuration (it must match what the index was built
-/// with); only the search radius is clamped to one hop.
+/// the caller's configuration; only the search radius is clamped to one
+/// hop.
 pub fn svs_delete_relation_indexed(
     view: &ViewDefinition,
     target: &RelName,
@@ -36,13 +36,11 @@ pub fn svs_delete_relation_indexed(
     svs_delete_relation_searched(view, target, index, opts, false, None).map(|r| r.rewritings)
 }
 
-/// The streaming form of [`svs_delete_relation_indexed`], for the
-/// engine. The search radius is clamped to one hop and — SVS being
-/// defined as an *exhaustive* one-step search — any `deadline` in the
-/// caller's budget is rejected (stripped), matching
-/// [`CvsOptions::svs_baseline`]. The structural budgets (`top_k`,
-/// `max_candidates`, `max_trees`) still apply: they bound *what is
-/// kept*, with truncation reported, not silently timed out.
+/// The streaming form of [`svs_delete_relation_indexed`], with the
+/// search statistics. The search radius is clamped to one hop and — SVS
+/// being defined as an *exhaustive* one-step search — any
+/// [`CvsOptions::deadline`] is stripped, matching
+/// [`CvsOptions::svs_baseline`].
 pub fn svs_delete_relation_searched(
     view: &ViewDefinition,
     target: &RelName,
@@ -53,10 +51,7 @@ pub fn svs_delete_relation_searched(
 ) -> Result<SearchResult, CvsError> {
     let svs_opts = CvsOptions {
         max_path_edges: 1,
-        budget: SearchBudget {
-            deadline: None,
-            ..opts.budget
-        },
+        deadline: None,
         ..*opts
     };
     cvs_delete_relation_searched(view, target, index, &svs_opts, require_p3, cost_model)
@@ -123,9 +118,8 @@ mod tests {
 
     #[test]
     fn nojoin_cover_excluded_when_capabilities_respected() {
-        // D covers A's attributes but advertises NOJOIN: with
-        // respect_capabilities (default) the rewriting must fail; with
-        // enforcement off it succeeds.
+        // D covers A's attributes but advertises NOJOIN: D is not a
+        // vertex of H', so the rewriting must fail.
         let mkb = parse_misd(
             "RELATION IS1 A(x str, k str)
              RELATION IS2 B(k str, y str)
@@ -144,17 +138,6 @@ mod tests {
         .unwrap();
         let strict = crate::testutil::cvs_dr(&view, &a, &mkb, &mkb2, &CvsOptions::default());
         assert!(strict.is_err(), "{strict:?}");
-        let lax = crate::testutil::cvs_dr(
-            &view,
-            &a,
-            &mkb,
-            &mkb2,
-            &CvsOptions {
-                respect_capabilities: false,
-                ..CvsOptions::default()
-            },
-        );
-        assert!(lax.is_ok(), "{lax:?}");
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! first); if none exists the view is *disabled* — exactly what classical
 //! view technology would have done to every affected view.
 //!
-//! The per-operator algorithms live behind
-//! [`crate::engine::SynchronizationStrategy`]; `apply` builds one
-//! [`MkbIndex`] per change and dispatches through
-//! [`crate::engine::synchronize_view`]. State (the MKB and every view
+//! `apply` builds one [`MkbIndex`] per change and runs each affected
+//! view through [`crate::engine::synchronize_view`], which picks the
+//! operator's algorithm. State (the MKB and every view
 //! definition) is held in [`std::sync::Arc`] snapshots, so concurrent
 //! readers ([`crate::service::SharedSynchronizer`]) get copy-on-write
 //! handles instead of deep clones.
@@ -123,9 +122,9 @@ pub enum ViewOutcome {
         chosen: Box<LegalRewriting>,
         /// The remaining legal rewritings, best-first.
         alternatives: Vec<LegalRewriting>,
-        /// How the rewriting search went (candidates generated, pruned,
-        /// kept, and whether a [`crate::options::SearchBudget`] cut it
-        /// short) — truncation is reported, never silent.
+        /// How the rewriting search went (candidates generated and kept,
+        /// and whether the search deadline or the cover-combination cap
+        /// cut it short) — truncation is reported, never silent.
         stats: SearchStats,
     },
     /// No legal rewriting exists; the view is removed from the active
@@ -599,16 +598,10 @@ impl Synchronizer {
         // Memo tables survive a change only under Incremental mode, and
         // only when the change left the relevant H' regions intact.
         let carry_in = match (mode, delta.as_ref(), next_core.as_ref()) {
-            (IndexMaintenance::Incremental, Some(d), Some(next)) => {
-                self.carry.take().and_then(|c| {
-                    let (graph_delta, new_h_prime) = if self.opts.respect_capabilities {
-                        (&d.graph_join, next.join_graph())
-                    } else {
-                        (&d.graph, next.hypergraph())
-                    };
-                    c.retained(graph_delta, new_h_prime)
-                })
-            }
+            (IndexMaintenance::Incremental, Some(d), Some(next)) => self
+                .carry
+                .take()
+                .and_then(|c| c.retained(&d.graph_join, next.join_graph())),
             _ => {
                 self.carry = None;
                 None
@@ -622,10 +615,10 @@ impl Synchronizer {
 
         {
             let index = match next_core.as_ref() {
-                Some(next) => MkbIndex::from_cores(
-                    &self.mkb, &mkb_prime, &self.core, next, &self.opts, carry_in,
-                ),
-                None => MkbIndex::new(&self.mkb, &mkb_prime, &self.opts),
+                Some(next) => {
+                    MkbIndex::from_cores(&self.mkb, &mkb_prime, &self.core, next, carry_in)
+                }
+                None => MkbIndex::new(&self.mkb, &mkb_prime),
             };
 
             // Fan the affected views out across the pool; unaffected
@@ -979,14 +972,18 @@ impl Synchronizer {
     /// ```text
     /// delete-attribute Customer.Addr
     /// rename-relation Tour -> Excursion ;
-    /// delete-relation Customer
+    /// delete-relation Customer -- the IS left the federation
     /// ```
+    ///
+    /// `--` starts a comment that runs to the end of its line, `;`s
+    /// included, as in the MISD and E-SQL lexers.
     pub fn apply_script(&mut self, script: &str) -> Result<SyncReport, MisdError> {
         let changes: Vec<CapabilityChange> = script
             .lines()
+            .map(|l| l.split_once("--").map_or(l, |(code, _)| code))
             .flat_map(|l| l.split(';'))
             .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with("--"))
+            .filter(|l| !l.is_empty())
             .map(CapabilityChange::parse)
             .collect::<Result<_, _>>()?;
         self.apply_all(&changes)
@@ -1219,6 +1216,21 @@ mod tests {
         assert!(!s.mkb().contains_relation(&RelName::new("Customer")));
         // Bad script surfaces the parse error.
         assert!(s.apply_script("explode Everything").is_err());
+    }
+
+    #[test]
+    fn apply_script_skips_changes_inside_comments() {
+        let mut s = sync();
+        let report = s
+            .apply_script(
+                "-- skip: delete-relation Customer; delete-relation Customer
+                 rename-relation Tour -> Excursion -- then; delete-relation FlightRes",
+            )
+            .unwrap();
+        assert_eq!(report.outcomes.len(), 1);
+        assert!(s.mkb().contains_relation(&RelName::new("Customer")));
+        assert!(s.mkb().contains_relation(&RelName::new("FlightRes")));
+        assert!(s.mkb().contains_relation(&RelName::new("Excursion")));
     }
 
     #[test]

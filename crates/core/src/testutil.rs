@@ -47,7 +47,7 @@ pub(crate) fn cvs_dr(
     mkb_prime: &eve_misd::MetaKnowledgeBase,
     opts: &CvsOptions,
 ) -> Result<Vec<LegalRewriting>, CvsError> {
-    let index = MkbIndex::new(mkb, mkb_prime, opts);
+    let index = MkbIndex::new(mkb, mkb_prime);
     crate::rewrite::cvs_delete_relation_indexed(view, target, &index, opts)
 }
 
@@ -59,6 +59,6 @@ pub(crate) fn svs_dr(
     mkb_prime: &eve_misd::MetaKnowledgeBase,
 ) -> Result<Vec<LegalRewriting>, CvsError> {
     let opts = CvsOptions::svs_baseline();
-    let index = MkbIndex::new(mkb, mkb_prime, &opts);
+    let index = MkbIndex::new(mkb, mkb_prime);
     crate::svs::svs_delete_relation_indexed(view, target, &index, &opts)
 }

@@ -327,35 +327,6 @@ impl Hypergraph {
         self.comp_count as usize
     }
 
-    /// Shortest join-path length (in edges) between two vertices by id,
-    /// `None` when they are in different components. Allocation-light
-    /// variant of [`Hypergraph::join_path`] for distance queries.
-    pub fn pair_distance_ids(&self, a: RelId, b: RelId) -> Option<usize> {
-        if a == b {
-            return Some(0);
-        }
-        if self.comp_of[a as usize] != self.comp_of[b as usize] {
-            return None;
-        }
-        let mut dist = vec![u32::MAX; self.rel_count()];
-        dist[a as usize] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(a);
-        while let Some(r) = queue.pop_front() {
-            let d = dist[r as usize];
-            for (next, _) in self.neighbors(r) {
-                if dist[next as usize] == u32::MAX {
-                    if next == b {
-                        return Some(d as usize + 1);
-                    }
-                    dist[next as usize] = d + 1;
-                    queue.push_back(next);
-                }
-            }
-        }
-        None
-    }
-
     /// Breadth-first shortest path between two vertices by id, as edge
     /// indices in walk order. `None` when unreachable; empty when
     /// `a == b`. Visits neighbours in join-declaration order, matching
@@ -788,9 +759,8 @@ mod tests {
         assert_eq!(h.component_count(), 3);
         assert_eq!(h.component_index(id("A")), h.component_index(id("C")));
         assert_ne!(h.component_index(id("A")), h.component_index(id("D")));
-        assert_eq!(h.pair_distance_ids(id("A"), id("C")), Some(2));
-        assert_eq!(h.pair_distance_ids(id("A"), id("A")), Some(0));
-        assert_eq!(h.pair_distance_ids(id("A"), id("D")), None);
         assert_eq!(h.join_path_ids(id("A"), id("C")).map(|p| p.len()), Some(2));
+        assert_eq!(h.join_path_ids(id("A"), id("A")), Some(Vec::new()));
+        assert_eq!(h.join_path_ids(id("A"), id("D")), None);
     }
 }

@@ -194,7 +194,7 @@ enum CursorState {
 /// `MkbIndex` memoize prefixes of it.
 ///
 /// [`TreeCursor::advance`] allocates nothing in the steady state: the
-/// best-first frontier holds fixed-width [`IdPartial`]s (inline arrays
+/// best-first frontier holds fixed-width `IdPartial`s (inline arrays
 /// plus an inline bitset for graphs of ≤ 256 relations), the scratch
 /// relation set and edge list are reused across yields, and the heap's
 /// capacity is retained. Callers that need string-keyed trees

@@ -490,7 +490,7 @@ pub mod collection {
         BTreeSetStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,

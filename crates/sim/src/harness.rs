@@ -6,14 +6,14 @@
 //! invariants continuously (see [`Executor::execute`]). Every executed
 //! action is recorded as a concrete [`Action`], so a failing schedule
 //! can be replayed verbatim with [`run_trace`] and shrunk with
-//! [`crate::shrink`].
+//! [`crate::shrink()`].
 //!
 //! Determinism contract: with the same [`SimConfig`], two runs produce
 //! byte-identical outcome digests — across reruns *and* across
 //! `EVE_PARALLELISM` settings, because every digested observation
 //! (change outcomes, view texts, MKB renders, fault firings) is
 //! schedule-independent by construction. The two wall-clock sinks in
-//! the engine (`SearchBudget::deadline`, `Degrade` backoff) run on an
+//! the engine (`CvsOptions::deadline`, `Degrade` backoff) run on an
 //! installed [`VirtualClock`] for the duration of the run.
 //!
 //! Two synchronizers run in lockstep: the **main** one under
@@ -33,8 +33,8 @@ use std::time::Duration;
 
 use eve_core::clock::{self, VirtualClock};
 use eve_core::{
-    evaluate_view, is_affected, CvsOptions, FailurePolicy, IndexMaintenance, SearchBudget,
-    SharedSynchronizer, Synchronizer, SynchronizerBuilder, ViewOutcome,
+    evaluate_view, is_affected, CvsOptions, FailurePolicy, IndexMaintenance, SharedSynchronizer,
+    Synchronizer, SynchronizerBuilder, ViewOutcome,
 };
 use eve_esql::parse_view;
 use eve_misd::{check_mkb, parse_misd, render_misd, MetaKnowledgeBase};
@@ -300,14 +300,10 @@ fn sim_options(maintenance: IndexMaintenance) -> CvsOptions {
     CvsOptions {
         index_maintenance: maintenance,
         failure: degrade_policy(),
-        budget: SearchBudget {
-            // One virtual hour: enough that bounded backoff advances
-            // can never trip it mid-search, while proving that *wall*
-            // time does not govern truncation (a slow machine cannot
-            // change outcomes).
-            deadline: Some(Duration::from_secs(3600)),
-            ..SearchBudget::default()
-        },
+        // One virtual hour: enough that bounded backoff advances can
+        // never trip it mid-search, while proving that *wall* time does
+        // not govern truncation (a slow machine cannot change outcomes).
+        deadline: Some(Duration::from_secs(3600)),
         // Parallelism stays None → EVE_PARALLELISM decides, which is
         // exactly what the cross-parallelism digest comparison varies.
         ..CvsOptions::default()

@@ -15,7 +15,7 @@
 //! * [`harness`] — [`harness::run`] / [`harness::run_trace`], the
 //!   executor, the invariants, and the virtual-clock/fault-registry
 //!   lifecycle;
-//! * [`shrink`] — ddmin over failing schedules;
+//! * [`mod@shrink`] — ddmin over failing schedules;
 //! * [`artifact`] — the repro-artifact text format.
 //!
 //! Entry points: `eve-cli simulate` for the command line, or

@@ -23,8 +23,8 @@ use crate::expo;
 /// Largest request head we accept before answering `400`.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// A bound metrics endpoint; serve requests with [`handle_one`]
-/// (`MetricsServer::handle_one`) or loop forever with `serve`.
+/// A bound metrics endpoint; serve requests with
+/// [`MetricsServer::handle_one`] or loop forever with `serve`.
 pub struct MetricsServer {
     listener: TcpListener,
 }

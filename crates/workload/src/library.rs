@@ -65,7 +65,7 @@ mod tests {
         mkb_prime: &MetaKnowledgeBase,
         opts: &CvsOptions,
     ) -> Result<Vec<LegalRewriting>, CvsError> {
-        let index = MkbIndex::new(mkb, mkb_prime, opts);
+        let index = MkbIndex::new(mkb, mkb_prime);
         cvs_delete_relation_indexed(view, target, &index, opts)
     }
     use eve_misd::{check_mkb, evolve, CapabilityChange};

@@ -337,8 +337,8 @@ impl SynthWorkload {
         })
     }
 
-    /// The wide-MKB/high-fanout workload of the budgeted search (the
-    /// pruning test in `tests/prop_search.rs`).
+    /// The wide-MKB/high-fanout workload of the rewriting search: many
+    /// cover combinations, several connection trees each.
     ///
     /// Relations: target `T(k, v)`, witness `W(k, w)` (in the view), one
     /// *shallow* cover `S0(k, v)` a single join hop from `W`, and
@@ -350,11 +350,11 @@ impl SynthWorkload {
     /// is `(1 + fanout)²` wide — the shallow×shallow combination is
     /// declared first and strictly dominates structurally.
     ///
-    /// An exhaustive search expands every combination; a budgeted
-    /// `top_k = 1` search keeps the shallow candidate and prunes every
-    /// deep combination through the admissible relation-count bound
-    /// before its trees are even enumerated. Both return the same best
-    /// rewriting, which is what the `bench-smoke` assertion checks.
+    /// The search expands every combination (up to
+    /// `MAX_COVER_COMBINATIONS`) and ranks the shallow candidate first.
+    /// `tests/golden.rs` pins its full output for `wide_mkb(4, 3)`, and
+    /// `tests/prop_search.rs` its cover-combination cap on
+    /// `wide_mkb(6, 1)`.
     pub fn wide_mkb(fanout: usize, depth: usize) -> SynthWorkload {
         Self::try_wide_mkb(fanout, depth).unwrap_or_else(|e| panic!("wide_mkb workload: {e}"))
     }
@@ -902,7 +902,7 @@ mod tests {
         mkb_prime: &MetaKnowledgeBase,
         opts: &CvsOptions,
     ) -> Result<Vec<LegalRewriting>, CvsError> {
-        let index = MkbIndex::new(mkb, mkb_prime, opts);
+        let index = MkbIndex::new(mkb, mkb_prime);
         cvs_delete_relation_indexed(view, target, &index, opts)
     }
 
@@ -913,7 +913,7 @@ mod tests {
         mkb_prime: &MetaKnowledgeBase,
     ) -> Result<Vec<LegalRewriting>, CvsError> {
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(mkb, mkb_prime, &opts);
+        let index = MkbIndex::new(mkb, mkb_prime);
         svs_delete_relation_indexed(view, target, &index, &opts)
     }
 

@@ -51,7 +51,7 @@ fn main() {
     let opts = CvsOptions::default();
 
     let one_iter = || {
-        let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&w.mkb, &mkb2);
         for _ in 0..VIEWS {
             cvs_delete_relation_indexed(&w.view, &w.target, &index, &opts)
                 .expect("workload is synchronizable");

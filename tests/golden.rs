@@ -112,7 +112,7 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One line per (case, options): the search's [`eve::cvs::SearchStats`]
+/// One line per (case, `require_p3`): the search's [`eve::cvs::SearchStats`]
 /// (or its error) and an FNV-1a digest of every rewriting it returned,
 /// in order — verdict, relation set, join ids and rendered view.
 fn search_lines(
@@ -122,21 +122,14 @@ fn search_lines(
     target: &eve::relational::RelName,
     mkb: &eve::misd::MetaKnowledgeBase,
 ) {
-    use eve::cvs::{cvs_delete_relation_searched, CvsOptions, MkbIndex, SearchBudget};
+    use eve::cvs::{cvs_delete_relation_searched, CvsOptions, MkbIndex};
     use eve::misd::{evolve, CapabilityChange};
     use std::fmt::Write as _;
 
     let mkb2 = evolve(mkb, &CapabilityChange::DeleteRelation(target.clone())).expect("evolves");
-    let top1 = CvsOptions {
-        budget: SearchBudget::top_k(1),
-        ..CvsOptions::default()
-    };
-    for (label, opts, require_p3) in [
-        ("default", CvsOptions::default(), false),
-        ("top1", top1, false),
-        ("p3", CvsOptions::default(), true),
-    ] {
-        let index = MkbIndex::new(mkb, &mkb2, &opts);
+    let opts = CvsOptions::default();
+    let index = MkbIndex::new(mkb, &mkb2);
+    for (label, require_p3) in [("default", false), ("p3", true)] {
         let _ = write!(out, "{id} {label}: ");
         match cvs_delete_relation_searched(view, target, &index, &opts, require_p3, None) {
             Err(e) => {
@@ -176,15 +169,17 @@ fn search_lines(
 /// The rewriting search's full ordered output, pinned: every relation
 /// of the travel fixture deleted under its views (constant selections,
 /// and `JC2` carries `Customer.Age > 1`), the wide MKB (several trees
-/// per cover combination), and random MKBs of four topologies with
-/// fan-out views of 3 and 4 relations, each also with a constant
-/// selection on a non-target relation. Every case runs under the
-/// default options, `top_k = 1` and `require_p3`.
+/// per cover combination), two disconnections (survivors split by the
+/// deleted relation, and a cover source outside the survivors'
+/// component), and random MKBs of four topologies with fan-out views of
+/// 3 and 4 relations, each also with a constant selection on a
+/// non-target relation. Every case runs under the default options and
+/// with `require_p3`.
 #[test]
 fn golden_search_outputs() {
-    use eve::esql::{parse_views, CondItem, EvolutionParams};
+    use eve::esql::{parse_view, parse_views, CondItem, EvolutionParams};
     use eve::misd::parse_misd;
-    use eve::relational::{Clause, CompareOp, ScalarExpr, Value};
+    use eve::relational::{Clause, CompareOp, RelName, ScalarExpr, Value};
     use eve::workload::{views_touching, SynthConfig, SynthWorkload, Topology};
 
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -202,6 +197,57 @@ fn golden_search_outputs() {
 
     let wide = SynthWorkload::wide_mkb(4, 3);
     search_lines(&mut out, "wide_4_3", &wide.view, &wide.target, &wide.mkb);
+
+    // Disconnection: deleting the bridge `A` of B—A—C leaves the
+    // survivors `B` and `C` in two components of H'.
+    let bridge = parse_misd(
+        "RELATION IS1 A(k str, x str)
+         RELATION IS2 B(k str, y str)
+         RELATION IS3 C(k str, z str)
+         JOIN J1: B, A ON B.k = A.k
+         JOIN J2: A, C ON A.k = C.k
+         FUNCOF F1: A.k = B.k",
+    )
+    .expect("bridge MKB parses");
+    let bridge_view = parse_view(
+        "CREATE VIEW Bridge AS SELECT B.y, C.z FROM B, A, C WHERE (B.k = A.k) AND (A.k = C.k)",
+    )
+    .expect("bridge view parses");
+    search_lines(
+        &mut out,
+        "bridge",
+        &bridge_view,
+        &RelName::new("A"),
+        &bridge,
+    );
+
+    // A cover source in another component than the survivors: `E`
+    // covers `A.x` but hangs off `A` alone, so the combination choosing
+    // it is disconnected while the one choosing `D` yields rewritings.
+    let split = parse_misd(
+        "RELATION IS1 A(k str, x str)
+         RELATION IS2 B(k str, y str)
+         RELATION IS3 D(k str, x str)
+         RELATION IS4 E(x str)
+         JOIN J1: A, B ON A.k = B.k
+         JOIN J2: B, D ON B.k = D.k
+         JOIN J3: A, E ON A.x = E.x
+         FUNCOF F1: A.x = E.x
+         FUNCOF F2: A.x = D.x
+         FUNCOF F3: A.k = D.k",
+    )
+    .expect("split-cover MKB parses");
+    let split_view = parse_view(
+        "CREATE VIEW Split AS SELECT A.x (false, true), B.y FROM A, B WHERE (A.k = B.k)",
+    )
+    .expect("split-cover view parses");
+    search_lines(
+        &mut out,
+        "split_cover",
+        &split_view,
+        &RelName::new("A"),
+        &split,
+    );
 
     for (name, topology) in [
         ("chain", Topology::Chain),

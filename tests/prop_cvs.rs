@@ -23,7 +23,7 @@ fn cvs_dr(
     mkb_prime: &MetaKnowledgeBase,
     opts: &CvsOptions,
 ) -> Result<Vec<LegalRewriting>, CvsError> {
-    let index = MkbIndex::new(mkb, mkb_prime, opts);
+    let index = MkbIndex::new(mkb, mkb_prime);
     cvs_delete_relation_indexed(view, target, &index, opts)
 }
 
@@ -35,7 +35,7 @@ fn svs_dr(
     mkb_prime: &MetaKnowledgeBase,
 ) -> Result<Vec<LegalRewriting>, CvsError> {
     let opts = CvsOptions::default();
-    let index = MkbIndex::new(mkb, mkb_prime, &opts);
+    let index = MkbIndex::new(mkb, mkb_prime);
     svs_delete_relation_indexed(view, target, &index, &opts)
 }
 
@@ -170,7 +170,7 @@ proptest! {
         let w = SynthWorkload::random(&cfg, seed);
         let mkb2 = evolve(&w.mkb, &w.delete_change()).expect("target described");
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&w.mkb, &mkb2);
         let shared = |j: &Arc<JoinConstraint>| w.mkb.joins().iter().any(|m| Arc::ptr_eq(m, j));
         for view in views_touching(&w.mkb, &w.target, 8, cfg.view_relations, seed) {
             let rm = r_mapping_with_index(&view, &w.target, &index, &opts);
@@ -262,7 +262,7 @@ mod oracle {
 
         // Survivors of Min(H_R): recompute via the public R-mapping.
         let opts = eve::cvs::CvsOptions::default();
-        let index = eve::cvs::MkbIndex::new(mkb, mkb, &opts);
+        let index = eve::cvs::MkbIndex::new(mkb, mkb);
         let rm = eve::cvs::r_mapping_with_index(view, target, &index, &opts);
         let survivors = rm.surviving_relations();
 

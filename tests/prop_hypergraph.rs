@@ -85,6 +85,38 @@ proptest! {
         prop_assert_eq!(g.components().len(), distinct.len());
     }
 
+    /// `component_index` numbers the union-find components from 0 in
+    /// ascending order of their smallest member name. The rewriting
+    /// search's disconnection test compares these numbers, so two
+    /// relations must share one exactly when a join path links them.
+    #[test]
+    fn component_index_matches_union_find(n in 2usize..12, seed_edges in edges_strategy(11)) {
+        let edges: Vec<_> = seed_edges.into_iter().filter(|(a, b)| a < &n && b < &n).collect();
+        let g = graph(n, &edges);
+        let roots = reference_components(n, &edges);
+        let comp = |i: usize| g.component_index(g.rel_id(&rel(i)).expect("vertex exists")) as usize;
+        for i in 0..n {
+            prop_assert!(comp(i) < g.component_count(), "R{} (edges {:?})", i, edges);
+            for j in 0..n {
+                prop_assert_eq!(
+                    comp(i) == comp(j),
+                    roots[i] == roots[j],
+                    "R{} vs R{} (edges {:?})", i, j, edges
+                );
+            }
+        }
+        // The smallest member name of each component, by its number.
+        let mut smallest: Vec<Option<RelName>> = vec![None; g.component_count()];
+        for i in 0..n {
+            let slot = &mut smallest[comp(i)];
+            if slot.as_ref().is_none_or(|s| rel(i) < *s) {
+                *slot = Some(rel(i));
+            }
+        }
+        prop_assert!(smallest.iter().all(Option::is_some), "empty component in {:?}", smallest);
+        prop_assert!(smallest.windows(2).all(|w| w[0] < w[1]), "out of order: {:?}", smallest);
+    }
+
     /// Every path returned by `join_path` is a valid chain from source to
     /// target, and exists iff the endpoints are connected.
     #[test]

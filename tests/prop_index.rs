@@ -49,8 +49,8 @@ proptest! {
     fn r_mapping_cached_matches_uncached(cfg in config(), seed in 0u64..1000) {
         let w = SynthWorkload::random(&cfg, seed);
         let opts = CvsOptions::default();
-        let cached = MkbIndex::new(&w.mkb, &w.mkb, &opts);
-        let uncached = MkbIndex::new(&w.mkb, &w.mkb, &opts).without_cache();
+        let cached = MkbIndex::new(&w.mkb, &w.mkb);
+        let uncached = MkbIndex::new(&w.mkb, &w.mkb).without_cache();
         prop_assert_eq!(
             r_mapping_with_index(&w.view, &w.target, &cached, &opts),
             r_mapping_with_index(&w.view, &w.target, &uncached, &opts)
@@ -65,8 +65,8 @@ proptest! {
         let w = SynthWorkload::random(&cfg, seed);
         let mkb2 = evolve(&w.mkb, &w.delete_change()).expect("target described");
         let opts = CvsOptions::default();
-        let cached = MkbIndex::new(&w.mkb, &mkb2, &opts);
-        let uncached = MkbIndex::new(&w.mkb, &mkb2, &opts).without_cache();
+        let cached = MkbIndex::new(&w.mkb, &mkb2);
+        let uncached = MkbIndex::new(&w.mkb, &mkb2).without_cache();
         let cold = cvs_delete_relation_indexed(&w.view, &w.target, &cached, &opts);
         let warm = cvs_delete_relation_indexed(&w.view, &w.target, &cached, &opts);
         let plain = cvs_delete_relation_indexed(&w.view, &w.target, &uncached, &opts);
@@ -81,10 +81,10 @@ proptest! {
         let w = SynthWorkload::random(&cfg, seed);
         let mkb2 = evolve(&w.mkb, &w.delete_change()).expect("target described");
         let opts = CvsOptions::default();
-        let shared = MkbIndex::new(&w.mkb, &mkb2, &opts);
+        let shared = MkbIndex::new(&w.mkb, &mkb2);
         let via_shared = svs_delete_relation_indexed(&w.view, &w.target, &shared, &opts);
         let svs_opts = CvsOptions::svs_baseline();
-        let fresh = MkbIndex::new(&w.mkb, &mkb2, &svs_opts);
+        let fresh = MkbIndex::new(&w.mkb, &mkb2);
         let via_fresh = cvs_delete_relation_indexed(&w.view, &w.target, &fresh, &svs_opts);
         match (via_shared, via_fresh) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
@@ -113,8 +113,7 @@ proptest! {
     #[test]
     fn index_lookups_match_mkb_scans(cfg in config(), seed in 0u64..1000) {
         let w = SynthWorkload::random(&cfg, seed);
-        let opts = CvsOptions::default();
-        let index = MkbIndex::new(&w.mkb, &w.mkb, &opts);
+        let index = MkbIndex::new(&w.mkb, &w.mkb);
         for f in w.mkb.function_ofs() {
             if f.source_relation().is_none() {
                 continue;

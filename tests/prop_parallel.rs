@@ -96,7 +96,7 @@ proptest! {
         let w = SynthWorkload::random(&cfg, seed);
         let mkb2 = evolve(&w.mkb, &w.delete_change()).expect("target described");
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&w.mkb, &mkb2);
         let cold = cvs_delete_relation_indexed(&w.view, &w.target, &index, &opts);
         let warm = cvs_delete_relation_indexed(&w.view, &w.target, &index, &opts);
         prop_assert_eq!(&cold, &warm);

@@ -1,19 +1,27 @@
-//! Property-based tests of the streaming, budgeted rewriting search
-//! ([`eve::cvs::cvs_delete_relation_searched`]): with every bound at its
-//! unlimited setting the lazy pipeline must reproduce the legacy
-//! materialize-then-rank results exactly, `top_k = 1` must return the
-//! head of the full ranking, budget-truncated runs must be ordered
-//! subsequences of the exhaustive ranking with truncation reported in
-//! [`eve::cvs::SearchStats`], and the parallel per-view fan-out must
-//! stay byte-identical to the sequential run when budgets are active.
+//! Property-based tests of the streaming rewriting search
+//! ([`eve::cvs::cvs_delete_relation_searched`]): the lazy pipeline must
+//! reproduce the legacy materialize-then-rank results exactly, a
+//! deadline that does not fire must change nothing, a search cut short
+//! must keep an ordered subsequence of the exhaustive ranking and report
+//! the cut in [`eve::cvs::SearchStats`], and the parallel per-view
+//! fan-out must stay byte-identical to the sequential run when searches
+//! are cut.
+//!
+//! The cuts come from the `search.candidate` budget fault, which stops
+//! the candidate stream at the same check, with the same report, as a
+//! firing deadline, but after an exact number of candidates. Each plan
+//! is scoped (to `cut`, or to the synchronizer's view names), so the
+//! unscoped searches of the other tests in this binary never match it.
 
 use eve::cvs::{
     cvs_delete_relation_indexed, cvs_delete_relation_searched, rank_by_cost, CostModel, CvsOptions,
-    MkbIndex, SearchBudget, Synchronizer, SynchronizerBuilder,
+    MkbIndex, Synchronizer, SynchronizerBuilder,
 };
+use eve::faults::{FaultKind, FaultPlan, FaultSpec};
 use eve::misd::evolve;
 use eve::workload::{random_views, views_touching, SynthConfig, SynthWorkload, Topology};
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn config() -> impl Strategy<Value = SynthConfig> {
     (
@@ -39,25 +47,53 @@ fn config() -> impl Strategy<Value = SynthConfig> {
 
 /// A synchronizer over a mixed population (fan-out views touching the
 /// delete target plus random bystanders) with an explicit worker count
-/// and search budget.
+/// and search deadline.
 fn synchronizer(
     w: &SynthWorkload,
     seed: u64,
     threads: usize,
-    budget: SearchBudget,
+    deadline: Option<Duration>,
 ) -> Synchronizer {
     let mut builder = SynchronizerBuilder::new(w.mkb.clone()).with_options(CvsOptions {
         parallelism: Some(threads),
-        budget,
+        deadline,
         ..CvsOptions::default()
     });
-    for v in views_touching(&w.mkb, &w.target, 6, 3, seed) {
-        builder = builder.with_view(v).expect("fan-out view is valid");
-    }
-    for v in random_views(&w.mkb, 4, 2, seed.wrapping_add(1)) {
-        builder = builder.with_view(v).expect("random view is valid");
+    for v in views(w, seed) {
+        builder = builder.with_view(v).expect("generated view is valid");
     }
     builder.build()
+}
+
+/// The views [`synchronizer`] registers, in registration order.
+fn views(w: &SynthWorkload, seed: u64) -> Vec<eve::esql::ViewDefinition> {
+    views_touching(&w.mkb, &w.target, 6, 3, seed)
+        .into_iter()
+        .chain(random_views(&w.mkb, 4, 2, seed.wrapping_add(1)))
+        .collect()
+}
+
+/// A plan that cuts the search of each scope in `scopes` after its
+/// `cap`-th candidate.
+fn cut_after(cap: usize, scopes: impl IntoIterator<Item = String>) -> FaultPlan {
+    scopes.into_iter().fold(FaultPlan::new(0), |plan, scope| {
+        plan.with(FaultSpec {
+            site: "search.candidate".to_string(),
+            scope: Some(scope),
+            hit: Some(cap as u64),
+            permille: None,
+            kind: FaultKind::Budget,
+        })
+    })
+}
+
+/// Run `f` with `plan` installed. Callers hold
+/// `eve::faults::serial_guard()`.
+fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
+    eve::faults::install(plan).expect("no competing plan while serialized");
+    let result = f();
+    eve::faults::uninstall().expect("plan still installed");
+    result
 }
 
 /// Is `sub` an ordered subsequence of `full`?
@@ -69,7 +105,7 @@ fn is_subsequence<T: PartialEq>(sub: &[T], full: &[T]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Unbudgeted streaming search with a cost model equals the legacy
+    /// The streaming search with a cost model equals the legacy
     /// pipeline: full structural enumeration followed by
     /// [`rank_by_cost`]. This is the byte-identity acceptance criterion
     /// for the lazy refactor.
@@ -78,7 +114,7 @@ proptest! {
         let w = SynthWorkload::random(&cfg, seed);
         let mkb2 = evolve(&w.mkb, &w.delete_change()).expect("target described");
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&w.mkb, &mkb2);
         let model = CostModel::default();
         let legacy = cvs_delete_relation_indexed(&w.view, &w.target, &index, &opts);
         let searched =
@@ -95,133 +131,84 @@ proptest! {
         }
     }
 
-    /// `top_k = 1` returns exactly the head of the full ranking — in
-    /// both structural mode (no cost model) and cost mode.
+    /// A deadline that does not fire changes nothing: the result, stats
+    /// included, equals the search without one. The simulator runs
+    /// every search under such a deadline (one virtual hour).
     #[test]
-    fn top1_is_head_of_full_ranking(cfg in config(), seed in 0u64..500) {
+    fn unfired_deadline_changes_nothing(cfg in config(), seed in 0u64..500) {
         let w = SynthWorkload::random(&cfg, seed);
         let mkb2 = evolve(&w.mkb, &w.delete_change()).expect("target described");
+        let index = MkbIndex::new(&w.mkb, &mkb2);
         let model = CostModel::default();
-        for cost_model in [None, Some(&model)] {
-            let opts = CvsOptions::default();
-            let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
-            let full = cvs_delete_relation_searched(
-                &w.view, &w.target, &index, &opts, false, cost_model,
-            );
-            let top1_opts = CvsOptions {
-                budget: SearchBudget::top_k(1),
+        let search = |deadline| {
+            let opts = CvsOptions {
+                deadline,
                 ..CvsOptions::default()
             };
-            let index1 = MkbIndex::new(&w.mkb, &mkb2, &top1_opts);
-            let top1 = cvs_delete_relation_searched(
-                &w.view, &w.target, &index1, &top1_opts, false, cost_model,
-            );
-            match (full, top1) {
-                (Ok(full), Ok(top1)) => {
-                    prop_assert_eq!(top1.rewritings.len(), 1);
-                    prop_assert_eq!(&top1.rewritings[0], &full.rewritings[0]);
-                    // Pruning may skip work but never changes the winner.
-                    prop_assert!(top1.stats.generated <= full.stats.generated);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
-            }
-        }
+            cvs_delete_relation_searched(&w.view, &w.target, &index, &opts, false, Some(&model))
+        };
+        prop_assert_eq!(search(Some(Duration::from_secs(3600))), search(None));
     }
 
-    /// A candidate-capped run keeps an ordered subsequence of the
-    /// exhaustive ranking, generates no more than the cap, and reports
-    /// truncation (`budget_exhausted`) whenever it saw fewer candidates
-    /// than the exhaustive run.
+    /// A run cut after `cap` candidates generates `min(cap, exhaustive)`
+    /// of them, keeps an ordered subsequence of the exhaustive ranking,
+    /// and reports the cut (`budget_exhausted`) exactly when it fired;
+    /// a run that saw every candidate keeps the exhaustive ranking.
     #[test]
     fn capped_run_is_ordered_subsequence(
         cfg in config(),
         seed in 0u64..500,
         cap in 1usize..6,
     ) {
+        let _serial = eve::faults::serial_guard();
         let w = SynthWorkload::random(&cfg, seed);
         let mkb2 = evolve(&w.mkb, &w.delete_change()).expect("target described");
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&w.mkb, &mkb2, &opts);
-        let full = cvs_delete_relation_searched(&w.view, &w.target, &index, &opts, false, None);
-        let capped_opts = CvsOptions {
-            budget: SearchBudget {
-                max_candidates: cap,
-                ..SearchBudget::default()
-            },
-            ..CvsOptions::default()
-        };
-        let capped_index = MkbIndex::new(&w.mkb, &mkb2, &capped_opts);
-        let capped = cvs_delete_relation_searched(
-            &w.view, &w.target, &capped_index, &capped_opts, false, None,
-        );
+        let index = MkbIndex::new(&w.mkb, &mkb2);
+        let search = || cvs_delete_relation_searched(&w.view, &w.target, &index, &opts, false, None);
+        let full = search();
+        let capped = with_plan(cut_after(cap, ["cut".to_string()]), || {
+            eve::faults::scoped("cut", search)
+        });
         if let (Ok(full), Ok(capped)) = (full, capped) {
-            prop_assert!(capped.stats.generated <= cap);
+            prop_assert_eq!(capped.stats.generated, cap.min(full.stats.generated));
             prop_assert!(
                 is_subsequence(&capped.rewritings, &full.rewritings),
                 "{:?} not a subsequence of {:?}",
                 capped.rewritings,
                 full.rewritings
             );
-            if capped.stats.generated < full.stats.generated {
-                prop_assert!(capped.stats.budget_exhausted);
-            } else {
+            if capped.stats.generated == full.stats.generated {
                 prop_assert_eq!(&capped.rewritings, &full.rewritings);
-                prop_assert!(!capped.stats.budget_exhausted);
             }
+            prop_assert_eq!(
+                capped.stats.budget_exhausted,
+                cap <= full.stats.generated || full.stats.budget_exhausted
+            );
         }
     }
 
     /// The parallel fan-out stays byte-identical to the sequential run
-    /// when a budget is active: per-view `SearchStats` and truncation
-    /// flags are deterministic, so worker count must not show through.
+    /// when searches run under a deadline and every view's search is cut
+    /// after its eighth candidate: fault hits count per view, so
+    /// per-view `SearchStats` and truncation flags are deterministic and
+    /// the worker count must not show through.
     #[test]
     fn parallel_matches_sequential_under_budget(cfg in config(), seed in 0u64..500) {
+        let _serial = eve::faults::serial_guard();
         let w = SynthWorkload::random(&cfg, seed);
         let change = w.delete_change();
-        let budget = SearchBudget {
-            top_k: 2,
-            max_candidates: 8,
-            ..SearchBudget::default()
+        let names: Vec<String> = views(&w, seed).into_iter().map(|v| v.name).collect();
+        let run = |threads: usize| {
+            let mut sync = synchronizer(&w, seed, threads, Some(Duration::from_secs(3600)));
+            with_plan(cut_after(8, names.iter().cloned()), || sync.apply(&change))
+                .expect("target described")
         };
-        let mut baseline = synchronizer(&w, seed, 1, budget);
-        let expected = baseline.apply(&change).expect("target described");
+        let expected = run(1);
         for threads in [2usize, 8] {
-            let mut sync = synchronizer(&w, seed, threads, budget);
-            let outcome = sync.apply(&change).expect("target described");
-            prop_assert_eq!(&outcome, &expected, "threads={}", threads);
+            prop_assert_eq!(&run(threads), &expected, "threads={}", threads);
         }
     }
-}
-
-/// On the wide-MKB workload (one shallow cover, four deep ones),
-/// `top_k = 1` visits at least 5x fewer candidates than the exhaustive
-/// run while still returning the same best rewriting.
-#[test]
-fn budgeted_search_prunes_wide_mkb_at_least_5x() {
-    let wide = SynthWorkload::wide_mkb(4, 3);
-    let mkb2 = evolve(&wide.mkb, &wide.delete_change()).expect("target described");
-    let run = |budget: SearchBudget| {
-        let opts = CvsOptions {
-            budget,
-            ..CvsOptions::default()
-        };
-        let index = MkbIndex::new(&wide.mkb, &mkb2, &opts);
-        cvs_delete_relation_searched(&wide.view, &wide.target, &index, &opts, false, None)
-            .expect("wide workload is synchronizable")
-    };
-    let exhaustive = run(SearchBudget::unlimited());
-    let budgeted = run(SearchBudget::top_k(1));
-    assert!(!exhaustive.stats.budget_exhausted);
-    assert_eq!(budgeted.rewritings.len(), 1);
-    assert_eq!(budgeted.rewritings[0], exhaustive.rewritings[0]);
-    assert!(
-        budgeted.stats.generated * 5 <= exhaustive.stats.generated,
-        "budgeted generated {} vs exhaustive {}",
-        budgeted.stats.generated,
-        exhaustive.stats.generated
-    );
-    assert!(budgeted.stats.pruned > 0);
 }
 
 /// `wide_mkb(6, 1)` covers both attributes of `T` from seven relations,
@@ -235,7 +222,7 @@ fn cover_combination_cap_is_reported() {
         let wide = SynthWorkload::wide_mkb(fanout, 1);
         let mkb2 = evolve(&wide.mkb, &wide.delete_change()).expect("target described");
         let opts = CvsOptions::default();
-        let index = MkbIndex::new(&wide.mkb, &mkb2, &opts);
+        let index = MkbIndex::new(&wide.mkb, &mkb2);
         cvs_delete_relation_searched(&wide.view, &wide.target, &index, &opts, false, None)
             .expect("wide workload is synchronizable")
     };
