@@ -13,6 +13,11 @@
 //! however many relations it describes: the relation map and the
 //! hypergraph interner copy one chunk and the chunk spine per edit.
 //!
+//! Index maintenance: `MkbDelta::compute` and `IndexCore::apply_delta`
+//! patch the cover map per touched key, so a change to one covered
+//! attribute allocates about the same bytes however many function-ofs
+//! the MKB holds.
+//!
 //! Enumeration: `TreeCursor::advance` allocates nothing in the steady
 //! state. Concretely —
 //!
@@ -29,9 +34,12 @@
 //! materialization boundary allocates the owned string-keyed tree by
 //! design, which is why the probe pins the id-level core.
 
+use eve_core::{IndexCore, MkbDelta};
 use eve_hypergraph::{Hypergraph, Interner};
-use eve_misd::{evolve, CapabilityChange, JoinConstraint, MetaKnowledgeBase};
-use eve_relational::{AttrName, AttrRef, AttributeDef, Clause, Conjunction, DataType, RelName};
+use eve_misd::{evolve, CapabilityChange, FunctionOf, JoinConstraint, MetaKnowledgeBase};
+use eve_relational::{
+    AttrName, AttrRef, AttributeDef, Clause, Conjunction, DataType, RelName, ScalarExpr,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -191,6 +199,66 @@ fn evolution_allocation_is_sublinear_in_relations() {
     assert!(
         on_large <= 2 * on_small,
         "Interner::with_inserted: {on_large} bytes at 16x the relations, {on_small} at 1x"
+    );
+}
+
+/// A ring of 128 relations `(k, v0..v7, w)` joined on `k`, where each
+/// of the first `per_relation` payload attributes `v0, v1, …` of every
+/// relation is covered by one function-of from the next relation's `w`.
+fn covered_mkb(per_relation: usize) -> MetaKnowledgeBase {
+    let n = 128;
+    let names: Vec<String> = (0..n).map(|i| format!("R{i:03}")).collect();
+    let mut mkb = MetaKnowledgeBase::new();
+    for name in &names {
+        let mut d = describe(name);
+        for j in 0..8 {
+            d.attrs
+                .push(AttributeDef::new(format!("v{j}"), DataType::Int));
+        }
+        d.attrs.push(AttributeDef::new("w", DataType::Int));
+        mkb.add_relation(d).expect("fresh relation");
+    }
+    for (i, name) in names.iter().enumerate() {
+        let next = &names[(i + 1) % n];
+        mkb.add_join(jc(&format!("j{i}"), name, next))
+            .expect("fresh join");
+        for j in 0..per_relation {
+            mkb.add_function_of(FunctionOf::new(
+                format!("f{i}_{j}"),
+                AttrRef::new(name.as_str(), format!("v{j}")),
+                ScalarExpr::attr(next.as_str(), "w"),
+            ))
+            .expect("fresh function-of");
+        }
+    }
+    mkb
+}
+
+/// Index maintenance costs what the change touched: deleting a payload
+/// attribute that one function-of covers and no join mentions
+/// allocates, across `MkbDelta::compute` and `IndexCore::apply_delta`,
+/// at most 2x the bytes on an MKB with 8x the function-ofs (and cover
+/// keys). A rebuild of the cover map would allocate 8x.
+#[test]
+fn index_maintenance_allocation_is_independent_of_function_of_count() {
+    let (sparse, dense) = (covered_mkb(1), covered_mkb(8));
+    assert_eq!(dense.function_ofs().len(), 8 * sparse.function_ofs().len());
+    let change = CapabilityChange::DeleteAttribute(AttrRef::new("R010", "v0"));
+    let maintain = |mkb: &MetaKnowledgeBase| {
+        let core = IndexCore::build(mkb);
+        let next = evolve(mkb, &change).expect("admissible");
+        assert_eq!(
+            next.function_ofs().len() + 1,
+            mkb.function_ofs().len(),
+            "the change drops exactly one function-of"
+        );
+        bytes_in(|| core.apply_delta(&MkbDelta::compute(mkb, &next, &change))).0
+    };
+    let (on_sparse, on_dense) = (maintain(&sparse), maintain(&dense));
+    assert!(on_sparse > 0, "the probe counted nothing");
+    assert!(
+        on_dense <= 2 * on_sparse,
+        "compute + apply_delta: {on_dense} bytes with 8x the function-ofs, {on_sparse} at 1x"
     );
 }
 

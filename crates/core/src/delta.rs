@@ -3,26 +3,41 @@
 //! [`IndexCore`] is every derived structure of **one** MKB version —
 //! the full hypergraph `H`, its connected components, the
 //! capability-filtered join graph, the attribute→cover map and the
-//! relation-pair→PC buckets — held behind [`Arc`]s so consecutive
-//! versions structurally share everything a change did not touch.
+//! relation-pair→PC buckets — held behind [`Arc`]s and persistent
+//! [`ChunkMap`]s so consecutive versions structurally share everything
+//! a change did not touch.
 //!
 //! [`MkbDelta`] is one capability change typed per operator:
 //! the change projected onto each hypergraph as a
-//! [`GraphDelta`], plus the constraint-map edits. Applying it to an
-//! `IndexCore` ([`IndexCore::apply_delta`]) costs `O(delta)` — the
-//! touched component is rebuilt, every other component and untouched
-//! constraint map is an `Arc` clone — instead of the `O(MKB)`
-//! from-scratch rebuild. Rebuild equivalence is the contract: the
-//! delta-maintained core is indistinguishable from [`IndexCore::build`]
-//! over the evolved MKB (enforced by the property suite in
-//! `tests/delta_equivalence.rs`).
+//! [`GraphDelta`], plus the new cover lists and PC buckets of the keys
+//! whose constraints the change edited, read from the evolved MKB's
+//! relation index. Applying it to an `IndexCore`
+//! ([`IndexCore::apply_delta`]) costs what the change touched — the
+//! touched component is extracted afresh, each touched map key copies
+//! one chunk of its map, and every other component, chunk and map is
+//! shared — instead of the `O(MKB)` from-scratch rebuild. Rebuild
+//! equivalence is the contract: the delta-maintained core is
+//! indistinguishable from [`IndexCore::build`] over the evolved MKB
+//! (enforced by the property suite in `tests/delta_equivalence.rs`).
 
 use crate::replacement::CoverChoice;
 use eve_hypergraph::{GraphDelta, Hypergraph, RelId};
-use eve_misd::{CapabilityChange, MetaKnowledgeBase, PartialComplete};
+use eve_misd::{CapabilityChange, ChunkMap, FunctionOf, MetaKnowledgeBase, PartialComplete};
 use eve_relational::{AttrRef, RelName};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// Function-of covers grouped by the attribute they re-derive, each
+/// list in declaration order.
+pub(crate) type Covers = ChunkMap<AttrRef, Arc<Vec<CoverChoice>>>;
+
+/// PC constraints bucketed by the (ordered) relation pair they relate,
+/// each bucket in declaration order.
+pub(crate) type PcBuckets = ChunkMap<(RelName, RelName), Arc<Vec<PartialComplete>>>;
+
+/// The new values of the map keys one change touched, ascending by key
+/// (`None`: the key leaves the map).
+type Patch<K, V> = Vec<(K, Option<Arc<Vec<V>>>)>;
 
 /// Order-normalised key for the PC bucket map.
 pub(crate) fn pair_key(a: &RelName, b: &RelName) -> (RelName, RelName) {
@@ -33,42 +48,149 @@ pub(crate) fn pair_key(a: &RelName, b: &RelName) -> (RelName, RelName) {
     }
 }
 
-/// Build the attribute→cover map of one MKB version (declaration order
-/// per attribute, restricted to function-ofs with a single well-defined
-/// source relation).
-pub(crate) fn build_covers(mkb: &MetaKnowledgeBase) -> BTreeMap<AttrRef, Vec<CoverChoice>> {
-    let mut covers: BTreeMap<AttrRef, Vec<CoverChoice>> = BTreeMap::new();
-    for f in mkb.function_ofs() {
-        let Some(source) = f.source_relation() else {
-            continue;
-        };
-        covers
-            .entry(f.target.clone())
-            .or_default()
-            .push(CoverChoice {
-                funcof_id: f.id.clone(),
-                source,
-                replacement: f.expr.clone(),
-            });
-    }
-    covers
+/// The cover a function-of offers, when it has a single well-defined
+/// source relation.
+fn cover_choice(f: &FunctionOf) -> Option<CoverChoice> {
+    Some(CoverChoice {
+        funcof_id: f.id.clone(),
+        source: f.source_relation()?,
+        replacement: f.expr.clone(),
+    })
 }
 
-/// Build the relation-pair→PC bucket map of one MKB version (buckets in
-/// declaration order).
-pub(crate) fn build_pcs(
+/// The map of `pairs` grouped by key: keys ascending, each key's items
+/// in their order in `pairs`.
+fn grouped<K: Ord + Clone, V>(mut pairs: Vec<(K, V)>) -> ChunkMap<K, Arc<Vec<V>>> {
+    // Stable, so items keep their order within a key.
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut lists: Vec<(K, Vec<V>)> = Vec::new();
+    for (key, item) in pairs {
+        match lists.last_mut() {
+            Some((last, list)) if *last == key => list.push(item),
+            _ => lists.push((key, vec![item])),
+        }
+    }
+    ChunkMap::from_sorted(lists.into_iter().map(|(k, v)| (k, Arc::new(v))))
+}
+
+/// Build the attribute→cover map of one MKB version from scratch
+/// (declaration order per attribute, restricted to function-ofs with a
+/// single well-defined source relation).
+pub(crate) fn build_covers(mkb: &MetaKnowledgeBase) -> Covers {
+    grouped(
+        mkb.function_ofs()
+            .iter()
+            .filter_map(|f| Some((f.target.clone(), cover_choice(f)?)))
+            .collect(),
+    )
+}
+
+/// Build the relation-pair→PC bucket map of one MKB version from
+/// scratch (buckets in declaration order).
+pub(crate) fn build_pcs(mkb: &MetaKnowledgeBase) -> PcBuckets {
+    grouped(
+        mkb.pcs()
+            .iter()
+            .map(|pc| {
+                let key = pair_key(&pc.left.relation, &pc.right.relation);
+                (key, PartialComplete::clone(pc))
+            })
+            .collect(),
+    )
+}
+
+/// The constraints in `old` but not in `new`, and those in `new` but
+/// not in `old`, compared by address: what `evolve` dropped, replaced
+/// or added among the constraints the index names for a changed
+/// relation.
+fn changed<'a, T>(
+    old: impl Iterator<Item = &'a T>,
+    new: impl Iterator<Item = &'a T>,
+) -> Vec<&'a T> {
+    let by_address = |side: &mut Vec<&'a T>| side.sort_unstable_by_key(|&c| c as *const T);
+    let (mut old, mut new): (Vec<&T>, Vec<&T>) = (old.collect(), new.collect());
+    by_address(&mut old);
+    by_address(&mut new);
+    let absent = |side: &[&T], c: &T| {
+        side.binary_search_by_key(&(c as *const T), |&s| s as *const T)
+            .is_err()
+    };
+    let only_old = old.iter().filter(|&&c| absent(&new, c));
+    let only_new = new.iter().filter(|&&c| absent(&old, c));
+    only_old.chain(only_new).copied().collect()
+}
+
+/// The cover-map patch of a change whose function-of edits the index
+/// names under `before` in `mkb` and `after` in `mkb_prime`: the new
+/// cover list of every attribute an edited function-of targeted or
+/// targets, read from `mkb_prime`'s index entry of its relation.
+fn cover_patch(
     mkb: &MetaKnowledgeBase,
-) -> BTreeMap<(RelName, RelName), Vec<PartialComplete>> {
-    let mut pcs: BTreeMap<(RelName, RelName), Vec<PartialComplete>> = BTreeMap::new();
-    for pc in mkb.pcs() {
-        pcs.entry(pair_key(&pc.left.relation, &pc.right.relation))
-            .or_default()
-            .push(PartialComplete::clone(pc));
-    }
-    pcs
+    mkb_prime: &MetaKnowledgeBase,
+    (before, after): (&RelName, &RelName),
+) -> Patch<AttrRef, CoverChoice> {
+    let edited = changed(
+        mkb.function_ofs_of(before),
+        mkb_prime.function_ofs_of(after),
+    );
+    let keys: BTreeSet<&AttrRef> = edited.into_iter().map(|f| &f.target).collect();
+    keys.into_iter()
+        .map(|key| {
+            let list: Vec<CoverChoice> = mkb_prime
+                .function_ofs_of(&key.relation)
+                .filter(|f| &f.target == key)
+                .filter_map(cover_choice)
+                .collect();
+            (key.clone(), (!list.is_empty()).then(|| Arc::new(list)))
+        })
+        .collect()
 }
 
-/// All derived index state of one MKB version, `Arc`-shared so the next
+/// The PC-bucket patch of a change, as [`cover_patch`]: the new bucket
+/// of every relation pair an edited PC related or relates.
+fn pc_patch(
+    mkb: &MetaKnowledgeBase,
+    mkb_prime: &MetaKnowledgeBase,
+    (before, after): (&RelName, &RelName),
+) -> Patch<(RelName, RelName), PartialComplete> {
+    let edited = changed(mkb.pcs_of(before), mkb_prime.pcs_of(after));
+    let keys: BTreeSet<(RelName, RelName)> = edited
+        .into_iter()
+        .map(|p| pair_key(&p.left.relation, &p.right.relation))
+        .collect();
+    keys.into_iter()
+        .map(|key| {
+            let list: Vec<PartialComplete> = mkb_prime
+                .pcs_of(&key.0)
+                .filter(|p| {
+                    let (l, r) = (&p.left.relation, &p.right.relation);
+                    (l.min(r), l.max(r)) == (&key.0, &key.1)
+                })
+                .cloned()
+                .collect();
+            (key, (!list.is_empty()).then(|| Arc::new(list)))
+        })
+        .collect()
+}
+
+/// `map` with `patch` applied: each touched key copies one chunk (and
+/// the spine), every other chunk stays shared.
+fn patched<K: Ord + Clone, V>(
+    map: &ChunkMap<K, Arc<Vec<V>>>,
+    patch: &Patch<K, V>,
+) -> ChunkMap<K, Arc<Vec<V>>> {
+    let mut out = map.clone();
+    for (key, list) in patch {
+        match list {
+            Some(list) => out.insert(key.clone(), Arc::clone(list)),
+            None => out.remove(key),
+        };
+    }
+    out
+}
+
+/// All derived index state of one MKB version, `Arc`-shared (the
+/// graphs) or held in persistent maps (covers, PC buckets) so the next
 /// version's core can reuse every structure its change did not touch.
 #[derive(Debug, Clone)]
 pub struct IndexCore {
@@ -81,9 +203,9 @@ pub struct IndexCore {
     /// Connected components of `h`, indexed by component number.
     pub(crate) components: Arc<Vec<Arc<Hypergraph>>>,
     /// Function-of covers grouped by the attribute they re-derive.
-    pub(crate) covers: Arc<BTreeMap<AttrRef, Vec<CoverChoice>>>,
+    pub(crate) covers: Covers,
     /// Partial/complete constraints bucketed by unordered relation pair.
-    pub(crate) pcs: Arc<BTreeMap<(RelName, RelName), Vec<PartialComplete>>>,
+    pub(crate) pcs: PcBuckets,
 }
 
 impl IndexCore {
@@ -100,8 +222,8 @@ impl IndexCore {
             h,
             h_join,
             components,
-            covers: Arc::new(build_covers(mkb)),
-            pcs: Arc::new(build_pcs(mkb)),
+            covers: build_covers(mkb),
+            pcs: build_pcs(mkb),
         }
     }
 
@@ -136,16 +258,15 @@ impl IndexCore {
             h: h2,
             h_join: h_join2,
             components,
-            covers: delta
-                .covers
-                .clone()
-                .unwrap_or_else(|| Arc::clone(&self.covers)),
-            pcs: delta.pcs.clone().unwrap_or_else(|| Arc::clone(&self.pcs)),
+            covers: patched(&self.covers, &delta.covers),
+            pcs: patched(&self.pcs, &delta.pcs),
         }
     }
 
-    /// Recompute the component list over the patched graph, rebuilding
-    /// only the components the delta touched and `Arc`-sharing the rest.
+    /// Recompute the component list over the patched graph, extracting
+    /// only the components the delta touched (a walk over the new
+    /// graph's CSR from their smallest member) and `Arc`-sharing the
+    /// rest.
     ///
     /// A capability change never adds a join edge, so every new
     /// component is a verbatim old component (shared), a piece of a
@@ -176,7 +297,7 @@ impl IndexCore {
                 let at = new_h.component_index(id) as usize;
                 let mut out = Vec::with_capacity(self.components.len() + 1);
                 out.extend_from_slice(&self.components[..at]);
-                out.push(Arc::new(new_h.component(at as u32)));
+                out.push(Arc::new(new_h.component_containing(id)));
                 out.extend_from_slice(&self.components[at..]);
                 return Arc::new(out);
             }
@@ -220,7 +341,7 @@ impl IndexCore {
             debug_assert_eq!(c, out.len(), "component numbering is first-occurrence");
             let old_c = old_h.component_index(shift.old_id(v));
             if touched.contains(&old_c) {
-                out.push(Arc::new(new_h.component(c as u32)));
+                out.push(Arc::new(new_h.component_containing(v)));
             } else {
                 out.push(Arc::clone(&self.components[old_c as usize]));
             }
@@ -267,9 +388,9 @@ pub struct DeltaSummary {
     pub funcofs_dropped: usize,
     /// Partial/complete constraints dropped by the cascade.
     pub pcs_dropped: usize,
-    /// Was the cover map carried over unchanged (`Arc`-shared)?
+    /// Was the cover map carried over unchanged (shared, not patched)?
     pub covers_shared: bool,
-    /// Were the PC buckets carried over unchanged (`Arc`-shared)?
+    /// Were the PC buckets carried over unchanged (shared, not patched)?
     pub pcs_shared: bool,
 }
 
@@ -285,21 +406,18 @@ impl std::fmt::Display for DeltaSummary {
             if self.covers_shared {
                 "shared"
             } else {
-                "rebuilt"
+                "patched"
             },
-            if self.pcs_shared { "shared" } else { "rebuilt" },
+            if self.pcs_shared { "shared" } else { "patched" },
         )
     }
 }
 
-/// PC constraints bucketed by the (ordered) relation pair they relate —
-/// the same shape [`IndexCore`] holds behind its `Arc`.
-pub(crate) type PcBuckets = BTreeMap<(RelName, RelName), Vec<PartialComplete>>;
-
 /// One capability change as a typed delta over the derived index state:
 /// the graph-level projection for the full and the capability-filtered
-/// hypergraph, plus the constraint-map edits (rebuilt scoped maps when
-/// any constraint is touched, `None` = share the predecessor's map).
+/// hypergraph, plus the constraint-map patches (the new value of every
+/// cover-map and PC-bucket key whose constraints the change edited;
+/// empty when it edited none, and the predecessor's map is shared).
 #[derive(Debug, Clone)]
 pub struct MkbDelta {
     /// The change this delta encodes.
@@ -308,10 +426,10 @@ pub struct MkbDelta {
     pub graph: GraphDelta,
     /// The change projected onto the join-capability-filtered graph.
     pub graph_join: GraphDelta,
-    /// Replacement cover map (`None` = predecessor's map is still valid).
-    pub(crate) covers: Option<Arc<BTreeMap<AttrRef, Vec<CoverChoice>>>>,
-    /// Replacement PC buckets (`None` = predecessor's map is still valid).
-    pub(crate) pcs: Option<Arc<PcBuckets>>,
+    /// New cover lists of the attributes the change touched.
+    pub(crate) covers: Patch<AttrRef, CoverChoice>,
+    /// New buckets of the relation pairs the change touched.
+    pub(crate) pcs: Patch<(RelName, RelName), PartialComplete>,
     /// What the delta did, for display.
     pub summary: DeltaSummary,
 }
@@ -323,7 +441,9 @@ impl MkbDelta {
     /// `evolve` is copy-on-write: a constraint list keeps its `Arc` unless
     /// the change touched one of its constraints. So whether the change
     /// touched the function-ofs, the PCs or (for attribute changes) the
-    /// joins is one [`Arc::ptr_eq`] each, not a rescan.
+    /// joins is one [`Arc::ptr_eq`] each, not a rescan. When it touched
+    /// some, the MKB's relation index names them under the changed
+    /// relation, and only the map keys they mention are recomputed.
     pub fn compute(
         mkb: &MetaKnowledgeBase,
         mkb_prime: &MetaKnowledgeBase,
@@ -382,10 +502,25 @@ impl MkbDelta {
                 ("rename-attribute", g.clone(), g)
             }
         };
-        // A touched constraint map is rebuilt from the evolved MKB —
-        // `O(constraints)`, never `O(MKB)`; an untouched one is shared.
-        let covers = covers_touched.then(|| Arc::new(build_covers(mkb_prime)));
-        let pcs = pcs_touched.then(|| Arc::new(build_pcs(mkb_prime)));
+        // The relation whose index entry names every constraint the
+        // change edited, before and after it.
+        let named = match change {
+            CapabilityChange::DeleteRelation(rel) => Some((rel, rel)),
+            CapabilityChange::RenameRelation { from, to } => Some((from, to)),
+            CapabilityChange::DeleteAttribute(attr)
+            | CapabilityChange::RenameAttribute { from: attr, .. } => {
+                Some((&attr.relation, &attr.relation))
+            }
+            CapabilityChange::AddRelation(_) | CapabilityChange::AddAttribute { .. } => None,
+        };
+        let covers = match named {
+            Some(named) if covers_touched => cover_patch(mkb, mkb_prime, named),
+            _ => Vec::new(),
+        };
+        let pcs = match named {
+            Some(named) if pcs_touched => pc_patch(mkb, mkb_prime, named),
+            _ => Vec::new(),
+        };
         let summary = DeltaSummary {
             op,
             joins_dropped: mkb.joins().len().saturating_sub(mkb_prime.joins().len()),
@@ -473,16 +608,8 @@ mod tests {
         for (a, b) in core.components.iter().zip(rebuilt.components.iter()) {
             assert_eq!(a.as_ref(), b.as_ref(), "{change}: component diverged");
         }
-        assert_eq!(
-            core.covers.as_ref(),
-            rebuilt.covers.as_ref(),
-            "{change}: covers diverged"
-        );
-        assert_eq!(
-            core.pcs.as_ref(),
-            rebuilt.pcs.as_ref(),
-            "{change}: pcs diverged"
-        );
+        assert_eq!(core.covers, rebuilt.covers, "{change}: covers diverged");
+        assert_eq!(core.pcs, rebuilt.pcs, "{change}: pcs diverged");
         (mkb_prime, core)
     }
 
@@ -549,6 +676,204 @@ mod tests {
         }
     }
 
+    /// An MKB of `n` relations `R00..` with attributes `k, v0..v7`,
+    /// joined on `k` along a sparse random graph, where most payload
+    /// attributes have one to three function-of covers from other
+    /// relations (some constant) and many relation pairs carry PCs,
+    /// some with a selection on a third relation. Constraints are
+    /// declared in a shuffled order under ids that do not sort in
+    /// declaration order, so a cover list's order is observable.
+    fn cover_dense_mkb(rng: &mut rand::rngs::StdRng, n: usize) -> MetaKnowledgeBase {
+        use eve_misd::{ExtentOp, FunctionOf, JoinConstraint, ProjSel, RelationDescription};
+        use eve_relational::{AttributeDef, Clause, Conjunction, DataType, ScalarExpr};
+        use rand::Rng;
+        let names: Vec<String> = (0..n).map(|i| format!("R{i:02}")).collect();
+        let mut mkb = MetaKnowledgeBase::new();
+        for name in &names {
+            let attrs = std::iter::once("k".to_string())
+                .chain((0..8).map(|j| format!("v{j}")))
+                .map(|a| AttributeDef::new(a, DataType::Int))
+                .collect();
+            mkb.add_relation(RelationDescription::new(
+                format!("IS_{name}"),
+                name.as_str(),
+                attrs,
+            ))
+            .unwrap();
+        }
+        let other = |rng: &mut rand::rngs::StdRng, i: usize| (i + rng.gen_range(1..n)) % n;
+        enum Decl {
+            Join(usize, usize),
+            Cover(AttrRef, ScalarExpr),
+            Pc(usize, usize, Option<usize>),
+        }
+        let mut decls = Vec::new();
+        for i in 0..n {
+            decls.push(Decl::Join(i, other(rng, i)));
+            for j in 0..8 {
+                let target = AttrRef::new(names[i].as_str(), format!("v{j}"));
+                let covers = if rng.gen_bool(0.8) {
+                    rng.gen_range(1..4)
+                } else {
+                    0
+                };
+                for _ in 0..covers {
+                    let expr = if rng.gen_bool(0.1) {
+                        ScalarExpr::lit(7i64)
+                    } else {
+                        let src = other(rng, i);
+                        ScalarExpr::attr(names[src].as_str(), format!("v{}", rng.gen_range(0..8)))
+                    };
+                    decls.push(Decl::Cover(target.clone(), expr));
+                }
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let cond = rng.gen_bool(0.3).then(|| other(rng, i));
+                decls.push(Decl::Pc(i, other(rng, i), cond));
+            }
+        }
+        for i in (1..decls.len()).rev() {
+            decls.swap(i, rng.gen_range(0..i + 1));
+        }
+        // Ids numbered backwards: id order is the reverse of declaration
+        // order.
+        let total = decls.len();
+        for (d, decl) in decls.into_iter().enumerate() {
+            let id = total - d;
+            let k = |r: usize| AttrRef::new(names[r].as_str(), "k");
+            match decl {
+                Decl::Join(a, b) => mkb.add_join(JoinConstraint::new(
+                    format!("J{id}"),
+                    names[a].as_str(),
+                    names[b].as_str(),
+                    Conjunction::new(vec![Clause::eq_attrs(k(a), k(b))]),
+                )),
+                Decl::Cover(target, expr) => {
+                    mkb.add_function_of(FunctionOf::new(format!("F{id}"), target, expr))
+                }
+                Decl::Pc(a, b, cond) => {
+                    let v = AttrName::new(format!("v{}", id % 8));
+                    let right = ProjSel::new(names[b].as_str(), vec![v.clone()]);
+                    let right = match cond {
+                        Some(c) => {
+                            right.with_cond(Conjunction::new(vec![Clause::eq_attrs(k(c), k(b))]))
+                        }
+                        None => right,
+                    };
+                    let op = [ExtentOp::Superset, ExtentOp::Subset, ExtentOp::Equivalent][id % 3];
+                    mkb.add_pc(PartialComplete::new(
+                        format!("P{id}"),
+                        ProjSel::new(names[a].as_str(), vec![v]),
+                        op,
+                        right,
+                    ))
+                }
+            }
+            .unwrap();
+        }
+        mkb
+    }
+
+    /// The funcof ids of `attr`'s covers, in list order.
+    fn cover_ids(core: &IndexCore, attr: &AttrRef) -> Vec<String> {
+        core.covers
+            .get(attr)
+            .map(|c| c.iter().map(|c| c.funcof_id.clone()).collect())
+            .unwrap_or_default()
+    }
+
+    /// Cover- and PC-dense MKBs whose cover map spans several chunks:
+    /// all six operators, aimed at cover targets, cover sources and PC
+    /// sides, patch the cover map and PC buckets to exactly what a
+    /// rebuild gives after every change, and a rename carries each
+    /// renamed target's cover list over in declaration order.
+    #[test]
+    fn random_cover_changes_match_rebuild() {
+        use eve_misd::chunkmap::CHUNK;
+        use eve_relational::{AttributeDef, DataType};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut patched_covers, mut patched_pcs) = (0, 0);
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(48..72);
+            let mut mkb = cover_dense_mkb(&mut rng, n);
+            let mut core = IndexCore::build(&mkb);
+            assert!(
+                core.covers.len() > 2 * CHUNK,
+                "{} cover keys",
+                core.covers.len()
+            );
+            for step in 0..24 {
+                let rels: Vec<RelName> = mkb.relation_names().cloned().collect();
+                let pick = rels[rng.gen_range(0..rels.len())].clone();
+                let attrs: Vec<AttrName> = mkb
+                    .relation(&pick)
+                    .unwrap()
+                    .attrs
+                    .iter()
+                    .map(|a| a.name.clone())
+                    .collect();
+                let attr = AttrRef::new(pick.clone(), attrs[rng.gen_range(0..attrs.len())].clone());
+                // New names sort before, among and after the others.
+                let fresh = ["A", "R3x", "Z"][step % 3].to_string() + &step.to_string();
+                let change = match rng.gen_range(0..6) {
+                    0 => CapabilityChange::AddRelation(eve_misd::RelationDescription::new(
+                        "IS_new",
+                        fresh.as_str(),
+                        vec![AttributeDef::new("k", DataType::Int)],
+                    )),
+                    1 if rels.len() > 8 => CapabilityChange::DeleteRelation(pick),
+                    2 => CapabilityChange::AddAttribute {
+                        relation: pick,
+                        attr: AttributeDef::new(fresh, DataType::Int),
+                    },
+                    3 if attrs.len() > 1 => CapabilityChange::DeleteAttribute(attr),
+                    4 => CapabilityChange::RenameAttribute {
+                        from: attr,
+                        to: AttrName::new(fresh),
+                    },
+                    _ => CapabilityChange::RenameRelation {
+                        from: pick,
+                        to: RelName::new(fresh),
+                    },
+                };
+                let before = core.clone();
+                let delta = MkbDelta::compute(&mkb, &evolve(&mkb, &change).unwrap(), &change);
+                patched_covers += usize::from(!delta.covers.is_empty());
+                patched_pcs += usize::from(!delta.pcs.is_empty());
+                (mkb, core) = step_and_compare(&mkb, &core, &change);
+                // Covers renamed with their target keep its list order.
+                let renamed: Vec<(AttrRef, AttrRef)> = match &change {
+                    CapabilityChange::RenameRelation { from, to } => before
+                        .covers
+                        .keys()
+                        .filter(|a| &a.relation == from)
+                        .map(|a| (a.clone(), AttrRef::new(to.clone(), a.attr.clone())))
+                        .collect(),
+                    CapabilityChange::RenameAttribute { from, to } => {
+                        vec![(
+                            from.clone(),
+                            AttrRef::new(from.relation.clone(), to.clone()),
+                        )]
+                    }
+                    _ => Vec::new(),
+                };
+                for (old, new) in renamed {
+                    assert_eq!(
+                        cover_ids(&before, &old),
+                        cover_ids(&core, &new),
+                        "{change}: covers of {new} out of declaration order"
+                    );
+                }
+            }
+        }
+        assert!(
+            patched_covers >= 20 && patched_pcs >= 10,
+            "the streams patched covers {patched_covers} and PCs {patched_pcs} times"
+        );
+    }
+
     #[test]
     fn untouched_structures_are_shared_not_cloned() {
         let mkb = travel_mkb();
@@ -561,12 +886,12 @@ mod tests {
         let mkb_prime = evolve(&mkb, &change).unwrap();
         let delta = MkbDelta::compute(&mkb, &mkb_prime, &change);
         assert_eq!(delta.graph, GraphDelta::None);
-        assert!(delta.covers.is_none() && delta.pcs.is_none());
+        assert!(delta.covers.is_empty() && delta.pcs.is_empty());
         let next = core.apply_delta(&delta);
         assert!(Arc::ptr_eq(&core.h, &next.h));
         assert!(Arc::ptr_eq(&core.components, &next.components));
-        assert!(Arc::ptr_eq(&core.covers, &next.covers));
-        assert!(Arc::ptr_eq(&core.pcs, &next.pcs));
+        assert!(ChunkMap::ptr_eq(&core.covers, &next.covers));
+        assert!(ChunkMap::ptr_eq(&core.pcs, &next.pcs));
 
         // add-relation splices the new singleton in and shares every
         // old component.

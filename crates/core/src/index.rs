@@ -16,13 +16,15 @@
 //!
 //! The derived structures themselves are **delta-maintained, not rebuilt
 //! from scratch on every change**: the index holds them behind `Arc`s
-//! and is normally assembled by [`MkbIndex::from_cores`] from two
-//! [`IndexCore`]s (the pre- and post-change derived state), where the
-//! post core was produced by [`IndexCore::apply_delta`] — an `O(delta)`
-//! patch that rebuilds only the touched component and constraint
-//! buckets and `Arc`-shares everything else. [`MkbIndex::new`] remains
-//! the from-scratch constructor (one-shot/what-if uses, and the rebuild
-//! oracle the equivalence property suite compares against).
+//! and persistent maps, and is normally assembled by
+//! [`MkbIndex::from_cores`] from two [`IndexCore`]s (the pre- and
+//! post-change derived state), where the post core was produced by
+//! [`IndexCore::apply_delta`] — a patch that extracts only the touched
+//! components afresh, rewrites only the cover-map and PC-bucket keys
+//! whose constraints the change edited, and shares everything else.
+//! [`MkbIndex::new`] remains the from-scratch constructor
+//! (one-shot/what-if uses, and the rebuild oracle the equivalence
+//! property suite compares against).
 //!
 //! The index *borrows* both MKBs (`MkbIndex<'m>`), so constructing a
 //! throwaway index never clones a knowledge base.
@@ -49,16 +51,16 @@
 //! not, callers observe byte-identical results, which is what lets the
 //! parallel synchronizer share one index across workers.
 
-use crate::delta::{build_covers, build_pcs, pair_key, IndexCore};
+use crate::delta::{build_covers, build_pcs, pair_key, Covers, IndexCore, PcBuckets};
 use crate::replacement::CoverChoice;
 use eve_hypergraph::{ConnectionTree, GraphDelta, Hypergraph, RelId, RelSet, TreeCursor};
 use eve_misd::{MetaKnowledgeBase, PartialComplete};
 use eve_relational::{AttrRef, RelName};
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Shard count for the memo tables. Small and fixed: the tables are
 /// per-change (short-lived) and the worker pool is small, so a handful of
@@ -249,17 +251,14 @@ pub struct MkbIndex<'m> {
     /// Function-of covers grouped by the attribute they re-derive. Raw
     /// (unfiltered) covers in MKB declaration order; consumers filter by
     /// target relation / `h_prime` membership as their definitions require.
-    covers: Arc<BTreeMap<AttrRef, Vec<CoverChoice>>>,
+    /// An attribute's rank among the keys is its dense id in the
+    /// viable-cover memo.
+    covers: Covers,
     /// Partial/complete constraints keyed by the (unordered) relation pair
     /// they relate; each bucket preserves MKB declaration order. Owned
-    /// (not borrowed from the MKB) so the buckets can be `Arc`-shared
-    /// across versions.
-    pcs_by_pair: Arc<BTreeMap<(RelName, RelName), Vec<PartialComplete>>>,
-    /// Dense ids for the cover-target attributes (sorted `covers` key
-    /// order), so viable-cover memo keys are a pair of `u32`s instead of
-    /// a cloned `AttrRef` + `RelName`. Built on the first viable-cover
-    /// lookup: most changes affect no view that needs one.
-    cover_attr_ids: OnceLock<HashMap<AttrRef, u32>>,
+    /// (not borrowed from the MKB) so the buckets can be shared across
+    /// versions.
+    pcs_by_pair: PcBuckets,
     /// Memoized prefixes of the connection-tree stream over `h_prime`,
     /// keyed by `(terminal set, hop bound)`; any requested tree limit
     /// is served from (or extends) the cached prefix.
@@ -365,17 +364,14 @@ impl<'m> MkbIndex<'m> {
         let h_prime = Arc::new(Hypergraph::build_filtered(mkb_prime, |desc| {
             desc.capabilities.join
         }));
-        let covers = Arc::new(build_covers(mkb));
-        let pcs_by_pair = Arc::new(build_pcs(mkb));
         MkbIndex {
             mkb,
             mkb_prime,
             h,
             components,
             h_prime,
-            covers,
-            pcs_by_pair,
-            cover_attr_ids: OnceLock::new(),
+            covers: build_covers(mkb),
+            pcs_by_pair: build_pcs(mkb),
             trees: Memo::new(),
             connects: Memo::new(),
             viable: Memo::new(),
@@ -412,7 +408,6 @@ impl<'m> MkbIndex<'m> {
         // plans can address delta maintenance specifically.
         crate::faults::hit("index.delta-build");
         let h_prime = Arc::clone(&post.h_join);
-        let covers = Arc::clone(&pre.covers);
         let (trees, connects) = match carry {
             Some(c) => {
                 debug_assert!(
@@ -431,9 +426,8 @@ impl<'m> MkbIndex<'m> {
             h: Arc::clone(&pre.h),
             components: Arc::clone(&pre.components),
             h_prime,
-            covers,
-            pcs_by_pair: Arc::clone(&pre.pcs),
-            cover_attr_ids: OnceLock::new(),
+            covers: pre.covers.clone(),
+            pcs_by_pair: pre.pcs.clone(),
             trees,
             connects,
             viable: Memo::new(),
@@ -620,17 +614,10 @@ impl<'m> MkbIndex<'m> {
         if !self.cache_enabled {
             return filter();
         }
-        // Covers is a BTreeMap, so enumeration assigns attribute ids in
-        // ascending AttrRef order — deterministic across builds.
-        let ids = self.cover_attr_ids.get_or_init(|| {
-            self.covers
-                .keys()
-                .enumerate()
-                .map(|(i, a)| (a.clone(), i as u32))
-                .collect()
-        });
-        match (ids.get(attr), self.h.rel_id(target)) {
-            (Some(&aid), Some(tid)) => self.viable.get_or_insert_with((aid, tid), filter),
+        // The attribute's rank among the cover keys (ascending AttrRef
+        // order) is its id: deterministic across builds.
+        match (self.covers.rank(attr), self.h.rel_id(target)) {
+            (Ok(aid), Some(tid)) => self.viable.get_or_insert_with((aid as u32, tid), filter),
             // An attribute with no covers, or an undescribed target:
             // the filter is trivially cheap (empty or unfilterable) —
             // compute directly.
@@ -721,7 +708,7 @@ impl<'m> MkbIndex<'m> {
     /// Raw function-of covers for `attr` (declaration order), restricted
     /// to function-ofs with a single well-defined source relation.
     pub fn covers_of(&self, attr: &AttrRef) -> &[CoverChoice] {
-        self.covers.get(attr).map(Vec::as_slice).unwrap_or(&[])
+        self.covers.get(attr).map_or(&[], |c| c.as_slice())
     }
 
     /// Partial/complete constraints relating relations `a` and `b`, in
@@ -729,8 +716,7 @@ impl<'m> MkbIndex<'m> {
     pub fn pcs_between(&self, a: &RelName, b: &RelName) -> &[PartialComplete] {
         self.pcs_by_pair
             .get(&pair_key(a, b))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |b| b.as_slice())
     }
 }
 

@@ -40,7 +40,10 @@ use crate::options::{CvsOptions, FailurePolicy, IndexMaintenance};
 use crate::rewrite::SearchStats;
 use eve_esql::{validate_view, ViewDefinition};
 use eve_misd::{evolve, CapabilityChange, MetaKnowledgeBase, MisdError};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
 
 /// Why one view's synchronization task failed (see
@@ -255,6 +258,11 @@ impl fmt::Display for ChangeOutcome {
 pub struct SynchronizerBuilder {
     mkb: MetaKnowledgeBase,
     views: Vec<(String, ViewDefinition)>,
+    /// Hashes of the names in `views`, so a duplicate is found without
+    /// a scan and without copying each name once more. A hit is
+    /// confirmed against the names: a collision costs a scan, never a
+    /// false rejection.
+    name_hashes: BTreeSet<u64>,
     opts: CvsOptions,
     require_p3: bool,
     cost_model: Option<CostModel>,
@@ -266,6 +274,7 @@ impl SynchronizerBuilder {
         SynchronizerBuilder {
             mkb,
             views: Vec::new(),
+            name_hashes: BTreeSet::new(),
             opts: CvsOptions::default(),
             require_p3: false,
             cost_model: None,
@@ -273,7 +282,8 @@ impl SynchronizerBuilder {
     }
 
     /// Register a view. The view must be structurally valid with respect
-    /// to the §4 assumptions ([`validate_view`]).
+    /// to the §4 assumptions ([`validate_view`]), and its name must not
+    /// be registered already.
     pub fn with_view(mut self, view: ViewDefinition) -> Result<Self, String> {
         let errs = validate_view(&view);
         if !errs.is_empty() {
@@ -282,6 +292,10 @@ impl SynchronizerBuilder {
                 .map(|e| e.to_string())
                 .collect::<Vec<_>>()
                 .join("; "));
+        }
+        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(&view.name);
+        if !self.name_hashes.insert(hash) && self.views.iter().any(|(n, _)| *n == view.name) {
+            return Err(format!("view name already registered: {}", view.name));
         }
         self.views.push((view.name.clone(), view));
         Ok(self)
@@ -471,11 +485,12 @@ impl Synchronizer {
 
     /// Register a new view at runtime, against the *current* MKB state.
     ///
-    /// Unlike [`SynchronizerBuilder::with_view`] — which collects views
+    /// Like [`SynchronizerBuilder::with_view`] — which collects views
     /// before the version chain exists — runtime registration validates
-    /// the view structurally ([`validate_view`]), rejects names already
-    /// taken by an active or disabled view, and rejects views that
-    /// reference relations absent from the current MKB.
+    /// the view structurally ([`validate_view`]) and rejects names
+    /// already taken by an active or disabled view. Unlike it, runtime
+    /// registration also rejects views that reference relations or
+    /// attributes absent from the current MKB.
     ///
     /// Registration is not a capability change: the version number does
     /// not advance and no chain entry is appended. The head entry's
@@ -1110,6 +1125,18 @@ mod tests {
         // duplicate FROM relation — actually parses to two `Customer`
         // entries after alias resolution
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn duplicate_view_name_rejected_by_builder() {
+        let view = |body: &str| parse_view(&format!("CREATE VIEW V AS {body}")).unwrap();
+        let builder = SynchronizerBuilder::new(travel_mkb())
+            .with_view(view("SELECT T.TourName FROM Tour T"))
+            .unwrap();
+        let err = builder
+            .with_view(view("SELECT C.Name FROM Customer C"))
+            .unwrap_err();
+        assert_eq!(err, "view name already registered: V");
     }
 
     #[test]

@@ -396,8 +396,7 @@ impl Hypergraph {
     /// The connected sub-hypergraph `H_R(MKB)` containing `start`
     /// (Step 1 of the CVS algorithm), or `None` when `start` is absent.
     pub fn component_of(&self, start: &RelName) -> Option<Hypergraph> {
-        let comp = self.comp_of[self.rel_id(start)? as usize];
-        Some(self.component_subgraph(comp))
+        Some(self.component_containing(self.rel_id(start)?))
     }
 
     /// The names of component `comp`'s vertices, ascending.
@@ -405,18 +404,6 @@ impl Hypergraph {
         (0..self.rel_count() as RelId)
             .filter(move |&v| self.comp_of[v as usize] == comp)
             .map(|v| self.interner.name(v))
-    }
-
-    fn component_subgraph(&self, comp: u32) -> Hypergraph {
-        let rels = Interner::from_sorted(self.component_members(comp).cloned());
-        let joins = self
-            .joins
-            .iter()
-            .enumerate()
-            .filter(|(e, _)| self.comp_of[self.join_left[*e] as usize] == comp)
-            .map(|(_, j)| Arc::clone(j))
-            .collect();
-        Hypergraph::from_shared(rels, Arc::new(joins))
     }
 
     /// All maximal connected components, each as a sub-hypergraph, ordered
@@ -440,15 +427,43 @@ impl Hypergraph {
             .collect()
     }
 
-    /// The sub-hypergraph of one component by index (`0..component_count()`).
-    /// Lets delta maintenance rebuild only the components a change
-    /// touched, Arc-sharing the rest.
+    /// The connected sub-hypergraph containing vertex `id`, gathered by
+    /// a breadth-first walk over the CSR adjacency, so it costs the
+    /// component's size rather than the graph's. Lets delta maintenance
+    /// rebuild only the components a change touched, `Arc`-sharing the
+    /// rest.
     ///
     /// # Panics
-    /// When `comp >= component_count()`.
-    pub fn component(&self, comp: u32) -> Hypergraph {
-        assert!(comp < self.comp_count, "component index out of range");
-        self.component_subgraph(comp)
+    /// When `id >= rel_count()`.
+    pub fn component_containing(&self, id: RelId) -> Hypergraph {
+        let mut seen = self.relset();
+        seen.insert(id);
+        let mut members = vec![id];
+        let mut edges = Vec::new();
+        let mut next = 0;
+        while let Some(&r) = members.get(next) {
+            next += 1;
+            for (t, e) in self.neighbors(r) {
+                // Each edge once, from its left endpoint's row.
+                if self.join_left[e as usize] == r {
+                    edges.push(e);
+                }
+                if seen.insert(t) {
+                    members.push(t);
+                }
+            }
+        }
+        // Ids ascend with names and edge indices with declaration order.
+        members.sort_unstable();
+        edges.sort_unstable();
+        // A self-join sits twice in its vertex's row.
+        edges.dedup();
+        let rels = Interner::from_sorted(members.iter().map(|&v| self.interner.name(v).clone()));
+        let joins = edges
+            .iter()
+            .map(|&e| Arc::clone(&self.joins[e as usize]))
+            .collect();
+        Hypergraph::from_shared(rels, Arc::new(joins))
     }
 
     /// Is the given set of relations mutually connected *within this
@@ -655,6 +670,33 @@ mod tests {
         assert_eq!(comps.len(), 3); // {A,B,C}, {D,E}, {F}
         let sizes: Vec<usize> = comps.iter().map(|c| c.relations().len()).collect();
         assert_eq!(sizes, vec![3, 2, 1]);
+    }
+
+    /// The CSR walk gathers exactly the component `components()` sorts
+    /// out, joins in declaration order, from any member: with edges
+    /// declared right-to-left, parallel edges and a self-join.
+    #[test]
+    fn component_containing_matches_components() {
+        let rels: BTreeSet<RelName> = ["A", "B", "C", "D", "E", "F"]
+            .iter()
+            .map(|s| rel(s))
+            .collect();
+        let joins = vec![
+            jc("J1", "C", "B"),
+            jc("J2", "D", "E"),
+            jc("J3", "B", "B"),
+            jc("J4", "A", "B"),
+            jc("J5", "B", "C"),
+        ];
+        let h = Hypergraph::from_parts(rels, joins);
+        let comps = h.components();
+        for v in 0..h.rel_count() as RelId {
+            let comp = h.component_containing(v);
+            assert_eq!(comp, comps[h.component_index(v) as usize], "from {v}");
+        }
+        let abc = h.component_of(&rel("C")).unwrap();
+        let ids: Vec<&str> = abc.joins().iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(ids, ["J1", "J3", "J4", "J5"]);
     }
 
     #[test]

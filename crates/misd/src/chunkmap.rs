@@ -101,6 +101,12 @@ impl<K, V> ChunkMap<K, V> {
         self.spine.is_empty()
     }
 
+    /// Do the two maps share one spine, as a clone and its source do
+    /// until either is edited? Then they hold the same entries.
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.spine, &b.spine)
+    }
+
     /// All entries in ascending key order.
     pub fn iter(&self) -> Iter<'_, K, V> {
         Iter {
@@ -377,8 +383,7 @@ impl<K: Ord + Clone, V: Clone> ChunkMap<K, V> {
 
 impl<K: PartialEq, V: PartialEq> PartialEq for ChunkMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.spine, &other.spine)
-            || (self.len() == other.len() && self.iter().eq(other.iter()))
+        Self::ptr_eq(self, other) || (self.len() == other.len() && self.iter().eq(other.iter()))
     }
 }
 

@@ -24,7 +24,7 @@
 //! them.
 
 use crate::change::CapabilityChange;
-use crate::mkb::MetaKnowledgeBase;
+use crate::mkb::{ById, MetaKnowledgeBase};
 
 /// The result of diffing two MKB states.
 #[derive(Debug, Clone, Default)]
@@ -81,21 +81,22 @@ pub fn infer_changes(old: &MetaKnowledgeBase, new: &MetaKnowledgeBase) -> MkbDif
     let mut changes = deletions;
     changes.extend(additions);
 
-    // Constraints of the new snapshot whose ids the old MKB does not
-    // carry at all (ids surviving evolution keep their identity).
+    // Constraints of the new snapshot whose ids the old MKB's id index
+    // does not hold as the same kind (ids surviving evolution keep
+    // their identity).
     let mut missing_constraints = Vec::new();
     for j in new.joins() {
-        if old.join_by_id(&j.id).is_none() {
+        if !matches!(old.by_id(&j.id), Some(ById::Join(_))) {
             missing_constraints.push(j.id.clone());
         }
     }
     for f in new.function_ofs() {
-        if old.funcof_by_id(&f.id).is_none() {
+        if !matches!(old.by_id(&f.id), Some(ById::FunctionOf(_))) {
             missing_constraints.push(f.id.clone());
         }
     }
     for p in new.pcs() {
-        if !old.pcs().iter().any(|q| q.id == p.id) {
+        if !matches!(old.by_id(&p.id), Some(ById::Pc(_))) {
             missing_constraints.push(p.id.clone());
         }
     }

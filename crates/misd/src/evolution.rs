@@ -416,6 +416,46 @@ mod tests {
         assert_eq!(m.joins().len(), 2);
     }
 
+    /// A dropped constraint's id is free again; a rewritten one keeps
+    /// its id.
+    #[test]
+    fn evolution_maintains_constraint_ids() {
+        let m = mkb();
+        let m2 = evolve(
+            &m,
+            &CapabilityChange::RenameRelation {
+                from: RelName::new("FlightRes"),
+                to: RelName::new("Booking"),
+            },
+        )
+        .unwrap();
+        let m3 = evolve(
+            &m2,
+            &CapabilityChange::DeleteRelation(RelName::new("Customer")),
+        )
+        .unwrap();
+        let reuse = |mkb: &MetaKnowledgeBase, id: &str| {
+            let mut mkb = mkb.clone();
+            mkb.add_pc(PartialComplete::new(
+                id,
+                ProjSel::new("Accident-Ins", vec![AttrName::new("Holder")]),
+                ExtentOp::Superset,
+                ProjSel::new("Booking", vec![AttrName::new("PName")]),
+            ))
+        };
+        for id in ["JC1", "JC6", "F2", "PC1"] {
+            assert_eq!(
+                reuse(&m2, id),
+                Err(MisdError::DuplicateConstraintId(id.into())),
+                "{id} survived the rename"
+            );
+        }
+        assert!(reuse(&m3, "JC6").is_err(), "JC6 survived the delete");
+        for id in ["JC1", "F2", "PC1"] {
+            assert_eq!(reuse(&m3, id), Ok(()), "{id} was dropped");
+        }
+    }
+
     #[test]
     fn delete_unknown_relation_errors() {
         assert!(matches!(

@@ -21,13 +21,18 @@
 //! (`crate::evolution`) asks the index which constraints a change
 //! touches, copies one chunk of the relation map and of the index, and
 //! copies a constraint list only when the change edits one of its
-//! constraints. Consecutive versions share everything else.
+//! constraints. Consecutive versions share everything else. A third
+//! `ChunkMap` holds the join, function-of and PC constraints by id, so
+//! an insert checks the id's uniqueness, and a lookup by id finds its
+//! constraint, without scanning the constraint lists.
 
 use crate::chunkmap::ChunkMap;
 use crate::constraint::{FunctionOf, JoinConstraint, OrderIntegrity, PartialComplete};
 use crate::description::RelationDescription;
 use crate::error::MisdError;
 use eve_relational::{AttrRef, RelName};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -55,10 +60,59 @@ impl Touching {
     }
 }
 
+/// A constraint that carries an id, as the MKB's own `Arc`. Compared,
+/// ordered and borrowed as its id, which is unique across the three
+/// kinds.
+#[derive(Clone)]
+pub(crate) enum ById {
+    Join(Arc<JoinConstraint>),
+    FunctionOf(Arc<FunctionOf>),
+    Pc(Arc<PartialComplete>),
+}
+
+impl ById {
+    fn id(&self) -> &str {
+        match self {
+            ById::Join(j) => &j.id,
+            ById::FunctionOf(f) => &f.id,
+            ById::Pc(p) => &p.id,
+        }
+    }
+}
+
+impl Borrow<str> for ById {
+    fn borrow(&self) -> &str {
+        self.id()
+    }
+}
+
+impl PartialEq for ById {
+    fn eq(&self, other: &Self) -> bool {
+        self.id() == other.id()
+    }
+}
+
+impl Eq for ById {}
+
+impl PartialOrd for ById {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ById {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.id().cmp(other.id())
+    }
+}
+
 /// A constraint kind the MKB keeps in a list and in its relation index.
 pub(crate) trait Indexed: Sized {
     /// Exactly the relations `touches` accepts.
     fn touched(&self) -> BTreeSet<RelName>;
+    /// The constraint as an id-index entry (order constraints carry no
+    /// id).
+    fn id_entry(c: &Arc<Self>) -> Option<ById>;
     /// This kind's constraints in one index entry.
     fn of(t: &Touching) -> &Vec<Arc<Self>>;
     fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>>;
@@ -71,6 +125,9 @@ impl Indexed for JoinConstraint {
         [self.left.clone(), self.right.clone()]
             .into_iter()
             .collect()
+    }
+    fn id_entry(c: &Arc<Self>) -> Option<ById> {
+        Some(ById::Join(Arc::clone(c)))
     }
     fn of(t: &Touching) -> &Vec<Arc<Self>> {
         &t.joins
@@ -88,6 +145,9 @@ impl Indexed for FunctionOf {
         let mut rels = self.expr.relations();
         rels.insert(self.target.relation.clone());
         rels
+    }
+    fn id_entry(c: &Arc<Self>) -> Option<ById> {
+        Some(ById::FunctionOf(Arc::clone(c)))
     }
     fn of(t: &Touching) -> &Vec<Arc<Self>> {
         &t.funcofs
@@ -108,6 +168,9 @@ impl Indexed for PartialComplete {
         rels.insert(self.right.relation.clone());
         rels
     }
+    fn id_entry(c: &Arc<Self>) -> Option<ById> {
+        Some(ById::Pc(Arc::clone(c)))
+    }
     fn of(t: &Touching) -> &Vec<Arc<Self>> {
         &t.pcs
     }
@@ -122,6 +185,9 @@ impl Indexed for PartialComplete {
 impl Indexed for OrderIntegrity {
     fn touched(&self) -> BTreeSet<RelName> {
         [self.relation.clone()].into_iter().collect()
+    }
+    fn id_entry(_: &Arc<Self>) -> Option<ById> {
+        None
     }
     fn of(t: &Touching) -> &Vec<Arc<Self>> {
         &t.orders
@@ -151,11 +217,15 @@ pub struct MetaKnowledgeBase {
     /// lists (so equal lists give equal indexes). Relations no
     /// constraint mentions have no entry.
     touching: ChunkMap<RelName, Arc<Touching>>,
+    /// The join, function-of and PC constraints by id (derived from the
+    /// lists too).
+    ids: ChunkMap<ById, ()>,
 }
 
 impl fmt::Debug for MetaKnowledgeBase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The relation index is derived from the lists: not printed.
+        // The relation and id indexes are derived from the lists: not
+        // printed.
         f.debug_struct("MetaKnowledgeBase")
             .field("relations", &self.relations)
             .field("joins", &self.joins)
@@ -200,10 +270,7 @@ impl MetaKnowledgeBase {
     }
 
     fn check_constraint_id(&self, id: &str) -> Result<(), MisdError> {
-        let used = self.joins.iter().any(|j| j.id == id)
-            || self.funcofs.iter().any(|f| f.id == id)
-            || self.pcs.iter().any(|p| p.id == id);
-        if used {
+        if self.ids.contains_key(id) {
             Err(MisdError::DuplicateConstraintId(id.to_string()))
         } else {
             Ok(())
@@ -287,10 +354,13 @@ impl MetaKnowledgeBase {
         Ok(())
     }
 
-    /// Append a validated constraint to its list and to the index entry
-    /// of every relation it mentions.
+    /// Append a validated constraint to its list, to the index entry of
+    /// every relation it mentions and to the id index.
     fn push<T: Indexed>(&mut self, c: T) {
         let c = Arc::new(c);
+        if let Some(entry) = T::id_entry(&c) {
+            self.ids.insert(entry, ());
+        }
         for rel in c.touched() {
             self.index_append(&rel, &c);
         }
@@ -371,7 +441,10 @@ impl MetaKnowledgeBase {
 
     /// A join constraint by id.
     pub fn join_by_id(&self, id: &str) -> Option<&JoinConstraint> {
-        self.joins.iter().map(Arc::as_ref).find(|j| j.id == id)
+        match self.by_id(id)? {
+            ById::Join(j) => Some(j),
+            _ => None,
+        }
     }
 
     /// All function-of constraints.
@@ -382,6 +455,15 @@ impl MetaKnowledgeBase {
     /// The function-of list itself (see [`MetaKnowledgeBase::joins_arc`]).
     pub fn function_ofs_arc(&self) -> &SharedList<FunctionOf> {
         &self.funcofs
+    }
+
+    /// Function-of constraints touching `rel` (as target or source
+    /// relation), in declaration order.
+    pub fn function_ofs_of<'a>(&'a self, rel: &RelName) -> impl Iterator<Item = &'a FunctionOf> {
+        self.touching
+            .get(rel)
+            .into_iter()
+            .flat_map(|t| t.funcofs.iter().map(Arc::as_ref))
     }
 
     /// Function-of constraints *defining* the given attribute — the
@@ -395,7 +477,10 @@ impl MetaKnowledgeBase {
 
     /// A function-of constraint by id.
     pub fn funcof_by_id(&self, id: &str) -> Option<&FunctionOf> {
-        self.funcofs.iter().map(Arc::as_ref).find(|f| f.id == id)
+        match self.by_id(id)? {
+            ById::FunctionOf(f) => Some(f),
+            _ => None,
+        }
     }
 
     /// All partial/complete constraints.
@@ -441,11 +526,21 @@ impl MetaKnowledgeBase {
         self.touching.get(rel)
     }
 
+    /// The join, function-of or PC constraint with this id.
+    pub(crate) fn by_id(&self, id: &str) -> Option<&ById> {
+        match self.ids.lower_bound_by(|c| c.id() < id) {
+            (_, Some((c, ()))) if c.id() == id => Some(c),
+            _ => None,
+        }
+    }
+
     /// Apply edits of one constraint kind, given in declaration order,
     /// to its list and to the index. A replacement mentions the same
     /// relations as the constraint it replaces, except after a rename of
     /// a relation to a fresh name, which the index appends in order.
-    /// Without edits the list keeps its `Arc`.
+    /// A replacement keeps its constraint's id and takes its place in the
+    /// id index; a dropped constraint leaves it. Without edits the list
+    /// keeps its `Arc`.
     pub(crate) fn apply_edits<T: Indexed>(&mut self, edits: &[EditOf<T>]) {
         if edits.is_empty() {
             return;
@@ -465,6 +560,14 @@ impl MetaKnowledgeBase {
         );
         *list = Arc::new(out);
         for (old, new) in edits {
+            if let Some(entry) = T::id_entry(old) {
+                self.ids.remove(entry.id());
+                if let Some(n) = new {
+                    let replacement = T::id_entry(n).expect("a replacement is of the same kind");
+                    debug_assert!(replacement == entry, "a replacement keeps its id");
+                    self.ids.insert(replacement, ());
+                }
+            }
             let before = old.touched();
             let after = new.as_ref().map(|n| n.touched()).unwrap_or_default();
             for rel in &before {

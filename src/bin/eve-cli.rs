@@ -24,7 +24,7 @@
 //! chain. `history` applies the changes and renders the whole chain —
 //! one line per version with the change that produced it and the delta
 //! summary of what the incremental index maintenance did (constraints
-//! dropped, maps shared vs rebuilt).
+//! dropped, maps shared vs patched).
 //!
 //! `--trace` prints the per-phase timing tree (apply → per-view sync →
 //! index build → tree enumeration → ranking) and a metrics summary after

@@ -420,6 +420,38 @@ fn bad_change_rejected() {
     assert!(stderr.contains("--change"), "{stderr}");
 }
 
+/// Two views named `V` are rejected before any change runs, with the
+/// message runtime registration gives, instead of both being
+/// synchronized and listed.
+#[test]
+fn sync_rejects_duplicate_view_names() {
+    let dir = std::env::temp_dir().join(format!("eve-cli-dup-views-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let views = dir.join("views.esql");
+    std::fs::write(
+        &views,
+        "CREATE VIEW V AS SELECT C.Name, C.Age FROM Customer C;\n\
+         CREATE VIEW V AS SELECT T.TourID, T.TourName FROM Tour T;\n",
+    )
+    .expect("write views");
+    let (ok, stdout, stderr) = cli(&[
+        "sync",
+        "--mkb",
+        "fixtures/travel.misd",
+        "--views",
+        views.to_str().expect("utf-8 temp path"),
+        "--change",
+        "delete-relation Customer",
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!ok);
+    assert!(
+        stderr.contains("error: view V: view name already registered: V"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "nothing is synchronized: {stdout}");
+}
+
 #[test]
 fn missing_file_rejected() {
     let (ok, _, stderr) = cli(&["mkb", "no-such-file.misd"]);

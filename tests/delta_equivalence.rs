@@ -62,14 +62,21 @@ fn sized_config(n_relations: std::ops::Range<usize>) -> impl Strategy<Value = Sy
             (3usize..7, 0usize..3).prop_map(|(size, extra)| Topology::Clusters { size, extra }),
         ],
         1usize..4,
+        // Covers on the target only, or on about half of all relations,
+        // so streams delete and rename cover sources, targets and PC
+        // sides all over the MKB.
+        prop_oneof![Just(0.0), Just(0.5)],
     )
-        .prop_map(|(n_relations, topology, cover_count)| SynthConfig {
-            n_relations,
-            topology,
-            cover_count,
-            view_relations: 3,
-            ..SynthConfig::default()
-        })
+        .prop_map(
+            |(n_relations, topology, cover_count, global_cover_prob)| SynthConfig {
+                n_relations,
+                topology,
+                cover_count,
+                view_relations: 3,
+                global_cover_prob,
+                ..SynthConfig::default()
+            },
+        )
 }
 
 /// After every prefix of a random change stream, both index maintenance
