@@ -23,6 +23,9 @@ use std::collections::BTreeSet;
 /// Output columns are named `view.<interface-name>` so that extents of
 /// differently-shaped rewritings stay positionally comparable through
 /// their shared interface names.
+///
+/// A FROM relation that `db` lacks, or a WHERE condition over a relation
+/// that FROM does not list, is a [`RelationalError::UnknownRelation`].
 pub fn evaluate_view(
     view: &ViewDefinition,
     db: &Database,
@@ -50,14 +53,19 @@ pub fn evaluate_view(
             acc = Some(select(&a, &Conjunction::new(ready), funcs)?);
         }
     }
+    // A condition left over names a relation the FROM clause never
+    // joined: report it rather than drop the condition.
+    if let Some(rel) = remaining
+        .iter()
+        .flat_map(|c| c.relations())
+        .find(|r| !joined.contains(r))
+    {
+        return Err(RelationalError::UnknownRelation(rel));
+    }
     let acc = match acc {
         Some(a) => a,
         None => Relation::new(eve_relational::Schema::new()),
     };
-    debug_assert!(
-        remaining.is_empty(),
-        "conditions referencing unknown relations"
-    );
 
     let names = view.interface_names();
     let columns: Vec<(AttrRef, _)> = view
@@ -146,6 +154,16 @@ mod tests {
     fn missing_relation_errors() {
         let v = parse_view("CREATE VIEW V AS SELECT T.x FROM T").unwrap();
         assert!(evaluate_view(&v, &db(), &FuncRegistry::new()).is_err());
+    }
+
+    #[test]
+    fn condition_outside_from_errors() {
+        let v =
+            parse_view("CREATE VIEW V AS SELECT C.Name FROM Customer C WHERE (S.b = 1)").unwrap();
+        assert_eq!(
+            evaluate_view(&v, &db(), &FuncRegistry::new()),
+            Err(RelationalError::UnknownRelation(RelName::new("S")))
+        );
     }
 
     #[test]

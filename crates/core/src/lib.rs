@@ -55,16 +55,13 @@
 //!
 //! Beyond the paper (see DESIGN.md, extensions): [`cost`] ranks legal
 //! rewritings for *maximal view preservation* (§7 future work),
-//! [`materialize`]/[`maintain`]/[`adapt`] close the data loop
-//! (materialization, counting-based incremental maintenance, and the
-//! Gupta-style adaptation of §6's related work), [`explain`] narrates
-//! rewritings, and [`service`] is a thread-safe handle for service
-//! deployments.
+//! [`explain`] narrates rewritings, and [`service`] is a thread-safe
+//! handle for service deployments. [`eval`] evaluates a view over a
+//! concrete database state, for the empirical side of P3.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapt;
 pub mod affected;
 pub mod clock;
 pub mod cost;
@@ -78,9 +75,7 @@ pub mod extent;
 pub(crate) mod faults;
 pub mod index;
 pub mod legal;
-pub mod maintain;
 pub mod mapping;
-pub mod materialize;
 pub mod options;
 pub mod replacement;
 pub mod rewrite;
@@ -91,7 +86,6 @@ pub mod synchronizer;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use adapt::{adapt_materialization, AdaptationReport, AdaptationStrategy};
 pub use affected::{affected_views, is_affected, is_evaluable, revivable};
 pub use clock::VirtualClock;
 pub use cost::{rank_rewritings as rank_by_cost, CostBreakdown, CostModel};
@@ -104,9 +98,7 @@ pub use explain::{explain_rewriting, explain_rewriting_with_stats};
 pub use extent::{empirical_extent, infer_extent_indexed, satisfies_extent_param, ExtentVerdict};
 pub use index::{CacheStats, MemoCarry, MkbIndex};
 pub use legal::LegalRewriting;
-pub use maintain::{CountedView, Delta, DeltaError};
 pub use mapping::{compute_r_mapping, r_mapping_with_index, RMapping};
-pub use materialize::{MaterializedView, RefreshDelta};
 pub use options::{CvsOptions, FailurePolicy, ImplicationMode, IndexMaintenance};
 pub use replacement::{compute_replacements_indexed, CoverChoice, Replacement};
 pub use rewrite::{

@@ -212,7 +212,8 @@ const DUPLICATE_FREE: &str = "two connection trees of one cover combination gave
 pub const MAX_COVER_COMBINATIONS: usize = 32;
 
 /// Connection-tree variants (alternative parallel join constraints)
-/// considered per cover combination.
+/// considered per cover combination. Unlike [`MAX_COVER_COMBINATIONS`],
+/// this cut is not reported: the trees past it are dropped silently.
 const MAX_TREES_PER_COMBINATION: usize = 4;
 
 /// Lazy generator over the (cover combination × connection tree) choice

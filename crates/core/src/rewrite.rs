@@ -330,8 +330,8 @@ pub fn cvs_delete_relation_indexed(
 }
 
 /// Counters describing one view's rewriting search, threaded into
-/// [`crate::synchronizer::ViewOutcome`] so truncation is reported, never
-/// silent.
+/// [`crate::synchronizer::ViewOutcome`] so that a budget cut is
+/// reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Candidates expanded through assembly (Steps 4–6).
@@ -349,8 +349,10 @@ pub struct SearchStats {
     pub disconnected_combos: usize,
     /// Did [`CvsOptions::deadline`] or the cap of
     /// [`crate::replacement::MAX_COVER_COMBINATIONS`] cover combinations
-    /// per view cut the search short? When `false` the result is the
-    /// exhaustive ranking.
+    /// per view cut the search short? When `false` neither fired, but
+    /// the result can still miss candidates: the per-combination tree
+    /// cap, the path-length cap and the greedy trees for three or more
+    /// terminals cut without setting this flag.
     pub budget_exhausted: bool,
 }
 

@@ -127,7 +127,9 @@ pub enum ViewOutcome {
         alternatives: Vec<LegalRewriting>,
         /// How the rewriting search went (candidates generated and kept,
         /// and whether the search deadline or the cover-combination cap
-        /// cut it short) — truncation is reported, never silent.
+        /// cut it short). The tree cap, the path cap and the greedy
+        /// trees for three or more terminals cut without a report (see
+        /// DESIGN.md).
         stats: SearchStats,
     },
     /// No legal rewriting exists; the view is removed from the active

@@ -50,6 +50,24 @@ mod tests {
     }
 
     #[test]
+    fn end_of_input_errors_point_past_the_last_token() {
+        use crate::parser::{parse_views, Cursor};
+        let at = |e: crate::ParseError| (e.line, e.col);
+        let err = parse_views("CREATE VIEW V AS SELECT R.a\nFROM").unwrap_err();
+        assert!(err.message.contains("end of input"), "{err}");
+        assert_eq!(at(err), (2, 5));
+        // Trailing blanks and comments are not tokens.
+        let err = parse_view("CREATE VIEW V AS SELECT R.a FROM  -- done\n").unwrap_err();
+        assert_eq!(at(err), (1, 33));
+        let mut cur = Cursor::new("delete-relation").unwrap();
+        assert!(cur.eat_kw("delete-relation"));
+        assert_eq!(at(cur.expect_ident().unwrap_err()), (1, 16));
+        // Empty input has no last token.
+        assert_eq!(at(parse_view("").unwrap_err()), (1, 1));
+        assert_eq!(at(parse_view("  \n ").unwrap_err()), (1, 1));
+    }
+
+    #[test]
     fn lexer_error_positions() {
         let err = parse_view("CREATE VIEW V AS SELECT R.a FROM R WHERE R.a = @").unwrap_err();
         assert_eq!(err.line, 1);

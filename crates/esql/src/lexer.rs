@@ -109,11 +109,19 @@ pub struct Spanned {
 ///
 /// Comments: `--` to end of line (SQL style).
 pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
+    lex(input).map(|(toks, _)| toks)
+}
+
+/// [`tokenize`], plus the 1-based (line, column) just past the last
+/// token, `(1, 1)` when there is none: where an end-of-input error
+/// points.
+pub(crate) fn lex(input: &str) -> Result<(Vec<Spanned>, (usize, usize)), ParseError> {
     let mut out = Vec::new();
     let chars: Vec<char> = input.chars().collect();
     let mut i = 0;
     let mut line = 1;
     let mut col = 1;
+    let mut end = (1, 1);
 
     macro_rules! push {
         ($tok:expr, $l:expr, $c:expr) => {
@@ -128,6 +136,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
     while i < chars.len() {
         let c = chars[i];
         let (l0, c0) = (line, col);
+        let before = out.len();
         match c {
             '\n' => {
                 line += 1;
@@ -323,8 +332,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                 ));
             }
         }
+        if out.len() > before {
+            end = (line, col);
+        }
     }
-    Ok(out)
+    Ok((out, end))
 }
 
 #[cfg(test)]

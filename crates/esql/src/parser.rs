@@ -11,7 +11,7 @@
 
 use crate::ast::{CondItem, EvolutionParams, FromItem, SelectItem, ViewDefinition, ViewExtent};
 use crate::error::ParseError;
-use crate::lexer::{tokenize, Spanned, Tok};
+use crate::lexer::{lex, Spanned, Tok};
 use eve_relational::expr::ArithOp;
 use eve_relational::{
     AttrName, AttrRef, Clause, CompareOp, Conjunction, RelName, ScalarExpr, Value,
@@ -22,15 +22,15 @@ use eve_relational::{
 pub struct Cursor {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Just past the last token: where an error at end of input points.
+    end: (usize, usize),
 }
 
 impl Cursor {
     /// Tokenise input and position at the first token.
     pub fn new(input: &str) -> Result<Self, ParseError> {
-        Ok(Cursor {
-            toks: tokenize(input)?,
-            pos: 0,
-        })
+        let (toks, end) = lex(input)?;
+        Ok(Cursor { toks, pos: 0, end })
     }
 
     /// Current position (for backtracking).
@@ -68,15 +68,14 @@ impl Cursor {
         self.pos >= self.toks.len()
     }
 
-    /// Build an error at the current position.
+    /// Build an error at the current token, or just past the last token
+    /// at end of input.
     pub fn err(&self, msg: impl Into<String>) -> ParseError {
-        match self
-            .toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-        {
-            Some(s) if !self.toks.is_empty() => ParseError::new(msg, s.line, s.col),
-            _ => ParseError::new(msg, 1, 1),
-        }
+        let (line, col) = match self.toks.get(self.pos) {
+            Some(s) => (s.line, s.col),
+            None => self.end,
+        };
+        ParseError::new(msg, line, col)
     }
 
     /// Consume the expected exact token or error.

@@ -47,8 +47,9 @@ use std::sync::Arc;
 /// Length cap (in edges) for the exhaustive two-terminal path search.
 /// Paths longer than this are only reachable through the shortest-path
 /// fallback, which keeps the best-first frontier from exploding on
-/// dense graphs. Also bounds the inline arrays of [`IdPartial`]: a
-/// partial path never exceeds `PATH_CAP` edges, so no spill is needed.
+/// dense graphs. The cut is not reported to the caller. Also bounds the
+/// inline arrays of [`IdPartial`]: a partial path never exceeds
+/// `PATH_CAP` edges, so no spill is needed.
 const PATH_CAP: usize = 8;
 
 /// A tree of join constraints spanning a set of relations.

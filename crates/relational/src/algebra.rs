@@ -15,7 +15,7 @@ use crate::pred::Conjunction;
 use crate::relation::Relation;
 use crate::schema::{AttrRef, Schema};
 use crate::tuple::Tuple;
-use crate::types::{DataType, Value};
+use crate::types::DataType;
 
 /// Selection `σ_cond(input)`.
 pub fn select(
@@ -98,46 +98,12 @@ pub fn theta_join(
     Ok(out)
 }
 
-/// Evaluate a left-deep join chain `r_0 ⋈_{c_1} r_1 ⋈_{c_2} …` where each
-/// `c_i` may reference any column that has appeared so far. This mirrors
-/// the join-relation form of the paper's Eq. (6)/(7):
-/// `R_{v_1} ⋈_{C_{R_{v_1},R_{v_2}}} … ⋈ R_{v_l}`.
-pub fn join_chain(
-    relations: &[&Relation],
-    conds: &[Conjunction],
-    funcs: &FuncRegistry,
-) -> Result<Relation, RelationalError> {
-    assert!(
-        !relations.is_empty(),
-        "join_chain requires at least one relation"
-    );
-    assert_eq!(
-        conds.len(),
-        relations.len().saturating_sub(1),
-        "join_chain needs one condition per join step"
-    );
-    let mut acc = relations[0].clone();
-    for (r, c) in relations[1..].iter().zip(conds) {
-        acc = theta_join(&acc, r, c, funcs)?;
-    }
-    Ok(acc)
-}
-
-/// Convenience: a single projected value column for tests.
-pub fn singleton(attr: AttrRef, ty: DataType, values: impl IntoIterator<Item = Value>) -> Relation {
-    let schema = Schema::from_columns(vec![(attr, ty)]).expect("one column cannot collide");
-    let mut r = Relation::new(schema);
-    for v in values {
-        r.insert(Tuple::new(vec![v])).expect("arity 1");
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pred::{Clause, CompareOp};
     use crate::schema::{AttributeDef, RelName};
+    use crate::types::Value;
 
     fn rel(name: &str, attrs: &[(&str, DataType)], rows: Vec<Vec<Value>>) -> Relation {
         let schema = Schema::of_relation(
@@ -245,32 +211,6 @@ mod tests {
         let funcs = FuncRegistry::new();
         let out = theta_join(&customer(), &flightres(), &Conjunction::empty(), &funcs).unwrap();
         assert_eq!(out.len(), 9);
-    }
-
-    #[test]
-    fn join_chain_three_way() {
-        let funcs = FuncRegistry::new();
-        let third = rel(
-            "Accident-Ins",
-            &[("Holder", DataType::Str)],
-            vec![vec![Value::str("ann")], vec![Value::str("eve")]],
-        );
-        let out = join_chain(
-            &[&customer(), &flightres(), &third],
-            &[
-                Conjunction::new(vec![Clause::eq_attrs(
-                    AttrRef::new("Customer", "Name"),
-                    AttrRef::new("FlightRes", "PName"),
-                )]),
-                Conjunction::new(vec![Clause::eq_attrs(
-                    AttrRef::new("FlightRes", "PName"),
-                    AttrRef::new("Accident-Ins", "Holder"),
-                )]),
-            ],
-            &funcs,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1); // only ann survives both joins
     }
 
     #[test]

@@ -76,18 +76,6 @@ impl CompareOp {
         }
     }
 
-    /// Logical negation (`¬(a < b) ⇔ a >= b`).
-    pub fn negated(self) -> CompareOp {
-        match self {
-            CompareOp::Eq => CompareOp::Ne,
-            CompareOp::Ne => CompareOp::Eq,
-            CompareOp::Lt => CompareOp::Ge,
-            CompareOp::Le => CompareOp::Gt,
-            CompareOp::Gt => CompareOp::Le,
-            CompareOp::Ge => CompareOp::Lt,
-        }
-    }
-
     /// Apply to an ordering produced by [`Value::sql_cmp`].
     pub fn test(self, ord: Ordering) -> bool {
         match self {

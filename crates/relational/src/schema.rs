@@ -203,11 +203,6 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Ordered columns.
-    pub fn columns(&self) -> &[(AttrRef, DataType)] {
-        &self.columns
-    }
-
     /// Position of an attribute, if present.
     pub fn index_of(&self, attr: &AttrRef) -> Option<usize> {
         self.columns.iter().position(|(c, _)| c == attr)

@@ -36,17 +36,6 @@ impl Tuple {
         v.extend_from_slice(&other.0);
         Tuple(v)
     }
-
-    /// Project onto the given positions. Positions out of range become
-    /// `Null` (cannot happen for positions produced by a schema lookup).
-    pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple(
-            positions
-                .iter()
-                .map(|&i| self.0.get(i).cloned().unwrap_or(Value::Null))
-                .collect(),
-        )
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -73,13 +62,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn concat_and_project() {
+    fn concat() {
         let a = Tuple::new(vec![Value::Int(1), Value::str("x")]);
         let b = Tuple::new(vec![Value::Bool(true)]);
         let c = a.concat(&b);
         assert_eq!(c.arity(), 3);
-        let p = c.project(&[2, 0]);
-        assert_eq!(p.values(), &[Value::Bool(true), Value::Int(1)]);
+        assert_eq!(
+            c.values(),
+            &[Value::Int(1), Value::str("x"), Value::Bool(true)]
+        );
     }
 
     #[test]

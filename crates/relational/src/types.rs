@@ -181,11 +181,6 @@ impl Value {
         }
     }
 
-    /// True iff this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Numeric view of the value (`Int`, `Float` and `Date` coerce to
     /// `f64`); `None` for everything else.
     pub fn as_f64(&self) -> Option<f64> {
