@@ -76,7 +76,6 @@ fn maintain_ab(iters: usize) -> (u128, u128) {
                 &states[i + 1],
                 &core,
                 &next,
-                None,
             ));
             core = next;
         }

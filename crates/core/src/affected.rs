@@ -8,7 +8,6 @@
 //! inspection is exact: a view evaluates in the new information space iff
 //! every relation/attribute it references still exists.
 
-use crate::index::MkbIndex;
 use eve_esql::ViewDefinition;
 use eve_misd::{CapabilityChange, MetaKnowledgeBase};
 
@@ -38,23 +37,6 @@ pub fn is_affected(view: &ViewDefinition, change: &CapabilityChange) -> bool {
 pub fn is_evaluable(view: &ViewDefinition, mkb: &MetaKnowledgeBase) -> bool {
     view.relations().iter().all(|r| mkb.contains_relation(r))
         && view.referenced_attrs().iter().all(|a| mkb.has_attr(a))
-}
-
-/// Would this (previously disabled) view evaluate against the evolved
-/// MKB' of `index`? Used by the synchronizer's revival pass after
-/// `add-relation` / `add-attribute` changes restore referenced elements.
-pub fn revivable(view: &ViewDefinition, index: &MkbIndex<'_>) -> bool {
-    is_evaluable(view, index.mkb_prime())
-}
-
-/// Indices of the affected views among `views`.
-pub fn affected_views(views: &[ViewDefinition], change: &CapabilityChange) -> Vec<usize> {
-    views
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| is_affected(v, change))
-        .map(|(i, _)| i)
-        .collect()
 }
 
 #[cfg(test)]
@@ -132,16 +114,5 @@ mod tests {
                 to: AttrName::new("FullName"),
             }
         ));
-    }
-
-    #[test]
-    fn affected_views_filters() {
-        let v1 = view();
-        let v2 = parse_view("CREATE VIEW W AS SELECT T.TourName FROM Tour T").unwrap();
-        let hits = affected_views(
-            &[v1, v2],
-            &CapabilityChange::DeleteRelation(RelName::new("Customer")),
-        );
-        assert_eq!(hits, vec![0]);
     }
 }

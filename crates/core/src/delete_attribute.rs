@@ -36,8 +36,8 @@ use std::sync::Arc;
 /// [`MkbIndex`], returning the legal rewritings ordered best-first.
 ///
 /// Covers, the capability-filtered `H'(MKB')`, and PC buckets all come
-/// from the index; the cover-to-view connection chain goes through the
-/// index's memoized [`MkbIndex::connect_tree`].
+/// from the index; the cover-to-view connection chain is a greedy
+/// [`eve_hypergraph::Hypergraph::connect_tree`] over the index's `H'`.
 pub fn synchronize_delete_attribute_indexed(
     view: &ViewDefinition,
     attr: &AttrRef,
@@ -227,6 +227,7 @@ fn assemble_with_cover(
         let mut terminals: BTreeSet<RelName> = [attr.relation.clone()].into_iter().collect();
         terminals.insert(cover.source.clone());
         let tree = index
+            .h_prime()
             .connect_tree(&terminals, opts.max_path_edges)
             .ok_or(CvsError::Disconnected)?;
         for rel in &tree.relations {

@@ -1,27 +1,29 @@
 //! Delta maintenance of the MKB-derived index state.
 //!
-//! [`IndexCore`] is every derived structure of **one** MKB version —
-//! the full hypergraph `H`, its connected components, the
-//! capability-filtered join graph, the attribute→cover map and the
-//! relation-pair→PC buckets — held behind [`Arc`]s and persistent
-//! [`ChunkMap`]s so consecutive versions structurally share everything
-//! a change did not touch.
+//! [`IndexCore`] is every derived structure of **one** MKB version that
+//! a change reads — the full hypergraph `H`, the capability-filtered
+//! join graph, the attribute→cover map and the relation-pair→PC
+//! buckets — held behind [`Arc`]s and persistent [`ChunkMap`]s so
+//! consecutive versions structurally share everything a change did not
+//! touch. Connected components are not kept: the one component CVS
+//! searches, `H_R`, is extracted on demand by
+//! [`crate::MkbIndex::component_of`].
 //!
 //! [`MkbDelta`] is one capability change typed per operator:
 //! the change projected onto each hypergraph as a
 //! [`GraphDelta`], plus the new cover lists and PC buckets of the keys
 //! whose constraints the change edited, read from the evolved MKB's
 //! relation index. Applying it to an `IndexCore`
-//! ([`IndexCore::apply_delta`]) costs what the change touched — the
-//! touched component is extracted afresh, each touched map key copies
-//! one chunk of its map, and every other component, chunk and map is
-//! shared — instead of the `O(MKB)` from-scratch rebuild. Rebuild
+//! ([`IndexCore::apply_delta`]) costs what the change touched — each
+//! graph is patched only when the change reaches it, each touched map
+//! key copies one chunk of its map, and every other graph, chunk and map
+//! is shared — instead of the `O(MKB)` from-scratch rebuild. Rebuild
 //! equivalence is the contract: the delta-maintained core is
 //! indistinguishable from [`IndexCore::build`] over the evolved MKB
 //! (enforced by the property suite in `tests/delta_equivalence.rs`).
 
 use crate::replacement::CoverChoice;
-use eve_hypergraph::{GraphDelta, Hypergraph, RelId};
+use eve_hypergraph::{GraphDelta, Hypergraph};
 use eve_misd::{CapabilityChange, ChunkMap, FunctionOf, MetaKnowledgeBase, PartialComplete};
 use eve_relational::{AttrRef, RelName};
 use std::collections::BTreeSet;
@@ -200,8 +202,6 @@ pub struct IndexCore {
     /// capabilities are respected). Aliases `h` when every relation is
     /// join-capable.
     pub(crate) h_join: Arc<Hypergraph>,
-    /// Connected components of `h`, indexed by component number.
-    pub(crate) components: Arc<Vec<Arc<Hypergraph>>>,
     /// Function-of covers grouped by the attribute they re-derive.
     pub(crate) covers: Covers,
     /// Partial/complete constraints bucketed by unordered relation pair.
@@ -217,19 +217,12 @@ impl IndexCore {
         } else {
             Arc::new(Hypergraph::build_filtered(mkb, |d| d.capabilities.join))
         };
-        let components = Arc::new(h.components().into_iter().map(Arc::new).collect::<Vec<_>>());
         IndexCore {
             h,
             h_join,
-            components,
             covers: build_covers(mkb),
             pcs: build_pcs(mkb),
         }
-    }
-
-    /// The join-capability-filtered hypergraph of this version.
-    pub fn join_graph(&self) -> &Hypergraph {
-        &self.h_join
     }
 
     /// Apply one typed change, producing the next version's core.
@@ -253,125 +246,11 @@ impl IndexCore {
                 d => Arc::new(self.h_join.apply_delta(d)),
             }
         };
-        let components = self.patch_components(&h2, &delta.graph);
         IndexCore {
             h: h2,
             h_join: h_join2,
-            components,
             covers: patched(&self.covers, &delta.covers),
             pcs: patched(&self.pcs, &delta.pcs),
-        }
-    }
-
-    /// Recompute the component list over the patched graph, extracting
-    /// only the components the delta touched (a walk over the new
-    /// graph's CSR from their smallest member) and `Arc`-sharing the
-    /// rest.
-    ///
-    /// A capability change never adds a join edge, so every new
-    /// component is a verbatim old component (shared), a piece of a
-    /// touched one (rebuilt), or the singleton of an added vertex
-    /// (spliced in). A new component is matched to its old one through
-    /// its smallest member, whose old id the delta's id shift gives:
-    /// split pieces stay inside the old touched component, so one member
-    /// speaks for all.
-    fn patch_components(
-        &self,
-        new_h: &Hypergraph,
-        delta: &GraphDelta,
-    ) -> Arc<Vec<Arc<Hypergraph>>> {
-        let old_h = &self.h;
-        let unchanged = || Arc::clone(&self.components);
-        // The old components to rebuild, and how new ids map to old ones.
-        let (touched, shift) = match delta {
-            GraphDelta::None => return unchanged(),
-            GraphDelta::AddVertex(name) => {
-                let id = match new_h.rel_id(name) {
-                    Some(id) if !new_h.shares_interner(old_h) => id,
-                    // Already a vertex: the graph is unchanged.
-                    _ => return unchanged(),
-                };
-                // Components ascend by smallest member, and the new
-                // singleton's is `id`: it goes before every old component
-                // whose smallest member came after it.
-                let at = new_h.component_index(id) as usize;
-                let mut out = Vec::with_capacity(self.components.len() + 1);
-                out.extend_from_slice(&self.components[..at]);
-                out.push(Arc::new(new_h.component_containing(id)));
-                out.extend_from_slice(&self.components[at..]);
-                return Arc::new(out);
-            }
-            GraphDelta::RemoveVertex(name) => {
-                let Some(gone) = old_h.rel_id(name) else {
-                    return unchanged();
-                };
-                (vec![old_h.component_index(gone)], Shift::Removed(gone))
-            }
-            GraphDelta::RenameVertex { from, to } => {
-                let (Some(old), Some(new)) = (old_h.rel_id(from), new_h.rel_id(to)) else {
-                    return unchanged();
-                };
-                (
-                    vec![old_h.component_index(old)],
-                    Shift::Renamed { old, new },
-                )
-            }
-            GraphDelta::RemoveAttrEdges(attr) | GraphDelta::RenameAttr { from: attr, .. } => {
-                let mut comps: Vec<u32> = old_h
-                    .edges_mentioning_attr(attr)
-                    .into_iter()
-                    .map(|e| old_h.component_index(old_h.join_endpoints(e).0))
-                    .collect();
-                if comps.is_empty() {
-                    return unchanged();
-                }
-                comps.sort_unstable();
-                comps.dedup();
-                (comps, Shift::Same)
-            }
-        };
-        let mut out: Vec<Arc<Hypergraph>> = Vec::with_capacity(new_h.component_count());
-        // Canonical numbering = first occurrence over ascending vertex
-        // id, so the first member seen of each component is its smallest.
-        for v in 0..new_h.rel_count() as RelId {
-            let c = new_h.component_index(v) as usize;
-            if c < out.len() {
-                continue;
-            }
-            debug_assert_eq!(c, out.len(), "component numbering is first-occurrence");
-            let old_c = old_h.component_index(shift.old_id(v));
-            if touched.contains(&old_c) {
-                out.push(Arc::new(new_h.component_containing(v)));
-            } else {
-                out.push(Arc::clone(&self.components[old_c as usize]));
-            }
-        }
-        Arc::new(out)
-    }
-}
-
-/// How a vertex-level graph delta moved the ids of the vertices it kept.
-#[derive(Clone, Copy)]
-enum Shift {
-    /// Ids unchanged.
-    Same,
-    /// The vertex with this old id was removed.
-    Removed(RelId),
-    /// The vertex with old id `old` was renamed and now has id `new`.
-    Renamed { old: RelId, new: RelId },
-}
-
-impl Shift {
-    /// The old id of the vertex with new id `v`.
-    fn old_id(self, v: RelId) -> RelId {
-        match self {
-            Shift::Same => v,
-            Shift::Removed(gone) => v + RelId::from(v >= gone),
-            Shift::Renamed { old, new } if v == new => old,
-            Shift::Renamed { old, new } => {
-                let mid = v - RelId::from(v > new);
-                mid + RelId::from(mid >= old)
-            }
         }
     }
 }
@@ -600,22 +479,14 @@ mod tests {
             rebuilt.h_join.as_ref(),
             "{change}: join graph diverged"
         );
-        assert_eq!(
-            core.components.len(),
-            rebuilt.components.len(),
-            "{change}: component count diverged"
-        );
-        for (a, b) in core.components.iter().zip(rebuilt.components.iter()) {
-            assert_eq!(a.as_ref(), b.as_ref(), "{change}: component diverged");
-        }
         assert_eq!(core.covers, rebuilt.covers, "{change}: covers diverged");
         assert_eq!(core.pcs, rebuilt.pcs, "{change}: pcs diverged");
         (mkb_prime, core)
     }
 
     /// Random vertex-level and join-attribute changes on random sparse
-    /// graphs, so ids shift across many components: the patched
-    /// component list must equal the rebuilt one after every change.
+    /// graphs, so ids shift across many components: the patched graphs
+    /// must equal the rebuilt ones after every change.
     #[test]
     fn random_vertex_changes_match_rebuild() {
         use eve_misd::{JoinConstraint, RelationDescription};
@@ -889,12 +760,12 @@ mod tests {
         assert!(delta.covers.is_empty() && delta.pcs.is_empty());
         let next = core.apply_delta(&delta);
         assert!(Arc::ptr_eq(&core.h, &next.h));
-        assert!(Arc::ptr_eq(&core.components, &next.components));
+        assert!(Arc::ptr_eq(&core.h_join, &next.h_join));
         assert!(ChunkMap::ptr_eq(&core.covers, &next.covers));
         assert!(ChunkMap::ptr_eq(&core.pcs, &next.pcs));
 
-        // add-relation splices the new singleton in and shares every
-        // old component.
+        // add-relation adds a vertex and edits no constraint: the graph
+        // is patched, both constraint maps are shared.
         let change = CapabilityChange::AddRelation(eve_misd::RelationDescription::new(
             "IS9",
             "Aaa",
@@ -905,27 +776,9 @@ mod tests {
         ));
         let mkb_prime = evolve(&mkb, &change).unwrap();
         let next = core.apply_delta(&MkbDelta::compute(&mkb, &mkb_prime, &change));
-        assert_eq!(next.components.len(), core.components.len() + 1);
-        assert!(next.components[0].contains(&RelName::new("Aaa")));
-        for (old, new) in core.components.iter().zip(&next.components[1..]) {
-            assert!(Arc::ptr_eq(old, new), "an old component was rebuilt");
-        }
-
-        // delete-relation rebuilds only the touched component.
-        let change = CapabilityChange::DeleteRelation(RelName::new("Customer"));
-        let mkb_prime = evolve(&mkb, &change).unwrap();
-        let delta = MkbDelta::compute(&mkb, &mkb_prime, &change);
-        let next = core.apply_delta(&delta);
-        let untouched_old: Vec<_> = core
-            .components
-            .iter()
-            .filter(|c| !c.contains(&RelName::new("Customer")))
-            .collect();
-        for old in untouched_old {
-            assert!(
-                next.components.iter().any(|n| Arc::ptr_eq(n, old)),
-                "untouched component must be Arc-shared"
-            );
-        }
+        assert!(next.h.contains(&RelName::new("Aaa")));
+        assert_eq!(next.h.component_count(), core.h.component_count() + 1);
+        assert!(ChunkMap::ptr_eq(&core.covers, &next.covers));
+        assert!(ChunkMap::ptr_eq(&core.pcs, &next.pcs));
     }
 }

@@ -19,12 +19,17 @@
 //! and persistent maps, and is normally assembled by
 //! [`MkbIndex::from_cores`] from two [`IndexCore`]s (the pre- and
 //! post-change derived state), where the post core was produced by
-//! [`IndexCore::apply_delta`] — a patch that extracts only the touched
-//! components afresh, rewrites only the cover-map and PC-bucket keys
-//! whose constraints the change edited, and shares everything else.
-//! [`MkbIndex::new`] remains the from-scratch constructor
-//! (one-shot/what-if uses, and the rebuild oracle the equivalence
-//! property suite compares against).
+//! [`IndexCore::apply_delta`] — a patch that rewrites only the graphs
+//! and the cover-map and PC-bucket keys the change touched, and shares
+//! everything else. [`MkbIndex::new`] remains the from-scratch
+//! constructor (one-shot/what-if uses, and the rebuild oracle the
+//! equivalence property suite compares against).
+//!
+//! CVS only ever searches one connected component of `H(MKB)`: `H_R`,
+//! the one holding the deleted relation (Step 1, Def. 2). No core keeps
+//! a component list; [`MkbIndex::component_of`] extracts `H_R` from
+//! `H(MKB)` the first time a view asks, and every later view of the
+//! same change shares it.
 //!
 //! The index *borrows* both MKBs (`MkbIndex<'m>`), so constructing a
 //! throwaway index never clones a knowledge base.
@@ -32,16 +37,15 @@
 //! ## Per-change enumeration cache
 //!
 //! Beyond the precomputed maps, the index carries a **memoization layer**
-//! for the expensive graph searches that R-replacement repeats across
-//! views: connection-tree enumeration over `H'(MKB')`
-//! ([`MkbIndex::enumerate_trees`]), greedy single-tree connection
-//! ([`MkbIndex::connect_tree`]), viable-cover filtering
+//! for the searches that R-replacement repeats across views:
+//! connection-tree enumeration over `H'(MKB')`
+//! ([`MkbIndex::enumerate_trees`]), viable-cover filtering
 //! ([`MkbIndex::viable_covers`]) and `Min(H_R)` survival sets
 //! ([`MkbIndex::survival_set`]). Views registered against the same
 //! information space overwhelmingly share terminal sets (they draw on the
 //! same relations), so under one `delete-relation R` the second view
 //! asking for the trees spanning `{S, T, U}` hits the memo instead of
-//! re-walking `H'`.
+//! re-walking `H'`. The tables live as long as the index, one change.
 //!
 //! The memo tables are sharded `RwLock<HashMap>`s: the hot path is a
 //! short shared-read lock per lookup, writers only contend on their own
@@ -53,14 +57,14 @@
 
 use crate::delta::{build_covers, build_pcs, pair_key, Covers, IndexCore, PcBuckets};
 use crate::replacement::CoverChoice;
-use eve_hypergraph::{ConnectionTree, GraphDelta, Hypergraph, RelId, RelSet, TreeCursor};
+use eve_hypergraph::{ConnectionTree, Hypergraph, RelId, RelSet};
 use eve_misd::{MetaKnowledgeBase, PartialComplete};
 use eve_relational::{AttrRef, RelName};
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Shard count for the memo tables. Small and fixed: the tables are
 /// per-change (short-lived) and the worker pool is small, so a handful of
@@ -91,13 +95,8 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
-        let h = self.hasher.hash_one(key) as usize;
-        &self.shards[h % MEMO_SHARDS]
-    }
-
     fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let shard = self.shard(&key);
+        let shard = &self.shards[self.hasher.hash_one(&key) as usize % MEMO_SHARDS];
         // A poisoned lock means a sibling worker panicked mid-insert; the
         // map holds only fully-inserted deterministic values, so
         // recovering the guard is safe.
@@ -113,51 +112,6 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
             .entry(key)
             .or_insert(v)
             .clone()
-    }
-
-    /// Fetch the entry for `key` without touching the hit/miss
-    /// counters, inserting `default()` on first sight. Used by the
-    /// prefix-serving tree cache, which accounts hits at the prefix
-    /// level (a present-but-too-short prefix is a miss, not a hit).
-    fn entry_uncounted(&self, key: K, default: impl FnOnce() -> V) -> V {
-        let shard = self.shard(&key);
-        if let Some(v) = shard.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            return v.clone();
-        }
-        let v = default();
-        shard
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_insert(v)
-            .clone()
-    }
-
-    fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Drop every entry whose key fails `keep`. Used when a memo table
-    /// is carried across a capability change: entries touching the
-    /// changed region are invalidated, the rest stay warm.
-    fn retain(&self, mut keep: impl FnMut(&K) -> bool) {
-        for shard in &self.shards {
-            shard
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .retain(|k, _| keep(k));
-        }
-    }
-
-    /// Zero the hit/miss counters, so a carried table reports only the
-    /// activity of the change it now serves.
-    fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -179,58 +133,13 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// Memo key for tree searches: the terminal set as an interned-id
-/// bitset over `H'(MKB')` (a 32-byte inline value for graphs of ≤ 256
-/// relations — probing the memo hashes four words instead of a
-/// `Vec<RelName>` of cloned strings), plus the hop bound that shapes
-/// the search. The *tree limit* is deliberately not part of the key:
-/// tree enumeration is a deterministic stream, so one cached prefix
-/// serves every requested limit (see [`TreePrefix`]).
-///
-/// Terminal sets containing a relation that is not a vertex of
-/// `H'(MKB')` have no interned key; every graph search over such a set
-/// deterministically yields nothing, so those calls bypass the memo and
-/// return the empty answer directly.
-type TreeKey = (RelSet, usize);
-
-/// A growable cached prefix of the deterministic connection-tree stream
-/// for one `(terminal set, hop bound)` key.
-///
-/// [`eve_hypergraph::TreeCursor`] yields trees in a fixed order, so
-/// the first `n` trees requested by one view are a prefix of the first
-/// `m ≥ n` trees requested by another — the cache stores the longest
-/// prefix seen so far and serves any shorter request by truncation,
-/// extending (by re-running the cursor, which is pure) only when a
-/// longer prefix is demanded. `exhausted` records that the stream
-/// ended, making the prefix the complete answer for every limit.
-#[derive(Debug, Default)]
-struct TreePrefix {
-    trees: Arc<Vec<ConnectionTree>>,
-    exhausted: bool,
-}
-
-impl TreePrefix {
-    /// Can this prefix answer a request for `limit` trees exactly?
-    fn serves(&self, limit: usize) -> bool {
-        self.exhausted || self.trees.len() >= limit
-    }
-
-    /// The answer for `limit` trees. Shares the stored allocation
-    /// whenever the stored prefix *is* the answer.
-    fn serve(&self, limit: usize) -> Arc<Vec<ConnectionTree>> {
-        if self.trees.len() <= limit {
-            Arc::clone(&self.trees)
-        } else {
-            Arc::new(self.trees[..limit].to_vec())
-        }
-    }
-}
-
 /// Precomputed, read-only derived state for one capability change.
 ///
 /// Built by [`MkbIndex::new`] from the pre-change MKB and the evolved
-/// MKB'. All accessors are cheap lookups; nothing is recomputed after
-/// construction.
+/// MKB', or assembled by [`MkbIndex::from_cores`] from delta-maintained
+/// cores. Accessors are lookups; the one structure computed after
+/// construction is `H_R`, extracted by the first
+/// [`MkbIndex::component_of`] call and kept for the rest of the change.
 #[derive(Debug)]
 pub struct MkbIndex<'m> {
     mkb: &'m MetaKnowledgeBase,
@@ -239,12 +148,9 @@ pub struct MkbIndex<'m> {
     /// MKB. `Arc`-shared with the [`IndexCore`] chain under delta
     /// maintenance.
     h: Arc<Hypergraph>,
-    /// Connected components of `h`, indexed by `h`'s precomputed
-    /// per-vertex component number (no name→component map needed: the
-    /// interner resolves a relation to its component in two array
-    /// lookups). Each component is individually `Arc`ed so delta
-    /// maintenance can reuse untouched ones across changes.
-    components: Arc<Vec<Arc<Hypergraph>>>,
+    /// The first component of `h` asked for (`H_R` under
+    /// `delete-relation R`), with its component number.
+    h_r: OnceLock<(u32, Arc<Hypergraph>)>,
     /// `H'(MKB')`: the post-change hypergraph, restricted to join-capable
     /// relations.
     h_prime: Arc<Hypergraph>,
@@ -259,14 +165,11 @@ pub struct MkbIndex<'m> {
     /// (not borrowed from the MKB) so the buckets can be shared across
     /// versions.
     pcs_by_pair: PcBuckets,
-    /// Memoized prefixes of the connection-tree stream over `h_prime`,
-    /// keyed by `(terminal set, hop bound)`; any requested tree limit
-    /// is served from (or extends) the cached prefix.
-    trees: Memo<TreeKey, Arc<RwLock<TreePrefix>>>,
-    /// Memoized [`Hypergraph::connect_tree`] over `h_prime`, keyed by
-    /// `(terminal id set, hop bound)`. Negative results (`None`:
-    /// disconnected terminals) are cached too.
-    connects: Memo<(RelSet, usize), Option<Arc<ConnectionTree>>>,
+    /// Memoized connection-tree enumeration over `h_prime`, keyed by
+    /// `(terminal set, hop bound, tree limit)`. The terminal set is an
+    /// interned-id bitset over `h_prime` (four inline words for graphs
+    /// of ≤ 256 relations), so a probe hashes words, not names.
+    trees: Memo<(RelSet, usize, usize), Arc<Vec<ConnectionTree>>>,
     /// Memoized viable-cover lists, keyed by `(cover-attribute id,
     /// deleted relation id)` — the Def. 3 (IV) filter of `covers`
     /// against `h_prime`.
@@ -277,75 +180,6 @@ pub struct MkbIndex<'m> {
     /// When false, every memoized accessor computes directly (the
     /// uncached reference the tests compare the cache against).
     cache_enabled: bool,
-}
-
-/// Warm memo tables extracted from a spent [`MkbIndex`] so the next
-/// change's index can start from them instead of cold
-/// ([`MkbIndex::into_carry`] / [`MkbIndex::from_cores`]).
-///
-/// Only the `H'(MKB')`-keyed tables (trees, connects) are carried — and
-/// only when the change left `H'` intact (`add-attribute`) or touched
-/// it attribute-locally (`delete-attribute`/`rename-attribute`, where
-/// the synchronizer's filter evicts every entry whose component the
-/// change touched). Vertex-level changes re-intern the graph, so
-/// nothing survives them.
-#[derive(Debug)]
-pub struct MemoCarry {
-    /// The `H'` the carried tables were computed over (interner owner of
-    /// every `RelSet`/`RelId` key).
-    h_prime: Arc<Hypergraph>,
-    trees: Memo<TreeKey, Arc<RwLock<TreePrefix>>>,
-    connects: Memo<(RelSet, usize), Option<Arc<ConnectionTree>>>,
-}
-
-impl MemoCarry {
-    /// Filter this carry for the change that produced `new_h_prime` from
-    /// the carried `H'` (described by `delta`, the change's projection
-    /// onto that graph). Returns `None` when nothing can be carried —
-    /// any vertex-level change, or a graph with another interner (memo
-    /// keys are interned ids, which name the same vertices only under
-    /// the same interner; delta maintenance shares it whenever the
-    /// vertex set is kept).
-    pub(crate) fn retained(
-        self,
-        delta: &GraphDelta,
-        new_h_prime: &Hypergraph,
-    ) -> Option<MemoCarry> {
-        if !self.h_prime.shares_interner(new_h_prime) {
-            return None;
-        }
-        let attr = match delta {
-            // `H'` unchanged: every entry is still exact.
-            GraphDelta::None => return Some(self),
-            GraphDelta::RemoveAttrEdges(a) => a,
-            GraphDelta::RenameAttr { from, .. } => from,
-            // Vertex-level change: the interner (and thus every key)
-            // is invalidated wholesale.
-            _ => return None,
-        };
-        // Cached answers embed join-constraint values, so every entry
-        // whose component contains an edge mentioning `attr` is stale;
-        // entries confined to other components saw no edge change (a
-        // capability change never adds edges) and stay warm.
-        let old = &self.h_prime;
-        let touched_comps: BTreeSet<u32> = old
-            .edges_mentioning_attr(attr)
-            .into_iter()
-            .map(|e| old.component_index(old.join_endpoints(e).0))
-            .collect();
-        if touched_comps.is_empty() {
-            return Some(self);
-        }
-        let mut affected = old.relset();
-        for v in 0..old.rel_count() {
-            if touched_comps.contains(&old.component_index(v as RelId)) {
-                affected.insert(v as RelId);
-            }
-        }
-        self.connects.retain(|(s, _)| !s.intersects(&affected));
-        self.trees.retain(|(s, _)| !s.intersects(&affected));
-        Some(self)
-    }
 }
 
 impl<'m> MkbIndex<'m> {
@@ -359,21 +193,16 @@ impl<'m> MkbIndex<'m> {
         span.field("joins", mkb.joins().len() as u64);
         eve_telemetry::counter_add("index.builds", 1);
         crate::faults::hit("index.build");
-        let h = Arc::new(Hypergraph::build(mkb));
-        let components = Arc::new(h.components().into_iter().map(Arc::new).collect::<Vec<_>>());
-        let h_prime = Arc::new(Hypergraph::build_filtered(mkb_prime, |desc| {
-            desc.capabilities.join
-        }));
+        let h_prime = Hypergraph::build_filtered(mkb_prime, |desc| desc.capabilities.join);
         MkbIndex {
             mkb,
             mkb_prime,
-            h,
-            components,
-            h_prime,
+            h: Arc::new(Hypergraph::build(mkb)),
+            h_r: OnceLock::new(),
+            h_prime: Arc::new(h_prime),
             covers: build_covers(mkb),
             pcs_by_pair: build_pcs(mkb),
             trees: Memo::new(),
-            connects: Memo::new(),
             viable: Memo::new(),
             survivors: Memo::new(),
             cache_enabled: true,
@@ -388,62 +217,31 @@ impl<'m> MkbIndex<'m> {
     ///
     /// Equivalence contract: the result behaves byte-identically to
     /// `MkbIndex::new(mkb, mkb_prime)` (enforced by the property suite
-    /// in `tests/delta_equivalence.rs`). `carry`, when present, seeds the
-    /// `H'`-keyed memo tables from the previous change's index (already
-    /// filtered against this change by the synchronizer) — memoized
-    /// functions are pure, so a warm start changes latency, never
-    /// answers.
+    /// in `tests/delta_equivalence.rs`).
     pub fn from_cores(
         mkb: &'m MetaKnowledgeBase,
         mkb_prime: &'m MetaKnowledgeBase,
         pre: &IndexCore,
         post: &IndexCore,
-        carry: Option<MemoCarry>,
     ) -> Self {
         let mut span = eve_telemetry::span("index-from-cores");
         span.field("relations", mkb.relation_count() as u64);
-        span.field("carried", carry.is_some() as u64);
         eve_telemetry::counter_add("index.delta_builds", 1);
         // Distinct from `index.build` (the full-rebuild path) so fault
         // plans can address delta maintenance specifically.
         crate::faults::hit("index.delta-build");
-        let h_prime = Arc::clone(&post.h_join);
-        let (trees, connects) = match carry {
-            Some(c) => {
-                debug_assert!(
-                    c.h_prime.shares_interner(&h_prime),
-                    "carry must be pre-filtered against the new H'"
-                );
-                c.trees.reset_stats();
-                c.connects.reset_stats();
-                (c.trees, c.connects)
-            }
-            None => (Memo::new(), Memo::new()),
-        };
         MkbIndex {
             mkb,
             mkb_prime,
             h: Arc::clone(&pre.h),
-            components: Arc::clone(&pre.components),
-            h_prime,
+            h_r: OnceLock::new(),
+            h_prime: Arc::clone(&post.h_join),
             covers: pre.covers.clone(),
             pcs_by_pair: pre.pcs.clone(),
-            trees,
-            connects,
+            trees: Memo::new(),
             viable: Memo::new(),
             survivors: Memo::new(),
             cache_enabled: true,
-        }
-    }
-
-    /// Consume the index, extracting the memo tables a successor index
-    /// may start warm from. The synchronizer filters the result against
-    /// the next change before handing it to [`MkbIndex::from_cores`].
-    pub fn into_carry(self) -> MemoCarry {
-        MemoCarry {
-            h_prime: self.h_prime,
-            trees: self.trees,
-            connects: self.connects,
         }
     }
 
@@ -461,7 +259,6 @@ impl<'m> MkbIndex<'m> {
         let mut s = CacheStats::default();
         for (h, m) in [
             (&self.trees.hits, &self.trees.misses),
-            (&self.connects.hits, &self.connects.misses),
             (&self.viable.hits, &self.viable.misses),
             (&self.survivors.hits, &self.survivors.misses),
         ] {
@@ -472,12 +269,7 @@ impl<'m> MkbIndex<'m> {
     }
 
     /// The first `limit` connection trees spanning `terminals` in
-    /// `H'(MKB')`, memoized per `(terminal set, max_path_edges)` with
-    /// prefix sharing: the cache stores the longest prefix of the
-    /// deterministic tree stream computed so far, serving shorter
-    /// requests by truncation and extending only when a longer prefix
-    /// is demanded. A request answerable from the stored prefix counts
-    /// as a hit; first sight or an extension counts as a miss.
+    /// `H'(MKB')`, memoized per `(terminal set, max_path_edges, limit)`.
     pub fn enumerate_trees(
         &self,
         terminals: &BTreeSet<RelName>,
@@ -506,58 +298,26 @@ impl<'m> MkbIndex<'m> {
     ) -> Arc<Vec<ConnectionTree>> {
         crate::faults::hit("index.enumerate-trees");
         debug_assert_eq!(interned, self.intern_terminals(terminals).as_ref());
-        let key_set = match (self.cache_enabled, interned) {
-            (true, Some(k)) => k,
+        let enumerate = || {
+            let mut span = eve_telemetry::span("tree-enumeration");
+            span.field("terminals", terminals.len() as u64);
+            let trees: Vec<ConnectionTree> = self
+                .h_prime
+                .tree_cursor(terminals, max_path_edges)
+                .take(limit)
+                .collect();
+            span.field("yielded", trees.len() as u64);
+            Arc::new(trees)
+        };
+        match (self.cache_enabled, interned) {
+            (true, Some(ids)) => self
+                .trees
+                .get_or_insert_with((ids.clone(), max_path_edges, limit), enumerate),
             // Cache off, or an absent terminal (the stream is
             // deterministically empty — nothing worth memoizing):
             // compute directly.
-            _ => {
-                let mut span = eve_telemetry::span("tree-enumeration");
-                span.field("terminals", terminals.len() as u64);
-                let trees: Vec<ConnectionTree> =
-                    TreeCursor::new(&self.h_prime, terminals, max_path_edges)
-                        .take(limit)
-                        .collect();
-                span.field("yielded", trees.len() as u64);
-                return Arc::new(trees);
-            }
-        };
-        let key = (key_set.clone(), max_path_edges);
-        let cell = self
-            .trees
-            .entry_uncounted(key, || Arc::new(RwLock::new(TreePrefix::default())));
-        {
-            let prefix = cell.read().unwrap_or_else(|e| e.into_inner());
-            if prefix.serves(limit) {
-                self.trees.count_hit();
-                return prefix.serve(limit);
-            }
+            _ => enumerate(),
         }
-        self.trees.count_miss();
-        let mut span = eve_telemetry::span("tree-enumeration");
-        span.field("terminals", terminals.len() as u64);
-        let mut prefix = cell.write().unwrap_or_else(|e| e.into_inner());
-        if !prefix.serves(limit) {
-            // Extend by re-running the pure stream from the start — the
-            // cursor is deterministic, so the new prefix agrees with the
-            // old one on every position it already covered.
-            let mut cursor = self.h_prime.tree_cursor(terminals, max_path_edges);
-            let mut trees = Vec::new();
-            let mut exhausted = false;
-            while trees.len() < limit {
-                match cursor.next() {
-                    Some(t) => trees.push(t),
-                    None => {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-            prefix.trees = Arc::new(trees);
-            prefix.exhausted = exhausted;
-        }
-        span.field("yielded", prefix.trees.len() as u64);
-        prefix.serve(limit)
     }
 
     /// Do the interned `H'(MKB')` vertices `ids` all lie in one connected
@@ -568,34 +328,6 @@ impl<'m> MkbIndex<'m> {
             Some(first) => comps.all(|c| c == first),
             None => true,
         }
-    }
-
-    /// The greedy connection tree spanning `terminals` in `H'(MKB')`
-    /// (`None` when disconnected), memoized per `(terminal set,
-    /// max_path_edges)` — negative answers included.
-    pub fn connect_tree(
-        &self,
-        terminals: &BTreeSet<RelName>,
-        max_path_edges: usize,
-    ) -> Option<Arc<ConnectionTree>> {
-        let key_set = match (self.cache_enabled, self.intern_terminals(terminals)) {
-            (true, Some(k)) => k,
-            // Cache off, or an absent terminal (never connectable —
-            // `None` without running the search).
-            (false, _) => {
-                return self
-                    .h_prime
-                    .connect_tree(terminals, max_path_edges)
-                    .map(Arc::new);
-            }
-            (true, None) => return None,
-        };
-        self.connects
-            .get_or_insert_with((key_set, max_path_edges), || {
-                self.h_prime
-                    .connect_tree(terminals, max_path_edges)
-                    .map(Arc::new)
-            })
     }
 
     /// The viable covers for `attr` under `delete-relation target`:
@@ -682,11 +414,20 @@ impl<'m> MkbIndex<'m> {
     }
 
     /// The connected component of `H(MKB)` containing `rel`, or `None`
-    /// when the relation is not described in the MKB. Two array lookups
-    /// via the interner and the precomputed component index.
-    pub fn component_of(&self, rel: &RelName) -> Option<&Hypergraph> {
+    /// when the relation is not described in the MKB. The first call
+    /// extracts the component from `H(MKB)`'s CSR and the index keeps it,
+    /// so every view of a `delete-relation R` shares one `H_R`; a
+    /// relation of another component gets its component extracted afresh.
+    pub fn component_of(&self, rel: &RelName) -> Option<Arc<Hypergraph>> {
         let id = self.h.rel_id(rel)?;
-        Some(self.components[self.h.component_index(id) as usize].as_ref())
+        let comp = self.h.component_index(id);
+        let extract = || Arc::new(self.h.component_containing(id));
+        let (kept, h_r) = self.h_r.get_or_init(|| (comp, extract()));
+        Some(if *kept == comp {
+            Arc::clone(h_r)
+        } else {
+            extract()
+        })
     }
 
     /// Intern a terminal set over `H'(MKB')`, or `None` when some
@@ -734,14 +475,18 @@ mod tests {
         // Hypergraph matches a direct build.
         assert_eq!(index.hypergraph(), &Hypergraph::build(&mkb));
 
-        // Every described relation has a component, and the component
-        // contains the relation.
+        // Every described relation gets its component of `H(MKB)`; the
+        // first one asked for is kept and shared.
+        let h = index.hypergraph();
+        let components = h.components();
         for desc in mkb.relations() {
-            let comp = index
-                .component_of(&desc.name)
-                .expect("described => component");
-            assert!(comp.contains(&desc.name));
+            let comp = index.component_of(&desc.name).expect("described");
+            let id = h.rel_id(&desc.name).unwrap();
+            assert_eq!(*comp, components[h.component_index(id) as usize]);
         }
+        let first = &mkb.relations().next().unwrap().name;
+        let kept = index.component_of(first).unwrap();
+        assert!(Arc::ptr_eq(&kept, &index.component_of(first).unwrap()));
         assert!(index
             .component_of(&RelName::new("NoSuchRelation"))
             .is_none());
@@ -796,23 +541,19 @@ mod tests {
         // Different bounds are different keys.
         let narrower = index.enumerate_trees(&terminals, 1, usize::MAX);
         assert!(narrower.len() <= cold.len());
+        assert_eq!(index.cache_stats().misses, 2);
 
-        // connect_tree caches negative answers too.
+        // A terminal outside `H'` bypasses the memo: no tree, no count.
         let mut disconnected = terminals.clone();
         disconnected.insert(RelName::new("NoSuchRelation"));
-        assert!(index.connect_tree(&disconnected, usize::MAX).is_none());
-        assert!(index.connect_tree(&disconnected, usize::MAX).is_none());
-        assert_eq!(
-            index
-                .connect_tree(&terminals, usize::MAX)
-                .map(|t| (*t).clone()),
-            raw.connect_tree(&terminals, usize::MAX)
-                .map(|t| (*t).clone())
-        );
+        assert!(index
+            .enumerate_trees(&disconnected, 4, usize::MAX)
+            .is_empty());
+        assert_eq!(index.cache_stats().misses, 2);
     }
 
     #[test]
-    fn tree_cache_serves_any_limit_from_one_prefix() {
+    fn tree_cache_matches_uncached_at_every_limit() {
         let mkb = travel_mkb();
         let index = MkbIndex::new(&mkb, &mkb);
         let raw = MkbIndex::new(&mkb, &mkb).without_cache();
@@ -820,8 +561,8 @@ mod tests {
         let terminals: BTreeSet<RelName> =
             index.hypergraph().relations().take(2).cloned().collect();
         // Narrow, widen, narrow again: every answer must match a
-        // cache-free enumeration at the same limit, whatever prefix the
-        // cache happens to hold.
+        // cache-free enumeration at the same limit, whatever the cache
+        // holds for other limits.
         for limit in [1usize, 3, 2, 8, 4, usize::MAX] {
             assert_eq!(
                 *index.enumerate_trees(&terminals, limit, usize::MAX),

@@ -39,11 +39,11 @@
 //!
 //! The **synchronization engine** ties the steps together:
 //!
-//! * [`index`] — a per-change [`MkbIndex`]: the hypergraph `H(MKB)`, its
-//!   connected components, the capability-filtered `H'(MKB')`, the
-//!   attribute→cover map and the relation-pair→PC-constraint map, all
-//!   precomputed **once** per capability change and shared by every
-//!   affected view;
+//! * [`index`] — a per-change [`MkbIndex`]: the hypergraph `H(MKB)`, the
+//!   capability-filtered `H'(MKB')`, the attribute→cover map and the
+//!   relation-pair→PC-constraint map, all precomputed **once** per
+//!   capability change, plus `H_R`, extracted by the first view that
+//!   needs it, all shared by every affected view;
 //! * [`engine`] — [`synchronize_view`] runs the change operator's
 //!   algorithm for one view, so preference filtering, cost ranking and
 //!   outcome assembly live in exactly one place;
@@ -86,7 +86,7 @@ pub mod synchronizer;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use affected::{affected_views, is_affected, is_evaluable, revivable};
+pub use affected::{is_affected, is_evaluable};
 pub use clock::VirtualClock;
 pub use cost::{rank_rewritings as rank_by_cost, CostBreakdown, CostModel};
 pub use delete_attribute::synchronize_delete_attribute_indexed;
@@ -96,7 +96,7 @@ pub use error::CvsError;
 pub use eval::evaluate_view;
 pub use explain::{explain_rewriting, explain_rewriting_with_stats};
 pub use extent::{empirical_extent, infer_extent_indexed, satisfies_extent_param, ExtentVerdict};
-pub use index::{CacheStats, MemoCarry, MkbIndex};
+pub use index::{CacheStats, MkbIndex};
 pub use legal::LegalRewriting;
 pub use mapping::{compute_r_mapping, r_mapping_with_index, RMapping};
 pub use options::{CvsOptions, FailurePolicy, ImplicationMode, IndexMaintenance};

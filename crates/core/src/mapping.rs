@@ -198,8 +198,8 @@ pub fn compute_r_mapping(
 }
 
 /// Compute the R-mapping against a prebuilt [`crate::MkbIndex`]: `H_R` is the
-/// cached component of `H(MKB)` containing `target`, so no hypergraph is
-/// rebuilt per view.
+/// component of `H(MKB)` containing `target`, extracted once per index
+/// and shared by every view, so no hypergraph is rebuilt per view.
 ///
 /// # Panics
 ///
@@ -214,7 +214,7 @@ pub fn r_mapping_with_index(
     let h_r = index
         .component_of(target)
         .expect("target relation must be described in the MKB");
-    compute_r_mapping(view, target, h_r, opts)
+    compute_r_mapping(view, target, &h_r, opts)
 }
 
 impl RMapping {

@@ -48,14 +48,12 @@ impl FailurePolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexMaintenance {
     /// Rebuild every derived structure from scratch per change (the
-    /// pre-delta behaviour): `O(MKB)` per change, no carried state.
+    /// pre-delta behaviour): `O(MKB)` per change.
     Rebuild,
     /// Maintain the derived state with typed [`crate::MkbDelta`]s —
     /// incremental interner growth, CSR patching, component
-    /// split-recheck, constraint-bucket edits — and carry the
-    /// enumeration memo tables across changes, invalidating only the
-    /// entries whose key `RelSet` intersects the affected component.
-    /// `O(delta)` per change. The default.
+    /// split-recheck, constraint-bucket edits. Either mode starts each
+    /// change's memo tables cold. The default.
     #[default]
     Incremental,
 }

@@ -468,13 +468,14 @@ pub fn cvs_delete_relation_searched(
         return Err(CvsError::UnknownRelation(target.clone()));
     }
 
-    // Step 1: H_R(MKB) — the cached component containing R.
+    // Step 1: H_R(MKB) — the component containing R, extracted by the
+    // first view and shared by the rest.
     let h_r = index
         .component_of(target)
         .expect("target is described, hence a vertex of H(MKB)");
 
     // Step 2: R-mapping.
-    let rm = compute_r_mapping(view, target, h_r, opts);
+    let rm = compute_r_mapping(view, target, &h_r, opts);
 
     // Step 3 becomes a lazy stream over the cached capability-filtered
     // H'(MKB'); Steps 4–6 run per candidate as it is pulled.

@@ -34,7 +34,7 @@ use crate::delta::{DeltaSummary, IndexCore, MkbDelta};
 use crate::engine;
 use crate::error::CvsError;
 use crate::faults;
-use crate::index::{CacheStats, MemoCarry, MkbIndex};
+use crate::index::{CacheStats, MkbIndex};
 use crate::legal::LegalRewriting;
 use crate::options::{CvsOptions, FailurePolicy, IndexMaintenance};
 use crate::rewrite::SearchStats;
@@ -357,7 +357,6 @@ impl SynchronizerBuilder {
                 core: core.clone(),
             })],
             core,
-            carry: None,
         }
     }
 }
@@ -386,14 +385,14 @@ pub struct Snapshot {
 /// Entries structurally share everything their change did not rewrite:
 /// the copy-on-write MKB shares every untouched relation description
 /// and constraint with the previous version, and the [`IndexCore`]
-/// every untouched component and constraint map. What a version retains
+/// every untouched graph and constraint map. What a version retains
 /// of its own is what its change rewrote: a chunk of the MKB's relation
 /// map and of its relation index plus their chunk spines, any
 /// constraint list the change edited, one pointer per view (the
 /// snapshot), and for a relation-level change the hypergraph's id
 /// arrays. Measured on the standard change mix
-/// (`synchronizer.chain_kb_per_version`): ≈0.17 MiB per version at
-/// 4,096 relations and 512 views, ≈0.64 MiB at 16,384 relations and
+/// (`synchronizer.chain_kb_per_version`): ≈136 KiB per version at
+/// 4,096 relations and 512 views, ≈492 KiB at 16,384 relations and
 /// 1,024 views. Version 0 is the initial state.
 #[derive(Debug, Clone)]
 pub struct VersionEntry {
@@ -425,7 +424,7 @@ impl VersionEntry {
 /// [`Synchronizer::view_snapshots`], or through
 /// [`crate::service::SharedSynchronizer`]) keep a consistent view
 /// without copying.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Synchronizer {
     mkb: Arc<MetaKnowledgeBase>,
     views: Vec<(String, Arc<ViewDefinition>)>,
@@ -443,27 +442,6 @@ pub struct Synchronizer {
     /// The delta-maintained derived index state of the *current* MKB
     /// (invariant: `core` is always derived from `mkb`).
     core: IndexCore,
-    /// Warm memo tables from the previous change's index, carried into
-    /// the next change when [`IndexMaintenance::Incremental`] allows it.
-    carry: Option<MemoCarry>,
-}
-
-impl Clone for Synchronizer {
-    fn clone(&self) -> Self {
-        Synchronizer {
-            mkb: Arc::clone(&self.mkb),
-            views: self.views.clone(),
-            disabled: self.disabled.clone(),
-            opts: self.opts,
-            require_p3: self.require_p3,
-            cost_model: self.cost_model,
-            chain: self.chain.clone(),
-            core: self.core.clone(),
-            // The memo carry is a latency optimization, never semantics
-            // (memoized functions are pure): a clone starts cold.
-            carry: None,
-        }
-    }
 }
 
 impl Synchronizer {
@@ -599,12 +577,11 @@ impl Synchronizer {
         let mut apply_span = eve_telemetry::span("apply");
         apply_span.label(|| change.to_string());
         let mkb_prime = evolve(&self.mkb, change)?;
-        let mode = self.opts.index_maintenance;
         // Delta-maintain the derived core: project the change onto the
         // hypergraphs and constraint maps, then patch — `O(delta)`, not
         // `O(MKB)`. Rebuild mode bypasses this and reconstructs the core
         // from scratch at commit time (the equivalence oracle).
-        let (delta, next_core) = match mode {
+        let (delta, next_core) = match self.opts.index_maintenance {
             IndexMaintenance::Rebuild => (None, None),
             IndexMaintenance::Incremental => {
                 let d = MkbDelta::compute(&self.mkb, &mkb_prime, change);
@@ -612,29 +589,14 @@ impl Synchronizer {
                 (Some(d), Some(next))
             }
         };
-        // Memo tables survive a change only under Incremental mode, and
-        // only when the change left the relevant H' regions intact.
-        let carry_in = match (mode, delta.as_ref(), next_core.as_ref()) {
-            (IndexMaintenance::Incremental, Some(d), Some(next)) => self
-                .carry
-                .take()
-                .and_then(|c| c.retained(&d.graph_join, next.join_graph())),
-            _ => {
-                self.carry = None;
-                None
-            }
-        };
         let mut outcomes = Vec::with_capacity(self.views.len());
         let mut next_views = Vec::with_capacity(self.views.len());
         let mut newly_disabled = Vec::new();
         let cache;
-        let carry_out;
 
         {
             let index = match next_core.as_ref() {
-                Some(next) => {
-                    MkbIndex::from_cores(&self.mkb, &mkb_prime, &self.core, next, carry_in)
-                }
+                Some(next) => MkbIndex::from_cores(&self.mkb, &mkb_prime, &self.core, next),
                 None => MkbIndex::new(&self.mkb, &mkb_prime),
             };
 
@@ -742,12 +704,6 @@ impl Synchronizer {
                 eve_telemetry::counter_add("index.cache.hits", cache.hits);
                 eve_telemetry::counter_add("index.cache.misses", cache.misses);
             }
-            // Incremental mode keeps this change's warm memo tables for
-            // the next change's index to start from.
-            carry_out = match mode {
-                IndexMaintenance::Incremental => Some(index.into_carry()),
-                IndexMaintenance::Rebuild => None,
-            };
         }
 
         self.views = next_views;
@@ -758,7 +714,6 @@ impl Synchronizer {
             // the chain invariant (`core` derived from `mkb`) holds.
             None => IndexCore::build(&self.mkb),
         };
-        self.carry = carry_out;
         self.chain.push(Arc::new(VersionEntry {
             version: self.chain.len(),
             delta: delta.map(|d| d.summary),
@@ -897,7 +852,6 @@ impl Synchronizer {
         self.views = entry.snapshot.views.clone();
         self.disabled = entry.snapshot.disabled.clone();
         self.core = entry.core.clone();
-        self.carry = None;
         self.chain.truncate(index + 1);
         true
     }
@@ -970,11 +924,9 @@ impl Synchronizer {
         // Adopt the snapshot wholesale: schemas already converged, and
         // the snapshot's constraint set is authoritative. The wholesale
         // merge can add constraints no change delta described, so the
-        // derived core is rebuilt from scratch and the memo carry
-        // dropped.
+        // derived core is rebuilt from scratch.
         self.mkb = Arc::new(snapshot.clone());
         self.core = IndexCore::build(&self.mkb);
-        self.carry = None;
         if let Some(last) = self.chain.last_mut() {
             let entry = Arc::make_mut(last);
             entry.snapshot.mkb = Arc::clone(&self.mkb);

@@ -265,13 +265,6 @@ impl Hypergraph {
         &self.interner
     }
 
-    /// Do the two graphs share one interner (by pointer)? Then an id
-    /// names the same vertex in both. Delta maintenance shares the
-    /// interner across every change that keeps the vertex set.
-    pub fn shares_interner(&self, other: &Hypergraph) -> bool {
-        Arc::ptr_eq(&self.interner, &other.interner)
-    }
-
     /// The interned id of `rel`, or `None` when it is not a vertex.
     pub fn rel_id(&self, rel: &RelName) -> Option<RelId> {
         self.interner.get(rel)

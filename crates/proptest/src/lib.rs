@@ -319,7 +319,9 @@ impl_tuple_strategy! {
 
 /// A `&'static str` is interpreted as a regex over a small supported
 /// subset: literals, `[...]` classes with ranges, groups, `?`, and
-/// `{n}` / `{n,m}` counted repetition.
+/// `{n}` / `{n,m}` counted repetition. Any other metacharacter outside a
+/// class (`.`, `|`, `^`, `$`, `*`, `+`, or an escaped letter or digit)
+/// panics rather than generating something the pattern does not mean.
 impl Strategy for &'static str {
     type Value = String;
     fn generate(&self, rng: &mut StdRng) -> String {
@@ -372,9 +374,15 @@ mod regex {
                     i = next + 1;
                     inner
                 }
-                '\\' => {
+                '\\' if chars.get(i + 1).is_some_and(|c| !c.is_ascii_alphanumeric()) => {
                     i += 2;
                     Node::Literal(chars[i - 1])
+                }
+                '\\' | '.' | '|' | '^' | '$' | '*' | '+' => {
+                    let pattern: String = chars.iter().collect();
+                    let len = if chars[i] == '\\' { 2 } else { 1 };
+                    let term: String = chars[i..chars.len().min(i + len)].iter().collect();
+                    panic!("regex shim: unsupported {term:?} in pattern {pattern:?}")
                 }
                 c => {
                     i += 1;
@@ -788,6 +796,32 @@ mod tests {
         fn oneof_and_recursive(v in prop_oneof![Just(0i64), 1i64..10].prop_map(|x| x * 2)) {
             prop_assert!(v == 0 || (2..20).contains(&v));
         }
+    }
+
+    #[test]
+    fn regex_rejects_unsupported_syntax() {
+        for (pattern, term) in [
+            (".{0,200}", "."),
+            ("a|b", "|"),
+            ("^a", "^"),
+            ("[a-z]$", "$"),
+            ("(ab)*", "*"),
+            ("a+", "+"),
+            ("\\d{2}", "\\d"),
+            ("a\\", "\\"),
+        ] {
+            let panic =
+                std::panic::catch_unwind(|| drop(crate::regex::parse(pattern))).expect_err(pattern);
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(
+                *message,
+                format!("regex shim: unsupported {term:?} in pattern {pattern:?}")
+            );
+        }
+        // Inside a class, and escaped, the same characters are literals.
+        let mut rng = StdRng::seed_from_u64(1);
+        let s = crate::Strategy::generate(&"[.|^$*+]\\.\\*", &mut rng);
+        assert!(s.ends_with(".*") && ".|^$*+".contains(&s[..1]), "{s}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Memory-plateau probe: repeated cycles of capability changes followed
 //! by a rollback to the base version must not grow the process's net
-//! heap usage cycle over cycle — the version chain, memo carry, and
-//! per-change index state all have to be reclaimed by `rollback_to`.
+//! heap usage cycle over cycle — the version chain and the per-change
+//! index state all have to be reclaimed by `rollback_to`.
 //!
 //! Lives in its own test binary because `#[global_allocator]` is
 //! process-global (same reasoning as `crates/bench/tests/alloc_probe`,

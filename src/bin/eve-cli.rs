@@ -73,6 +73,13 @@
 //! `PC`/`ORDER` statements) and E-SQL (`CREATE VIEW …` statements,
 //! semicolon-separated). Changes use the paper's operator notation, e.g.
 //! `delete-attribute Customer.Addr` or `rename-relation Tour -> Trip`.
+//!
+//! Exit codes: 0 on success; 1 when the run completed but found a
+//! problem — `sync` disabled a view, `mkb`/`views` found type errors,
+//! `simulate` found an invariant violation; 2 when the run could not
+//! go on — an unknown subcommand, a missing or bad flag value, an
+//! unreadable file, a parse error, a rejected view, a change the MKB
+//! cannot take, or an output file or address that cannot be opened.
 
 use eve::cvs::{
     explain_rewriting_with_stats, CostModel, CvsOptions, FailurePolicy, SynchronizerBuilder,
@@ -124,9 +131,10 @@ fn load_mkb(path: &str) -> Result<MetaKnowledgeBase, String> {
     parse_misd(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Report an error the run cannot go on from: exit code 2.
 fn fail(msg: String) -> ExitCode {
     eprintln!("error: {msg}");
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 fn cmd_mkb(args: &[String]) -> ExitCode {

@@ -452,6 +452,46 @@ fn sync_rejects_duplicate_view_names() {
     assert!(stdout.is_empty(), "nothing is synchronized: {stdout}");
 }
 
+/// A script can tell rejected input (exit 2) from a run that disabled
+/// a view (exit 1).
+#[test]
+fn exit_codes_tell_bad_input_from_a_disabled_view() {
+    let code = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_eve-cli"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("binary runs");
+        out.status.code()
+    };
+    let dir = std::env::temp_dir().join(format!("eve-cli-exit-codes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dup = dir.join("views.esql");
+    let text = "CREATE VIEW V AS SELECT C.Name FROM Customer C;\n\
+                CREATE VIEW V AS SELECT T.TourID FROM Tour T;\n";
+    std::fs::write(&dup, text).expect("write views");
+    let dup = dup.to_str().expect("utf-8 temp path");
+    let (mkb, views, del) = (
+        "fixtures/travel.misd",
+        "fixtures/travel_views.esql",
+        "delete-relation Customer",
+    );
+    for (want, mkb, views, change, more) in [
+        (1, mkb, views, del, [].as_slice()),
+        (2, mkb, views, "delete-relation", &[]),
+        (2, mkb, views, "delete-relation Nowhere", &[]),
+        (2, mkb, views, del, &["--at-version", "x"]),
+        (2, "no-such-file.misd", views, del, &[]),
+        (2, mkb, dup, del, &[]),
+    ] {
+        let mut args = vec!["sync", "--mkb", mkb, "--views", views, "--change", change];
+        args.extend_from_slice(more);
+        assert_eq!(code(&args), Some(want), "{args:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code(&["simulate", "--steps", "many"]), Some(2));
+}
+
 #[test]
 fn missing_file_rejected() {
     let (ok, _, stderr) = cli(&["mkb", "no-such-file.misd"]);

@@ -15,10 +15,17 @@
 //! The version chain rides the same harness: `at_version(v)` on the
 //! delta-maintained synchronizer must reproduce exactly the state the
 //! rebuild-mode synchronizer passed through at prefix `v`.
+//!
+//! The cores keep no component list, so the one component CVS reads,
+//! `H_R`, is checked on its own: the delta-assembled index must extract
+//! every relation's component of the pre-change `H(MKB)`.
 
-use eve::cvs::{CvsOptions, IndexMaintenance, Synchronizer, SynchronizerBuilder};
+use eve::cvs::{
+    CvsOptions, IndexCore, IndexMaintenance, MkbDelta, MkbIndex, Synchronizer, SynchronizerBuilder,
+};
+use eve::hypergraph::Hypergraph;
 use eve::misd::chunkmap::CHUNK;
-use eve::misd::MetaKnowledgeBase;
+use eve::misd::{evolve, MetaKnowledgeBase};
 use eve::workload::{change_stream, random_views, SynthConfig, SynthWorkload, Topology};
 use proptest::prelude::*;
 
@@ -131,6 +138,30 @@ fn check_history(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCas
     Ok(())
 }
 
+/// After every change of a random stream, the index assembled from the
+/// delta-maintained cores gives each relation of the pre-change MKB the
+/// component a from-scratch `H(MKB)` assigns it.
+fn check_components(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCaseError> {
+    let w = SynthWorkload::random(cfg, seed);
+    let stream = change_stream(&w.mkb, len, seed);
+    let mut mkb = w.mkb.clone();
+    let mut core = IndexCore::build(&mkb);
+    for (i, c) in stream.iter().enumerate() {
+        let mkb_prime = evolve(&mkb, c).expect("stream change applies");
+        let next = core.apply_delta(&MkbDelta::compute(&mkb, &mkb_prime, c));
+        let index = MkbIndex::from_cores(&mkb, &mkb_prime, &core, &next);
+        let h = Hypergraph::build(&mkb);
+        let components = h.components();
+        for r in mkb.relation_names() {
+            let want = &components[h.component_index(h.rel_id(r).expect("vertex")) as usize];
+            let got = index.component_of(r);
+            prop_assert_eq!(got.as_deref(), Some(want), "prefix {i} ({c}): {r} diverged");
+        }
+        (mkb, core) = (mkb_prime, next);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -152,6 +183,16 @@ proptest! {
         len in 3usize..10,
     ) {
         check_history(&cfg, seed, len)?;
+    }
+
+    /// `H_R` extracted on demand equals the rebuilt component.
+    #[test]
+    fn component_of_matches_rebuilt_components(
+        cfg in config(),
+        seed in 0u64..500,
+        len in 4usize..14,
+    ) {
+        check_components(&cfg, seed, len)?;
     }
 }
 

@@ -1,8 +1,8 @@
 //! Rollback must erase a faulted change *completely*: a change that
 //! lands views as `ViewOutcome::Failed` under injected faults and is
 //! then rolled back leaves the synchronizer — version chain, active
-//! views, disabled set, memo carry — byte-identical to a control that
-//! never applied the change at all. Every subsequent change must
+//! views, disabled set, derived index core — byte-identical to a
+//! control that never applied the change at all. Every subsequent change must
 //! produce identical outcomes on both.
 //!
 //! Also: previewing a change while a fault plan is installed is
@@ -109,7 +109,8 @@ fn faulted_then_rolled_back_equals_never_applied() {
         );
 
         // Every subsequent change behaves identically on both — the
-        // memo carry must not remember the rolled-back version either.
+        // restored index core must not remember the rolled-back version
+        // either.
         for step in 0..6 {
             let change = source.next(subject.mkb()).expect("schema affords changes");
             let a = subject.apply(&change).expect("subject evolves");
