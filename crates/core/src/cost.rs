@@ -13,7 +13,7 @@
 //! *extent uncertainty* — while remaining a plain weighted sum the user
 //! can re-tune.
 //!
-//! [`rank_rewritings`] orders a candidate set by cost;
+//! [`CostModel::rank`] orders a candidate set by cost;
 //! `SynchronizerBuilder::with_cost_model` makes the synchronizer adopt
 //! the cheapest legal rewriting.
 
@@ -149,15 +149,6 @@ impl CostModel {
                 .then_with(|| a.view.to_string().cmp(&b.view.to_string()))
         });
     }
-}
-
-/// Free-function convenience over [`CostModel::rank`].
-pub fn rank_rewritings(
-    model: &CostModel,
-    original: &ViewDefinition,
-    rewritings: &mut [LegalRewriting],
-) {
-    model.rank(original, rewritings);
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! `delete-relation` (§5), the simplified variant for
 //! `delete-attribute`, and transparent reference rewriting for renames.
 //! [`synchronize_view`] matches on the change to run the operator's
-//! algorithm, then applies the retain/rank/adopt policy that turns its
-//! best-first rewritings into a [`ViewOutcome`] — one place for that
-//! policy, whatever the operator.
+//! algorithm and turns its best-first rewritings into a [`ViewOutcome`].
+//! The retain-by-P3 / rank-by-cost policy is applied once per operator:
+//! the delete-relation search applies it while it ranks its stream, the
+//! engine applies it to the other operators' lists.
 
 use crate::cost::CostModel;
 use crate::delete_attribute::synchronize_delete_attribute_indexed;
@@ -23,8 +24,7 @@ use eve_esql::ViewDefinition;
 use eve_misd::CapabilityChange;
 
 /// Synchronize one (affected) view: run the change operator's algorithm
-/// and assemble the [`ViewOutcome`] — the single place where the
-/// retain-by-P3 / rank-by-cost / adopt-best policy lives.
+/// and assemble the [`ViewOutcome`], adopting the best rewriting.
 ///
 /// `require_p3` discards uncertified rewritings before adoption;
 /// `cost_model`, when present, re-ranks the candidates (otherwise the
@@ -79,20 +79,22 @@ pub fn synchronize_view(
             mut rewritings,
             mut stats,
         }) => {
-            // The delete-relation search already applied the policy
-            // (its list is P3-filtered and cost-ranked); for the other
-            // operators this is where it happens. Both are stable no-ops
-            // when already done.
-            if require_p3 {
-                rewritings.retain(|r| r.satisfies_p3);
+            // The delete-relation search applied the policy while it
+            // ranked (its key refines the cost ranking, so re-ranking
+            // would change nothing); the other operators' lists get it
+            // here.
+            if !matches!(change, CapabilityChange::DeleteRelation(_)) {
+                if require_p3 {
+                    rewritings.retain(|r| r.satisfies_p3);
+                }
+                if let Some(model) = cost_model {
+                    model.rank(view, &mut rewritings);
+                }
             }
             if rewritings.is_empty() {
                 return ViewOutcome::Disabled {
                     reason: CvsError::NoLegalRewriting,
                 };
-            }
-            if let Some(model) = cost_model {
-                model.rank(view, &mut rewritings);
             }
             stats.kept = rewritings.len();
             let chosen = Box::new(rewritings.remove(0));

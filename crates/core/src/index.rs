@@ -149,8 +149,8 @@ pub struct MkbIndex<'m> {
     /// maintenance.
     h: Arc<Hypergraph>,
     /// The first component of `h` asked for (`H_R` under
-    /// `delete-relation R`), with its component number.
-    h_r: OnceLock<(u32, Arc<Hypergraph>)>,
+    /// `delete-relation R`).
+    h_r: OnceLock<Arc<Hypergraph>>,
     /// `H'(MKB')`: the post-change hypergraph, restricted to join-capable
     /// relations.
     h_prime: Arc<Hypergraph>,
@@ -321,7 +321,8 @@ impl<'m> MkbIndex<'m> {
     }
 
     /// Do the interned `H'(MKB')` vertices `ids` all lie in one connected
-    /// component? A connection tree spanning them exists only then.
+    /// component? A connection tree spanning them exists only then. The
+    /// first call labels `H'(MKB')`'s components; later ones read them.
     pub(crate) fn in_one_component(&self, ids: &RelSet) -> bool {
         let mut comps = ids.iter().map(|id| self.h_prime.component_index(id));
         match comps.next() {
@@ -420,10 +421,9 @@ impl<'m> MkbIndex<'m> {
     /// relation of another component gets its component extracted afresh.
     pub fn component_of(&self, rel: &RelName) -> Option<Arc<Hypergraph>> {
         let id = self.h.rel_id(rel)?;
-        let comp = self.h.component_index(id);
         let extract = || Arc::new(self.h.component_containing(id));
-        let (kept, h_r) = self.h_r.get_or_init(|| (comp, extract()));
-        Some(if *kept == comp {
+        let h_r = self.h_r.get_or_init(extract);
+        Some(if h_r.contains(rel) {
             Arc::clone(h_r)
         } else {
             extract()

@@ -88,7 +88,7 @@ pub(crate) mod testutil;
 
 pub use affected::{is_affected, is_evaluable};
 pub use clock::VirtualClock;
-pub use cost::{rank_rewritings as rank_by_cost, CostBreakdown, CostModel};
+pub use cost::{CostBreakdown, CostModel};
 pub use delete_attribute::synchronize_delete_attribute_indexed;
 pub use delta::{DeltaSummary, IndexCore, MkbDelta};
 pub use engine::synchronize_view;
@@ -105,7 +105,7 @@ pub use rewrite::{
     cvs_delete_relation_indexed, cvs_delete_relation_searched, SearchResult, SearchStats,
 };
 pub use service::{FailedChange, SharedSynchronizer};
-pub use svs::{svs_delete_relation_indexed, svs_delete_relation_searched};
+pub use svs::svs_delete_relation_indexed;
 pub use synchronizer::{
     ChangeOutcome, Snapshot, SyncFailure, SyncPanic, SyncReport, Synchronizer, SynchronizerBuilder,
     VersionEntry, ViewOutcome,

@@ -14,47 +14,32 @@
 //! experiments (`sweep-chain`) an exact ablation: the two algorithms
 //! differ in nothing but the search radius.
 
-use crate::cost::CostModel;
 use crate::error::CvsError;
 use crate::index::MkbIndex;
 use crate::legal::LegalRewriting;
 use crate::options::CvsOptions;
-use crate::rewrite::{cvs_delete_relation_searched, SearchResult};
+use crate::rewrite::cvs_delete_relation_searched;
 use eve_esql::ViewDefinition;
 use eve_relational::RelName;
 
 /// Synchronize `view` under `delete-relation target` using only
 /// one-step-away rewritings, against a prebuilt [`MkbIndex`]: `opts` is
 /// the caller's configuration; only the search radius is clamped to one
-/// hop.
+/// hop and — SVS being defined as an *exhaustive* one-step search — any
+/// [`CvsOptions::deadline`] is stripped, matching
+/// [`CvsOptions::svs_baseline`].
 pub fn svs_delete_relation_indexed(
     view: &ViewDefinition,
     target: &RelName,
     index: &MkbIndex<'_>,
     opts: &CvsOptions,
 ) -> Result<Vec<LegalRewriting>, CvsError> {
-    svs_delete_relation_searched(view, target, index, opts, false, None).map(|r| r.rewritings)
-}
-
-/// The streaming form of [`svs_delete_relation_indexed`], with the
-/// search statistics. The search radius is clamped to one hop and — SVS
-/// being defined as an *exhaustive* one-step search — any
-/// [`CvsOptions::deadline`] is stripped, matching
-/// [`CvsOptions::svs_baseline`].
-pub fn svs_delete_relation_searched(
-    view: &ViewDefinition,
-    target: &RelName,
-    index: &MkbIndex<'_>,
-    opts: &CvsOptions,
-    require_p3: bool,
-    cost_model: Option<&CostModel>,
-) -> Result<SearchResult, CvsError> {
     let svs_opts = CvsOptions {
         max_path_edges: 1,
         deadline: None,
         ..*opts
     };
-    cvs_delete_relation_searched(view, target, index, &svs_opts, require_p3, cost_model)
+    cvs_delete_relation_searched(view, target, index, &svs_opts, false, None).map(|r| r.rewritings)
 }
 
 #[cfg(test)]

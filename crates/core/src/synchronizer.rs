@@ -391,8 +391,8 @@ pub struct Snapshot {
 /// constraint list the change edited, one pointer per view (the
 /// snapshot), and for a relation-level change the hypergraph's id
 /// arrays. Measured on the standard change mix
-/// (`synchronizer.chain_kb_per_version`): ≈136 KiB per version at
-/// 4,096 relations and 512 views, ≈492 KiB at 16,384 relations and
+/// (`synchronizer.chain_kb_per_version`): ≈128 KiB per version at
+/// 4,096 relations and 512 views, ≈459 KiB at 16,384 relations and
 /// 1,024 views. Version 0 is the initial state.
 #[derive(Debug, Clone)]
 pub struct VersionEntry {
@@ -935,29 +935,6 @@ impl Synchronizer {
         Ok(report)
     }
 
-    /// Apply a newline/semicolon-separated script of textual changes
-    /// (see [`CapabilityChange::parse`]), e.g.
-    ///
-    /// ```text
-    /// delete-attribute Customer.Addr
-    /// rename-relation Tour -> Excursion ;
-    /// delete-relation Customer -- the IS left the federation
-    /// ```
-    ///
-    /// `--` starts a comment that runs to the end of its line, `;`s
-    /// included, as in the MISD and E-SQL lexers.
-    pub fn apply_script(&mut self, script: &str) -> Result<SyncReport, MisdError> {
-        let changes: Vec<CapabilityChange> = script
-            .lines()
-            .map(|l| l.split_once("--").map_or(l, |(code, _)| code))
-            .flat_map(|l| l.split(';'))
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(CapabilityChange::parse)
-            .collect::<Result<_, _>>()?;
-        self.apply_all(&changes)
-    }
-
     /// Apply a sequence of changes, accumulating a report.
     pub fn apply_all(&mut self, changes: &[CapabilityChange]) -> Result<SyncReport, MisdError> {
         let mut report = SyncReport::default();
@@ -1177,41 +1154,6 @@ mod tests {
         // The affected view was rewritten, not disabled.
         let v = s.view("Customer-Passengers-Asia").unwrap();
         assert!(!v.uses_relation(&RelName::new("Customer")));
-    }
-
-    #[test]
-    fn apply_script_parses_and_applies() {
-        let mut s = sync();
-        let report = s
-            .apply_script(
-                "-- evolve the travel space
-                 rename-relation Tour -> Excursion ;
-                 delete-relation Customer",
-            )
-            .unwrap();
-        assert_eq!(report.outcomes.len(), 2);
-        assert!(s
-            .view("Tours")
-            .unwrap()
-            .uses_relation(&RelName::new("Excursion")));
-        assert!(!s.mkb().contains_relation(&RelName::new("Customer")));
-        // Bad script surfaces the parse error.
-        assert!(s.apply_script("explode Everything").is_err());
-    }
-
-    #[test]
-    fn apply_script_skips_changes_inside_comments() {
-        let mut s = sync();
-        let report = s
-            .apply_script(
-                "-- skip: delete-relation Customer; delete-relation Customer
-                 rename-relation Tour -> Excursion -- then; delete-relation FlightRes",
-            )
-            .unwrap();
-        assert_eq!(report.outcomes.len(), 1);
-        assert!(s.mkb().contains_relation(&RelName::new("Customer")));
-        assert!(s.mkb().contains_relation(&RelName::new("FlightRes")));
-        assert!(s.mkb().contains_relation(&RelName::new("Excursion")));
     }
 
     #[test]

@@ -131,12 +131,6 @@ impl SelectItem {
         self
     }
 
-    /// Set the alias (builder style).
-    pub fn with_alias(mut self, alias: impl Into<AttrName>) -> Self {
-        self.alias = Some(alias.into());
-        self
-    }
-
     /// The interface name this item exports: alias if present, else the
     /// attribute name for bare attribute expressions, else `None`
     /// (caller falls back to a positional name).
@@ -270,14 +264,6 @@ impl ViewDefinition {
         out
     }
 
-    /// The attributes of relation `rel` referenced anywhere in the view.
-    pub fn attrs_of_relation(&self, rel: &RelName) -> BTreeSet<AttrRef> {
-        self.referenced_attrs()
-            .into_iter()
-            .filter(|a| &a.relation == rel)
-            .collect()
-    }
-
     /// *Distinguished* attributes: attributes used by an indispensable
     /// WHERE condition (§4 requires them to be among the preserved
     /// attributes).
@@ -365,13 +351,6 @@ mod tests {
         assert!(!d.contains(&AttrRef::new("FlightRes", "Dest")));
         let p = v.preserved_attrs();
         assert!(p.contains(&AttrRef::new("Customer", "Phone")));
-    }
-
-    #[test]
-    fn attrs_of_relation() {
-        let v = sample();
-        let attrs = v.attrs_of_relation(&RelName::new("Customer"));
-        assert_eq!(attrs.len(), 2); // Name, Phone
     }
 
     #[test]

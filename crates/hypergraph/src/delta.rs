@@ -2,33 +2,30 @@
 //! typed [`GraphDelta`] instead of rebuilding the graph from scratch.
 //!
 //! Every derived structure of [`Hypergraph`] — interner, CSR adjacency,
-//! SoA endpoints, join-id ranks, connected components — is patched with
-//! integer work proportional to the touched region; no relation name is
-//! re-hashed and no join-id string is re-sorted. The correctness
-//! contract is *rebuild equivalence*: `h.apply_delta(d)` must be
-//! indistinguishable from `Hypergraph::from_parts` over the mutated
-//! `(relations, joins)` — the property tests below compare every
-//! internal array.
+//! SoA endpoints, join-id ranks — is patched with integer work; no
+//! relation name is re-hashed and no join-id string is re-sorted. The
+//! correctness contract is *rebuild equivalence*: `h.apply_delta(d)`
+//! must be indistinguishable from `Hypergraph::from_parts` over the
+//! mutated `(relations, joins)` — the property tests below compare
+//! every internal array.
 //!
-//! Two structural facts keep the patch logic small:
+//! Two facts keep the patch logic small:
 //!
-//! * **No capability change ever adds a join edge.** Evolution only
-//!   inserts descriptions (`add-*`), drops constraints (`delete-*`) or
-//!   rewrites them in place (`rename-*`), so components can only split,
-//!   never merge — a removed vertex/edge triggers a split-recheck BFS
-//!   *inside the affected component only*, every other component carries
-//!   its label.
+//! * **Component labels are never patched.** A graph labels its
+//!   components on its first connectivity read, so a derived graph
+//!   starts unlabelled whenever its topology differs from its input's;
+//!   only the changes that keep the topology (`rename-attribute`, and
+//!   the no-op cases) carry a filled label cell.
 //! * **Join-id ranks only need to be order-preserving, not dense.** A
 //!   subset of the old ranks compares exactly like the corresponding
 //!   subset of id strings, so deletions carry ranks verbatim.
 
-use crate::graph::{build_csr, renumber_components, Hypergraph};
+use crate::graph::{build_csr, Hypergraph};
 use crate::intern::RelId;
 use eve_misd::mkb::SharedList;
 use eve_misd::JoinConstraint;
 use eve_relational::{AttrName, AttrRef, RelName, ScalarExpr};
-use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One capability change projected onto a single hypergraph, in terms of
 /// the graph's own vocabulary (vertices and join edges).
@@ -73,56 +70,11 @@ pub enum GraphDelta {
     },
 }
 
-/// Recompute component labels after a vertex/edge removal: vertices with
-/// `carry[v] = Some(label)` keep their old component, `None` vertices
-/// (the split-recheck region) are re-labelled by a BFS seeded in
-/// ascending id order with fresh labels `>= old_count`. The raw labels
-/// are then renumbered canonically (ascending by smallest member id),
-/// reproducing exactly what a from-scratch BFS would assign.
-fn scoped_components(
-    n: usize,
-    adj_offsets: &[u32],
-    adj_targets: &[RelId],
-    carry: &[Option<u32>],
-    old_count: u32,
-) -> (Vec<u32>, u32) {
-    let mut raw = vec![u32::MAX; n];
-    for (v, c) in carry.iter().enumerate() {
-        if let Some(label) = c {
-            raw[v] = *label;
-        }
-    }
-    let mut next = old_count;
-    let mut queue: VecDeque<RelId> = VecDeque::new();
-    for v in 0..n {
-        if raw[v] != u32::MAX {
-            continue;
-        }
-        raw[v] = next;
-        queue.push_back(v as RelId);
-        while let Some(r) = queue.pop_front() {
-            let (lo, hi) = (
-                adj_offsets[r as usize] as usize,
-                adj_offsets[r as usize + 1] as usize,
-            );
-            for &t in &adj_targets[lo..hi] {
-                if raw[t as usize] == u32::MAX {
-                    raw[t as usize] = next;
-                    queue.push_back(t);
-                }
-            }
-        }
-        next += 1;
-    }
-    renumber_components(&raw, next as usize)
-}
-
 impl Hypergraph {
     /// Apply one [`GraphDelta`], producing the post-change graph. The
     /// result is equivalent (every derived array included) to rebuilding
-    /// via [`Hypergraph::from_parts`] over the mutated parts, but the
-    /// work is scoped: only the touched component is re-examined and no
-    /// string is hashed or rank-sorted.
+    /// via [`Hypergraph::from_parts`] over the mutated parts, but no
+    /// string is hashed or rank-sorted, and no component is labelled.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Hypergraph {
         match delta {
             GraphDelta::None => self.clone(),
@@ -134,9 +86,8 @@ impl Hypergraph {
         }
     }
 
-    /// Add an isolated vertex: splice an empty CSR row, shift ids `>=`
-    /// the insertion point, and renumber component labels around the new
-    /// singleton.
+    /// Add an isolated vertex: splice an empty CSR row and shift ids
+    /// `>=` the insertion point.
     fn with_vertex_added(&self, name: &RelName) -> Hypergraph {
         let Some((interner, new_id)) = self.interner.with_inserted(name) else {
             // Already a vertex (evolve would have rejected the change).
@@ -154,12 +105,6 @@ impl Hypergraph {
         adj_offsets.extend_from_slice(&self.adj_offsets[at + 1..]);
         let adj_targets: Vec<RelId> = self.adj_targets.iter().map(|&v| bump(v)).collect();
 
-        let mut raw = Vec::with_capacity(n);
-        raw.extend_from_slice(&self.comp_of[..at]);
-        raw.push(self.comp_count); // fresh singleton component
-        raw.extend_from_slice(&self.comp_of[at..]);
-        let (comp_of, comp_count) = renumber_components(&raw, self.comp_count as usize + 1);
-
         Hypergraph {
             joins: Arc::clone(&self.joins),
             interner: Arc::new(interner),
@@ -169,13 +114,11 @@ impl Hypergraph {
             join_left,
             join_right,
             join_rank: self.join_rank.clone(),
-            comp_of,
-            comp_count,
+            labels: OnceLock::new(),
         }
     }
 
-    /// Erase a vertex and its incident edges; split-recheck only the
-    /// component it belonged to.
+    /// Erase a vertex and its incident edges.
     fn with_vertex_removed(&self, name: &RelName) -> Hypergraph {
         let Some((interner, rid)) = self.interner.with_removed(name) else {
             // Not a vertex here (filtered graph): nothing to erase.
@@ -200,18 +143,6 @@ impl Hypergraph {
         }
         let (adj_offsets, adj_targets, adj_edges) = build_csr(n, &join_left, &join_right);
 
-        let affected = self.comp_of[rid as usize];
-        let mut carry = Vec::with_capacity(n);
-        for old_v in 0..self.interner.len() {
-            if old_v == rid as usize {
-                continue;
-            }
-            let label = self.comp_of[old_v];
-            carry.push((label != affected).then_some(label));
-        }
-        let (comp_of, comp_count) =
-            scoped_components(n, &adj_offsets, &adj_targets, &carry, self.comp_count);
-
         Hypergraph {
             joins: Arc::new(joins),
             interner: Arc::new(interner),
@@ -221,14 +152,13 @@ impl Hypergraph {
             join_left,
             join_right,
             join_rank,
-            comp_of,
-            comp_count,
+            labels: OnceLock::new(),
         }
     }
 
-    /// Rename a vertex: permute ids, carry component membership through
-    /// the permutation, and rewrite the incident join constraints the
-    /// way `eve_misd::evolve` does. Every other edge keeps its `Arc`.
+    /// Rename a vertex: permute ids and rewrite the incident join
+    /// constraints the way `eve_misd::evolve` does. Every other edge
+    /// keeps its `Arc`.
     fn with_vertex_renamed(&self, from: &RelName, to: &RelName) -> Hypergraph {
         let Some((interner, old_id, new_id)) = self.interner.with_renamed(from, to) else {
             // `from` is not a vertex here (capability-filtered graph), so
@@ -261,14 +191,6 @@ impl Hypergraph {
         let join_right: Vec<RelId> = self.join_right.iter().map(|&v| perm(v)).collect();
         let (adj_offsets, adj_targets, adj_edges) = build_csr(n, &join_left, &join_right);
 
-        // Membership is invariant under renaming; only the numbering
-        // moves with the ids.
-        let mut raw = vec![0u32; n];
-        for (v, &label) in self.comp_of.iter().enumerate() {
-            raw[perm(v as RelId) as usize] = label;
-        }
-        let (comp_of, comp_count) = renumber_components(&raw, self.comp_count as usize);
-
         Hypergraph {
             joins,
             interner: Arc::new(interner),
@@ -278,13 +200,11 @@ impl Hypergraph {
             join_left,
             join_right,
             join_rank: self.join_rank.clone(),
-            comp_of,
-            comp_count,
+            labels: OnceLock::new(),
         }
     }
 
-    /// Drop every edge mentioning `attr`; split-recheck only the
-    /// components those edges lived in.
+    /// Drop every edge mentioning `attr`.
     fn with_attr_edges_removed(&self, attr: &AttrRef) -> Hypergraph {
         let hit = self.edges_mentioning_attr(attr);
         if hit.is_empty() {
@@ -299,25 +219,15 @@ impl Hypergraph {
         let mut join_left = Vec::with_capacity(self.join_left.len());
         let mut join_right = Vec::with_capacity(self.join_right.len());
         let mut join_rank = Vec::with_capacity(self.join_rank.len());
-        let mut affected: BTreeSet<u32> = BTreeSet::new();
         for (e, &kept) in keep.iter().enumerate() {
             if kept {
                 joins.push(Arc::clone(&self.joins[e]));
                 join_left.push(self.join_left[e]);
                 join_right.push(self.join_right[e]);
                 join_rank.push(self.join_rank[e]);
-            } else {
-                affected.insert(self.comp_of[self.join_left[e] as usize]);
             }
         }
         let (adj_offsets, adj_targets, adj_edges) = build_csr(n, &join_left, &join_right);
-        let carry: Vec<Option<u32>> = self
-            .comp_of
-            .iter()
-            .map(|label| (!affected.contains(label)).then_some(*label))
-            .collect();
-        let (comp_of, comp_count) =
-            scoped_components(n, &adj_offsets, &adj_targets, &carry, self.comp_count);
         Hypergraph {
             joins: Arc::new(joins),
             interner: Arc::clone(&self.interner),
@@ -327,14 +237,13 @@ impl Hypergraph {
             join_left,
             join_right,
             join_rank,
-            comp_of,
-            comp_count,
+            labels: OnceLock::new(),
         }
     }
 
     /// Rewrite the predicates mentioning a renamed attribute. Topology,
     /// ids, ranks and components are all invariant — only those join
-    /// constraint values change.
+    /// constraint values change, and filled labels are kept.
     fn with_attr_renamed(&self, from: &AttrRef, to: &AttrName) -> Hypergraph {
         let new_ref = ScalarExpr::Attr(AttrRef::new(from.relation.clone(), to.clone()));
         let hit = self.edges_mentioning_attr(from);
@@ -370,6 +279,7 @@ fn rewrite_edges(
 mod tests {
     use super::*;
     use eve_relational::{Clause, Conjunction};
+    use std::collections::BTreeSet;
 
     fn rel(n: &str) -> RelName {
         RelName::new(n)
@@ -414,8 +324,6 @@ mod tests {
         assert_eq!(patched.adj_offsets, rebuilt.adj_offsets);
         assert_eq!(patched.adj_targets, rebuilt.adj_targets);
         assert_eq!(patched.adj_edges, rebuilt.adj_edges);
-        assert_eq!(patched.comp_of, rebuilt.comp_of);
-        assert_eq!(patched.comp_count, rebuilt.comp_count);
         for a in 0..patched.joins.len() {
             for b in 0..patched.joins.len() {
                 assert_eq!(
@@ -494,7 +402,7 @@ mod tests {
             let (rels, joins) = (3 + rng.below(10), rng.below(16));
             let mut h = random_graph(&mut rng, rels, joins);
             // Chain several deltas so later ones exercise carried state
-            // (non-dense ranks, renumbered components).
+            // (non-dense ranks, label cells).
             for step in 0..6 {
                 let names: Vec<RelName> = h.relations().cloned().collect();
                 let delta = if names.is_empty() {
@@ -519,9 +427,16 @@ mod tests {
                         _ => GraphDelta::None,
                     }
                 };
+                // Label the input first, so a delta that carried its
+                // labels across a topology change would be caught.
+                h.component_count();
                 let patched = h.apply_delta(&delta);
                 let rebuilt = rebuild(&h, &delta);
                 assert_equivalent(&patched, &rebuilt);
+                assert_eq!(patched.component_count(), rebuilt.component_count());
+                for v in 0..rebuilt.rel_count() as RelId {
+                    assert_eq!(patched.component_index(v), rebuilt.component_index(v));
+                }
                 h = patched;
             }
         }

@@ -4,11 +4,13 @@
 //! to dense `u32` ids ([`crate::intern::Interner`], ids in ascending
 //! name order), adjacency is a flat CSR triple
 //! (`adj_offsets`/`adj_targets`/`adj_edges`) preserving
-//! join-declaration order, join endpoints live in SoA arrays, and the
-//! connected component of every vertex is precomputed once at
-//! construction. The string-keyed public API is a thin boundary that
-//! interns on entry and resolves names on exit, so every legacy result
-//! — including iteration and tie-break orders — is reproduced exactly.
+//! join-declaration order, and join endpoints live in SoA arrays.
+//! Component labels are computed from the CSR by the first connectivity
+//! read and kept for the graph's life; building or deriving a graph
+//! never computes them. The string-keyed public API is a thin boundary
+//! that interns on entry and resolves names on exit, so every legacy
+//! result — including iteration and tie-break orders — is reproduced
+//! exactly.
 
 use crate::intern::{Interner, RelId};
 use crate::relset::RelSet;
@@ -16,7 +18,7 @@ use eve_misd::mkb::SharedList;
 use eve_misd::{JoinConstraint, MetaKnowledgeBase};
 use eve_relational::{AttrRef, RelName};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The hypergraph `H(MKB)` (or a sub-hypergraph of it), materialised as a
 /// relation-level multigraph: vertices are relations, edges are join
@@ -54,10 +56,13 @@ pub struct Hypergraph {
     /// comparing strings. Delta maintenance carries ranks over edge
     /// subsets, so ranks need not be dense — only order-preserving.
     pub(crate) join_rank: Vec<u32>,
-    /// Connected-component index per vertex. Components are numbered in
-    /// ascending order of their smallest vertex id (= smallest name).
-    pub(crate) comp_of: Vec<u32>,
-    pub(crate) comp_count: u32,
+    /// Connected-component index per vertex and the component count,
+    /// filled by the first connectivity read (`component_index`,
+    /// `component_count`, `components`, `component_relations` or
+    /// `is_connected_set`). Components are numbered in ascending order
+    /// of their smallest vertex id (= smallest name). Only a derivation
+    /// that keeps the topology may carry a filled cell.
+    pub(crate) labels: OnceLock<(Vec<u32>, u32)>,
 }
 
 /// Build the CSR adjacency triple for `n` vertices from SoA join
@@ -99,11 +104,7 @@ pub(crate) fn build_csr(
 
 /// Connected components over a CSR adjacency, seeded in ascending id
 /// (= name) order so component indices sort by smallest member name.
-pub(crate) fn components_from(
-    n: usize,
-    adj_offsets: &[u32],
-    adj_targets: &[RelId],
-) -> (Vec<u32>, u32) {
+fn components_from(n: usize, adj_offsets: &[u32], adj_targets: &[RelId]) -> (Vec<u32>, u32) {
     let mut comp_of = vec![u32::MAX; n];
     let mut comp_count = 0u32;
     let mut queue: VecDeque<RelId> = VecDeque::new();
@@ -128,24 +129,6 @@ pub(crate) fn components_from(
         comp_count += 1;
     }
     (comp_of, comp_count)
-}
-
-/// Renumber arbitrary distinct component labels into the canonical
-/// numbering (ascending by smallest member id): first occurrence over
-/// ascending vertex id reproduces exactly what a BFS seeded in id order
-/// would assign. Labels must be `< bound`.
-pub(crate) fn renumber_components(raw: &[u32], bound: usize) -> (Vec<u32>, u32) {
-    let mut map = vec![u32::MAX; bound];
-    let mut next = 0u32;
-    let mut out = Vec::with_capacity(raw.len());
-    for &label in raw {
-        if map[label as usize] == u32::MAX {
-            map[label as usize] = next;
-            next += 1;
-        }
-        out.push(map[label as usize]);
-    }
-    (out, next)
 }
 
 impl PartialEq for Hypergraph {
@@ -222,10 +205,8 @@ impl Hypergraph {
             .collect();
 
         // CSR adjacency, filled in join-declaration order (left endpoint
-        // first, then right — matching the legacy push order), then the
-        // connected components seeded in ascending id (= name) order.
+        // first, then right — matching the legacy push order).
         let (adj_offsets, adj_targets, adj_edges) = build_csr(n, &join_left, &join_right);
-        let (comp_of, comp_count) = components_from(n, &adj_offsets, &adj_targets);
 
         Hypergraph {
             joins,
@@ -236,8 +217,7 @@ impl Hypergraph {
             join_left,
             join_right,
             join_rank,
-            comp_of,
-            comp_count,
+            labels: OnceLock::new(),
         }
     }
 
@@ -309,80 +289,32 @@ impl Hypergraph {
         self.join_rank[e as usize]
     }
 
+    /// The component labels: computed over the CSR by the first call,
+    /// served from the cell after.
+    fn labels(&self) -> &(Vec<u32>, u32) {
+        self.labels
+            .get_or_init(|| components_from(self.rel_count(), &self.adj_offsets, &self.adj_targets))
+    }
+
     /// The connected-component index of vertex `id`. Components are
     /// numbered ascending by smallest member name.
     pub fn component_index(&self, id: RelId) -> u32 {
-        self.comp_of[id as usize]
+        self.labels().0[id as usize]
     }
 
     /// Number of connected components.
     pub fn component_count(&self) -> usize {
-        self.comp_count as usize
-    }
-
-    /// Breadth-first shortest path between two vertices by id, as edge
-    /// indices in walk order. `None` when unreachable; empty when
-    /// `a == b`. Visits neighbours in join-declaration order, matching
-    /// the legacy string-keyed BFS tie-breaks.
-    pub fn join_path_ids(&self, a: RelId, b: RelId) -> Option<Vec<u32>> {
-        if a == b {
-            return Some(Vec::new());
-        }
-        if self.comp_of[a as usize] != self.comp_of[b as usize] {
-            return None;
-        }
-        let mut prev: Vec<(RelId, u32)> = vec![(u32::MAX, u32::MAX); self.rel_count()];
-        let mut seen = self.relset();
-        seen.insert(a);
-        let mut queue = VecDeque::new();
-        queue.push_back(a);
-        while let Some(r) = queue.pop_front() {
-            for (next, edge) in self.neighbors(r) {
-                if seen.insert(next) {
-                    prev[next as usize] = (r, edge);
-                    if next == b {
-                        let mut path = Vec::new();
-                        let mut cur = b;
-                        while prev[cur as usize].0 != u32::MAX {
-                            let (p, e) = prev[cur as usize];
-                            path.push(e);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-        None
+        self.labels().1 as usize
     }
 
     // ---- string-keyed boundary ----------------------------------------
 
-    /// Join constraints incident to `rel`.
-    pub fn joins_of<'a>(&'a self, rel: &RelName) -> impl Iterator<Item = &'a JoinConstraint> {
-        self.rel_id(rel)
-            .into_iter()
-            .flat_map(move |id| self.neighbors(id).map(|(_, e)| &*self.joins[e as usize]))
-    }
-
-    /// All join constraints between the unordered pair `{r1, r2}`, as
-    /// the graph's own `Arc`s (so a caller keeping one clones a pointer).
-    pub fn joins_between<'a>(
-        &'a self,
-        r1: &'a RelName,
-        r2: &'a RelName,
-    ) -> impl Iterator<Item = &'a Arc<JoinConstraint>> {
-        self.joins.iter().filter(move |j| j.connects(r1, r2))
-    }
-
     /// The set of relations reachable from `start` (its connected
     /// component's vertex set `S_R(MKB)`), or `None` when `start` is not a
-    /// vertex. Served from the precomputed component index — no
-    /// traversal, no whole-set clone.
+    /// vertex. Served from the component labels — no traversal, no
+    /// whole-set clone.
     pub fn component_relations(&self, start: &RelName) -> Option<BTreeSet<RelName>> {
-        let comp = self.comp_of[self.rel_id(start)? as usize];
+        let comp = self.component_index(self.rel_id(start)?);
         Some(self.component_members(comp).cloned().collect())
     }
 
@@ -394,8 +326,9 @@ impl Hypergraph {
 
     /// The names of component `comp`'s vertices, ascending.
     fn component_members(&self, comp: u32) -> impl Iterator<Item = &RelName> {
+        let comp_of = &self.labels().0;
         (0..self.rel_count() as RelId)
-            .filter(move |&v| self.comp_of[v as usize] == comp)
+            .filter(move |&v| comp_of[v as usize] == comp)
             .map(|v| self.interner.name(v))
     }
 
@@ -403,14 +336,14 @@ impl Hypergraph {
     /// by their smallest relation name. One pass over the vertices and
     /// one over the edges sort both into their components.
     pub fn components(&self) -> Vec<Hypergraph> {
-        let count = self.comp_count as usize;
-        let mut rels = vec![Vec::new(); count];
-        for (name, &c) in self.relations().zip(&self.comp_of) {
+        let (comp_of, count) = self.labels();
+        let mut rels = vec![Vec::new(); *count as usize];
+        for (name, &c) in self.relations().zip(comp_of) {
             rels[c as usize].push(name.clone());
         }
-        let mut joins = vec![Vec::new(); count];
+        let mut joins = vec![Vec::new(); *count as usize];
         for (e, j) in self.joins.iter().enumerate() {
-            joins[self.comp_of[self.join_left[e] as usize] as usize].push(Arc::clone(j));
+            joins[comp_of[self.join_left[e] as usize] as usize].push(Arc::clone(j));
         }
         rels.into_iter()
             .zip(joins)
@@ -422,9 +355,7 @@ impl Hypergraph {
 
     /// The connected sub-hypergraph containing vertex `id`, gathered by
     /// a breadth-first walk over the CSR adjacency, so it costs the
-    /// component's size rather than the graph's. Lets delta maintenance
-    /// rebuild only the components a change touched, `Arc`-sharing the
-    /// rest.
+    /// component's size rather than the graph's, and labels nothing.
     ///
     /// # Panics
     /// When `id >= rel_count()`.
@@ -461,8 +392,8 @@ impl Hypergraph {
 
     /// Is the given set of relations mutually connected *within this
     /// hypergraph* (all in one component)? The empty set and singletons
-    /// are trivially connected. With the precomputed component index
-    /// this is one comparison per relation.
+    /// are trivially connected. With the component labels this is one
+    /// comparison per relation.
     pub fn is_connected_set(&self, rels: &BTreeSet<RelName>) -> bool {
         let mut iter = rels.iter();
         let first = match iter.next() {
@@ -470,12 +401,12 @@ impl Hypergraph {
             None => return true,
         };
         let comp = match self.rel_id(first) {
-            Some(id) => self.comp_of[id as usize],
+            Some(id) => self.component_index(id),
             None => return false,
         };
         iter.all(|r| {
             self.rel_id(r)
-                .is_some_and(|id| self.comp_of[id as usize] == comp)
+                .is_some_and(|id| self.component_index(id) == comp)
         })
     }
 
@@ -491,100 +422,6 @@ impl Hypergraph {
             .cloned()
             .collect();
         Hypergraph::from_shared(relations, Arc::new(joins))
-    }
-
-    /// Breadth-first shortest join path from `from` to `to`: the sequence
-    /// of join constraints realising
-    /// `from ⋈_{JC_1} R_1 ⋈ … ⋈_{JC_n} to`. Returns `None` when
-    /// unreachable; the empty path when `from == to`.
-    pub fn join_path(&self, from: &RelName, to: &RelName) -> Option<Vec<&JoinConstraint>> {
-        let (a, b) = (self.rel_id(from)?, self.rel_id(to)?);
-        let path = self.join_path_ids(a, b)?;
-        Some(path.into_iter().map(|e| &*self.joins[e as usize]).collect())
-    }
-
-    /// Enumerate all simple paths (as join-constraint sequences) from
-    /// `from` to `to` with at most `max_edges` edges, in deterministic
-    /// order. Parallel join constraints yield distinct paths.
-    ///
-    /// Unbounded in the number of paths — prefer
-    /// [`Hypergraph::simple_paths_bounded`] on large graphs, where the
-    /// number of simple paths grows combinatorially.
-    pub fn all_simple_paths(
-        &self,
-        from: &RelName,
-        to: &RelName,
-        max_edges: usize,
-    ) -> Vec<Vec<&JoinConstraint>> {
-        self.simple_paths_bounded(from, to, max_edges, usize::MAX)
-    }
-
-    /// Like [`Hypergraph::all_simple_paths`], but stops after collecting
-    /// `max_paths` paths (depth-first order). The DFS visits neighbours
-    /// in adjacency order, so the result is deterministic; it is *not*
-    /// guaranteed to contain the shortest path when truncated — callers
-    /// that need it should union with [`Hypergraph::join_path`].
-    pub fn simple_paths_bounded(
-        &self,
-        from: &RelName,
-        to: &RelName,
-        max_edges: usize,
-        max_paths: usize,
-    ) -> Vec<Vec<&JoinConstraint>> {
-        let mut out = Vec::new();
-        let (a, b) = match (self.rel_id(from), self.rel_id(to)) {
-            (Some(a), Some(b)) if max_paths > 0 => (a, b),
-            _ => return out,
-        };
-        let mut visited = self.relset();
-        visited.insert(a);
-        let mut path: Vec<u32> = Vec::new();
-        self.dfs_paths(
-            a,
-            b,
-            max_edges,
-            max_paths,
-            &mut visited,
-            &mut path,
-            &mut out,
-        );
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs_paths<'a>(
-        &'a self,
-        cur: RelId,
-        to: RelId,
-        budget: usize,
-        max_paths: usize,
-        visited: &mut RelSet,
-        path: &mut Vec<u32>,
-        out: &mut Vec<Vec<&'a JoinConstraint>>,
-    ) {
-        if out.len() >= max_paths {
-            return;
-        }
-        if cur == to {
-            out.push(path.iter().map(|&e| &*self.joins[e as usize]).collect());
-            return;
-        }
-        if budget == 0 {
-            return;
-        }
-        for (next, edge) in self.neighbors(cur) {
-            if out.len() >= max_paths {
-                return;
-            }
-            if visited.contains(next) {
-                continue;
-            }
-            visited.insert(next);
-            path.push(edge);
-            self.dfs_paths(next, to, budget - 1, max_paths, visited, path, out);
-            path.pop();
-            visited.remove(next);
-        }
     }
 
     /// The join edges whose predicate mentions `attr`, ascending.
@@ -607,16 +444,6 @@ impl Hypergraph {
         // A join of a relation with itself sits in its row twice.
         edges.dedup();
         edges
-    }
-
-    /// Degree of a relation (number of incident join constraints).
-    pub fn degree(&self, rel: &RelName) -> usize {
-        match self.rel_id(rel) {
-            Some(id) => {
-                (self.adj_offsets[id as usize + 1] - self.adj_offsets[id as usize]) as usize
-            }
-            None => 0,
-        }
     }
 }
 
@@ -659,6 +486,9 @@ mod tests {
     #[test]
     fn components_counted() {
         let h = sample();
+        // Building labels nothing; the first connectivity read does.
+        assert!(h.labels.get().is_none());
+        assert!(h.component_containing(0).labels.get().is_none());
         let comps = h.components();
         assert_eq!(comps.len(), 3); // {A,B,C}, {D,E}, {F}
         let sizes: Vec<usize> = comps.iter().map(|c| c.relations().len()).collect();
@@ -716,37 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn join_path_shortest() {
-        let h = sample();
-        let p = h.join_path(&rel("A"), &rel("C")).unwrap();
-        assert_eq!(p.len(), 2);
-        assert_eq!(p[1].id, "J2");
-        assert!(h.join_path(&rel("A"), &rel("D")).is_none());
-        assert_eq!(h.join_path(&rel("A"), &rel("A")).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn all_simple_paths_includes_parallel_edges() {
-        let h = sample();
-        let ps = h.all_simple_paths(&rel("A"), &rel("C"), 4);
-        // two parallel A—B edges → two paths A-B-C
-        assert_eq!(ps.len(), 2);
-        let ids: BTreeSet<&str> = ps.iter().map(|p| p[0].id.as_str()).collect();
-        assert_eq!(ids, ["J1", "J1b"].into_iter().collect());
-        // Budget too small → no paths.
-        assert!(h.all_simple_paths(&rel("A"), &rel("C"), 1).is_empty());
-    }
-
-    #[test]
-    fn degree_and_joins_between() {
-        let h = sample();
-        assert_eq!(h.degree(&rel("A")), 2);
-        assert_eq!(h.degree(&rel("F")), 0);
-        assert_eq!(h.joins_between(&rel("A"), &rel("B")).count(), 2);
-        assert_eq!(h.joins_of(&rel("B")).count(), 3);
-    }
-
-    #[test]
     fn from_parts_drops_dangling_joins() {
         let rels: BTreeSet<RelName> = [rel("A")].into_iter().collect();
         let h = Hypergraph::from_parts(rels, vec![jc("J1", "A", "B")]);
@@ -794,8 +593,14 @@ mod tests {
         assert_eq!(h.component_count(), 3);
         assert_eq!(h.component_index(id("A")), h.component_index(id("C")));
         assert_ne!(h.component_index(id("A")), h.component_index(id("D")));
-        assert_eq!(h.join_path_ids(id("A"), id("C")).map(|p| p.len()), Some(2));
-        assert_eq!(h.join_path_ids(id("A"), id("A")), Some(Vec::new()));
-        assert_eq!(h.join_path_ids(id("A"), id("D")), None);
+        // The two-terminal search's first tree is a shortest path.
+        let distance = |a: &str, b: &str| {
+            let pair = [rel(a), rel(b)].into_iter().collect();
+            h.tree_cursor(&pair, usize::MAX)
+                .next()
+                .map(|tree| tree.joins.len())
+        };
+        assert_eq!(distance("A", "C"), Some(2));
+        assert_eq!(distance("A", "D"), None);
     }
 }

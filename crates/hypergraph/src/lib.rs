@@ -25,14 +25,17 @@
 //!   `H_R(MKB)` containing a given relation (Step 1 of CVS);
 //! * [`Hypergraph::without_relation`] — `H'_R(MKB')`, obtained by erasing
 //!   a relation hyperedge (Def. 3);
-//! * [`Hypergraph::join_path`] / [`Hypergraph::all_simple_paths`] — chains
-//!   of join constraints between two relations (the "possibly complex view
-//!   rewrites through multiple join constraints" of the abstract);
+//! * [`Hypergraph::component_index`] — whether a terminal set lies in one
+//!   component, so that a connection tree can exist; a graph labels its
+//!   components on the first such read;
 //! * [`Hypergraph::connect_tree`] — a minimal tree of join constraints
 //!   connecting a *set* of required relations (used to assemble
 //!   `Max(V_{j,R})` candidates from `Min(H'_R)` plus covers);
 //! * [`Hypergraph::tree_cursor`] — the alternative connection trees for
-//!   such a set, streamed in nondecreasing edge count.
+//!   such a set, streamed in nondecreasing edge count (for two
+//!   relations: the simple join paths between them, the "possibly
+//!   complex view rewrites through multiple join constraints" of the
+//!   abstract).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -336,7 +336,9 @@ impl<'g> TreeCursor<'g> {
                     // is longer than PATH_CAP but within the hop bound.
                     if !*yielded_any {
                         let (s, g, hop) = (*start, *goal, *max_path_edges);
-                        if let Some(shortest) = self.graph.join_path_ids(s, g) {
+                        let mut from = self.graph.relset();
+                        from.insert(s);
+                        if let Some(shortest) = shortest_path_from_set(self.graph, &from, g) {
                             if shortest.len() <= hop {
                                 self.state = CursorState::Done;
                                 write_path_scratch(

@@ -161,20 +161,6 @@ impl RelSet {
         fresh
     }
 
-    /// Remove `id`; returns `true` when it was present.
-    pub fn remove(&mut self, id: u32) -> bool {
-        let (w, b) = ((id as usize) / 64, id % 64);
-        match self.words_mut().get_mut(w) {
-            Some(word) => {
-                let mask = 1u64 << b;
-                let had = *word & mask != 0;
-                *word &= !mask;
-                had
-            }
-            None => false,
-        }
-    }
-
     /// Is `id` in the set?
     pub fn contains(&self, id: u32) -> bool {
         let (w, b) = ((id as usize) / 64, id % 64);
@@ -231,32 +217,6 @@ impl RelSet {
             *w = 0;
         }
     }
-
-    /// Add every id of `other` to `self`.
-    pub fn union_with(&mut self, other: &RelSet) {
-        let src = other.trimmed();
-        if self.words().len() < src.len() {
-            self.reserve_bit((src.len() * 64 - 1) as u32);
-        }
-        let dst = self.words_mut();
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d |= s;
-        }
-    }
-
-    /// Is every id of `self` also in `other`?
-    pub fn is_subset_of(&self, other: &RelSet) -> bool {
-        let (a, b) = (self.trimmed(), other.words());
-        a.len() <= b.len() && a.iter().zip(b).all(|(x, y)| x & !y == 0)
-    }
-
-    /// Do the sets share at least one id?
-    pub fn intersects(&self, other: &RelSet) -> bool {
-        self.words()
-            .iter()
-            .zip(other.words())
-            .any(|(a, b)| a & b != 0)
-    }
 }
 
 struct BitIter {
@@ -311,7 +271,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove_roundtrip() {
+    fn insert_contains_clear_roundtrip() {
         let mut s = RelSet::with_universe(100);
         assert!(s.is_empty() && s.is_inline());
         assert!(s.insert(3));
@@ -321,9 +281,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.first(), Some(3));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 77]);
-        assert!(s.remove(3));
-        assert!(!s.remove(3));
-        assert_eq!(s.len(), 1);
         s.clear();
         assert!(s.is_empty() && s.is_inline());
     }
@@ -396,13 +353,7 @@ mod tests {
     #[test]
     fn set_algebra() {
         let a = RelSet::from_ids(128, [1, 5, 9]);
-        let b = RelSet::from_ids(128, [5, 9, 11]);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 5, 9, 11]);
-        assert!(a.intersects(&b));
-        assert!(!a.is_subset_of(&b));
-        assert!(a.is_subset_of(&u) && b.is_subset_of(&u));
+        let u = RelSet::from_ids(128, [1, 5, 9, 100]);
         let mut c = RelSet::with_universe(128);
         c.copy_from(&u);
         assert_eq!(c, u);

@@ -18,7 +18,10 @@
 //!
 //! The cores keep no component list, so the one component CVS reads,
 //! `H_R`, is checked on its own: the delta-assembled index must extract
-//! every relation's component of the pre-change `H(MKB)`.
+//! every relation's component of the pre-change `H(MKB)`. Graphs label
+//! their components on first read, so `H'(MKB')` is checked after each
+//! delta from a labelled input: no label may survive a change that moved
+//! an edge or a vertex.
 
 use eve::cvs::{
     CvsOptions, IndexCore, IndexMaintenance, MkbDelta, MkbIndex, Synchronizer, SynchronizerBuilder,
@@ -140,7 +143,9 @@ fn check_history(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCas
 
 /// After every change of a random stream, the index assembled from the
 /// delta-maintained cores gives each relation of the pre-change MKB the
-/// component a from-scratch `H(MKB)` assigns it.
+/// component a from-scratch `H(MKB)` assigns it, and its `H'(MKB')` has
+/// the components of a from-scratch `H'(MKB')`. Reading them labels the
+/// graph the next change derives its `H'(MKB')` from.
 fn check_components(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCaseError> {
     let w = SynthWorkload::random(cfg, seed);
     let stream = change_stream(&w.mkb, len, seed);
@@ -157,6 +162,14 @@ fn check_components(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), Test
             let got = index.component_of(r);
             prop_assert_eq!(got.as_deref(), Some(want), "prefix {i} ({c}): {r} diverged");
         }
+        let h_prime = Hypergraph::build_filtered(&mkb_prime, |d| d.capabilities.join);
+        prop_assert_eq!(
+            index.h_prime().components(),
+            h_prime.components(),
+            "prefix {} ({}): H' components diverged",
+            i,
+            c
+        );
         (mkb, core) = (mkb_prime, next);
     }
     Ok(())

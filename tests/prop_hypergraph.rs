@@ -117,41 +117,52 @@ proptest! {
         prop_assert!(smallest.windows(2).all(|w| w[0] < w[1]), "out of order: {:?}", smallest);
     }
 
-    /// Every path returned by `join_path` is a valid chain from source to
-    /// target, and exists iff the endpoints are connected.
+    /// Every tree the two-terminal `tree_cursor` yields — the search
+    /// the rewriting runs — is a chain of joins from one terminal to the
+    /// other, and a tree is yielded iff the terminals are connected.
     #[test]
     fn join_paths_are_valid_chains(n in 2usize..10, seed_edges in edges_strategy(9)) {
         let edges: Vec<_> = seed_edges.into_iter().filter(|(a, b)| a < &n && b < &n).collect();
         let g = graph(n, &edges);
         let roots = reference_components(n, &edges);
         for i in 0..n {
-            for j in 0..n {
-                let path = g.join_path(&rel(i), &rel(j));
-                prop_assert_eq!(path.is_some(), roots[i] == roots[j]);
-                if let Some(p) = path {
+            for j in i + 1..n {
+                let pair: BTreeSet<RelName> = [rel(i), rel(j)].into_iter().collect();
+                let mut yielded = false;
+                for tree in g.tree_cursor(&pair, usize::MAX) {
+                    yielded = true;
                     // The chain must start at i, end at j, and link up.
                     let mut cur = rel(i);
-                    for step in &p {
+                    for step in &tree.joins {
                         let next = step.other(&cur);
                         prop_assert!(next.is_some(), "broken chain at {cur}");
                         cur = next.expect("checked").clone();
                     }
                     prop_assert_eq!(cur, rel(j));
                 }
+                prop_assert_eq!(yielded, roots[i] == roots[j], "R{} vs R{} (edges {:?})", i, j, edges);
             }
         }
     }
 
-    /// All simple paths are simple (no repeated relation) and within the
-    /// edge budget; the set includes the shortest path.
+    /// The two-terminal cursor yields simple paths (no repeated
+    /// relation) within the hop bound, in nondecreasing length, each
+    /// once; the first is as short as `connect_tree`'s path.
     #[test]
     fn simple_paths_are_simple(n in 3usize..9, seed_edges in edges_strategy(8), budget in 1usize..6) {
         let edges: Vec<_> = seed_edges.into_iter().filter(|(a, b)| a < &n && b < &n).collect();
         let g = graph(n, &edges);
         let (a, b) = (rel(0), rel(n - 1));
-        let paths = g.all_simple_paths(&a, &b, budget);
-        for p in &paths {
+        let pair: BTreeSet<RelName> = [a.clone(), b.clone()].into_iter().collect();
+        let mut seen: BTreeSet<Vec<String>> = BTreeSet::new();
+        let mut last_len = 0;
+        for tree in g.tree_cursor(&pair, budget) {
+            let p = &tree.joins;
             prop_assert!(p.len() <= budget);
+            prop_assert!(p.len() >= last_len, "length fell to {} after {}", p.len(), last_len);
+            last_len = p.len();
+            let ids = p.iter().map(|j| j.id.clone()).collect();
+            prop_assert!(seen.insert(ids), "path yielded twice");
             // Walk and collect visited relations.
             let mut visited: BTreeSet<RelName> = [a.clone()].into_iter().collect();
             let mut cur = a.clone();
@@ -161,14 +172,9 @@ proptest! {
             }
             prop_assert_eq!(cur, b.clone());
         }
-        if let Some(shortest) = g.join_path(&a, &b) {
-            if shortest.len() <= budget {
-                prop_assert!(
-                    paths.iter().any(|p| p.len() == shortest.len()),
-                    "shortest path missing from enumeration"
-                );
-            }
-        }
+        let first = g.tree_cursor(&pair, budget).next().map(|t| t.joins.len());
+        let greedy = g.connect_tree(&pair, budget).map(|t| t.joins.len());
+        prop_assert_eq!(first, greedy, "first yield vs connect_tree (edges {:?})", edges);
     }
 
     /// A connection tree spans its terminals with exactly the joins it

@@ -14,8 +14,8 @@
 //! unscoped searches of the other tests in this binary never match it.
 
 use eve::cvs::{
-    cvs_delete_relation_indexed, cvs_delete_relation_searched, rank_by_cost, CostModel, CvsOptions,
-    MkbIndex, Synchronizer, SynchronizerBuilder,
+    cvs_delete_relation_indexed, cvs_delete_relation_searched, CostModel, CvsOptions, MkbIndex,
+    Synchronizer, SynchronizerBuilder,
 };
 use eve::faults::{FaultKind, FaultPlan, FaultSpec};
 use eve::misd::evolve;
@@ -107,7 +107,7 @@ proptest! {
 
     /// The streaming search with a cost model equals the legacy
     /// pipeline: full structural enumeration followed by
-    /// [`rank_by_cost`]. This is the byte-identity acceptance criterion
+    /// [`CostModel::rank`]. This is the byte-identity acceptance criterion
     /// for the lazy refactor.
     #[test]
     fn unbudgeted_search_matches_legacy_rank(cfg in config(), seed in 0u64..500) {
@@ -121,7 +121,7 @@ proptest! {
             cvs_delete_relation_searched(&w.view, &w.target, &index, &opts, false, Some(&model));
         match (legacy, searched) {
             (Ok(mut legacy), Ok(searched)) => {
-                rank_by_cost(&model, &w.view, &mut legacy);
+                model.rank(&w.view, &mut legacy);
                 prop_assert_eq!(&searched.rewritings, &legacy);
                 prop_assert_eq!(searched.stats.kept, legacy.len());
                 prop_assert!(!searched.stats.budget_exhausted);
