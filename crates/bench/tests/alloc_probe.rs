@@ -16,7 +16,10 @@
 //! Index maintenance: `MkbDelta::compute` and `IndexCore::apply_delta`
 //! patch the cover map per touched key, so a change to one covered
 //! attribute allocates about the same bytes however many function-ofs
-//! the MKB holds.
+//! the MKB holds. On a federation of small components, a relation-level
+//! change or a change to a join attribute patches one shard, a chunk of
+//! each map and list it edits, and their spines: `evolve`, `compute` and
+//! `apply_delta` together allocate barely more at 16x the relations.
 //!
 //! Enumeration: `TreeCursor::advance` allocates nothing in the steady
 //! state. Concretely —
@@ -40,6 +43,7 @@ use eve_misd::{evolve, CapabilityChange, FunctionOf, JoinConstraint, MetaKnowled
 use eve_relational::{
     AttrName, AttrRef, AttributeDef, Clause, Conjunction, DataType, RelName, ScalarExpr,
 };
+use eve_workload::{SynthConfig, SynthWorkload, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -260,6 +264,80 @@ fn index_maintenance_allocation_is_independent_of_function_of_count() {
         on_dense <= 2 * on_sparse,
         "compute + apply_delta: {on_dense} bytes with 8x the function-ofs, {on_sparse} at 1x"
     );
+}
+
+/// A federation of `n` relations in clusters of eight, each a chain
+/// plus two chords, with covers on a tenth of the relations (the
+/// benchmark's stream recipe).
+fn federation(n: usize) -> MetaKnowledgeBase {
+    let cfg = SynthConfig {
+        n_relations: n,
+        topology: Topology::Clusters { size: 8, extra: 2 },
+        global_cover_prob: 0.1,
+        ..SynthConfig::default()
+    };
+    SynthWorkload::random(&cfg, 5).mkb
+}
+
+/// The three relation operators, add-attribute, and delete- and
+/// rename-attribute of a join attribute, on an interior member of the
+/// middle cluster.
+fn relation_and_join_changes(n: usize) -> Vec<CapabilityChange> {
+    let r = rel(&format!("R{}", n / 2 + 3));
+    let k = AttrRef::new(r.clone(), "k");
+    vec![
+        CapabilityChange::AddRelation(describe("Fresh")),
+        CapabilityChange::RenameRelation {
+            from: r.clone(),
+            to: rel("Renamed"),
+        },
+        CapabilityChange::DeleteRelation(r.clone()),
+        CapabilityChange::AddAttribute {
+            relation: r,
+            attr: AttributeDef::new("extra", DataType::Int),
+        },
+        CapabilityChange::DeleteAttribute(k.clone()),
+        CapabilityChange::RenameAttribute {
+            from: k,
+            to: AttrName::new("key"),
+        },
+    ]
+}
+
+/// A change to one small component costs that component: `evolve`,
+/// `MkbDelta::compute` and `IndexCore::apply_delta` together allocate at
+/// most 2x the bytes on a federation of 16x the relations, for every
+/// relation operator and for the changes that reach the join graph. A
+/// copy of the join list or of a graph over the whole MKB would
+/// allocate 16x.
+#[test]
+fn relation_level_changes_allocate_per_component() {
+    let (small, large) = (1_024, 16 * 1_024);
+    let cost = |n: usize| {
+        let mkb = federation(n);
+        let core = IndexCore::build(&mkb);
+        relation_and_join_changes(n)
+            .into_iter()
+            .map(|change| {
+                let (bytes, _) = bytes_in(|| {
+                    let next = evolve(&mkb, &change).expect("admissible");
+                    core.apply_delta(&MkbDelta::compute(&mkb, &next, &change))
+                });
+                (change.operator_name(), bytes)
+            })
+            .collect::<Vec<_>>()
+    };
+    let (a, b) = (cost(small), cost(large));
+    let mut over = Vec::new();
+    for ((op, on_small), (_, on_large)) in a.into_iter().zip(b) {
+        assert!(on_small > 0, "{op}: the probe counted nothing");
+        if on_large > 2 * on_small {
+            over.push(format!(
+                "{op}: {on_large} bytes at {large} relations, {on_small} at {small}"
+            ));
+        }
+    }
+    assert!(over.is_empty(), "{}", over.join("; "));
 }
 
 fn jc(id: &str, l: &str, r: &str) -> JoinConstraint {

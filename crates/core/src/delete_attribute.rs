@@ -86,7 +86,7 @@ pub fn synchronize_delete_attribute_indexed(
             .covers_of(attr)
             .iter()
             .filter(|c| {
-                index.h_prime().contains(&c.source)
+                index.in_h_prime(&c.source)
                     && c.replacement
                         .attrs()
                         .iter()
@@ -227,7 +227,6 @@ fn assemble_with_cover(
         let mut terminals: BTreeSet<RelName> = [attr.relation.clone()].into_iter().collect();
         terminals.insert(cover.source.clone());
         let tree = index
-            .h_prime()
             .connect_tree(&terminals, opts.max_path_edges)
             .ok_or(CvsError::Disconnected)?;
         for rel in &tree.relations {

@@ -1,30 +1,42 @@
 //! Delta maintenance of the MKB-derived index state.
 //!
 //! [`IndexCore`] is every derived structure of **one** MKB version that
-//! a change reads — the full hypergraph `H`, the capability-filtered
-//! join graph, the attribute→cover map and the relation-pair→PC
-//! buckets — held behind [`Arc`]s and persistent [`ChunkMap`]s so
-//! consecutive versions structurally share everything a change did not
-//! touch. Connected components are not kept: the one component CVS
-//! searches, `H_R`, is extracted on demand by
-//! [`crate::MkbIndex::component_of`].
+//! a change reads — the hypergraph `H`, the capability-filtered join
+//! graph, the attribute→cover map and the relation-pair→PC buckets —
+//! held behind [`Arc`]s and persistent [`ChunkMap`]s so consecutive
+//! versions structurally share everything a change did not touch.
+//!
+//! Each graph is a [`ShardedGraph`]: one small [`Hypergraph`] per
+//! connected component, and a router from relation name to shard. CVS
+//! only ever searches inside one component (`H_R`, Step 1 and Def. 2;
+//! the component of `H'(MKB')` that holds a connection tree's
+//! terminals, Def. 3), and no operator adds a join: a component only
+//! splits (on a delete) or appears as a singleton (on add-relation). So
+//! a vertex-level or join-attribute change patches the one shard it
+//! touches, one chunk of the router per re-routed name, and the spines,
+//! whatever the size of the MKB. While no relation is NOJOIN, the join
+//! graph is `H` itself: both are one `ShardedGraph`.
 //!
 //! [`MkbDelta`] is one capability change typed per operator:
-//! the change projected onto each hypergraph as a
-//! [`GraphDelta`], plus the new cover lists and PC buckets of the keys
-//! whose constraints the change edited, read from the evolved MKB's
-//! relation index. Applying it to an `IndexCore`
-//! ([`IndexCore::apply_delta`]) costs what the change touched — each
-//! graph is patched only when the change reaches it, each touched map
-//! key copies one chunk of its map, and every other graph, chunk and map
-//! is shared — instead of the `O(MKB)` from-scratch rebuild. Rebuild
-//! equivalence is the contract: the delta-maintained core is
-//! indistinguishable from [`IndexCore::build`] over the evolved MKB
-//! (enforced by the property suite in `tests/delta_equivalence.rs`).
+//! the change projected onto each graph as a [`GraphDelta`], plus the
+//! new cover lists and PC buckets of the keys whose constraints the
+//! change edited, read from the evolved MKB's relation index. Applying
+//! it to an `IndexCore` ([`IndexCore::apply_delta`]) costs what the
+//! change touched — a shard is patched only when the change reaches it,
+//! each touched map key copies one chunk of its map, and every other
+//! shard, chunk and map is shared — instead of the `O(MKB)`
+//! from-scratch rebuild. Rebuild equivalence is the contract: the
+//! delta-maintained core is indistinguishable from [`IndexCore::build`]
+//! over the evolved MKB, and each shard equals the matching component
+//! of a whole-graph build (enforced by the property suite in
+//! `tests/delta_equivalence.rs`).
 
 use crate::replacement::CoverChoice;
 use eve_hypergraph::{GraphDelta, Hypergraph};
-use eve_misd::{CapabilityChange, ChunkMap, FunctionOf, MetaKnowledgeBase, PartialComplete};
+use eve_misd::{
+    CapabilityChange, ChunkList, ChunkMap, FunctionOf, MetaKnowledgeBase, PartialComplete,
+    RelationDescription,
+};
 use eve_relational::{AttrRef, RelName};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -191,17 +203,184 @@ fn patched<K: Ord + Clone, V>(
     out
 }
 
+/// One graph of an MKB version split into its connected components:
+/// one [`Hypergraph`] per component, and a router from relation name
+/// to the id of the shard holding it. Both maps are persistent, so a
+/// change copies the chunks it edits and shares the rest.
+#[derive(Debug, Clone)]
+pub struct ShardedGraph {
+    /// Relation → its shard's id.
+    route: ChunkMap<RelName, u32>,
+    /// Shard id → shard.
+    shards: ChunkMap<u32, Arc<Hypergraph>>,
+    /// The id the next new shard takes.
+    next: u32,
+}
+
+impl ShardedGraph {
+    /// Shard the relations `keep` accepts and the joins between them.
+    pub(crate) fn build(
+        mkb: &MetaKnowledgeBase,
+        keep: impl Fn(&RelationDescription) -> bool,
+    ) -> Self {
+        let (parts, labels) = Hypergraph::build_components(mkb, &keep);
+        let kept = mkb.relations().filter(|d| keep(d)).map(|d| &d.name);
+        let shards = ChunkMap::from_sorted((0..).zip(parts.into_iter().map(Arc::new)));
+        ShardedGraph {
+            route: ChunkMap::from_sorted(kept.cloned().zip(labels)),
+            next: shards.len() as u32,
+            shards,
+        }
+    }
+
+    /// The shard holding `rel` and its id, or `None` when `rel` is not a
+    /// vertex.
+    pub(crate) fn locate(&self, rel: &RelName) -> Option<(u32, &Arc<Hypergraph>)> {
+        let id = *self.route.get(rel)?;
+        Some((id, self.shards.get(&id).expect("routes lead to shards")))
+    }
+
+    /// The shard holding `rel`: the connected component of the graph
+    /// that contains it, as a graph of its own.
+    pub fn shard_of(&self, rel: &RelName) -> Option<&Arc<Hypergraph>> {
+        self.locate(rel).map(|(_, shard)| shard)
+    }
+
+    /// The shard of id `id`.
+    ///
+    /// # Panics
+    /// When no shard has that id.
+    pub(crate) fn shard(&self, id: u32) -> &Hypergraph {
+        self.shards.get(&id).expect("a shard of this graph")
+    }
+
+    /// Is `rel` a vertex?
+    pub fn contains(&self, rel: &RelName) -> bool {
+        self.route.contains_key(rel)
+    }
+
+    /// Every shard, in id order.
+    pub fn shards(&self) -> impl ExactSizeIterator<Item = &Arc<Hypergraph>> {
+        self.shards.values()
+    }
+
+    /// Do the two share both maps, as a clone and its source do until
+    /// either is patched?
+    fn ptr_eq(a: &Self, b: &Self) -> bool {
+        ChunkMap::ptr_eq(&a.route, &b.route) && ChunkMap::ptr_eq(&a.shards, &b.shards)
+    }
+
+    /// The graph after `delta`. The touched shard is patched with
+    /// [`Hypergraph::apply_delta`] and split into its components when a
+    /// removal disconnects it.
+    fn apply(&self, delta: &GraphDelta) -> Self {
+        let unchanged = || self.clone();
+        let touched = match delta {
+            GraphDelta::None => return unchanged(),
+            GraphDelta::AddVertex(_) => None,
+            GraphDelta::RemoveVertex(rel) | GraphDelta::RenameVertex { from: rel, .. } => {
+                match self.locate(rel) {
+                    Some(found) => Some(found),
+                    // Not a vertex here (a NOJOIN relation in the join
+                    // graph): nothing to patch.
+                    None => return unchanged(),
+                }
+            }
+            GraphDelta::RemoveAttrEdges(attr) | GraphDelta::RenameAttr { from: attr, .. } => {
+                match self.locate(&attr.relation) {
+                    Some((id, shard)) if !shard.edges_mentioning_attr(attr).is_empty() => {
+                        Some((id, shard))
+                    }
+                    _ => return unchanged(),
+                }
+            }
+        };
+        let new = match (delta, touched) {
+            (GraphDelta::AddVertex(rel), _) => vec![Arc::new(Hypergraph::singleton(rel.clone()))],
+            (GraphDelta::RemoveVertex(_) | GraphDelta::RemoveAttrEdges(_), Some((_, old))) => {
+                split(old.apply_delta(delta))
+            }
+            (_, Some((_, old))) => vec![Arc::new(old.apply_delta(delta))],
+            (_, None) => unreachable!("only an added vertex touches no shard"),
+        };
+        let mut out = self.clone();
+        let id = touched.map(|(id, _)| id);
+        match (delta, id) {
+            (GraphDelta::RemoveVertex(rel), _) => {
+                out.route.remove(rel);
+            }
+            (GraphDelta::RenameVertex { from, to }, Some(id)) => {
+                out.route.remove(from);
+                out.route.insert(to.clone(), id);
+            }
+            _ => {}
+        }
+        out.place(id, new);
+        out
+    }
+
+    /// Put `new` where shard `id` was (`None`: nowhere yet). The largest
+    /// part keeps the id; every other part takes a fresh one, and its
+    /// members are routed to it.
+    fn place(&mut self, id: Option<u32>, new: Vec<Arc<Hypergraph>>) {
+        // The first of the largest parts.
+        let largest = (0..new.len()).rev().max_by_key(|&p| new[p].rel_count());
+        if let (Some(id), None) = (id, largest) {
+            self.shards.remove(&id);
+        }
+        for (p, part) in new.into_iter().enumerate() {
+            match id {
+                Some(id) if Some(p) == largest => {
+                    self.shards.insert(id, part);
+                }
+                _ => {
+                    let fresh = self.next;
+                    self.next += 1;
+                    for rel in part.relations() {
+                        self.route.insert(rel.clone(), fresh);
+                    }
+                    self.shards.insert(fresh, part);
+                }
+            }
+        }
+    }
+}
+
+/// Equal when both hold equal shards and route every relation alike;
+/// shard ids, which depend on the edit history, are not compared.
+impl PartialEq for ShardedGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.shards.len() == other.shards.len()
+            && self.route.len() == other.route.len()
+            && self
+                .route
+                .keys()
+                .zip(other.route.keys())
+                .all(|(a, b)| a == b && self.shard_of(a) == other.shard_of(b))
+    }
+}
+
+/// `graph` as shards: its connected components, none when it is empty.
+fn split(graph: Hypergraph) -> Vec<Arc<Hypergraph>> {
+    match graph.component_count() {
+        0 => Vec::new(),
+        1 => vec![Arc::new(graph)],
+        _ => graph.components().into_iter().map(Arc::new).collect(),
+    }
+}
+
 /// All derived index state of one MKB version, `Arc`-shared (the
-/// graphs) or held in persistent maps (covers, PC buckets) so the next
-/// version's core can reuse every structure its change did not touch.
+/// shards) or held in persistent maps (routers, covers, PC buckets) so
+/// the next version's core can reuse every structure its change did not
+/// touch.
 #[derive(Debug, Clone)]
 pub struct IndexCore {
-    /// The full join-constraint hypergraph `H` of this version.
-    pub(crate) h: Arc<Hypergraph>,
+    /// The join-constraint hypergraph `H` of this version, sharded.
+    pub(crate) h: ShardedGraph,
     /// `H` restricted to join-capable relations (what `H'(MKB')` is when
-    /// capabilities are respected). Aliases `h` when every relation is
-    /// join-capable.
-    pub(crate) h_join: Arc<Hypergraph>,
+    /// capabilities are respected). While no relation is NOJOIN, it is
+    /// `h` itself: a clone sharing both maps, patched as one with `h`.
+    pub(crate) h_join: ShardedGraph,
     /// Function-of covers grouped by the attribute they re-derive.
     pub(crate) covers: Covers,
     /// Partial/complete constraints bucketed by unordered relation pair.
@@ -211,11 +390,11 @@ pub struct IndexCore {
 impl IndexCore {
     /// Build every derived structure from scratch for one MKB version.
     pub fn build(mkb: &MetaKnowledgeBase) -> Self {
-        let h = Arc::new(Hypergraph::build(mkb));
+        let h = ShardedGraph::build(mkb, |_| true);
         let h_join = if mkb.relations().all(|d| d.capabilities.join) {
-            Arc::clone(&h)
+            h.clone()
         } else {
-            Arc::new(Hypergraph::build_filtered(mkb, |d| d.capabilities.join))
+            ShardedGraph::build(mkb, |d| d.capabilities.join)
         };
         IndexCore {
             h,
@@ -223,6 +402,16 @@ impl IndexCore {
             covers: build_covers(mkb),
             pcs: build_pcs(mkb),
         }
+    }
+
+    /// The hypergraph `H` of this version, sharded by component.
+    pub fn graph(&self) -> &ShardedGraph {
+        &self.h
+    }
+
+    /// `H` over the join-capable relations only, sharded by component.
+    pub fn join_graph(&self) -> &ShardedGraph {
+        &self.h_join
     }
 
     /// Apply one typed change, producing the next version's core.
@@ -234,21 +423,16 @@ impl IndexCore {
         // parpool panic boundary, so plans should stick to delay/budget
         // here (budget is discarded — the patch has no budget to trip).
         crate::faults::hit("index.delta-apply");
-        let h2 = match &delta.graph {
-            GraphDelta::None => Arc::clone(&self.h),
-            d => Arc::new(self.h.apply_delta(d)),
-        };
-        let h_join2 = if Arc::ptr_eq(&self.h, &self.h_join) && delta.graph == delta.graph_join {
-            Arc::clone(&h2)
-        } else {
-            match &delta.graph_join {
-                GraphDelta::None => Arc::clone(&self.h_join),
-                d => Arc::new(self.h_join.apply_delta(d)),
-            }
-        };
+        let h = self.h.apply(&delta.graph);
+        let h_join =
+            if ShardedGraph::ptr_eq(&self.h, &self.h_join) && delta.graph == delta.graph_join {
+                h.clone()
+            } else {
+                self.h_join.apply(&delta.graph_join)
+            };
         IndexCore {
-            h: h2,
-            h_join: h_join2,
+            h,
+            h_join,
             covers: patched(&self.covers, &delta.covers),
             pcs: patched(&self.pcs, &delta.pcs),
         }
@@ -317,10 +501,11 @@ impl MkbDelta {
     /// Project `change` (already validated by `eve_misd::evolve`, which
     /// produced `mkb_prime` from `mkb`) onto the derived index state.
     ///
-    /// `evolve` is copy-on-write: a constraint list keeps its `Arc` unless
-    /// the change touched one of its constraints. So whether the change
-    /// touched the function-ofs, the PCs or (for attribute changes) the
-    /// joins is one [`Arc::ptr_eq`] each, not a rescan. When it touched
+    /// `evolve` is copy-on-write: a constraint list keeps its spine
+    /// unless the change touched one of its constraints. So whether the
+    /// change touched the function-ofs, the PCs or (for attribute
+    /// changes) the joins is one [`ChunkList::ptr_eq`] each, not a
+    /// rescan. When it touched
     /// some, the MKB's relation index names them under the changed
     /// relation, and only the map keys they mention are recomputed.
     pub fn compute(
@@ -328,13 +513,13 @@ impl MkbDelta {
         mkb_prime: &MetaKnowledgeBase,
         change: &CapabilityChange,
     ) -> MkbDelta {
-        let covers_touched = !Arc::ptr_eq(mkb.function_ofs_arc(), mkb_prime.function_ofs_arc());
-        let pcs_touched = !Arc::ptr_eq(mkb.pcs_arc(), mkb_prime.pcs_arc());
+        let covers_touched = !ChunkList::ptr_eq(mkb.function_ofs(), mkb_prime.function_ofs());
+        let pcs_touched = !ChunkList::ptr_eq(mkb.pcs(), mkb_prime.pcs());
         // Attribute changes only touch the graphs when some join
         // predicate actually mentions the attribute; projecting the
         // common payload-attribute case to `GraphDelta::None` lets
-        // `apply_delta` share the whole graph by `Arc`.
-        let joins_touched = !Arc::ptr_eq(mkb.joins_arc(), mkb_prime.joins_arc());
+        // `apply_delta` share both graphs whole.
+        let joins_touched = !ChunkList::ptr_eq(mkb.joins(), mkb_prime.joins());
 
         let (op, graph, graph_join) = match change {
             CapabilityChange::AddRelation(desc) => (
@@ -473,12 +658,8 @@ mod tests {
         let mkb_prime = evolve(mkb, change).expect("valid change");
         let core = core.apply_delta(&MkbDelta::compute(mkb, &mkb_prime, change));
         let rebuilt = IndexCore::build(&mkb_prime);
-        assert_eq!(core.h.as_ref(), rebuilt.h.as_ref(), "{change}: H diverged");
-        assert_eq!(
-            core.h_join.as_ref(),
-            rebuilt.h_join.as_ref(),
-            "{change}: join graph diverged"
-        );
+        assert_eq!(core.h, rebuilt.h, "{change}: H diverged");
+        assert_eq!(core.h_join, rebuilt.h_join, "{change}: join graph diverged");
         assert_eq!(core.covers, rebuilt.covers, "{change}: covers diverged");
         assert_eq!(core.pcs, rebuilt.pcs, "{change}: pcs diverged");
         (mkb_prime, core)
@@ -759,8 +940,8 @@ mod tests {
         assert_eq!(delta.graph, GraphDelta::None);
         assert!(delta.covers.is_empty() && delta.pcs.is_empty());
         let next = core.apply_delta(&delta);
-        assert!(Arc::ptr_eq(&core.h, &next.h));
-        assert!(Arc::ptr_eq(&core.h_join, &next.h_join));
+        assert!(ShardedGraph::ptr_eq(&core.h, &next.h));
+        assert!(ShardedGraph::ptr_eq(&core.h_join, &next.h_join));
         assert!(ChunkMap::ptr_eq(&core.covers, &next.covers));
         assert!(ChunkMap::ptr_eq(&core.pcs, &next.pcs));
 
@@ -777,7 +958,7 @@ mod tests {
         let mkb_prime = evolve(&mkb, &change).unwrap();
         let next = core.apply_delta(&MkbDelta::compute(&mkb, &mkb_prime, &change));
         assert!(next.h.contains(&RelName::new("Aaa")));
-        assert_eq!(next.h.component_count(), core.h.component_count() + 1);
+        assert_eq!(next.h.shards().len(), core.h.shards().len() + 1);
         assert!(ChunkMap::ptr_eq(&core.covers, &next.covers));
         assert!(ChunkMap::ptr_eq(&core.pcs, &next.pcs));
     }

@@ -19,17 +19,22 @@
 //! and persistent maps, and is normally assembled by
 //! [`MkbIndex::from_cores`] from two [`IndexCore`]s (the pre- and
 //! post-change derived state), where the post core was produced by
-//! [`IndexCore::apply_delta`] — a patch that rewrites only the graphs
+//! [`IndexCore::apply_delta`] — a patch that rewrites only the shards
 //! and the cover-map and PC-bucket keys the change touched, and shares
 //! everything else. [`MkbIndex::new`] remains the from-scratch
 //! constructor (one-shot/what-if uses, and the rebuild oracle the
 //! equivalence property suite compares against).
 //!
-//! CVS only ever searches one connected component of `H(MKB)`: `H_R`,
-//! the one holding the deleted relation (Step 1, Def. 2). No core keeps
-//! a component list; [`MkbIndex::component_of`] extracts `H_R` from
-//! `H(MKB)` the first time a view asks, and every later view of the
-//! same change shares it.
+//! Both graphs are sharded by connected component
+//! ([`crate::ShardedGraph`]), and CVS only ever searches inside one
+//! component. `H_R`, the component of `H(MKB)` holding the deleted
+//! relation (Step 1, Def. 2), is R's pre-change shard, served as it is.
+//! Tree enumeration, connection trees and the connectivity test of a
+//! terminal set run inside the post-change shard of `H'(MKB')` that
+//! holds the terminals: terminals in two shards lie in two components,
+//! so no tree spans them. No graph of the whole MKB is built or
+//! labelled, and a component of at most 256 relations keeps every
+//! [`RelSet`] of the search inline.
 //!
 //! The index *borrows* both MKBs (`MkbIndex<'m>`), so constructing a
 //! throwaway index never clones a knowledge base.
@@ -47,6 +52,10 @@
 //! asking for the trees spanning `{S, T, U}` hits the memo instead of
 //! re-walking `H'`. The tables live as long as the index, one change.
 //!
+//! Ids are local to a shard, so two shards intern different terminal
+//! sets alike (after `delete-relation C` on a chain A–B–C–D–E, the parts
+//! {A,B} and {D,E} are both `{0,1}`): every memo key names its shard.
+//!
 //! The memo tables are sharded `RwLock<HashMap>`s: the hot path is a
 //! short shared-read lock per lookup, writers only contend on their own
 //! shard, and a compute race between two workers is benign because every
@@ -55,7 +64,7 @@
 //! not, callers observe byte-identical results, which is what lets the
 //! parallel synchronizer share one index across workers.
 
-use crate::delta::{build_covers, build_pcs, pair_key, Covers, IndexCore, PcBuckets};
+use crate::delta::{build_covers, build_pcs, pair_key, Covers, IndexCore, PcBuckets, ShardedGraph};
 use crate::replacement::CoverChoice;
 use eve_hypergraph::{ConnectionTree, Hypergraph, RelId, RelSet};
 use eve_misd::{MetaKnowledgeBase, PartialComplete};
@@ -133,27 +142,44 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// A terminal set interned over `H'(MKB')`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Terminals {
+    /// No terminal yet.
+    Empty,
+    /// Every terminal lies in the shard of this id, with these ids
+    /// there.
+    In(u32, RelSet),
+    /// The terminals lie in several shards, so in several components:
+    /// no connection tree spans them.
+    Split,
+}
+
+/// The graph with no vertex: what a terminal set that no shard holds
+/// is searched in, so the search runs (and finds nothing) as it would
+/// in a graph of the whole MKB.
+fn empty_graph() -> &'static Hypergraph {
+    static EMPTY: OnceLock<Hypergraph> = OnceLock::new();
+    EMPTY.get_or_init(|| Hypergraph::from_parts(BTreeSet::new(), Vec::new()))
+}
+
 /// Precomputed, read-only derived state for one capability change.
 ///
 /// Built by [`MkbIndex::new`] from the pre-change MKB and the evolved
 /// MKB', or assembled by [`MkbIndex::from_cores`] from delta-maintained
-/// cores. Accessors are lookups; the one structure computed after
-/// construction is `H_R`, extracted by the first
-/// [`MkbIndex::component_of`] call and kept for the rest of the change.
+/// cores. Accessors are lookups: every graph a search reads is a shard
+/// the index already holds.
 #[derive(Debug)]
 pub struct MkbIndex<'m> {
     mkb: &'m MetaKnowledgeBase,
     mkb_prime: &'m MetaKnowledgeBase,
-    /// The full join-constraint hypergraph `H(MKB)` over the pre-change
-    /// MKB. `Arc`-shared with the [`IndexCore`] chain under delta
-    /// maintenance.
-    h: Arc<Hypergraph>,
-    /// The first component of `h` asked for (`H_R` under
-    /// `delete-relation R`).
-    h_r: OnceLock<Arc<Hypergraph>>,
+    /// The join-constraint hypergraph `H(MKB)` over the pre-change MKB,
+    /// sharded by component. Shared with the [`IndexCore`] chain under
+    /// delta maintenance.
+    h: ShardedGraph,
     /// `H'(MKB')`: the post-change hypergraph, restricted to join-capable
-    /// relations.
-    h_prime: Arc<Hypergraph>,
+    /// relations, sharded by component.
+    h_prime: ShardedGraph,
     /// Function-of covers grouped by the attribute they re-derive. Raw
     /// (unfiltered) covers in MKB declaration order; consumers filter by
     /// target relation / `h_prime` membership as their definitions require.
@@ -166,17 +192,18 @@ pub struct MkbIndex<'m> {
     /// versions.
     pcs_by_pair: PcBuckets,
     /// Memoized connection-tree enumeration over `h_prime`, keyed by
-    /// `(terminal set, hop bound, tree limit)`. The terminal set is an
-    /// interned-id bitset over `h_prime` (four inline words for graphs
+    /// `(shard id, terminal set, hop bound, tree limit)`. The terminal
+    /// set is a bitset of the shard's ids (four inline words for shards
     /// of ≤ 256 relations), so a probe hashes words, not names.
-    trees: Memo<(RelSet, usize, usize), Arc<Vec<ConnectionTree>>>,
+    trees: Memo<(u32, RelSet, usize, usize), Arc<Vec<ConnectionTree>>>,
     /// Memoized viable-cover lists, keyed by `(cover-attribute id,
-    /// deleted relation id)` — the Def. 3 (IV) filter of `covers`
-    /// against `h_prime`.
-    viable: Memo<(u32, RelId), Arc<Vec<CoverChoice>>>,
-    /// Memoized `Min(H_R)` survival sets, keyed by `(Min(H_R) relation
-    /// id set, deleted relation id)` over `H(MKB)`'s interner.
-    survivors: Memo<(RelSet, RelId), Arc<BTreeSet<RelName>>>,
+    /// shard id, deleted relation id)` — the Def. 3 (IV) filter of
+    /// `covers` against `h_prime`.
+    viable: Memo<(u32, u32, RelId), Arc<Vec<CoverChoice>>>,
+    /// Memoized `Min(H_R)` survival sets, keyed by `(shard id,
+    /// Min(H_R) relation id set, deleted relation id)` over the shard of
+    /// `H(MKB)` holding the deleted relation.
+    survivors: Memo<(u32, RelSet, RelId), Arc<BTreeSet<RelName>>>,
     /// When false, every memoized accessor computes directly (the
     /// uncached reference the tests compare the cache against).
     cache_enabled: bool,
@@ -193,13 +220,11 @@ impl<'m> MkbIndex<'m> {
         span.field("joins", mkb.joins().len() as u64);
         eve_telemetry::counter_add("index.builds", 1);
         crate::faults::hit("index.build");
-        let h_prime = Hypergraph::build_filtered(mkb_prime, |desc| desc.capabilities.join);
         MkbIndex {
             mkb,
             mkb_prime,
-            h: Arc::new(Hypergraph::build(mkb)),
-            h_r: OnceLock::new(),
-            h_prime: Arc::new(h_prime),
+            h: ShardedGraph::build(mkb, |_| true),
+            h_prime: ShardedGraph::build(mkb_prime, |d| d.capabilities.join),
             covers: build_covers(mkb),
             pcs_by_pair: build_pcs(mkb),
             trees: Memo::new(),
@@ -213,7 +238,7 @@ impl<'m> MkbIndex<'m> {
     /// derived state: `pre` is the [`IndexCore`] of the MKB the views were
     /// defined against, `post` the core produced by
     /// [`IndexCore::apply_delta`] for the evolved MKB'. Everything is
-    /// `Arc`-shared — no hypergraph build, no constraint scan.
+    /// shared — no hypergraph build, no constraint scan.
     ///
     /// Equivalence contract: the result behaves byte-identically to
     /// `MkbIndex::new(mkb, mkb_prime)` (enforced by the property suite
@@ -233,9 +258,8 @@ impl<'m> MkbIndex<'m> {
         MkbIndex {
             mkb,
             mkb_prime,
-            h: Arc::clone(&pre.h),
-            h_r: OnceLock::new(),
-            h_prime: Arc::clone(&post.h_join),
+            h: pre.h.clone(),
+            h_prime: post.h_join.clone(),
             covers: pre.covers.clone(),
             pcs_by_pair: pre.pcs.clone(),
             trees: Memo::new(),
@@ -269,7 +293,8 @@ impl<'m> MkbIndex<'m> {
     }
 
     /// The first `limit` connection trees spanning `terminals` in
-    /// `H'(MKB')`, memoized per `(terminal set, max_path_edges, limit)`.
+    /// `H'(MKB')`, memoized per `(shard, terminal set, max_path_edges,
+    /// limit)`.
     pub fn enumerate_trees(
         &self,
         terminals: &BTreeSet<RelName>,
@@ -291,18 +316,23 @@ impl<'m> MkbIndex<'m> {
     /// must be the interning of `terminals`.
     pub(crate) fn enumerate_trees_interned(
         &self,
-        interned: Option<&RelSet>,
+        interned: Option<&Terminals>,
         terminals: &BTreeSet<RelName>,
         limit: usize,
         max_path_edges: usize,
     ) -> Arc<Vec<ConnectionTree>> {
         crate::faults::hit("index.enumerate-trees");
         debug_assert_eq!(interned, self.intern_terminals(terminals).as_ref());
+        // The shard holding every terminal; a set that no shard holds
+        // is searched in the empty graph, and spans nothing there.
+        let graph = match interned {
+            Some(Terminals::In(shard, _)) => self.h_prime.shard(*shard),
+            _ => empty_graph(),
+        };
         let enumerate = || {
             let mut span = eve_telemetry::span("tree-enumeration");
             span.field("terminals", terminals.len() as u64);
-            let trees: Vec<ConnectionTree> = self
-                .h_prime
+            let trees: Vec<ConnectionTree> = graph
                 .tree_cursor(terminals, max_path_edges)
                 .take(limit)
                 .collect();
@@ -310,25 +340,39 @@ impl<'m> MkbIndex<'m> {
             Arc::new(trees)
         };
         match (self.cache_enabled, interned) {
-            (true, Some(ids)) => self
+            (true, Some(Terminals::In(shard, ids))) => self
                 .trees
-                .get_or_insert_with((ids.clone(), max_path_edges, limit), enumerate),
-            // Cache off, or an absent terminal (the stream is
+                .get_or_insert_with((*shard, ids.clone(), max_path_edges, limit), enumerate),
+            // Cache off, or terminals no shard holds (the stream is
             // deterministically empty — nothing worth memoizing):
             // compute directly.
             _ => enumerate(),
         }
     }
 
-    /// Do the interned `H'(MKB')` vertices `ids` all lie in one connected
-    /// component? A connection tree spanning them exists only then. The
-    /// first call labels `H'(MKB')`'s components; later ones read them.
-    pub(crate) fn in_one_component(&self, ids: &RelSet) -> bool {
-        let mut comps = ids.iter().map(|id| self.h_prime.component_index(id));
-        match comps.next() {
-            Some(first) => comps.all(|c| c == first),
-            None => true,
+    /// Add `rel` to an interned terminal set; `false` when it is not a
+    /// vertex of `H'(MKB')`.
+    pub(crate) fn add_terminal(&self, set: &mut Terminals, rel: &RelName) -> bool {
+        // A relation lies in one shard, so the set's own shard is asked
+        // first, and the router (a string-keyed map) only when it does
+        // not hold `rel`.
+        if let Terminals::In(at, ids) = set {
+            if let Some(local) = self.h_prime.shard(*at).rel_id(rel) {
+                ids.insert(local);
+                return true;
+            }
         }
+        let Some((id, shard)) = self.h_prime.locate(rel) else {
+            return false;
+        };
+        if *set == Terminals::Empty {
+            let mut ids = shard.relset();
+            ids.insert(shard.rel_id(rel).expect("a shard holds what routes to it"));
+            *set = Terminals::In(id, ids);
+        } else {
+            *set = Terminals::Split;
+        }
+        true
     }
 
     /// The viable covers for `attr` under `delete-relation target`:
@@ -349,8 +393,14 @@ impl<'m> MkbIndex<'m> {
         }
         // The attribute's rank among the cover keys (ascending AttrRef
         // order) is its id: deterministic across builds.
-        match (self.covers.rank(attr), self.h.rel_id(target)) {
-            (Ok(aid), Some(tid)) => self.viable.get_or_insert_with((aid as u32, tid), filter),
+        let target = self
+            .h
+            .locate(target)
+            .map(|(shard, g)| (shard, g.rel_id(target).expect("routed")));
+        match (self.covers.rank(attr), target) {
+            (Ok(aid), Some((shard, tid))) => self
+                .viable
+                .get_or_insert_with((aid as u32, shard, tid), filter),
             // An attribute with no covers, or an undescribed target:
             // the filter is trivially cheap (empty or unfilterable) —
             // compute directly.
@@ -360,7 +410,10 @@ impl<'m> MkbIndex<'m> {
 
     /// The relations of `Min(H_R)` that survive `delete-relation target`
     /// (Def. 3 III). Memoized per `(Min(H_R) relation set, target)` —
-    /// views sharing an affected region share the survival set.
+    /// views sharing an affected region share the survival set. The key
+    /// holds ids of `H_R`, the target's shard, so a set with a relation
+    /// outside `H_R` (which `Min(H_R)` never has) skips the memo: it is
+    /// filtered directly, and counts as neither a hit nor a miss.
     pub fn survival_set(
         &self,
         min_relations: &BTreeSet<RelName>,
@@ -378,17 +431,18 @@ impl<'m> MkbIndex<'m> {
         if !self.cache_enabled {
             return filter();
         }
-        let interned: Option<(RelSet, RelId)> = self.h.rel_id(target).and_then(|tid| {
-            min_relations
+        let interned = self.h.locate(target).and_then(|(shard, h_r)| {
+            let ids = min_relations
                 .iter()
-                .map(|r| self.h.rel_id(r))
-                .collect::<Option<Vec<RelId>>>()
-                .map(|ids| (RelSet::from_ids(self.h.rel_count(), ids), tid))
+                .map(|r| h_r.rel_id(r))
+                .collect::<Option<Vec<RelId>>>()?;
+            let tid = h_r.rel_id(target).expect("routed");
+            Some((shard, RelSet::from_ids(h_r.rel_count(), ids), tid))
         });
         match interned {
             Some(key) => self.survivors.get_or_insert_with(key, filter),
-            // Relations outside `H(MKB)` have no ids; the filter is a
-            // single pass — compute directly.
+            // Relations outside `H_R` have no ids there (`Min(H_R)` never
+            // holds one); the filter is a single pass — compute directly.
             None => filter(),
         }
     }
@@ -403,47 +457,49 @@ impl<'m> MkbIndex<'m> {
         self.mkb_prime
     }
 
-    /// The full join-constraint hypergraph `H(MKB)` (pre-change).
-    pub fn hypergraph(&self) -> &Hypergraph {
-        &self.h
+    /// Is `rel` a vertex of the capability-filtered post-change
+    /// hypergraph `H'(MKB')` used by R-replacement (Def. 3), i.e. a
+    /// join-capable relation of MKB'?
+    pub fn in_h_prime(&self, rel: &RelName) -> bool {
+        self.h_prime.contains(rel)
     }
 
-    /// The capability-filtered post-change hypergraph `H'(MKB')` used by
-    /// R-replacement (Def. 3): only join-capable relations are vertices.
-    pub fn h_prime(&self) -> &Hypergraph {
-        &self.h_prime
+    /// A connection tree of `H'(MKB')` spanning `terminals`, each
+    /// attached by at most `max_path_edges` joins
+    /// ([`Hypergraph::connect_tree`] in the shard that holds them all),
+    /// or `None` when no shard holds them all.
+    pub fn connect_tree(
+        &self,
+        terminals: &BTreeSet<RelName>,
+        max_path_edges: usize,
+    ) -> Option<ConnectionTree> {
+        match self.intern_terminals(terminals)? {
+            Terminals::In(shard, _) => self
+                .h_prime
+                .shard(shard)
+                .connect_tree(terminals, max_path_edges),
+            Terminals::Empty | Terminals::Split => None,
+        }
     }
 
-    /// The connected component of `H(MKB)` containing `rel`, or `None`
-    /// when the relation is not described in the MKB. The first call
-    /// extracts the component from `H(MKB)`'s CSR and the index keeps it,
-    /// so every view of a `delete-relation R` shares one `H_R`; a
-    /// relation of another component gets its component extracted afresh.
+    /// The connected component of `H(MKB)` containing `rel` — its
+    /// pre-change shard, shared as it is — or `None` when the relation
+    /// is not described in the MKB.
     pub fn component_of(&self, rel: &RelName) -> Option<Arc<Hypergraph>> {
-        let id = self.h.rel_id(rel)?;
-        let extract = || Arc::new(self.h.component_containing(id));
-        let h_r = self.h_r.get_or_init(extract);
-        Some(if h_r.contains(rel) {
-            Arc::clone(h_r)
-        } else {
-            extract()
-        })
+        self.h.shard_of(rel).cloned()
     }
 
     /// Intern a terminal set over `H'(MKB')`, or `None` when some
     /// terminal is not a vertex there (in which case every graph search
     /// over the set deterministically yields nothing).
-    pub(crate) fn intern_terminals(&self, terminals: &BTreeSet<RelName>) -> Option<RelSet> {
-        let mut set = self.h_prime.relset();
+    pub(crate) fn intern_terminals(&self, terminals: &BTreeSet<RelName>) -> Option<Terminals> {
+        let mut set = Terminals::Empty;
         for t in terminals {
-            set.insert(self.h_prime.rel_id(t)?);
+            if !self.add_terminal(&mut set, t) {
+                return None;
+            }
         }
         Some(set)
-    }
-
-    /// The interned `H'(MKB')` id of `rel`, when it is a vertex there.
-    pub(crate) fn rel_id_prime(&self, rel: &RelName) -> Option<RelId> {
-        self.h_prime.rel_id(rel)
     }
 
     /// Raw function-of covers for `attr` (declaration order), restricted
@@ -464,29 +520,35 @@ impl<'m> MkbIndex<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rewrite::cvs_delete_relation_indexed;
     use crate::testutil::travel_mkb;
+    use crate::CvsOptions;
+    use eve_esql::parse_view;
+    use eve_misd::{evolve, parse_misd, CapabilityChange};
     use eve_relational::AttrRef;
+
+    /// Two relations of one component: the endpoints of the first join.
+    fn joined_pair(mkb: &MetaKnowledgeBase) -> BTreeSet<RelName> {
+        let j = &mkb.joins()[0];
+        [j.left.clone(), j.right.clone()].into_iter().collect()
+    }
 
     #[test]
     fn index_matches_direct_mkb_lookups() {
         let mkb = travel_mkb();
         let index = MkbIndex::new(&mkb, &mkb);
 
-        // Hypergraph matches a direct build.
-        assert_eq!(index.hypergraph(), &Hypergraph::build(&mkb));
-
-        // Every described relation gets its component of `H(MKB)`; the
-        // first one asked for is kept and shared.
-        let h = index.hypergraph();
+        // The shards are the components of a direct build, and every
+        // described relation gets its own, the same `Arc` every time.
+        let h = Hypergraph::build(&mkb);
         let components = h.components();
+        assert_eq!(index.h.shards().len(), components.len());
         for desc in mkb.relations() {
             let comp = index.component_of(&desc.name).expect("described");
             let id = h.rel_id(&desc.name).unwrap();
             assert_eq!(*comp, components[h.component_index(id) as usize]);
+            assert!(Arc::ptr_eq(&comp, &index.component_of(&desc.name).unwrap()));
         }
-        let first = &mkb.relations().next().unwrap().name;
-        let kept = index.component_of(first).unwrap();
-        assert!(Arc::ptr_eq(&kept, &index.component_of(first).unwrap()));
         assert!(index
             .component_of(&RelName::new("NoSuchRelation"))
             .is_none());
@@ -522,14 +584,12 @@ mod tests {
         let mkb = travel_mkb();
         let index = MkbIndex::new(&mkb, &mkb);
         let raw = MkbIndex::new(&mkb, &mkb).without_cache();
-
-        let terminals: BTreeSet<RelName> =
-            index.hypergraph().relations().take(2).cloned().collect();
-        assert_eq!(terminals.len(), 2, "travel MKB has at least 2 relations");
+        let terminals = joined_pair(&mkb);
 
         let cold = index.enumerate_trees(&terminals, 4, usize::MAX);
         let warm = index.enumerate_trees(&terminals, 4, usize::MAX);
         assert_eq!(cold, warm);
+        assert!(!cold.is_empty());
         assert_eq!(*cold, *raw.enumerate_trees(&terminals, 4, usize::MAX));
         // Second lookup was a hit; Arc is shared, not recomputed.
         assert!(Arc::ptr_eq(&cold, &warm));
@@ -557,9 +617,7 @@ mod tests {
         let mkb = travel_mkb();
         let index = MkbIndex::new(&mkb, &mkb);
         let raw = MkbIndex::new(&mkb, &mkb).without_cache();
-
-        let terminals: BTreeSet<RelName> =
-            index.hypergraph().relations().take(2).cloned().collect();
+        let terminals = joined_pair(&mkb);
         // Narrow, widen, narrow again: every answer must match a
         // cache-free enumeration at the same limit, whatever the cache
         // holds for other limits.
@@ -584,22 +642,43 @@ mod tests {
                 assert_eq!(*cached, *raw.viable_covers(&f.target, &desc.name));
                 for c in cached.iter() {
                     assert_ne!(c.source, desc.name);
-                    assert!(index.h_prime().contains(&c.source));
+                    assert!(index.in_h_prime(&c.source));
                 }
             }
         }
 
+        // A set reaching outside the target's component (the travel
+        // relations form two) skips the memo: the same set as uncached,
+        // and no hit or miss counted.
         let all: BTreeSet<RelName> = mkb.relations().map(|d| d.name.clone()).collect();
+        assert!(index.h.shards().len() > 1);
+        let before = index.cache_stats();
         for desc in mkb.relations() {
             let s = index.survival_set(&all, &desc.name);
             assert!(!s.contains(&desc.name));
             assert_eq!(s.len(), all.len() - 1);
             assert_eq!(*s, *raw.survival_set(&all, &desc.name));
         }
+        assert_eq!(index.cache_stats(), before);
+
+        // Survival sets of each relation's component.
+        for desc in mkb.relations() {
+            let comp: BTreeSet<RelName> = index
+                .component_of(&desc.name)
+                .unwrap()
+                .relations()
+                .cloned()
+                .collect();
+            let s = index.survival_set(&comp, &desc.name);
+            assert!(!s.contains(&desc.name));
+            assert_eq!(s.len(), comp.len() - 1);
+            assert_eq!(*s, *raw.survival_set(&comp, &desc.name));
+        }
         // Warm pass over the same keys is all hits.
         let before = index.cache_stats();
         for desc in mkb.relations() {
-            index.survival_set(&all, &desc.name);
+            let comp = index.component_of(&desc.name).unwrap();
+            index.survival_set(&comp.relations().cloned().collect(), &desc.name);
         }
         let after = index.cache_stats();
         assert_eq!(after.misses, before.misses);
@@ -612,7 +691,64 @@ mod tests {
         let index = MkbIndex::new(&mkb, &mkb);
         // `H'` keeps exactly the join-capable relations.
         for desc in mkb.relations() {
-            assert_eq!(index.h_prime().contains(&desc.name), desc.capabilities.join);
+            assert_eq!(index.in_h_prime(&desc.name), desc.capabilities.join);
+        }
+    }
+
+    /// After `delete-relation C` on the chain A–B–C–D–E, `H'(MKB')`
+    /// holds the parts {A,B} and {D,E}, and each interns as ids {0,1}.
+    /// The first view's terminals are {A,B} (survivor B, cover A), the
+    /// second's {D,E} (survivor D, cover E): sharing one index, the
+    /// second must not be served the first one's trees.
+    #[test]
+    fn memo_keys_name_the_shard() {
+        let mkb = parse_misd(
+            "RELATION IS1 A(k int, x int)
+             RELATION IS2 B(k int)
+             RELATION IS3 C(k int, x int, y int)
+             RELATION IS4 D(k int)
+             RELATION IS5 E(k int, y int)
+             JOIN J1: A, B ON A.k = B.k
+             JOIN J2: B, C ON B.k = C.k
+             JOIN J3: C, D ON C.k = D.k
+             JOIN J4: D, E ON D.k = E.k
+             FUNCOF F1: C.x = A.x
+             FUNCOF F2: C.y = E.y",
+        )
+        .unwrap();
+        let c = RelName::new("C");
+        let mkb_prime = evolve(&mkb, &CapabilityChange::DeleteRelation(c.clone())).unwrap();
+        let views = [
+            "CREATE VIEW V1 AS SELECT B.k (true, true), C.x (false, true)
+             FROM B (true, true), C (true, true) WHERE (B.k = C.k) (true, true)",
+            "CREATE VIEW V2 AS SELECT D.k (true, true), C.y (false, true)
+             FROM C (true, true), D (true, true) WHERE (C.k = D.k) (true, true)",
+        ]
+        .map(|v| parse_view(v).unwrap());
+        let index = MkbIndex::new(&mkb, &mkb_prime);
+        for part in [["A", "B"], ["D", "E"]] {
+            let shard = index.h_prime.shard_of(&RelName::new(part[0])).unwrap();
+            let ids: Vec<Option<RelId>> = part
+                .iter()
+                .map(|r| shard.rel_id(&RelName::new(*r)))
+                .collect();
+            assert_eq!(ids, [Some(0), Some(1)], "{part:?} is a shard of its own");
+        }
+        let opts = CvsOptions::default();
+        for (view, cover) in views.iter().zip(["A", "E"]) {
+            let shared = cvs_delete_relation_indexed(view, &c, &index, &opts).unwrap();
+            let alone = MkbIndex::new(&mkb, &mkb_prime).without_cache();
+            assert_eq!(
+                shared,
+                cvs_delete_relation_indexed(view, &c, &alone, &opts).unwrap(),
+                "{}",
+                view.name
+            );
+            assert!(
+                shared[0].view.uses_relation(&RelName::new(cover)),
+                "{}",
+                shared[0].view
+            );
         }
     }
 }

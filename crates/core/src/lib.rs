@@ -90,7 +90,7 @@ pub use affected::{is_affected, is_evaluable};
 pub use clock::VirtualClock;
 pub use cost::{CostBreakdown, CostModel};
 pub use delete_attribute::synchronize_delete_attribute_indexed;
-pub use delta::{DeltaSummary, IndexCore, MkbDelta};
+pub use delta::{DeltaSummary, IndexCore, MkbDelta, ShardedGraph};
 pub use engine::synchronize_view;
 pub use error::CvsError;
 pub use eval::evaluate_view;

@@ -26,11 +26,11 @@
 //! to cover it).
 
 use crate::error::CvsError;
-use crate::index::MkbIndex;
+use crate::index::{MkbIndex, Terminals};
 use crate::mapping::RMapping;
 use crate::options::CvsOptions;
 use eve_esql::{CondItem, EvolutionParams, ViewDefinition};
-use eve_hypergraph::{ConnectionTree, RelSet};
+use eve_hypergraph::ConnectionTree;
 use eve_misd::JoinConstraint;
 use eve_relational::{AttrRef, RelName, ScalarExpr};
 use std::collections::{BTreeMap, BTreeSet};
@@ -166,10 +166,10 @@ struct PreparedCombo {
     /// `terminals` interned over `H'(MKB')` (`None` when some terminal
     /// is not a vertex there): the view's interned survivors plus this
     /// combination's cover sources, so each name is interned once.
-    terminal_key: Option<RelSet>,
-    /// The terminals span several components of `H'`: tree enumeration
-    /// would come back empty, so skip it and record the disconnection
-    /// directly.
+    terminal_key: Option<Terminals>,
+    /// The terminals span several components (shards) of `H'`: tree
+    /// enumeration would come back empty, so skip it and record the
+    /// disconnection directly.
     provably_disconnected: bool,
     /// Def. 3 (V) rewrite of `C_Max/Min` — it only depends on the cover
     /// combination, not on the tree. `None` means a required condition
@@ -243,7 +243,7 @@ pub(crate) struct ReplacementStream<'a, 'm> {
     survivors: Arc<BTreeSet<RelName>>,
     /// `survivors` interned over `H'(MKB')`, `None` when one is not a
     /// vertex there.
-    survivor_ids: Option<RelSet>,
+    survivor_ids: Option<Terminals>,
     surviving_joins: Vec<Arc<JoinConstraint>>,
     combo_idx: usize,
     current: Option<ActiveCombo>,
@@ -331,19 +331,20 @@ impl<'a, 'm> ReplacementStream<'a, 'm> {
         let mut terminal_key = self.survivor_ids.clone();
         for cover in covers.values() {
             if terminals.insert(cover.source.clone()) {
-                match (self.index.rel_id_prime(&cover.source), &mut terminal_key) {
-                    (Some(id), Some(key)) => {
-                        key.insert(id);
-                    }
-                    _ => terminal_key = None,
+                let added = match &mut terminal_key {
+                    Some(key) => self.index.add_terminal(key, &cover.source),
+                    None => false,
+                };
+                if !added {
+                    terminal_key = None;
                 }
             }
         }
-        // A tree spans its terminals only inside one component of `H'`.
-        // A terminal that is not a vertex there is unreachable from
-        // everything else.
+        // A tree spans its terminals only inside one component (one
+        // shard) of `H'`. A terminal that is not a vertex there is
+        // unreachable from everything else.
         let provably_disconnected = match &terminal_key {
-            Some(key) => !self.index.in_one_component(key),
+            Some(key) => *key == Terminals::Split,
             None => terminals.len() >= 2,
         };
         let cmm = rewrite_c_max_min(self.rm, &covers, &self.rm.target)

@@ -387,13 +387,13 @@ pub struct Snapshot {
 /// and constraint with the previous version, and the [`IndexCore`]
 /// every untouched graph and constraint map. What a version retains
 /// of its own is what its change rewrote: a chunk of the MKB's relation
-/// map and of its relation index plus their chunk spines, any
-/// constraint list the change edited, one pointer per view (the
-/// snapshot), and for a relation-level change the hypergraph's id
-/// arrays. Measured on the standard change mix
-/// (`synchronizer.chain_kb_per_version`): ≈128 KiB per version at
-/// 4,096 relations and 512 views, ≈459 KiB at 16,384 relations and
-/// 1,024 views. Version 0 is the initial state.
+/// map, of its relation index and of each constraint list the change
+/// edited, plus their chunk spines, one pointer per view (the
+/// snapshot), and for a relation-level change the one shard it patched
+/// and the router chunks it edited. Measured on the standard change mix
+/// (`synchronizer.chain_kb_per_version`): ≈31 KiB per version at 4,096
+/// relations and 512 views, ≈57 KiB at 16,384 relations and 1,024
+/// views. Version 0 is the initial state.
 #[derive(Debug, Clone)]
 pub struct VersionEntry {
     /// Position in the chain (0 = initial state).

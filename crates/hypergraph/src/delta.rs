@@ -20,12 +20,11 @@
 //!   subset of the old ranks compares exactly like the corresponding
 //!   subset of id strings, so deletions carry ranks verbatim.
 
-use crate::graph::{build_csr, Hypergraph};
-use crate::intern::RelId;
-use eve_misd::mkb::SharedList;
+use crate::graph::{Hypergraph, Joins};
+use crate::intern::{Interner, RelId};
 use eve_misd::JoinConstraint;
 use eve_relational::{AttrName, AttrRef, RelName, ScalarExpr};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One capability change projected onto a single hypergraph, in terms of
 /// the graph's own vocabulary (vertices and join edges).
@@ -86,36 +85,37 @@ impl Hypergraph {
         }
     }
 
-    /// Add an isolated vertex: splice an empty CSR row and shift ids
-    /// `>=` the insertion point.
+    /// Add an isolated vertex: shift ids `>=` the insertion point.
     fn with_vertex_added(&self, name: &RelName) -> Hypergraph {
         let Some((interner, new_id)) = self.interner.with_inserted(name) else {
             // Already a vertex (evolve would have rejected the change).
             return self.clone();
         };
-        let n = interner.len();
         let bump = |v: RelId| if v >= new_id { v + 1 } else { v };
-        let join_left: Vec<RelId> = self.join_left.iter().map(|&v| bump(v)).collect();
-        let join_right: Vec<RelId> = self.join_right.iter().map(|&v| bump(v)).collect();
+        let (left, right, rank) = self.edge_arrays();
+        let left: Vec<RelId> = left.iter().map(|&v| bump(v)).collect();
+        let right: Vec<RelId> = right.iter().map(|&v| bump(v)).collect();
+        Hypergraph::from_ids(interner, Arc::clone(&self.joins), &left, &right, rank)
+    }
 
-        let at = new_id as usize;
-        let mut adj_offsets = Vec::with_capacity(n + 1);
-        adj_offsets.extend_from_slice(&self.adj_offsets[..=at]);
-        adj_offsets.push(self.adj_offsets[at]); // the new row is empty
-        adj_offsets.extend_from_slice(&self.adj_offsets[at + 1..]);
-        let adj_targets: Vec<RelId> = self.adj_targets.iter().map(|&v| bump(v)).collect();
-
-        Hypergraph {
-            joins: Arc::clone(&self.joins),
-            interner: Arc::new(interner),
-            adj_offsets,
-            adj_targets,
-            adj_edges: self.adj_edges.clone(),
-            join_left,
-            join_right,
-            join_rank: self.join_rank.clone(),
-            labels: OnceLock::new(),
-        }
+    /// The edges `keep` accepts, over `interner` with endpoints mapped by
+    /// `map`. Carried ranks are a subset of the old ranks: not dense, but
+    /// order-preserving, which is all comparisons need.
+    fn with_edges(
+        &self,
+        interner: Interner,
+        keep: impl Fn(RelId, RelId, u32) -> bool,
+        map: impl Fn(RelId) -> RelId,
+    ) -> Hypergraph {
+        let (left, right, rank) = self.edge_arrays();
+        let kept: Vec<usize> = (0..self.joins.len())
+            .filter(|&e| keep(left[e], right[e], e as u32))
+            .collect();
+        let joins: Joins = kept.iter().map(|&e| Arc::clone(&self.joins[e])).collect();
+        let left: Vec<RelId> = kept.iter().map(|&e| map(left[e])).collect();
+        let right: Vec<RelId> = kept.iter().map(|&e| map(right[e])).collect();
+        let rank: Vec<u32> = kept.iter().map(|&e| rank[e]).collect();
+        Hypergraph::from_ids(interner, joins, &left, &right, &rank)
     }
 
     /// Erase a vertex and its incident edges.
@@ -124,36 +124,11 @@ impl Hypergraph {
             // Not a vertex here (filtered graph): nothing to erase.
             return self.clone();
         };
-        let n = interner.len();
-        let drop = |v: RelId| if v > rid { v - 1 } else { v };
-        let mut joins = Vec::with_capacity(self.joins.len());
-        let mut join_left = Vec::with_capacity(self.join_left.len());
-        let mut join_right = Vec::with_capacity(self.join_right.len());
-        let mut join_rank = Vec::with_capacity(self.join_rank.len());
-        for e in 0..self.joins.len() {
-            if self.join_left[e] == rid || self.join_right[e] == rid {
-                continue;
-            }
-            joins.push(Arc::clone(&self.joins[e]));
-            join_left.push(drop(self.join_left[e]));
-            join_right.push(drop(self.join_right[e]));
-            // Carried ranks are a subset of the old ranks: not dense, but
-            // order-preserving, which is all comparisons need.
-            join_rank.push(self.join_rank[e]);
-        }
-        let (adj_offsets, adj_targets, adj_edges) = build_csr(n, &join_left, &join_right);
-
-        Hypergraph {
-            joins: Arc::new(joins),
-            interner: Arc::new(interner),
-            adj_offsets,
-            adj_targets,
-            adj_edges,
-            join_left,
-            join_right,
-            join_rank,
-            labels: OnceLock::new(),
-        }
+        self.with_edges(
+            interner,
+            |l, r, _| l != rid && r != rid,
+            |v| if v > rid { v - 1 } else { v },
+        )
     }
 
     /// Rename a vertex: permute ids and rewrite the incident join
@@ -174,7 +149,6 @@ impl Hypergraph {
                 predicate: j.predicate.rename_relation(from, to),
             }
         });
-        let n = interner.len();
         // remove-at-old then insert-at-new: ids permute in two shifts.
         let perm = |v: RelId| -> RelId {
             if v == old_id {
@@ -187,21 +161,10 @@ impl Hypergraph {
                 mid
             }
         };
-        let join_left: Vec<RelId> = self.join_left.iter().map(|&v| perm(v)).collect();
-        let join_right: Vec<RelId> = self.join_right.iter().map(|&v| perm(v)).collect();
-        let (adj_offsets, adj_targets, adj_edges) = build_csr(n, &join_left, &join_right);
-
-        Hypergraph {
-            joins,
-            interner: Arc::new(interner),
-            adj_offsets,
-            adj_targets,
-            adj_edges,
-            join_left,
-            join_right,
-            join_rank: self.join_rank.clone(),
-            labels: OnceLock::new(),
-        }
+        let (left, right, rank) = self.edge_arrays();
+        let left: Vec<RelId> = left.iter().map(|&v| perm(v)).collect();
+        let right: Vec<RelId> = right.iter().map(|&v| perm(v)).collect();
+        Hypergraph::from_ids(interner, joins, &left, &right, rank)
     }
 
     /// Drop every edge mentioning `attr`.
@@ -210,35 +173,11 @@ impl Hypergraph {
         if hit.is_empty() {
             return self.clone();
         }
-        let mut keep = vec![true; self.joins.len()];
-        for &e in &hit {
-            keep[e as usize] = false;
-        }
-        let n = self.interner.len();
-        let mut joins = Vec::with_capacity(self.joins.len());
-        let mut join_left = Vec::with_capacity(self.join_left.len());
-        let mut join_right = Vec::with_capacity(self.join_right.len());
-        let mut join_rank = Vec::with_capacity(self.join_rank.len());
-        for (e, &kept) in keep.iter().enumerate() {
-            if kept {
-                joins.push(Arc::clone(&self.joins[e]));
-                join_left.push(self.join_left[e]);
-                join_right.push(self.join_right[e]);
-                join_rank.push(self.join_rank[e]);
-            }
-        }
-        let (adj_offsets, adj_targets, adj_edges) = build_csr(n, &join_left, &join_right);
-        Hypergraph {
-            joins: Arc::new(joins),
-            interner: Arc::clone(&self.interner),
-            adj_offsets,
-            adj_targets,
-            adj_edges,
-            join_left,
-            join_right,
-            join_rank,
-            labels: OnceLock::new(),
-        }
+        self.with_edges(
+            self.interner.clone(),
+            |_, _, e| hit.binary_search(&e).is_err(),
+            |v| v,
+        )
     }
 
     /// Rewrite the predicates mentioning a renamed attribute. Topology,
@@ -261,10 +200,10 @@ impl Hypergraph {
 /// `joins` with the edges `hit` replaced by `rewrite` of them. Every
 /// other edge keeps its `Arc`, and the list its own when `hit` is empty.
 fn rewrite_edges(
-    joins: &SharedList<JoinConstraint>,
+    joins: &Joins,
     hit: &[u32],
     rewrite: impl Fn(&JoinConstraint) -> JoinConstraint,
-) -> SharedList<JoinConstraint> {
+) -> Joins {
     if hit.is_empty() {
         return Arc::clone(joins);
     }
@@ -272,7 +211,7 @@ fn rewrite_edges(
     for &e in hit {
         out[e as usize] = Arc::new(rewrite(&joins[e as usize]));
     }
-    Arc::new(out)
+    out.into()
 }
 
 #[cfg(test)]
@@ -319,15 +258,16 @@ mod tests {
     fn assert_equivalent(patched: &Hypergraph, rebuilt: &Hypergraph) {
         assert_eq!(patched.joins, rebuilt.joins);
         assert!(patched.interner.names().eq(rebuilt.interner.names()));
-        assert_eq!(patched.join_left, rebuilt.join_left);
-        assert_eq!(patched.join_right, rebuilt.join_right);
-        assert_eq!(patched.adj_offsets, rebuilt.adj_offsets);
-        assert_eq!(patched.adj_targets, rebuilt.adj_targets);
-        assert_eq!(patched.adj_edges, rebuilt.adj_edges);
+        let (p, r) = (patched.edge_arrays(), rebuilt.edge_arrays());
+        assert_eq!((p.0, p.1), (r.0, r.1));
+        assert_eq!(patched.offsets(), rebuilt.offsets());
+        assert_eq!(patched.targets(), rebuilt.targets());
+        assert_eq!(patched.slot_edges(), rebuilt.slot_edges());
+        let rank = p.2;
         for a in 0..patched.joins.len() {
             for b in 0..patched.joins.len() {
                 assert_eq!(
-                    patched.join_rank[a].cmp(&patched.join_rank[b]),
+                    rank[a].cmp(&rank[b]),
                     patched.joins[a].id.cmp(&patched.joins[b].id),
                     "rank order diverged from id order at ({a}, {b})"
                 );

@@ -2,9 +2,9 @@
 //!
 //! Internally the graph is data-oriented: relation names are interned
 //! to dense `u32` ids ([`crate::intern::Interner`], ids in ascending
-//! name order), adjacency is a flat CSR triple
-//! (`adj_offsets`/`adj_targets`/`adj_edges`) preserving
-//! join-declaration order, and join endpoints live in SoA arrays.
+//! name order), adjacency is a flat CSR triple (offsets, targets,
+//! edges) preserving join-declaration order, and join endpoints and
+//! ranks live in SoA arrays, all of them in one allocation per graph.
 //! Component labels are computed from the CSR by the first connectivity
 //! read and kept for the graph's life; building or deriving a graph
 //! never computes them. The string-keyed public API is a thin boundary
@@ -12,13 +12,16 @@
 //! result — including iteration and tie-break orders — is reproduced
 //! exactly.
 
-use crate::intern::{Interner, RelId};
+use crate::intern::{prefix_of, Interner, RelId};
 use crate::relset::RelSet;
-use eve_misd::mkb::SharedList;
-use eve_misd::{JoinConstraint, MetaKnowledgeBase};
+use eve_misd::{JoinConstraint, MetaKnowledgeBase, RelationDescription};
 use eve_relational::{AttrRef, RelName};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
+
+/// A graph's join constraints, each the MKB's own `Arc`, in one shared
+/// allocation.
+pub(crate) type Joins = Arc<[Arc<JoinConstraint>]>;
 
 /// The hypergraph `H(MKB)` (or a sub-hypergraph of it), materialised as a
 /// relation-level multigraph: vertices are relations, edges are join
@@ -30,32 +33,24 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct Hypergraph {
     /// Join-constraint edges, each the MKB's own `Arc`. The list is
-    /// `Arc`-shared too: most capability changes leave every join
-    /// constraint intact, and the full graph of an MKB shares the MKB's
-    /// own list.
-    pub(crate) joins: SharedList<JoinConstraint>,
+    /// `Arc`-shared too, by the changes that keep every edge.
+    pub(crate) joins: Joins,
     /// Name ↔ id bijection over every vertex (isolated ones included);
-    /// id order == name order. `Arc`-shared by the changes that keep the
-    /// vertex set.
-    pub(crate) interner: Arc<Interner>,
-    /// CSR adjacency offsets: vertex `v`'s neighbours live at
-    /// `adj_targets[adj_offsets[v]..adj_offsets[v + 1]]`.
-    pub(crate) adj_offsets: Vec<u32>,
-    /// Neighbour vertex per adjacency slot, in join-declaration order
-    /// (for each join: the left endpoint's entry precedes the right's).
-    pub(crate) adj_targets: Vec<RelId>,
-    /// Edge index (into `joins`) per adjacency slot.
-    pub(crate) adj_edges: Vec<u32>,
-    /// SoA join endpoints: `joins[e]` connects `join_left[e]` and
-    /// `join_right[e]`.
-    pub(crate) join_left: Vec<RelId>,
-    pub(crate) join_right: Vec<RelId>,
-    /// Dedup rank of each join's id string: `join_rank[a] < join_rank[b]`
-    /// ⇔ `joins[a].id < joins[b].id`, with equal strings sharing a rank.
-    /// Lets the path search order candidates by join-id sequence without
-    /// comparing strings. Delta maintenance carries ranks over edge
-    /// subsets, so ranks need not be dense — only order-preserving.
-    pub(crate) join_rank: Vec<u32>,
+    /// id order == name order. Persistent, so the changes that keep the
+    /// vertex set share it.
+    pub(crate) interner: Interner,
+    /// Every id array, in one allocation: for `n` vertices and `m`
+    /// edges, the CSR offsets (`n + 1`: vertex `v`'s neighbours live in
+    /// slots `offsets[v]..offsets[v + 1]`), the neighbour per adjacency
+    /// slot (`2m`, in join-declaration order, for each join the left
+    /// endpoint's entry before the right's), the edge index per slot
+    /// (`2m`), then per edge its left and right endpoints and the dedup
+    /// rank of its id string (`m` each). Ranks compare as the id
+    /// strings do, so the path search orders candidates by join-id
+    /// sequence without comparing strings; delta maintenance and
+    /// component splits carry them over edge subsets, so they need not
+    /// be dense, only order-preserving within the graph.
+    pub(crate) ids: Box<[u32]>,
     /// Connected-component index per vertex and the component count,
     /// filled by the first connectivity read (`component_index`,
     /// `component_count`, `components`, `component_relations` or
@@ -65,46 +60,49 @@ pub struct Hypergraph {
     pub(crate) labels: OnceLock<(Vec<u32>, u32)>,
 }
 
-/// Build the CSR adjacency triple for `n` vertices from SoA join
-/// endpoints, filled in join-declaration order (left endpoint first,
-/// then right — the legacy push order). Pure integer work: the delta
-/// path re-runs this after patching endpoint arrays without touching a
-/// single string.
-pub(crate) fn build_csr(
-    n: usize,
-    join_left: &[RelId],
-    join_right: &[RelId],
-) -> (Vec<u32>, Vec<RelId>, Vec<u32>) {
+/// The packed id arrays of a graph of `n` vertices whose edge `e` joins
+/// `join_left[e]` and `join_right[e]` and has rank `join_rank[e]`: the
+/// CSR filled in join-declaration order (left endpoint first, then
+/// right — the legacy push order), then the edge arrays. Pure integer
+/// work.
+fn pack_ids(n: usize, join_left: &[RelId], join_right: &[RelId], join_rank: &[u32]) -> Box<[u32]> {
     let m = join_left.len();
-    let mut degree = vec![0u32; n];
+    let mut ids = vec![0u32; n + 1 + 7 * m].into_boxed_slice();
+    let (offsets, rest) = ids.split_at_mut(n + 1);
+    let (targets, rest) = rest.split_at_mut(2 * m);
+    let (edges, rest) = rest.split_at_mut(2 * m);
+    // Each row's end first, then each row filled back from its end by
+    // a walk over the edges in reverse: rows come out in edge order,
+    // and each offset at its row's start.
     for e in 0..m {
-        degree[join_left[e] as usize] += 1;
-        degree[join_right[e] as usize] += 1;
+        offsets[join_left[e] as usize] += 1;
+        offsets[join_right[e] as usize] += 1;
     }
-    let mut adj_offsets = vec![0u32; n + 1];
-    for v in 0..n {
-        adj_offsets[v + 1] = adj_offsets[v] + degree[v];
+    let mut end = 0;
+    for offset in offsets.iter_mut() {
+        end += *offset;
+        *offset = end;
     }
-    let mut cursor: Vec<u32> = adj_offsets[..n].to_vec();
-    let mut adj_targets = vec![0 as RelId; adj_offsets[n] as usize];
-    let mut adj_edges = vec![0u32; adj_offsets[n] as usize];
-    for e in 0..m {
-        let (l, r) = (join_left[e], join_right[e]);
-        let slot = cursor[l as usize] as usize;
-        adj_targets[slot] = r;
-        adj_edges[slot] = e as u32;
-        cursor[l as usize] += 1;
-        let slot = cursor[r as usize] as usize;
-        adj_targets[slot] = l;
-        adj_edges[slot] = e as u32;
-        cursor[r as usize] += 1;
+    for e in (0..m).rev() {
+        for (from, to) in [(join_right[e], join_left[e]), (join_left[e], join_right[e])] {
+            offsets[from as usize] -= 1;
+            let slot = offsets[from as usize] as usize;
+            targets[slot] = to;
+            edges[slot] = e as u32;
+        }
     }
-    (adj_offsets, adj_targets, adj_edges)
+    for (dst, src) in rest
+        .chunks_mut(m.max(1))
+        .zip([join_left, join_right, join_rank])
+    {
+        dst.copy_from_slice(src);
+    }
+    ids
 }
 
 /// Connected components over a CSR adjacency, seeded in ascending id
 /// (= name) order so component indices sort by smallest member name.
-fn components_from(n: usize, adj_offsets: &[u32], adj_targets: &[RelId]) -> (Vec<u32>, u32) {
+fn components_from(n: usize, offsets: &[u32], targets: &[RelId]) -> (Vec<u32>, u32) {
     let mut comp_of = vec![u32::MAX; n];
     let mut comp_count = 0u32;
     let mut queue: VecDeque<RelId> = VecDeque::new();
@@ -116,10 +114,10 @@ fn components_from(n: usize, adj_offsets: &[u32], adj_targets: &[RelId]) -> (Vec
         queue.push_back(v as RelId);
         while let Some(r) = queue.pop_front() {
             let (lo, hi) = (
-                adj_offsets[r as usize] as usize,
-                adj_offsets[r as usize + 1] as usize,
+                offsets[r as usize] as usize,
+                offsets[r as usize + 1] as usize,
             );
-            for &next in &adj_targets[lo..hi] {
+            for &next in &targets[lo..hi] {
                 if comp_of[next as usize] == u32::MAX {
                     comp_of[next as usize] = comp_count;
                     queue.push_back(next);
@@ -138,14 +136,159 @@ impl PartialEq for Hypergraph {
     }
 }
 
+/// Dedup lexicographic ranks of the join id strings `ids`, appended to
+/// `out`; `sorted` is scratch.
+fn rank_ids<'a>(
+    ids: impl Iterator<Item = &'a str> + Clone,
+    sorted: &mut Vec<&'a str>,
+    out: &mut Vec<u32>,
+) {
+    sorted.clear();
+    sorted.extend(ids.clone());
+    sorted.sort_unstable();
+    sorted.dedup();
+    out.extend(ids.map(|id| sorted.binary_search(&id).expect("id ranked") as u32));
+}
+
+/// Union-find root of `v`, halving paths on the way.
+fn find(parent: &mut [u32], mut v: u32) -> u32 {
+    while parent[v as usize] != v {
+        let up = parent[parent[v as usize] as usize];
+        parent[v as usize] = up;
+        v = up;
+    }
+    v
+}
+
+/// The items `0..keys.len()` grouped by key (each below `count`), in
+/// item order within a group, and the `count + 1` group bounds.
+fn group_by(
+    keys: impl ExactSizeIterator<Item = u32> + Clone,
+    count: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut bounds = vec![0u32; count + 1];
+    for k in keys.clone() {
+        bounds[k as usize + 1] += 1;
+    }
+    for c in 0..count {
+        bounds[c + 1] += bounds[c];
+    }
+    let mut order = vec![0u32; keys.len()];
+    let mut next = bounds.clone();
+    for (i, k) in keys.enumerate() {
+        order[next[k as usize] as usize] = i as u32;
+        next[k as usize] += 1;
+    }
+    (order, bounds)
+}
+
+/// Split a graph given as vertex names (id order) and edges
+/// `(constraint, left id, right id)` by the component label of each
+/// vertex: part `c` gets the vertices labelled `c`, renumbered in id
+/// order, and the edges between them in edge order, with their ranks
+/// carried from `rank` or, without one, ranked within the part. Every
+/// array is grouped by one counting sort and the parts are cut from
+/// them, so a part costs its own allocations and nothing more.
+fn partition(
+    names: &[&RelName],
+    comp_of: &[u32],
+    count: usize,
+    edges: &[(&Arc<JoinConstraint>, RelId, RelId)],
+    rank: Option<&[u32]>,
+) -> Vec<Hypergraph> {
+    let (vertices, vertex_bounds) = group_by(comp_of.iter().copied(), count);
+    let (by_part, edge_bounds) =
+        group_by(edges.iter().map(|&(_, l, _)| comp_of[l as usize]), count);
+    let mut local = vec![0 as RelId; names.len()];
+    let (mut left, mut right, mut ranks, mut sorted) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    (0..count)
+        .map(|c| {
+            let members = &vertices[vertex_bounds[c] as usize..vertex_bounds[c + 1] as usize];
+            for (i, &v) in members.iter().enumerate() {
+                local[v as usize] = i as RelId;
+            }
+            let part = &by_part[edge_bounds[c] as usize..edge_bounds[c + 1] as usize];
+            let part_edges = part.iter().map(|&e| &edges[e as usize]);
+            left.clear();
+            left.extend(part_edges.clone().map(|&(_, l, _)| local[l as usize]));
+            right.clear();
+            right.extend(part_edges.clone().map(|&(_, _, r)| local[r as usize]));
+            ranks.clear();
+            match rank {
+                Some(rank) => ranks.extend(part.iter().map(|&e| rank[e as usize])),
+                None => rank_ids(
+                    part_edges.clone().map(|(j, ..)| j.id.as_str()),
+                    &mut sorted,
+                    &mut ranks,
+                ),
+            }
+            Hypergraph::from_ids(
+                Interner::from_sorted(members.iter().map(|&v| names[v as usize].clone())),
+                part_edges.map(|(j, ..)| Arc::clone(j)).collect(),
+                &left,
+                &right,
+                &ranks,
+            )
+        })
+        .collect()
+}
+
 impl Hypergraph {
     /// Build `H(MKB)` from a meta knowledge base.
     pub fn build(mkb: &MetaKnowledgeBase) -> Self {
         // MKB validation guarantees every endpoint is described.
         Self::from_shared(
             Interner::from_sorted(mkb.relation_names().cloned()),
-            Arc::clone(mkb.joins_arc()),
+            mkb.joins().iter().cloned().collect(),
         )
+    }
+
+    /// The connected components of `H(MKB)` restricted to the relations
+    /// `keep` accepts (as [`Hypergraph::build_filtered`] would build the
+    /// graph), each a graph of its own, ordered by smallest relation
+    /// name; and, for every kept relation in name order, the index of
+    /// its component. The components are found by union-find over
+    /// integer ids in one pass over the join list, and each one ranks
+    /// its own join ids: the whole graph is never built, and no id is
+    /// sorted against another component's.
+    pub fn build_components(
+        mkb: &MetaKnowledgeBase,
+        keep: impl Fn(&RelationDescription) -> bool,
+    ) -> (Vec<Hypergraph>, Vec<u32>) {
+        let names: Vec<(u64, &RelName)> = mkb
+            .relations()
+            .filter(|d| keep(d))
+            .map(|d| (prefix_of(&d.name), &d.name))
+            .collect();
+        let id = |r: &RelName| {
+            let key = (prefix_of(r), r);
+            names.binary_search(&key).ok().map(|i| i as RelId)
+        };
+        let mut edges = Vec::new();
+        let mut parent: Vec<u32> = (0..names.len() as u32).collect();
+        for j in mkb.joins() {
+            if let (Some(l), Some(r)) = (id(&j.left), id(&j.right)) {
+                let (a, b) = (find(&mut parent, l), find(&mut parent, r));
+                parent[a.max(b) as usize] = a.min(b);
+                edges.push((j, l, r));
+            }
+        }
+        // Label components by their smallest member.
+        let mut comp_of = vec![0u32; names.len()];
+        let mut count = 0;
+        for v in 0..names.len() as u32 {
+            let root = find(&mut parent, v);
+            comp_of[v as usize] = if root == v {
+                count += 1;
+                count - 1
+            } else {
+                comp_of[root as usize]
+            };
+        }
+        let names: Vec<&RelName> = names.iter().map(|&(_, n)| n).collect();
+        let parts = partition(&names, &comp_of, count as usize, &edges, None);
+        (parts, comp_of)
     }
 
     /// Build `H(MKB)` restricted to the relations accepted by `keep` —
@@ -168,7 +311,7 @@ impl Hypergraph {
             .filter(|j| interner.get(&j.left).is_some() && interner.get(&j.right).is_some())
             .cloned()
             .collect();
-        Self::from_shared(interner, Arc::new(joins))
+        Self::from_shared(interner, joins)
     }
 
     /// Build from explicit parts (used for sub-hypergraphs and tests).
@@ -179,46 +322,73 @@ impl Hypergraph {
             .filter(|j| relations.contains(&j.left) && relations.contains(&j.right))
             .map(Arc::new)
             .collect();
-        Self::from_shared(Interner::from_sorted(relations), Arc::new(joins))
+        Self::from_shared(Interner::from_sorted(relations), joins)
+    }
+
+    /// A graph of one isolated vertex.
+    pub fn singleton(rel: RelName) -> Self {
+        Self::from_ids(Interner::from_sorted([rel]), Arc::new([]), &[], &[], &[])
     }
 
     /// [`Hypergraph::from_parts`] over interned vertices and shared joins
     /// whose endpoints are all vertices.
-    fn from_shared(interner: Interner, joins: SharedList<JoinConstraint>) -> Self {
-        let n = interner.len();
-        let m = joins.len();
-
-        let mut join_left = Vec::with_capacity(m);
-        let mut join_right = Vec::with_capacity(m);
-        for j in joins.iter() {
-            join_left.push(interner.get(&j.left).expect("endpoint present"));
-            join_right.push(interner.get(&j.right).expect("endpoint present"));
-        }
-
-        // Dedup lexicographic ranks of the join id strings.
-        let mut ids: Vec<&str> = joins.iter().map(|j| j.id.as_str()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let join_rank: Vec<u32> = joins
+    fn from_shared(interner: Interner, joins: Joins) -> Self {
+        let (join_left, join_right): (Vec<RelId>, Vec<RelId>) = joins
             .iter()
-            .map(|j| ids.binary_search(&j.id.as_str()).expect("id ranked") as u32)
-            .collect();
+            .map(|j| {
+                let id = |r| interner.get(r).expect("endpoint present");
+                (id(&j.left), id(&j.right))
+            })
+            .unzip();
+        let mut join_rank = Vec::with_capacity(joins.len());
+        rank_ids(
+            joins.iter().map(|j| j.id.as_str()),
+            &mut Vec::new(),
+            &mut join_rank,
+        );
+        Self::from_ids(interner, joins, &join_left, &join_right, &join_rank)
+    }
 
-        // CSR adjacency, filled in join-declaration order (left endpoint
-        // first, then right — matching the legacy push order).
-        let (adj_offsets, adj_targets, adj_edges) = build_csr(n, &join_left, &join_right);
-
+    /// The graph over `interner`'s vertices whose edge `e` is `joins[e]`,
+    /// between vertices `join_left[e]` and `join_right[e]`, of id rank
+    /// `join_rank[e]`: only the CSR is computed, from integers.
+    pub(crate) fn from_ids(
+        interner: Interner,
+        joins: Joins,
+        join_left: &[RelId],
+        join_right: &[RelId],
+        join_rank: &[u32],
+    ) -> Self {
         Hypergraph {
+            ids: pack_ids(interner.len(), join_left, join_right, join_rank),
             joins,
-            interner: Arc::new(interner),
-            adj_offsets,
-            adj_targets,
-            adj_edges,
-            join_left,
-            join_right,
-            join_rank,
+            interner,
             labels: OnceLock::new(),
         }
+    }
+
+    /// The CSR offsets (`rel_count() + 1`).
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.ids[..=self.rel_count()]
+    }
+
+    /// The neighbour per adjacency slot.
+    pub(crate) fn targets(&self) -> &[RelId] {
+        let start = self.rel_count() + 1;
+        &self.ids[start..start + 2 * self.joins.len()]
+    }
+
+    /// The edge index per adjacency slot.
+    pub(crate) fn slot_edges(&self) -> &[u32] {
+        let start = self.rel_count() + 1 + 2 * self.joins.len();
+        &self.ids[start..start + 2 * self.joins.len()]
+    }
+
+    /// Per edge: the left endpoints, the right endpoints and the ranks.
+    pub(crate) fn edge_arrays(&self) -> (&[RelId], &[RelId], &[u32]) {
+        let m = self.joins.len();
+        let edges = &self.ids[self.ids.len() - 3 * m..];
+        (&edges[..m], &edges[m..2 * m], &edges[2 * m..])
     }
 
     /// The relation vertices, in ascending name order.
@@ -268,32 +438,34 @@ impl Hypergraph {
     /// CSR neighbours of `id`: `(neighbour, edge index)` pairs in
     /// join-declaration order.
     pub fn neighbors(&self, id: RelId) -> impl Iterator<Item = (RelId, u32)> + '_ {
+        let offsets = self.offsets();
         let (lo, hi) = (
-            self.adj_offsets[id as usize] as usize,
-            self.adj_offsets[id as usize + 1] as usize,
+            offsets[id as usize] as usize,
+            offsets[id as usize + 1] as usize,
         );
-        self.adj_targets[lo..hi]
+        self.targets()[lo..hi]
             .iter()
             .copied()
-            .zip(self.adj_edges[lo..hi].iter().copied())
+            .zip(self.slot_edges()[lo..hi].iter().copied())
     }
 
     /// Endpoints of join edge `e` as `(left, right)` ids.
     pub fn join_endpoints(&self, e: u32) -> (RelId, RelId) {
-        (self.join_left[e as usize], self.join_right[e as usize])
+        let (left, right, _) = self.edge_arrays();
+        (left[e as usize], right[e as usize])
     }
 
     /// Dedup lexicographic rank of `joins[e].id`: ranks compare exactly
     /// as the id strings do (equal strings share a rank).
     pub fn join_rank(&self, e: u32) -> u32 {
-        self.join_rank[e as usize]
+        self.edge_arrays().2[e as usize]
     }
 
     /// The component labels: computed over the CSR by the first call,
     /// served from the cell after.
     fn labels(&self) -> &(Vec<u32>, u32) {
         self.labels
-            .get_or_init(|| components_from(self.rel_count(), &self.adj_offsets, &self.adj_targets))
+            .get_or_init(|| components_from(self.rel_count(), self.offsets(), self.targets()))
     }
 
     /// The connected-component index of vertex `id`. Components are
@@ -334,23 +506,16 @@ impl Hypergraph {
 
     /// All maximal connected components, each as a sub-hypergraph, ordered
     /// by their smallest relation name. One pass over the vertices and
-    /// one over the edges sort both into their components.
+    /// one over the edges sort both into their components, renumbering
+    /// ids and carrying ranks by integer maps.
     pub fn components(&self) -> Vec<Hypergraph> {
         let (comp_of, count) = self.labels();
-        let mut rels = vec![Vec::new(); *count as usize];
-        for (name, &c) in self.relations().zip(comp_of) {
-            rels[c as usize].push(name.clone());
-        }
-        let mut joins = vec![Vec::new(); *count as usize];
-        for (e, j) in self.joins.iter().enumerate() {
-            joins[comp_of[self.join_left[e] as usize] as usize].push(Arc::clone(j));
-        }
-        rels.into_iter()
-            .zip(joins)
-            .map(|(rels, joins)| {
-                Hypergraph::from_shared(Interner::from_sorted(rels), Arc::new(joins))
-            })
-            .collect()
+        let (left, right, rank) = self.edge_arrays();
+        let names: Vec<&RelName> = self.relations().collect();
+        let edges: Vec<_> = (0..self.joins.len())
+            .map(|e| (&self.joins[e], left[e], right[e]))
+            .collect();
+        partition(&names, comp_of, *count as usize, &edges, Some(rank))
     }
 
     /// The connected sub-hypergraph containing vertex `id`, gathered by
@@ -369,7 +534,7 @@ impl Hypergraph {
             next += 1;
             for (t, e) in self.neighbors(r) {
                 // Each edge once, from its left endpoint's row.
-                if self.join_left[e as usize] == r {
+                if self.join_endpoints(e).0 == r {
                     edges.push(e);
                 }
                 if seen.insert(t) {
@@ -387,7 +552,7 @@ impl Hypergraph {
             .iter()
             .map(|&e| Arc::clone(&self.joins[e as usize]))
             .collect();
-        Hypergraph::from_shared(rels, Arc::new(joins))
+        Hypergraph::from_shared(rels, joins)
     }
 
     /// Is the given set of relations mutually connected *within this
@@ -421,7 +586,7 @@ impl Hypergraph {
             .filter(|j| !j.touches(rel))
             .cloned()
             .collect();
-        Hypergraph::from_shared(relations, Arc::new(joins))
+        Hypergraph::from_shared(relations, joins)
     }
 
     /// The join edges whose predicate mentions `attr`, ascending.
@@ -584,6 +749,56 @@ mod tests {
         let rels: BTreeSet<RelName> = ["A", "B"].iter().map(|s| rel(s)).collect();
         let h2 = Hypergraph::from_parts(rels, vec![jc("dup", "A", "B"), jc("dup", "A", "B")]);
         assert_eq!(h2.join_rank(0), h2.join_rank(1));
+    }
+
+    /// The component build equals the components of the whole graph,
+    /// filtered or not, and labels each kept relation with its own.
+    #[test]
+    fn build_components_matches_components() {
+        use eve_misd::RelationDescription;
+        use eve_relational::{AttributeDef, DataType};
+        let mut mkb = MetaKnowledgeBase::new();
+        for (i, name) in ["A", "B", "C", "D", "E", "F", "G"].iter().enumerate() {
+            let mut d =
+                RelationDescription::new("IS", *name, vec![AttributeDef::new("k", DataType::Int)]);
+            d.capabilities.join = i != 2;
+            mkb.add_relation(d).unwrap();
+        }
+        // Declared out of id order: G—F, then A—B—C—D with a parallel
+        // A—B edge; E is isolated.
+        for (id, l, r) in [
+            ("J9", "G", "F"),
+            ("J1", "C", "D"),
+            ("J5", "A", "B"),
+            ("J2", "B", "C"),
+            ("J0", "A", "B"),
+        ] {
+            mkb.add_join(jc(id, l, r)).unwrap();
+        }
+        let check = |whole: Hypergraph, (parts, labels): (Vec<Hypergraph>, Vec<u32>)| {
+            assert_eq!(parts, whole.components());
+            for (v, name) in whole.relations().enumerate() {
+                assert!(parts[labels[v] as usize].contains(name), "{name}");
+            }
+            for part in &parts {
+                for a in 0..part.joins().len() as u32 {
+                    for b in 0..part.joins().len() as u32 {
+                        let ids = (&part.joins()[a as usize].id, &part.joins()[b as usize].id);
+                        assert_eq!(part.join_rank(a).cmp(&part.join_rank(b)), ids.0.cmp(ids.1));
+                    }
+                }
+            }
+        };
+        check(
+            Hypergraph::build(&mkb),
+            Hypergraph::build_components(&mkb, |_| true),
+        );
+        let join = |d: &RelationDescription| d.capabilities.join;
+        check(
+            Hypergraph::build_filtered(&mkb, join),
+            Hypergraph::build_components(&mkb, join),
+        );
+        assert_eq!(Hypergraph::build_components(&mkb, join).0.len(), 4);
     }
 
     #[test]

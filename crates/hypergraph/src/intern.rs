@@ -35,7 +35,9 @@ struct Slot {
     name: RelName,
 }
 
-fn prefix_of(name: &RelName) -> u64 {
+/// The first eight bytes of `name`, packed big-endian (zero-padded):
+/// unequal prefixes order two names exactly as the names do.
+pub(crate) fn prefix_of(name: &RelName) -> u64 {
     let bytes = name.as_str().as_bytes();
     match bytes.first_chunk::<8>() {
         Some(head) => u64::from_be_bytes(*head),

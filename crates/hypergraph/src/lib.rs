@@ -52,4 +52,4 @@ pub use delta::GraphDelta;
 pub use graph::Hypergraph;
 pub use intern::{Interner, RelId};
 pub use paths::{ConnectionTree, TreeCursor};
-pub use relset::{RelSet, RelSetCapacityError, INLINE_BITS};
+pub use relset::{RelSet, INLINE_BITS};

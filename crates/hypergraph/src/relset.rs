@@ -7,9 +7,11 @@
 //! case — an MKB component with ≤ [`INLINE_BITS`] relations) live in a
 //! fixed `[u64; 4]` inline array, so cloning a set is a 32-byte copy
 //! and membership is one shift+mask; larger universes fall back to a
-//! heap-backed word vector instead of panicking, with
-//! [`RelSet::try_inline`] exposing the capacity check as a typed
-//! [`RelSetCapacityError`] for callers that must stay allocation-free.
+//! heap-backed word vector, and an inline set grows into one when an id
+//! past the inline budget is inserted. Nothing panics on capacity. The
+//! index searches each connected component in its own graph, so a
+//! component of at most [`INLINE_BITS`] relations keeps every set
+//! inline.
 //!
 //! Ordering is defined to mirror `BTreeSet<RelName>`: sets compare as
 //! their **ascending element sequences** (ids ascend exactly as the
@@ -17,7 +19,6 @@
 //! `RelSet` preserves every legacy comparison result bit for bit.
 
 use std::cmp::Ordering;
-use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Words in the inline representation.
@@ -25,29 +26,6 @@ const INLINE_WORDS: usize = 4;
 
 /// Capacity (in relation ids) of the inline representation.
 pub const INLINE_BITS: usize = INLINE_WORDS * 64;
-
-/// Typed error for [`RelSet::try_inline`]: the requested universe does
-/// not fit the fixed-width inline budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RelSetCapacityError {
-    /// Universe size that was requested.
-    pub requested: usize,
-    /// The inline capacity that was exceeded ([`INLINE_BITS`]).
-    pub capacity: usize,
-}
-
-impl fmt::Display for RelSetCapacityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "relation universe of {} exceeds the inline bitset capacity of {} \
-             (use RelSet::with_universe for the heap-backed fallback)",
-            self.requested, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for RelSetCapacityError {}
 
 #[derive(Debug, Clone)]
 enum Repr {
@@ -76,23 +54,6 @@ impl RelSet {
             RelSet {
                 repr: Repr::Heap(vec![0; universe.div_ceil(64)]),
             }
-        }
-    }
-
-    /// An empty **inline** set, or a typed error when `universe` exceeds
-    /// the fixed-width budget. For callers that require the
-    /// zero-allocation representation (e.g. the steady-state enumeration
-    /// scratch) and want to degrade explicitly rather than silently.
-    pub fn try_inline(universe: usize) -> Result<Self, RelSetCapacityError> {
-        if universe <= INLINE_BITS {
-            Ok(RelSet {
-                repr: Repr::Inline([0; INLINE_WORDS]),
-            })
-        } else {
-            Err(RelSetCapacityError {
-                requested: universe,
-                capacity: INLINE_BITS,
-            })
         }
     }
 
@@ -184,16 +145,6 @@ impl RelSet {
         }
     }
 
-    /// Smallest id in the set.
-    pub fn first(&self) -> Option<u32> {
-        for (i, &w) in self.words().iter().enumerate() {
-            if w != 0 {
-                return Some((i * 64) as u32 + w.trailing_zeros());
-            }
-        }
-        None
-    }
-
     /// Ids in ascending order (ascending interned-name order).
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.words().iter().enumerate().flat_map(|(i, &w)| {
@@ -279,24 +230,9 @@ mod tests {
         assert!(s.insert(77));
         assert!(s.contains(3) && s.contains(77) && !s.contains(4));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.first(), Some(3));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 77]);
         s.clear();
         assert!(s.is_empty() && s.is_inline());
-    }
-
-    #[test]
-    fn overflow_guard_is_typed_not_a_panic() {
-        let err = RelSet::try_inline(INLINE_BITS + 1).unwrap_err();
-        assert_eq!(
-            err,
-            RelSetCapacityError {
-                requested: INLINE_BITS + 1,
-                capacity: INLINE_BITS
-            }
-        );
-        assert!(err.to_string().contains("exceeds the inline bitset"));
-        assert!(RelSet::try_inline(INLINE_BITS).is_ok());
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! Equality and `Debug` look at the entries only, never at how they are
 //! split into chunks: two maps holding the same entries compare equal
 //! and print the same, as a `BTreeMap` would.
+//!
+//! [`ChunkList`] is the same structure used as a sequence: values under
+//! ascending sequence keys, so a list keeps insertion order and an edit
+//! copies one chunk.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -174,15 +178,12 @@ impl<K: Ord + Clone, V: Clone> ChunkMap<K, V> {
     /// Build from entries in strictly ascending key order, every chunk
     /// full but the last.
     pub fn from_sorted(entries: impl IntoIterator<Item = (K, V)>) -> Self {
-        let mut entries = entries.into_iter();
+        let mut entries = entries.into_iter().peekable();
         let mut spine = Vec::with_capacity(entries.size_hint().0.div_ceil(CHUNK));
         let mut len = 0;
-        loop {
+        while entries.peek().is_some() {
             let mut chunk = Vec::with_capacity(entries.size_hint().0.clamp(1, CHUNK));
             chunk.extend(entries.by_ref().take(CHUNK));
-            if chunk.is_empty() {
-                break;
-            }
             let start = len;
             len += chunk.len();
             spine.push((start, Arc::new(chunk)));
@@ -425,6 +426,123 @@ impl<'a, K, V> Iterator for Iter<'a, K, V> {
 
 impl<K, V> ExactSizeIterator for Iter<'_, K, V> {}
 
+/// A persistent sequence in insertion order: a [`ChunkMap`] under
+/// ascending sequence keys. [`ChunkList::push`] appends under a fresh
+/// key; an entry keeps its key, and so its position, when
+/// [`ChunkList::replace`] swaps its value; [`ChunkList::remove`] takes
+/// it out. Either copies the entry's chunk and the spine, never the
+/// other chunks.
+///
+/// Equality and `Debug` see the values in order, never the keys: a
+/// list edited down to some values equals one that pushed just those.
+pub struct ChunkList<T> {
+    map: ChunkMap<u64, T>,
+    /// The key the next push takes.
+    next: u64,
+}
+
+impl<T> Clone for ChunkList<T> {
+    fn clone(&self) -> Self {
+        ChunkList {
+            map: self.map.clone(),
+            next: self.next,
+        }
+    }
+}
+
+impl<T> Default for ChunkList<T> {
+    fn default() -> Self {
+        ChunkList {
+            map: ChunkMap::new(),
+            next: 0,
+        }
+    }
+}
+
+/// Iterator over a [`ChunkList`]'s values in order.
+pub type Values<'a, T> = std::iter::Map<Iter<'a, u64, T>, fn((&'a u64, &'a T)) -> &'a T>;
+
+impl<T> ChunkList<T> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Is the list empty?
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Do the two lists share one spine, as a clone and its source do
+    /// until either is edited? Then they hold the same values.
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        ChunkMap::ptr_eq(&a.map, &b.map)
+    }
+
+    /// The values in order.
+    pub fn iter(&self) -> Values<'_, T> {
+        self.map.iter().map(|(_, v)| v)
+    }
+
+    /// The `i`-th value, if `i < len()`.
+    pub fn get(&self, i: usize) -> Option<&T> {
+        self.map.nth(i).map(|(_, v)| v)
+    }
+}
+
+impl<T: Clone> ChunkList<T> {
+    /// Append `value`, returning its key.
+    pub fn push(&mut self, value: T) -> u64 {
+        let key = self.next;
+        self.next += 1;
+        self.map.insert(key, value);
+        key
+    }
+
+    /// Put `value` in place of the value under `key`, returning that.
+    pub fn replace(&mut self, key: u64, value: T) -> Option<T> {
+        self.map
+            .get_mut(&key)
+            .map(|slot| std::mem::replace(slot, value))
+    }
+
+    /// Remove the value under `key`.
+    pub fn remove(&mut self, key: u64) -> Option<T> {
+        self.map.remove(&key)
+    }
+}
+
+impl<T> std::ops::Index<usize> for ChunkList<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        self.get(i).expect("index within the list")
+    }
+}
+
+impl<'a, T> IntoIterator for &'a ChunkList<T> {
+    type Item = &'a T;
+    type IntoIter = Values<'a, T>;
+
+    fn into_iter(self) -> Values<'a, T> {
+        self.iter()
+    }
+}
+
+impl<T: PartialEq> PartialEq for ChunkList<T> {
+    fn eq(&self, other: &Self) -> bool {
+        Self::ptr_eq(self, other) || (self.len() == other.len() && self.iter().eq(other.iter()))
+    }
+}
+
+impl<T: Eq> Eq for ChunkList<T> {}
+
+impl<T: fmt::Debug> fmt::Debug for ChunkList<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,6 +675,41 @@ mod tests {
         assert_eq!(format!("{scattered:?}"), format!("{model:?}"));
         scattered.insert(5, 0);
         assert_ne!(packed, scattered);
+    }
+
+    /// Pushes, replaces and removes against a `Vec` model: values stay
+    /// in push order, a replaced value keeps its place, and equality and
+    /// `Debug` ignore the keys.
+    #[test]
+    fn chunk_list_keeps_push_order() {
+        let mut rng = Rng(11);
+        let mut list = ChunkList::default();
+        let mut model: Vec<(u64, u32)> = Vec::new();
+        for step in 0..3_000u32 {
+            match rng.below(4) {
+                0 | 1 => model.push((list.push(step), step)),
+                2 if !model.is_empty() => {
+                    let i = rng.below(model.len() as u64) as usize;
+                    assert_eq!(list.replace(model[i].0, step), Some(model[i].1));
+                    model[i].1 = step;
+                }
+                _ if !model.is_empty() => {
+                    let (key, value) = model.remove(rng.below(model.len() as u64) as usize);
+                    assert_eq!(list.remove(key), Some(value));
+                }
+                _ => {}
+            }
+        }
+        let values: Vec<u32> = model.iter().map(|(_, v)| *v).collect();
+        assert!(list.iter().copied().eq(values.iter().copied()));
+        assert_eq!(list.get(values.len() / 2), values.get(values.len() / 2));
+        assert_eq!(list.remove(u64::MAX), None);
+        let mut pushed = ChunkList::default();
+        for &v in &values {
+            pushed.push(v);
+        }
+        assert_eq!(list, pushed);
+        assert_eq!(format!("{list:?}"), format!("{values:?}"));
     }
 
     /// Ascending insertion keeps chunks full, and an edit to a clone

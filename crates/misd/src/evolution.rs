@@ -14,15 +14,18 @@
 //! [`evolve`] is also copy-on-write, as the paper's wording asks: it
 //! modifies only the *affected* descriptions. `MKB'` starts as a
 //! pointer copy of `MKB` (see [`MetaKnowledgeBase`]). The MKB's relation
-//! index names the constraints that mention the changed relation, so
-//! the change reads those and nothing else; it replaces the changed
-//! description (one chunk of the relation map) and edits the index
-//! entries of the relations the touched constraints mention. A
+//! index names the constraints that mention the changed relation, with
+//! their list keys, so the change reads those and nothing else; it
+//! replaces the changed description (one chunk of the relation map),
+//! edits the index entries of the relations the touched constraints
+//! mention, and replaces or removes each edited constraint under its
+//! key (one chunk of its list; a replacement keeps its place). A
 //! constraint list none of whose constraints the change edits keeps its
-//! `Arc`, so `Arc::ptr_eq` on the lists of `MKB` and `MKB'` tells
+//! spine, so `ChunkList::ptr_eq` on the lists of `MKB` and `MKB'` tells
 //! whether the change touched them. Cost: logarithmic in the relation
-//! count, plus one pointer copy of each list the change edits; never a
-//! scan of the constraints and never a deep copy.
+//! and constraint counts, plus one chunk and one spine of each map and
+//! list the change edits; never a scan of the constraints and never a
+//! deep copy.
 //!
 //! Evolution rules per operator:
 //!
@@ -73,10 +76,10 @@ fn edit_touching<T: Indexed>(
 ) {
     let edits: Vec<EditOf<T>> = T::of(hits)
         .iter()
-        .filter_map(|c| match edit(c) {
+        .filter_map(|keyed| match edit(&keyed.1) {
             Edit::Keep => None,
-            Edit::Drop => Some((Arc::clone(c), None)),
-            Edit::Replace(new) => Some((Arc::clone(c), Some(Arc::new(new)))),
+            Edit::Drop => Some((keyed.clone(), None)),
+            Edit::Replace(new) => Some((keyed.clone(), Some(Arc::new(new)))),
         })
         .collect();
     out.apply_edits(&edits);

@@ -40,7 +40,7 @@ pub mod text;
 pub mod typecheck;
 
 pub use change::CapabilityChange;
-pub use chunkmap::ChunkMap;
+pub use chunkmap::{ChunkList, ChunkMap};
 pub use constraint::{
     ExtentOp, FunctionOf, JoinConstraint, OrderIntegrity, PartialComplete, ProjSel,
 };

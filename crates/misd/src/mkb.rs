@@ -14,19 +14,20 @@
 //!
 //! The MKB is copy-on-write: every relation description and every
 //! constraint sits behind its own [`Arc`], the relation map is a
-//! persistent [`ChunkMap`], and each constraint list is a [`SharedList`].
-//! Cloning an MKB copies a handful of pointers. Beside the lists the MKB
-//! keeps a relation index: for every relation, the constraints that
-//! mention it, each kind in declaration order. Evolution
-//! (`crate::evolution`) asks the index which constraints a change
-//! touches, copies one chunk of the relation map and of the index, and
-//! copies a constraint list only when the change edits one of its
-//! constraints. Consecutive versions share everything else. A third
-//! `ChunkMap` holds the join, function-of and PC constraints by id, so
-//! an insert checks the id's uniqueness, and a lookup by id finds its
-//! constraint, without scanning the constraint lists.
+//! persistent [`ChunkMap`], and each constraint list is a [`ChunkList`]
+//! in declaration order. Cloning an MKB copies a handful of pointers.
+//! Beside the lists the MKB keeps a relation index: for every relation,
+//! the constraints that mention it with their list keys, each kind in
+//! declaration order. Evolution (`crate::evolution`) asks the index
+//! which constraints a change touches, and copies one chunk of the
+//! relation map, of the index and of each constraint list it edits,
+//! plus their spines. Consecutive versions share everything else, and a
+//! list the change does not edit keeps its spine. A third `ChunkMap`
+//! holds the join, function-of and PC constraints by id, so an insert
+//! checks the id's uniqueness, and a lookup by id finds its constraint,
+//! without scanning the constraint lists.
 
-use crate::chunkmap::ChunkMap;
+use crate::chunkmap::{ChunkList, ChunkMap};
 use crate::constraint::{FunctionOf, JoinConstraint, OrderIntegrity, PartialComplete};
 use crate::description::RelationDescription;
 use crate::error::MisdError;
@@ -37,18 +38,22 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-/// A shared list of shared constraints: cloning it copies one pointer,
-/// editing it copies the spine of element pointers, never an element.
-pub type SharedList<T> = Arc<Vec<Arc<T>>>;
+/// A list of shared constraints in declaration order: cloning it copies
+/// one pointer, editing one constraint copies its chunk and the spine.
+pub type ConstraintList<T> = ChunkList<Arc<T>>;
 
-/// The constraints that mention one relation: the MKB's own `Arc`s,
-/// each kind in declaration order.
-#[derive(Clone, Default, PartialEq)]
+/// A constraint as the relation index holds it: its key in its list and
+/// the MKB's own `Arc`.
+pub(crate) type Keyed<T> = (u64, Arc<T>);
+
+/// The constraints that mention one relation, each kind in declaration
+/// order.
+#[derive(Clone, Default)]
 pub(crate) struct Touching {
-    joins: Vec<Arc<JoinConstraint>>,
-    funcofs: Vec<Arc<FunctionOf>>,
-    pcs: Vec<Arc<PartialComplete>>,
-    orders: Vec<Arc<OrderIntegrity>>,
+    joins: Vec<Keyed<JoinConstraint>>,
+    funcofs: Vec<Keyed<FunctionOf>>,
+    pcs: Vec<Keyed<PartialComplete>>,
+    orders: Vec<Keyed<OrderIntegrity>>,
 }
 
 impl Touching {
@@ -57,6 +62,22 @@ impl Touching {
             && self.funcofs.is_empty()
             && self.pcs.is_empty()
             && self.orders.is_empty()
+    }
+}
+
+/// The constraints of an index entry, without their keys.
+fn values<T>(entry: &[Keyed<T>]) -> impl Iterator<Item = &T> {
+    entry.iter().map(|(_, c)| c.as_ref())
+}
+
+/// Entries compare by their constraints: list keys depend on the edit
+/// history, which equal MKBs need not share.
+impl PartialEq for Touching {
+    fn eq(&self, other: &Self) -> bool {
+        values(&self.joins).eq(values(&other.joins))
+            && values(&self.funcofs).eq(values(&other.funcofs))
+            && values(&self.pcs).eq(values(&other.pcs))
+            && values(&self.orders).eq(values(&other.orders))
     }
 }
 
@@ -114,10 +135,10 @@ pub(crate) trait Indexed: Sized {
     /// id).
     fn id_entry(c: &Arc<Self>) -> Option<ById>;
     /// This kind's constraints in one index entry.
-    fn of(t: &Touching) -> &Vec<Arc<Self>>;
-    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>>;
+    fn of(t: &Touching) -> &Vec<Keyed<Self>>;
+    fn of_mut(t: &mut Touching) -> &mut Vec<Keyed<Self>>;
     /// This kind's list in the MKB.
-    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self>;
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut ConstraintList<Self>;
 }
 
 impl Indexed for JoinConstraint {
@@ -129,13 +150,13 @@ impl Indexed for JoinConstraint {
     fn id_entry(c: &Arc<Self>) -> Option<ById> {
         Some(ById::Join(Arc::clone(c)))
     }
-    fn of(t: &Touching) -> &Vec<Arc<Self>> {
+    fn of(t: &Touching) -> &Vec<Keyed<Self>> {
         &t.joins
     }
-    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>> {
+    fn of_mut(t: &mut Touching) -> &mut Vec<Keyed<Self>> {
         &mut t.joins
     }
-    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self> {
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut ConstraintList<Self> {
         &mut mkb.joins
     }
 }
@@ -149,13 +170,13 @@ impl Indexed for FunctionOf {
     fn id_entry(c: &Arc<Self>) -> Option<ById> {
         Some(ById::FunctionOf(Arc::clone(c)))
     }
-    fn of(t: &Touching) -> &Vec<Arc<Self>> {
+    fn of(t: &Touching) -> &Vec<Keyed<Self>> {
         &t.funcofs
     }
-    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>> {
+    fn of_mut(t: &mut Touching) -> &mut Vec<Keyed<Self>> {
         &mut t.funcofs
     }
-    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self> {
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut ConstraintList<Self> {
         &mut mkb.funcofs
     }
 }
@@ -171,13 +192,13 @@ impl Indexed for PartialComplete {
     fn id_entry(c: &Arc<Self>) -> Option<ById> {
         Some(ById::Pc(Arc::clone(c)))
     }
-    fn of(t: &Touching) -> &Vec<Arc<Self>> {
+    fn of(t: &Touching) -> &Vec<Keyed<Self>> {
         &t.pcs
     }
-    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>> {
+    fn of_mut(t: &mut Touching) -> &mut Vec<Keyed<Self>> {
         &mut t.pcs
     }
-    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self> {
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut ConstraintList<Self> {
         &mut mkb.pcs
     }
 }
@@ -189,33 +210,33 @@ impl Indexed for OrderIntegrity {
     fn id_entry(_: &Arc<Self>) -> Option<ById> {
         None
     }
-    fn of(t: &Touching) -> &Vec<Arc<Self>> {
+    fn of(t: &Touching) -> &Vec<Keyed<Self>> {
         &t.orders
     }
-    fn of_mut(t: &mut Touching) -> &mut Vec<Arc<Self>> {
+    fn of_mut(t: &mut Touching) -> &mut Vec<Keyed<Self>> {
         &mut t.orders
     }
-    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut SharedList<Self> {
+    fn list_mut(mkb: &mut MetaKnowledgeBase) -> &mut ConstraintList<Self> {
         &mut mkb.orders
     }
 }
 
-/// One constraint edit: the MKB's `Arc` of a constraint, and what
+/// One constraint edit: a constraint as the index holds it, and what
 /// replaces it (`None`: the constraint is dropped).
-pub(crate) type EditOf<T> = (Arc<T>, Option<Arc<T>>);
+pub(crate) type EditOf<T> = (Keyed<T>, Option<Arc<T>>);
 
 /// The meta knowledge base: relation descriptions plus semantic
 /// constraints.
 #[derive(Clone, Default, PartialEq)]
 pub struct MetaKnowledgeBase {
     relations: ChunkMap<RelName, Arc<RelationDescription>>,
-    joins: SharedList<JoinConstraint>,
-    funcofs: SharedList<FunctionOf>,
-    pcs: SharedList<PartialComplete>,
-    orders: SharedList<OrderIntegrity>,
+    joins: ConstraintList<JoinConstraint>,
+    funcofs: ConstraintList<FunctionOf>,
+    pcs: ConstraintList<PartialComplete>,
+    orders: ConstraintList<OrderIntegrity>,
     /// Relation → the constraints that mention it, derived from the
-    /// lists (so equal lists give equal indexes). Relations no
-    /// constraint mentions have no entry.
+    /// lists (so equal lists give equal indexes; entries compare without
+    /// their list keys). Relations no constraint mentions have no entry.
     touching: ChunkMap<RelName, Arc<Touching>>,
     /// The join, function-of and PC constraints by id (derived from the
     /// lists too).
@@ -224,8 +245,8 @@ pub struct MetaKnowledgeBase {
 
 impl fmt::Debug for MetaKnowledgeBase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The relation and id indexes are derived from the lists: not
-        // printed.
+        // The relation and id indexes are derived from the lists, and
+        // the lists print their constraints without keys.
         f.debug_struct("MetaKnowledgeBase")
             .field("relations", &self.relations)
             .field("joins", &self.joins)
@@ -361,19 +382,19 @@ impl MetaKnowledgeBase {
         if let Some(entry) = T::id_entry(&c) {
             self.ids.insert(entry, ());
         }
+        let key = T::list_mut(self).push(Arc::clone(&c));
         for rel in c.touched() {
-            self.index_append(&rel, &c);
+            self.index_append(&rel, (key, Arc::clone(&c)));
         }
-        Arc::make_mut(T::list_mut(self)).push(c);
     }
 
     /// Append `c` to `rel`'s index entry, creating the entry if needed.
-    fn index_append<T: Indexed>(&mut self, rel: &RelName, c: &Arc<T>) {
+    fn index_append<T: Indexed>(&mut self, rel: &RelName, c: Keyed<T>) {
         if let Some(t) = self.touching.get_mut(rel) {
-            T::of_mut(Arc::make_mut(t)).push(Arc::clone(c));
+            T::of_mut(Arc::make_mut(t)).push(c);
         } else {
             let mut t = Touching::default();
-            T::of_mut(&mut t).push(Arc::clone(c));
+            T::of_mut(&mut t).push(c);
             self.touching.insert(rel.clone(), Arc::new(t));
         }
     }
@@ -407,15 +428,10 @@ impl MetaKnowledgeBase {
         self.relations.keys()
     }
 
-    /// All join constraints, in insertion order.
-    pub fn joins(&self) -> &[Arc<JoinConstraint>] {
-        &self.joins
-    }
-
-    /// The join list itself: [`Arc::ptr_eq`] on two versions' lists
-    /// tells whether a change touched any join constraint, and a
-    /// hypergraph over every join shares it instead of copying it.
-    pub fn joins_arc(&self) -> &SharedList<JoinConstraint> {
+    /// All join constraints, in declaration order. [`ChunkList::ptr_eq`]
+    /// on two versions' lists tells whether a change touched any join
+    /// constraint.
+    pub fn joins(&self) -> &ConstraintList<JoinConstraint> {
         &self.joins
     }
 
@@ -424,7 +440,7 @@ impl MetaKnowledgeBase {
         self.touching
             .get(rel)
             .into_iter()
-            .flat_map(|t| t.joins.iter().map(Arc::as_ref))
+            .flat_map(|t| values(&t.joins))
     }
 
     /// Join constraints connecting the unordered pair `{r1, r2}`.
@@ -447,13 +463,9 @@ impl MetaKnowledgeBase {
         }
     }
 
-    /// All function-of constraints.
-    pub fn function_ofs(&self) -> &[Arc<FunctionOf>] {
-        &self.funcofs
-    }
-
-    /// The function-of list itself (see [`MetaKnowledgeBase::joins_arc`]).
-    pub fn function_ofs_arc(&self) -> &SharedList<FunctionOf> {
+    /// All function-of constraints, in declaration order (see
+    /// [`MetaKnowledgeBase::joins`]).
+    pub fn function_ofs(&self) -> &ConstraintList<FunctionOf> {
         &self.funcofs
     }
 
@@ -463,7 +475,7 @@ impl MetaKnowledgeBase {
         self.touching
             .get(rel)
             .into_iter()
-            .flat_map(|t| t.funcofs.iter().map(Arc::as_ref))
+            .flat_map(|t| values(&t.funcofs))
     }
 
     /// Function-of constraints *defining* the given attribute — the
@@ -483,14 +495,9 @@ impl MetaKnowledgeBase {
         }
     }
 
-    /// All partial/complete constraints.
-    pub fn pcs(&self) -> &[Arc<PartialComplete>] {
-        &self.pcs
-    }
-
-    /// The partial/complete list itself (see
-    /// [`MetaKnowledgeBase::joins_arc`]).
-    pub fn pcs_arc(&self) -> &SharedList<PartialComplete> {
+    /// All partial/complete constraints, in declaration order (see
+    /// [`MetaKnowledgeBase::joins`]).
+    pub fn pcs(&self) -> &ConstraintList<PartialComplete> {
         &self.pcs
     }
 
@@ -499,11 +506,11 @@ impl MetaKnowledgeBase {
         self.touching
             .get(rel)
             .into_iter()
-            .flat_map(|t| t.pcs.iter().map(Arc::as_ref))
+            .flat_map(|t| values(&t.pcs))
     }
 
-    /// All order-integrity constraints.
-    pub fn orders(&self) -> &[Arc<OrderIntegrity>] {
+    /// All order-integrity constraints, in declaration order.
+    pub fn orders(&self) -> &ConstraintList<OrderIntegrity> {
         &self.orders
     }
 
@@ -535,31 +542,23 @@ impl MetaKnowledgeBase {
     }
 
     /// Apply edits of one constraint kind, given in declaration order,
-    /// to its list and to the index. A replacement mentions the same
-    /// relations as the constraint it replaces, except after a rename of
-    /// a relation to a fresh name, which the index appends in order.
-    /// A replacement keeps its constraint's id and takes its place in the
-    /// id index; a dropped constraint leaves it. Without edits the list
-    /// keeps its `Arc`.
+    /// to its list and to the index. A replacement takes its constraint's
+    /// key, so its place in the list, and mentions the same relations,
+    /// except after a rename of a relation to a fresh name, which the
+    /// index appends in order. A replacement keeps its constraint's id
+    /// and takes its place in the id index; a dropped constraint leaves
+    /// it. Without edits the list keeps its spine.
     pub(crate) fn apply_edits<T: Indexed>(&mut self, edits: &[EditOf<T>]) {
-        if edits.is_empty() {
-            return;
-        }
-        let list = T::list_mut(self);
-        let mut out = Vec::with_capacity(list.len());
-        let mut next = edits.iter().peekable();
-        for c in list.iter() {
-            match next.next_if(|(old, _)| Arc::ptr_eq(old, c)) {
-                Some((_, new)) => out.extend(new.iter().cloned()),
-                None => out.push(Arc::clone(c)),
-            }
-        }
-        debug_assert!(
-            next.peek().is_none(),
-            "every edit names a listed constraint"
-        );
-        *list = Arc::new(out);
-        for (old, new) in edits {
+        for ((key, old), new) in edits {
+            let list = T::list_mut(self);
+            let was = match new {
+                Some(n) => list.replace(*key, Arc::clone(n)),
+                None => list.remove(*key),
+            };
+            debug_assert!(
+                was.is_some_and(|was| Arc::ptr_eq(&was, old)),
+                "every edit names a listed constraint"
+            );
             if let Some(entry) = T::id_entry(old) {
                 self.ids.remove(entry.id());
                 if let Some(n) = new {
@@ -579,10 +578,10 @@ impl MetaKnowledgeBase {
                 let entry = T::of_mut(t);
                 let at = entry
                     .iter()
-                    .position(|c| Arc::ptr_eq(c, old))
+                    .position(|(k, _)| k == key)
                     .expect("the index holds every listed constraint");
                 match new {
-                    Some(n) if after.contains(rel) => entry[at] = Arc::clone(n),
+                    Some(n) if after.contains(rel) => entry[at].1 = Arc::clone(n),
                     _ => {
                         entry.remove(at);
                     }
@@ -593,7 +592,7 @@ impl MetaKnowledgeBase {
             }
             if let Some(n) = new {
                 for rel in after.difference(&before) {
-                    self.index_append(rel, n);
+                    self.index_append(rel, (*key, Arc::clone(n)));
                 }
             }
         }

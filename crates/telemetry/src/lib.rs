@@ -507,13 +507,52 @@ pub fn stop_timer(name: &str, timer: Option<Instant>) {
     }
 }
 
-/// Fixed-shape latency histogram with power-of-two bucket bounds:
-/// bucket 0 holds exact zeros, bucket `i >= 1` holds values in
-/// `[2^(i-1), 2^i)`. Recording is three relaxed atomic RMWs plus a
-/// `fetch_max`; quantiles are read back as bucket upper bounds, clamped
-/// to the largest observation.
+/// Linear sub-buckets per power of two.
+const SUB_BUCKETS: u64 = 8;
+
+/// Fine buckets: the values below [`SUB_BUCKETS`] one each, then
+/// [`SUB_BUCKETS`] per power of two up to `2^64`.
+const FINE_BUCKETS: usize = 8 + 61 * 8;
+
+/// The fine bucket of `ns`: `ns` itself below 8; above, the power of two
+/// `2^e <= ns` and the three bits after the leading one, so a bucket
+/// spans `2^(e-3)` values from a lower bound of at least `8 * 2^(e-3)`.
+fn fine_bucket(ns: u64) -> usize {
+    if ns < SUB_BUCKETS {
+        return ns as usize;
+    }
+    let e = u64::BITS - 1 - ns.leading_zeros();
+    let sub = (ns >> (e - 3)) & (SUB_BUCKETS - 1);
+    (8 + (e - 3) as u64 * SUB_BUCKETS + sub) as usize
+}
+
+/// Inclusive upper bound of fine bucket `i`.
+fn fine_bound(i: usize) -> u64 {
+    if i < SUB_BUCKETS as usize {
+        return i as u64;
+    }
+    let (e, sub) = ((i - 8) as u32 / 8 + 3, (i - 8) as u64 % SUB_BUCKETS);
+    ((SUB_BUCKETS + sub + 1) << (e - 3)).wrapping_sub(1)
+}
+
+/// The power-of-two bucket a fine bucket lies in (see [`bucket_bound`]).
+fn coarse_bucket(i: usize) -> usize {
+    match i {
+        0 => 0,
+        1..=7 => (u64::BITS - (i as u64).leading_zeros()) as usize,
+        _ => (i - 8) / 8 + 4,
+    }
+}
+
+/// Fixed-shape latency histogram: bucket `i < 8` holds the value `i`,
+/// and every power of two `[2^e, 2^(e+1))` above is split into eight
+/// equal sub-buckets (HdrHistogram style). Recording is three relaxed
+/// atomic RMWs plus a `fetch_max`; a quantile is read back as its
+/// sub-bucket's upper bound, clamped to the largest observation, so it
+/// lies at most 12.5% above the exact value. The Prometheus exposition
+/// sums the sub-buckets back into power-of-two buckets.
 pub struct Histogram {
-    buckets: [AtomicU64; 65],
+    buckets: [AtomicU64; FINE_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
@@ -531,20 +570,20 @@ impl Histogram {
 
     /// Record one nanosecond observation.
     pub fn record(&self, ns: u64) {
-        let idx = if ns == 0 {
-            0
-        } else {
-            (u64::BITS - ns.leading_zeros()) as usize
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[fine_bucket(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(ns, Ordering::Relaxed);
         self.max.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Raw per-bucket counts, for cumulative exposition.
+    /// Counts per power-of-two bucket (bucket 0 holds zeros, bucket
+    /// `i >= 1` values in `[2^(i-1), 2^i)`), for cumulative exposition.
     pub(crate) fn bucket_counts(&self) -> [u64; 65] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+        let mut counts = [0; 65];
+        for (i, b) in self.buckets.iter().enumerate() {
+            counts[coarse_bucket(i)] += b.load(Ordering::Relaxed);
+        }
+        counts
     }
 
     /// Running sum of all observations, in nanoseconds.
@@ -572,7 +611,7 @@ impl Histogram {
     }
 }
 
-/// Inclusive upper bound of histogram bucket `i`.
+/// Inclusive upper bound of power-of-two histogram bucket `i`.
 fn bucket_bound(i: usize) -> u64 {
     match i {
         0 => 0,
@@ -581,6 +620,8 @@ fn bucket_bound(i: usize) -> u64 {
     }
 }
 
+/// The upper bound of the fine bucket holding the nearest-rank
+/// quantile `q`.
 fn quantile(counts: &[u64], total: u64, q: f64) -> u64 {
     if total == 0 {
         return 0;
@@ -590,26 +631,26 @@ fn quantile(counts: &[u64], total: u64, q: f64) -> u64 {
     for (i, c) in counts.iter().enumerate() {
         cumulative += c;
         if cumulative >= target {
-            return bucket_bound(i);
+            return fine_bound(i);
         }
     }
-    bucket_bound(counts.len() - 1)
+    fine_bound(counts.len() - 1)
 }
 
 /// Point-in-time read-out of a [`Histogram`]. A quantile is the upper
-/// bound of the power-of-two bucket holding it, clamped to `max_ns`, so
-/// it lies within the observed range and `p50_ns` reads "p50 ≤ this
-/// many ns" (at most 2× the true value).
+/// bound of the sub-bucket holding the nearest-rank quantile, clamped
+/// to `max_ns`, so it lies within the observed range and `p50_ns` reads
+/// "p50 ≤ this many ns", at most 12.5% above the exact value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSummary {
     /// Number of recorded observations.
     pub count: u64,
     /// Sum of all observations, in nanoseconds.
     pub sum_ns: u64,
-    /// Upper bound of the bucket containing the median, at most
+    /// Upper bound of the sub-bucket containing the median, at most
     /// `max_ns`.
     pub p50_ns: u64,
-    /// Upper bound of the bucket containing the 95th percentile, at
+    /// Upper bound of the sub-bucket containing the 95th percentile, at
     /// most `max_ns`.
     pub p95_ns: u64,
     /// Largest observation seen.
@@ -1008,6 +1049,19 @@ mod tests {
         assert_eq!(h.max_ns, 1024);
         assert_eq!(h.p50_ns, 1); // bucket [1,1]
         assert_eq!(h.p95_ns, 1024); // bucket [1024,2047], clamped to max
+    }
+
+    #[test]
+    fn fine_buckets_nest_in_powers_of_two() {
+        for ns in (0..4096).chain([u64::MAX / 3, u64::MAX - 1, u64::MAX, 1 << 63]) {
+            let i = fine_bucket(ns);
+            assert!(ns <= fine_bound(i), "{ns} above its bucket's bound");
+            assert!(i == 0 || ns > fine_bound(i - 1), "{ns} below its bucket");
+            let coarse = coarse_bucket(i);
+            assert!(ns <= bucket_bound(coarse) && (coarse == 0 || ns > bucket_bound(coarse - 1)));
+        }
+        assert_eq!(fine_bucket(u64::MAX), FINE_BUCKETS - 1);
+        assert_eq!(fine_bound(FINE_BUCKETS - 1), u64::MAX);
     }
 
     #[test]

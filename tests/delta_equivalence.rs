@@ -16,21 +16,31 @@
 //! delta-maintained synchronizer must reproduce exactly the state the
 //! rebuild-mode synchronizer passed through at prefix `v`.
 //!
-//! The cores keep no component list, so the one component CVS reads,
-//! `H_R`, is checked on its own: the delta-assembled index must extract
-//! every relation's component of the pre-change `H(MKB)`. Graphs label
-//! their components on first read, so `H'(MKB')` is checked after each
-//! delta from a labelled input: no label may survive a change that moved
-//! an edge or a vertex.
+//! The cores keep each graph as one shard per connected component. The
+//! shards are checked against an oracle that does not go through the
+//! shard builder: after every change, each shard of the delta-maintained
+//! `H` and join graph equals the component a whole-graph build of the
+//! evolved MKB gives its relations, and no other shard is left. The
+//! index must also serve every relation's component of the pre-change
+//! `H(MKB)`.
+//!
+//! The synthetic MKBs declare every relation join-capable, so each
+//! property also runs on MKBs re-declared with every k-th relation NOJOIN,
+//! with NOJOIN add-relations interleaved in the streams
+//! (`support::with_nojoin`, `support::stream_with_nojoin_adds`).
+
+mod support;
 
 use eve::cvs::{
-    CvsOptions, IndexCore, IndexMaintenance, MkbDelta, MkbIndex, Synchronizer, SynchronizerBuilder,
+    CvsOptions, IndexCore, IndexMaintenance, MkbDelta, MkbIndex, ShardedGraph, Synchronizer,
+    SynchronizerBuilder,
 };
 use eve::hypergraph::Hypergraph;
 use eve::misd::chunkmap::CHUNK;
-use eve::misd::{evolve, MetaKnowledgeBase};
+use eve::misd::{evolve, CapabilityChange, MetaKnowledgeBase};
 use eve::workload::{change_stream, random_views, SynthConfig, SynthWorkload, Topology};
 use proptest::prelude::*;
+use support::{stream_with_nojoin_adds, with_nojoin};
 
 fn build(mkb: &MetaKnowledgeBase, mode: IndexMaintenance, seed: u64) -> Synchronizer {
     let mut b = SynchronizerBuilder::new(mkb.clone()).with_options(CvsOptions {
@@ -89,14 +99,41 @@ fn sized_config(n_relations: std::ops::Range<usize>) -> impl Strategy<Value = Sy
         )
 }
 
+/// A random workload's MKB and a change stream over it; with `nojoin`
+/// `Some(k)`, the MKB has every k-th relation NOJOIN and the stream adds
+/// NOJOIN relations.
+fn inputs(
+    cfg: &SynthConfig,
+    seed: u64,
+    len: usize,
+    nojoin: Option<usize>,
+) -> (MetaKnowledgeBase, Vec<CapabilityChange>) {
+    let w = SynthWorkload::random(cfg, seed);
+    match nojoin {
+        None => {
+            let stream = change_stream(&w.mkb, len, seed);
+            (w.mkb, stream)
+        }
+        Some(k) => {
+            let mkb = with_nojoin(&w.mkb, k);
+            let stream = stream_with_nojoin_adds(&mkb, len, seed);
+            (mkb, stream)
+        }
+    }
+}
+
 /// After every prefix of a random change stream, both index maintenance
 /// modes agree on the full `ChangeOutcome` (rewritings, per-view search
 /// stats, disabled sets) and on the evolved state.
-fn check_modes_agree(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCaseError> {
-    let w = SynthWorkload::random(cfg, seed);
-    let stream = change_stream(&w.mkb, len, seed);
-    let mut rebuild = build(&w.mkb, IndexMaintenance::Rebuild, seed);
-    let mut inc = build(&w.mkb, IndexMaintenance::Incremental, seed);
+fn check_modes_agree(
+    cfg: &SynthConfig,
+    seed: u64,
+    len: usize,
+    nojoin: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let (mkb, stream) = inputs(cfg, seed, len, nojoin);
+    let mut rebuild = build(&mkb, IndexMaintenance::Rebuild, seed);
+    let mut inc = build(&mkb, IndexMaintenance::Incremental, seed);
     for (i, c) in stream.iter().enumerate() {
         let a = rebuild.apply(c);
         let b = inc.apply(c);
@@ -141,38 +178,76 @@ fn check_history(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCas
     Ok(())
 }
 
-/// After every change of a random stream, the index assembled from the
-/// delta-maintained cores gives each relation of the pre-change MKB the
-/// component a from-scratch `H(MKB)` assigns it, and its `H'(MKB')` has
-/// the components of a from-scratch `H'(MKB')`. Reading them labels the
-/// graph the next change derives its `H'(MKB')` from.
-fn check_components(cfg: &SynthConfig, seed: u64, len: usize) -> Result<(), TestCaseError> {
-    let w = SynthWorkload::random(cfg, seed);
-    let stream = change_stream(&w.mkb, len, seed);
-    let mut mkb = w.mkb.clone();
+/// Each shard of `graph` is the component of `whole` holding its
+/// relations, and `graph` keeps no other shard. `whole` is a graph of
+/// the whole MKB, built without the shard builder, and its components
+/// are gathered by a walk from each relation.
+fn check_shards(graph: &ShardedGraph, whole: &Hypergraph, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        graph.shards().len(),
+        whole.component_count(),
+        "{} shard count",
+        what
+    );
+    for r in whole.relations() {
+        let want = whole.component_of(r);
+        prop_assert_eq!(
+            graph.shard_of(r).map(|s| &**s),
+            want.as_ref(),
+            "{}: shard of {}",
+            what,
+            r
+        );
+    }
+    Ok(())
+}
+
+/// After every change of a random stream, the delta-maintained core's
+/// shards are the components of a whole-graph build of the evolved MKB
+/// (`H`, and `H` over the join-capable relations), and the index
+/// assembled from the cores gives each relation of the pre-change MKB
+/// the component a whole-graph build of `H(MKB)` gives it.
+fn check_components(
+    cfg: &SynthConfig,
+    seed: u64,
+    len: usize,
+    nojoin: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let (mut mkb, stream) = inputs(cfg, seed, len, nojoin);
     let mut core = IndexCore::build(&mkb);
     for (i, c) in stream.iter().enumerate() {
         let mkb_prime = evolve(&mkb, c).expect("stream change applies");
         let next = core.apply_delta(&MkbDelta::compute(&mkb, &mkb_prime, c));
         let index = MkbIndex::from_cores(&mkb, &mkb_prime, &core, &next);
         let h = Hypergraph::build(&mkb);
-        let components = h.components();
         for r in mkb.relation_names() {
-            let want = &components[h.component_index(h.rel_id(r).expect("vertex")) as usize];
-            let got = index.component_of(r);
-            prop_assert_eq!(got.as_deref(), Some(want), "prefix {i} ({c}): {r} diverged");
+            let (got, want) = (index.component_of(r), h.component_of(r));
+            prop_assert_eq!(
+                got.as_deref(),
+                want.as_ref(),
+                "prefix {} ({}): {} diverged",
+                i,
+                c,
+                r
+            );
         }
-        let h_prime = Hypergraph::build_filtered(&mkb_prime, |d| d.capabilities.join);
-        prop_assert_eq!(
-            index.h_prime().components(),
-            h_prime.components(),
-            "prefix {} ({}): H' components diverged",
-            i,
-            c
-        );
+        let what = format!("prefix {i} ({c})");
+        let whole = Hypergraph::build(&mkb_prime);
+        check_shards(next.graph(), &whole, &format!("{what}: H"))?;
+        let whole_join = Hypergraph::build_filtered(&mkb_prime, |d| d.capabilities.join);
+        check_shards(
+            next.join_graph(),
+            &whole_join,
+            &format!("{what}: join graph"),
+        )?;
         (mkb, core) = (mkb_prime, next);
     }
     Ok(())
+}
+
+/// Every k-th relation NOJOIN, k in 2..5.
+fn nojoin_k() -> impl Strategy<Value = usize> {
+    2usize..5
 }
 
 proptest! {
@@ -185,7 +260,19 @@ proptest! {
         seed in 0u64..500,
         len in 4usize..14,
     ) {
-        check_modes_agree(&cfg, seed, len)?;
+        check_modes_agree(&cfg, seed, len, None)?;
+    }
+
+    /// [`all_maintenance_modes_agree_on_every_prefix`] with NOJOIN
+    /// relations in the MKB and in the stream.
+    #[test]
+    fn all_maintenance_modes_agree_with_nojoin_relations(
+        cfg in config(),
+        seed in 0u64..500,
+        len in 4usize..14,
+        k in nojoin_k(),
+    ) {
+        check_modes_agree(&cfg, seed, len, Some(k))?;
     }
 
     /// `at_version` replays the rebuild-mode history.
@@ -198,14 +285,26 @@ proptest! {
         check_history(&cfg, seed, len)?;
     }
 
-    /// `H_R` extracted on demand equals the rebuilt component.
+    /// Every shard, and `H_R`, equals the rebuilt component.
     #[test]
     fn component_of_matches_rebuilt_components(
         cfg in config(),
         seed in 0u64..500,
         len in 4usize..14,
     ) {
-        check_components(&cfg, seed, len)?;
+        check_components(&cfg, seed, len, None)?;
+    }
+
+    /// [`component_of_matches_rebuilt_components`] with NOJOIN relations
+    /// in the MKB and in the stream.
+    #[test]
+    fn shards_match_rebuilt_components_with_nojoin_relations(
+        cfg in config(),
+        seed in 0u64..500,
+        len in 4usize..14,
+        k in nojoin_k(),
+    ) {
+        check_components(&cfg, seed, len, Some(k))?;
     }
 }
 
@@ -220,7 +319,7 @@ proptest! {
         seed in 0u64..500,
         len in 4usize..14,
     ) {
-        check_modes_agree(&cfg, seed, len)?;
+        check_modes_agree(&cfg, seed, len, None)?;
     }
 
     /// [`at_version_reproduces_rebuild_history`] over several chunks.

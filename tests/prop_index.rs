@@ -6,6 +6,8 @@
 //! across random synthetic workloads — the memo tables are a pure
 //! throughput optimisation.
 
+mod support;
+
 use eve::cvs::{
     cvs_delete_relation_indexed, r_mapping_with_index, svs_delete_relation_indexed, CvsOptions,
     MkbIndex,
@@ -93,18 +95,22 @@ proptest! {
         }
     }
 
-    /// `Hypergraph::build_filtered` (the index's one-pass construction
-    /// of H'(MKB')) equals the legacy build-then-erase loop.
+    /// `Hypergraph::build_filtered` (the one-pass construction of
+    /// H'(MKB')) equals the legacy build-then-erase loop, on MKBs with
+    /// every k-th relation NOJOIN.
     #[test]
-    fn build_filtered_matches_erase_loop(cfg in config(), seed in 0u64..1000) {
-        let w = SynthWorkload::random(&cfg, seed);
-        let filtered = Hypergraph::build_filtered(&w.mkb, |desc| desc.capabilities.join);
-        let mut erased = Hypergraph::build(&w.mkb);
-        for desc in w.mkb.relations() {
+    fn build_filtered_matches_erase_loop(cfg in config(), seed in 0u64..1000, k in 2usize..5) {
+        let mkb = support::with_nojoin(&SynthWorkload::random(&cfg, seed).mkb, k);
+        let filtered = Hypergraph::build_filtered(&mkb, |desc| desc.capabilities.join);
+        let mut erased = Hypergraph::build(&mkb);
+        let mut dropped = 0;
+        for desc in mkb.relations() {
             if !desc.capabilities.join {
                 erased = erased.without_relation(&desc.name);
+                dropped += 1;
             }
         }
+        prop_assert!(dropped > 0, "the filter removes a relation");
         prop_assert_eq!(filtered, erased);
     }
 

@@ -2,7 +2,7 @@
 //! algebraic properties of MKB evolution, and copy-on-write `evolve`
 //! against a deep-copy reference.
 
-use eve::misd::chunkmap::CHUNK;
+use eve::misd::chunkmap::{ChunkList, CHUNK};
 use eve::misd::{
     evolve, infer_changes, parse_misd, render_misd, CapabilityChange, ExtentOp, MetaKnowledgeBase,
     MisdError, OrderIntegrity, PartialComplete, ProjSel,
@@ -374,8 +374,8 @@ impl Mentions<'_> {
 /// Every element of `old` the change does not mention is, by pointer,
 /// an element of `new`; when it mentions none, `new` is `old`'s list.
 fn assert_shared<T>(
-    old: &Arc<Vec<Arc<T>>>,
-    new: &Arc<Vec<Arc<T>>>,
+    old: &ChunkList<Arc<T>>,
+    new: &ChunkList<Arc<T>>,
     mentioned: impl Fn(&T) -> bool,
     what: &str,
 ) {
@@ -392,7 +392,10 @@ fn assert_shared<T>(
         }
     }
     if !any {
-        assert!(Arc::ptr_eq(old, new), "an untouched {what} list was copied");
+        assert!(
+            ChunkList::ptr_eq(old, new),
+            "an untouched {what} list was copied"
+        );
     }
 }
 
@@ -414,14 +417,14 @@ fn assert_sharing(
             );
         }
     }
-    assert_shared(before.joins_arc(), after.joins_arc(), |j| m.join(j), "join");
+    assert_shared(before.joins(), after.joins(), |j| m.join(j), "join");
     assert_shared(
-        before.function_ofs_arc(),
-        after.function_ofs_arc(),
+        before.function_ofs(),
+        after.function_ofs(),
         |f| m.funcof(f),
         "function-of",
     );
-    assert_shared(before.pcs_arc(), after.pcs_arc(), |p| m.pc(p), "PC");
+    assert_shared(before.pcs(), after.pcs(), |p| m.pc(p), "PC");
     let (old_orders, new_orders) = (before.orders(), after.orders());
     let kept: HashSet<*const OrderIntegrity> = new_orders.iter().map(Arc::as_ptr).collect();
     for o in old_orders.iter().filter(|o| !m.order(o)) {

@@ -142,6 +142,19 @@ proptest! {
         prop_assert_eq!(Some(h.max_ns), max);
         prop_assert!(min <= Some(h.p50_ns), "p50 {} below min {:?}", h.p50_ns, min);
         prop_assert!(h.p50_ns <= h.p95_ns && h.p95_ns <= h.max_ns, "{:?}", h);
+        // Each quantile lies at or above the exact nearest-rank one, and
+        // at most 12.5% over it.
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        for (q, got) in [(0.50, h.p50_ns), (0.95, h.p95_ns)] {
+            let rank = ((sorted.len() as f64 * q).ceil() as usize).max(1);
+            let exact = sorted[rank - 1];
+            prop_assert!(got >= exact, "p{} {} below exact {}", q * 100.0, got, exact);
+            prop_assert!(
+                got as f64 <= exact as f64 * 1.125,
+                "p{} {} over 12.5% above exact {}", q * 100.0, got, exact
+            );
+        }
     }
 }
 
