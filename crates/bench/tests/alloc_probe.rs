@@ -21,6 +21,11 @@
 //! each map and list it edits, and their spines: `evolve`, `compute` and
 //! `apply_delta` together allocate barely more at 16x the relations.
 //!
+//! Registration: `validate_view` and `is_evaluable` walk a view in
+//! place, so a view the builder admits costs the WHERE consistency
+//! check's one clause list, and runtime registration appends to the head
+//! version instead of copying every view.
+//!
 //! Enumeration: `TreeCursor::advance` allocates nothing in the steady
 //! state. Concretely —
 //!
@@ -37,13 +42,14 @@
 //! materialization boundary allocates the owned string-keyed tree by
 //! design, which is why the probe pins the id-level core.
 
-use eve_core::{IndexCore, MkbDelta};
+use eve_core::{is_evaluable, IndexCore, MkbDelta, SynchronizerBuilder};
+use eve_esql::validate_view;
 use eve_hypergraph::{Hypergraph, Interner};
 use eve_misd::{evolve, CapabilityChange, FunctionOf, JoinConstraint, MetaKnowledgeBase};
 use eve_relational::{
     AttrName, AttrRef, AttributeDef, Clause, Conjunction, DataType, RelName, ScalarExpr,
 };
-use eve_workload::{SynthConfig, SynthWorkload, Topology};
+use eve_workload::{random_views, views_touching, SynthConfig, SynthWorkload, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -338,6 +344,67 @@ fn relation_level_changes_allocate_per_component() {
         }
     }
     assert!(over.is_empty(), "{}", over.join("; "));
+}
+
+/// The generated views of every synthetic MKB shape: the fan-out and
+/// stream generators over `chain`, `wide_mkb` and `random` MKBs.
+fn generated_views() -> Vec<(MetaKnowledgeBase, eve_esql::ViewDefinition)> {
+    let random = SynthConfig {
+        n_relations: 64,
+        topology: Topology::Random { extra: 16 },
+        ..SynthConfig::default()
+    };
+    let mut out = Vec::new();
+    for w in [
+        SynthWorkload::chain(3, true),
+        SynthWorkload::wide_mkb(4, 3),
+        SynthWorkload::random(&random, 1),
+    ] {
+        let views = views_touching(&w.mkb, &w.target, 16, 3, 2)
+            .into_iter()
+            .chain(random_views(&w.mkb, 16, 3, 3));
+        out.extend(views.map(|v| (w.mkb.clone(), v)));
+    }
+    out
+}
+
+/// A view the builder admits costs what its checks need: `validate_view`
+/// allocates at most the WHERE consistency check's clause list (the
+/// generated views join on keys and compare no constants), and
+/// `is_evaluable` allocates nothing.
+#[test]
+fn view_checks_allocate_only_to_report() {
+    for (mkb, view) in generated_views() {
+        let (n, errors) = allocations_in(|| validate_view(&view));
+        assert!(errors.is_empty(), "{}: {errors:?}", view.name);
+        assert!(n <= 1, "{}: validate_view allocated {n} times", view.name);
+        let (n, evaluable) = allocations_in(|| is_evaluable(&view, &mkb));
+        assert!(evaluable, "{}", view.name);
+        assert_eq!(n, 0, "{}: is_evaluable allocated", view.name);
+    }
+}
+
+/// Runtime registration appends to the head version instead of copying
+/// the view list: the 2,000th registration allocates no more than the
+/// 20th.
+#[test]
+fn runtime_registration_allocates_per_view() {
+    let w = SynthWorkload::random(&SynthConfig::default(), 1);
+    let base = random_views(&w.mkb, 1, 3, 1).remove(0);
+    let mut sync = SynchronizerBuilder::new(w.mkb).build();
+    let mut cost = Vec::new();
+    for i in 1..=2_000 {
+        let mut view = base.clone();
+        view.name = format!("V{i}");
+        let (n, registered) = allocations_in(|| sync.register_view(view));
+        registered.expect("a fresh name over the same MKB");
+        cost.push(n);
+    }
+    let (twentieth, last) = (cost[19], cost[1_999]);
+    assert!(
+        last <= twentieth,
+        "register_view: {last} allocations for the 2,000th view, {twentieth} for the 20th"
+    );
 }
 
 fn jc(id: &str, l: &str, r: &str) -> JoinConstraint {

@@ -34,9 +34,18 @@ pub fn is_affected(view: &ViewDefinition, change: &CapabilityChange) -> bool {
 /// This is the exact evaluability test for SELECT-FROM-WHERE views over
 /// base relations (see the module docs), used both for registration-time
 /// validation and for reviving disabled views.
+///
+/// Walks the view in place and allocates nothing: each FROM relation is
+/// looked up once, and the attributes of that relation are checked
+/// against its description. An attribute of a relation missing from
+/// FROM (a view [`eve_esql::validate_view`] refuses) is looked up on
+/// its own.
 pub fn is_evaluable(view: &ViewDefinition, mkb: &MetaKnowledgeBase) -> bool {
-    view.relations().iter().all(|r| mkb.contains_relation(r))
-        && view.referenced_attrs().iter().all(|a| mkb.has_attr(a))
+    view.from.iter().all(|f| {
+        mkb.relation(&f.relation).is_some_and(|desc| {
+            view.all_attrs(|a| a.relation != f.relation || desc.has_attr(&a.attr))
+        })
+    }) && view.all_attrs(|a| view.uses_relation(&a.relation) || mkb.has_attr(a))
 }
 
 #[cfg(test)]

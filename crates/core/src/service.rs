@@ -127,11 +127,7 @@ impl SharedSynchronizer {
 
     /// Snapshot all active view definitions (cheap `Arc` clones).
     pub fn views(&self) -> Vec<Arc<ViewDefinition>> {
-        self.read_lock()
-            .view_snapshots()
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect()
+        self.read_lock().view_handles().cloned().collect()
     }
 
     /// Snapshot the current MKB (a cheap `Arc` clone: `apply` replaces

@@ -255,6 +255,50 @@ impl fmt::Display for ChangeOutcome {
     }
 }
 
+/// Admit `view` for registration, as [`SynchronizerBuilder::with_view`]
+/// and [`Synchronizer::register_view`] both do: it must be well formed
+/// ([`validate_view`]), its name must be free (`taken` tells whether it
+/// is), and it must evaluate over `mkb` ([`is_evaluable`]). A refusal
+/// lists every structural violation, or names the taken name, or the
+/// first relation in FROM order that `mkb` does not describe, else the
+/// first unknown attribute in ascending order.
+fn admit(
+    view: &ViewDefinition,
+    taken: impl FnOnce() -> bool,
+    mkb: &MetaKnowledgeBase,
+) -> Result<(), String> {
+    let errs = validate_view(view);
+    if !errs.is_empty() {
+        return Err(errs
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
+            .join("; "));
+    }
+    if taken() {
+        return Err(format!("view name already registered: {}", view.name));
+    }
+    if is_evaluable(view, mkb) {
+        return Ok(());
+    }
+    let unknown = match view
+        .from
+        .iter()
+        .find(|f| !mkb.contains_relation(&f.relation))
+    {
+        Some(f) => format!("relation {}", f.relation),
+        None => {
+            let attr = view
+                .referenced_attrs()
+                .into_iter()
+                .find(|a| !mkb.has_attr(a))
+                .expect("a view is_evaluable refuses names an unknown reference");
+            format!("attribute {attr}")
+        }
+    };
+    Err(format!("view {} references unknown {unknown}", view.name))
+}
+
 /// Builder for [`Synchronizer`].
 #[derive(Debug, Clone, Default)]
 pub struct SynchronizerBuilder {
@@ -283,22 +327,21 @@ impl SynchronizerBuilder {
         }
     }
 
-    /// Register a view. The view must be structurally valid with respect
-    /// to the §4 assumptions ([`validate_view`]), and its name must not
-    /// be registered already.
+    /// Register a view. The builder admits exactly the views
+    /// [`Synchronizer::register_view`] admits, with the same messages:
+    /// the view must be structurally valid with respect to the §4
+    /// assumptions ([`validate_view`]), its name must not be registered
+    /// already, and every relation and attribute it references must be
+    /// described by the MKB ([`is_evaluable`]), so Def. 1's P2 has a
+    /// view to hold for from the first change on.
     pub fn with_view(mut self, view: ViewDefinition) -> Result<Self, String> {
-        let errs = validate_view(&view);
-        if !errs.is_empty() {
-            return Err(errs
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join("; "));
-        }
         let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(&view.name);
-        if !self.name_hashes.insert(hash) && self.views.iter().any(|(n, _)| *n == view.name) {
-            return Err(format!("view name already registered: {}", view.name));
-        }
+        let (names, views) = (&mut self.name_hashes, &self.views);
+        admit(
+            &view,
+            || !names.insert(hash) && views.iter().any(|(n, _)| *n == view.name),
+            &self.mkb,
+        )?;
         self.views.push((view.name.clone(), view));
         Ok(self)
     }
@@ -465,12 +508,11 @@ impl Synchronizer {
 
     /// Register a new view at runtime, against the *current* MKB state.
     ///
-    /// Like [`SynchronizerBuilder::with_view`] — which collects views
-    /// before the version chain exists — runtime registration validates
-    /// the view structurally ([`validate_view`]) and rejects names
-    /// already taken by an active or disabled view. Unlike it, runtime
-    /// registration also rejects views that reference relations or
-    /// attributes absent from the current MKB.
+    /// Runtime registration admits what [`SynchronizerBuilder::with_view`]
+    /// admits, with the same messages: a view that is structurally
+    /// valid ([`validate_view`]), whose name no active or disabled view
+    /// holds, and whose every relation and attribute the current MKB
+    /// describes ([`is_evaluable`]).
     ///
     /// Registration is not a capability change: the version number does
     /// not advance and no chain entry is appended. The head entry's
@@ -480,44 +522,21 @@ impl Synchronizer {
     /// registration point drops it, exactly as the view did not exist
     /// at that version.
     pub fn register_view(&mut self, view: ViewDefinition) -> Result<(), String> {
-        let errs = validate_view(&view);
-        if !errs.is_empty() {
-            return Err(errs
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join("; "));
-        }
-        if self.views.iter().any(|(n, _)| *n == view.name)
-            || self.disabled.iter().any(|(n, _)| *n == view.name)
-        {
-            return Err(format!("view name already registered: {}", view.name));
-        }
-        if let Some(missing) = view
-            .relations()
-            .into_iter()
-            .find(|r| !self.mkb.contains_relation(r))
-        {
-            return Err(format!(
-                "view {} references unknown relation {missing}",
-                view.name
-            ));
-        }
-        if let Some(missing) = view.referenced_attrs().into_iter().find(|a| {
-            self.mkb
-                .relation(&a.relation)
-                .is_none_or(|d| d.attrs.iter().all(|attr| attr.name != a.attr))
-        }) {
-            return Err(format!(
-                "view {} references unknown attribute {missing}",
-                view.name
-            ));
-        }
-        let name = view.name.clone();
-        self.views.push((name, Arc::new(view)));
+        admit(
+            &view,
+            || {
+                self.views.iter().any(|(n, _)| *n == view.name)
+                    || self.disabled.iter().any(|(n, _)| *n == view.name)
+            },
+            &self.mkb,
+        )?;
+        let entry = (view.name.clone(), Arc::new(view));
+        // The head entry's snapshot holds the active views; appending
+        // keeps it equal to them without copying the list.
         if let Some(last) = self.chain.last_mut() {
-            Arc::make_mut(last).snapshot.views = self.views.clone();
+            Arc::make_mut(last).snapshot.views.push(entry.clone());
         }
+        self.views.push(entry);
         Ok(())
     }
 
@@ -536,6 +555,11 @@ impl Synchronizer {
     /// registration order).
     pub fn view_snapshots(&self) -> Vec<(String, Arc<ViewDefinition>)> {
         self.views.clone()
+    }
+
+    /// The shared handles of the active views, in registration order.
+    pub(crate) fn view_handles(&self) -> impl Iterator<Item = &Arc<ViewDefinition>> {
+        self.views.iter().map(|(_, v)| v)
     }
 
     /// Look up an active view by name.
@@ -979,6 +1003,31 @@ mod tests {
             )
             .unwrap()
             .build()
+    }
+
+    /// The builder and runtime registration refuse a view the MKB does
+    /// not evaluate with the same message: the first unknown relation in
+    /// FROM order, else the first unknown attribute in ascending order.
+    #[test]
+    fn builder_and_runtime_registration_refuse_alike() {
+        for (text, message) in [
+            (
+                "CREATE VIEW Ghost AS SELECT C.Name, G.a, A.b
+                 FROM Customer C, Ghost G, Alien A",
+                "view Ghost references unknown relation Ghost",
+            ),
+            (
+                "CREATE VIEW Ghost AS SELECT C.Name, C.Shoe, C.Hat FROM Customer C",
+                "view Ghost references unknown attribute Customer.Hat",
+            ),
+        ] {
+            let view = parse_view(text).unwrap();
+            let built = SynchronizerBuilder::new(travel_mkb())
+                .with_view(view.clone())
+                .map(|_| ());
+            assert_eq!(built, Err(message.to_string()));
+            assert_eq!(sync().register_view(view), built);
+        }
     }
 
     #[test]

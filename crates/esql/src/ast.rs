@@ -264,26 +264,16 @@ impl ViewDefinition {
         out
     }
 
-    /// *Distinguished* attributes: attributes used by an indispensable
-    /// WHERE condition (§4 requires them to be among the preserved
-    /// attributes).
-    pub fn distinguished_attrs(&self) -> BTreeSet<AttrRef> {
-        let mut out = BTreeSet::new();
-        for c in &self.conditions {
-            if !c.params.dispensable {
-                out.extend(c.clause.attrs());
-            }
-        }
-        out
-    }
-
-    /// *Preserved* attributes: attributes appearing in the SELECT clause.
-    pub fn preserved_attrs(&self) -> BTreeSet<AttrRef> {
-        let mut out = BTreeSet::new();
-        for s in &self.select {
-            out.extend(s.expr.attrs());
-        }
-        out
+    /// Does `pred` hold for every attribute reference, SELECT first, then
+    /// WHERE, in walk order? Stops at the first that fails. Equivalent to
+    /// `self.referenced_attrs().iter().all(pred)` without materialising
+    /// the set (a reference may be visited more than once).
+    pub fn all_attrs<F: FnMut(&AttrRef) -> bool>(&self, mut pred: F) -> bool {
+        self.select.iter().all(|s| s.expr.all_attrs(&mut pred))
+            && self
+                .conditions
+                .iter()
+                .all(|c| c.clause.all_attrs(&mut pred))
     }
 
     /// Does the view reference `attr` anywhere?
@@ -339,18 +329,6 @@ mod tests {
         let mut v = sample();
         v.interface = Some(vec![AttrName::new("AName"), AttrName::new("APh")]);
         assert_eq!(v.interface_names()[0].as_str(), "AName");
-    }
-
-    #[test]
-    fn distinguished_and_preserved() {
-        let v = sample();
-        let d = v.distinguished_attrs();
-        assert!(d.contains(&AttrRef::new("Customer", "Name")));
-        assert!(d.contains(&AttrRef::new("FlightRes", "PName")));
-        // The dispensable Dest condition contributes nothing.
-        assert!(!d.contains(&AttrRef::new("FlightRes", "Dest")));
-        let p = v.preserved_attrs();
-        assert!(p.contains(&AttrRef::new("Customer", "Phone")));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! clause is not trivially inconsistent.
 
 use crate::ast::ViewDefinition;
-use eve_relational::{AttrRef, RelName};
-use std::collections::BTreeSet;
+use eve_relational::{clauses_consistent, AttrRef, RelName};
 use std::fmt;
 
 /// A violation of view well-formedness.
@@ -76,7 +75,15 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Validate a view definition, returning *all* violations found.
+/// Validate a view definition, returning *all* violations found, in
+/// this order: empty SELECT, empty FROM, each repeated FROM relation (in
+/// FROM order), each relation referenced but not in FROM and each
+/// unpreserved distinguished attribute (both once, ascending), the
+/// interface checks, and an inconsistent WHERE clause.
+///
+/// One walk over the view, in place: a well-formed view allocates only
+/// what the WHERE consistency check needs, and a list is built and
+/// sorted only when it has a violation to report.
 pub fn validate_view(view: &ViewDefinition) -> Vec<ValidationError> {
     let mut errors = Vec::new();
 
@@ -88,30 +95,37 @@ pub fn validate_view(view: &ViewDefinition) -> Vec<ValidationError> {
     }
 
     // §4 assumption 2: relation at most once in FROM.
-    let mut seen = BTreeSet::new();
-    for f in &view.from {
-        if !seen.insert(f.relation.clone()) {
+    for (i, f) in view.from.iter().enumerate() {
+        if view.from[..i].iter().any(|g| g.relation == f.relation) {
             errors.push(ValidationError::DuplicateRelation(f.relation.clone()));
         }
     }
 
     // Every referenced relation must be in FROM.
-    for attr in view.referenced_attrs() {
-        if !seen.contains(&attr.relation) {
-            let e = ValidationError::UnknownRelation(attr.relation.clone());
-            if !errors.contains(&e) {
-                errors.push(e);
-            }
+    let mut unknown = Vec::new();
+    view.all_attrs(|a| {
+        if !view.uses_relation(&a.relation) {
+            unknown.push(a.relation.clone());
         }
-    }
+        true
+    });
+    push_ascending(&mut errors, unknown, ValidationError::UnknownRelation);
 
     // §4 assumption 1: distinguished ⊆ preserved.
-    let preserved = view.preserved_attrs();
-    for attr in view.distinguished_attrs() {
-        if !preserved.contains(&attr) {
-            errors.push(ValidationError::DistinguishedNotPreserved(attr));
-        }
+    let mut unpreserved = Vec::new();
+    for c in view.conditions.iter().filter(|c| !c.params.dispensable) {
+        c.clause.all_attrs(&mut |a| {
+            if !view.select.iter().any(|s| s.expr.contains_attr(a)) {
+                unpreserved.push(a.clone());
+            }
+            true
+        });
     }
+    push_ascending(
+        &mut errors,
+        unpreserved,
+        ValidationError::DistinguishedNotPreserved,
+    );
 
     // Interface list checks.
     if let Some(iface) = &view.interface {
@@ -121,9 +135,8 @@ pub fn validate_view(view: &ViewDefinition) -> Vec<ValidationError> {
                 select: view.select.len(),
             });
         }
-        let mut names = BTreeSet::new();
-        for n in iface {
-            if !names.insert(n.as_str()) {
+        for (i, n) in iface.iter().enumerate() {
+            if iface[..i].contains(n) {
                 errors.push(ValidationError::DuplicateInterfaceName(
                     n.as_str().to_string(),
                 ));
@@ -132,11 +145,23 @@ pub fn validate_view(view: &ViewDefinition) -> Vec<ValidationError> {
     }
 
     // Consistency of the WHERE clause.
-    if !view.where_conjunction().is_consistent() {
+    if !clauses_consistent(view.conditions.iter().map(|c| &c.clause)) {
         errors.push(ValidationError::InconsistentWhere);
     }
 
     errors
+}
+
+/// Report each distinct item of `found` once, in ascending order: the
+/// order a walk over the set of them would give.
+fn push_ascending<T: Ord>(
+    errors: &mut Vec<ValidationError>,
+    mut found: Vec<T>,
+    error: impl Fn(T) -> ValidationError,
+) {
+    found.sort_unstable();
+    found.dedup();
+    errors.extend(found.into_iter().map(error));
 }
 
 #[cfg(test)]

@@ -308,9 +308,12 @@ impl<K: Ord + Clone, V: Clone> ChunkMap<K, V> {
         self.remove_at(c, pos)
     }
 
-    /// Insert `entry` at position `pos` of chunk `c`. A full chunk
-    /// splits in two, except that appending past the last entry of the
-    /// map opens a new chunk, so ascending insertion keeps chunks full.
+    /// Insert `entry` at position `pos` of chunk `c`. Appending past the
+    /// last entry of the map opens a new chunk, so ascending insertion
+    /// keeps chunks full. Otherwise a full chunk passes one entry to a
+    /// neighbour with room, the previous one first, so keys that arrive
+    /// out of order fill chunks too; only when neither neighbour has
+    /// room does it split in two.
     fn insert_at(&mut self, c: usize, pos: usize, entry: (K, V)) {
         let spine = unshare(&mut self.spine, 1);
         if spine.is_empty() {
@@ -324,6 +327,29 @@ impl<K: Ord + Clone, V: Clone> ChunkMap<K, V> {
         }
         if pos == CHUNK && c + 1 == spine.len() {
             spine.push((0, Arc::new(vec![entry])));
+            restart_from(spine, c + 1);
+            return;
+        }
+        if c > 0 && spine[c - 1].1.len() < CHUNK {
+            // `pos > 0`: only the first chunk takes keys before its
+            // first entry.
+            let chunk = unshare(&mut spine[c].1, 0);
+            let first = chunk.remove(0);
+            chunk.insert(pos - 1, entry);
+            unshare(&mut spine[c - 1].1, 1).push(first);
+            restart_from(spine, c);
+            return;
+        }
+        if c + 1 < spine.len() && spine[c + 1].1.len() < CHUNK {
+            let passed = if pos == CHUNK {
+                entry
+            } else {
+                let chunk = unshare(&mut spine[c].1, 0);
+                let last = chunk.pop().expect("a full chunk");
+                chunk.insert(pos, entry);
+                last
+            };
+            unshare(&mut spine[c + 1].1, 1).insert(0, passed);
             restart_from(spine, c + 1);
             return;
         }
@@ -602,11 +628,14 @@ mod tests {
         let (mut most_chunks, mut merges, mut splits) = (0, 0, 0);
         for round in 0..24u64 {
             let snapshot = (map.clone(), model.clone());
-            // Grow in even rounds, shrink in odd ones.
+            // Grow in even rounds, shrink in odd ones. Shrinking runs
+            // long: inserts that pass entries to a neighbour keep chunks
+            // nearly full, so a chunk sinks low enough to merge only
+            // once most of the map is gone.
             let (ops, insert_share) = if round % 2 == 0 {
                 (1_500, 8)
             } else {
-                (2_500, 1)
+                (6_000, 1)
             };
             for step in 0..ops {
                 let chunks_before = map.spine.len();
@@ -638,6 +667,33 @@ mod tests {
         }
         assert!(most_chunks >= 8, "the run never spanned many chunks");
         assert!(splits > 0 && merges > 0, "splits {splits}, merges {merges}");
+    }
+
+    /// Keys that arrive out of order still fill their chunks: names
+    /// `R0, R1, …` inserted in numeric order reach the map out of order
+    /// (`R10` sorts between `R1` and `R2`), and a full chunk passes an
+    /// entry to a neighbour with room instead of leaving two half-full
+    /// chunks behind.
+    #[test]
+    fn out_of_order_inserts_fill_chunks() {
+        let n = 16 * 1024;
+        let mut map = ChunkMap::new();
+        for i in 0..n {
+            map.insert(format!("R{i}"), i);
+        }
+        let model: BTreeMap<String, usize> = (0..n).map(|i| (format!("R{i}"), i)).collect();
+        assert!(map.iter().eq(model.iter()), "iteration order diverged");
+        for (c, (start, chunk)) in map.spine.iter().enumerate() {
+            assert!(!chunk.is_empty() && chunk.len() <= CHUNK, "chunk size");
+            let before: usize = map.spine[..c].iter().map(|(_, c)| c.len()).sum();
+            assert_eq!(*start, before, "start offset of chunk {c}");
+        }
+        let packed = n.div_ceil(CHUNK);
+        assert!(
+            map.spine.len() <= packed + packed / 8,
+            "{} chunks hold {n} entries, {packed} would do",
+            map.spine.len()
+        );
     }
 
     #[test]

@@ -761,15 +761,12 @@ pub fn random_views(
                     }
                 }
             }
-            let spec: Vec<(RelName, Vec<&str>)> = rels
-                .iter()
-                .enumerate()
-                .map(|(pos, r)| {
-                    let attrs = if pos == 0 { vec!["k", "v0"] } else { vec!["k"] };
-                    (r.clone(), attrs)
-                })
-                .collect();
-            build_view(&format!("View{i}"), ViewExtent::Any, &spec, &clauses)
+            build_view(
+                &format!("View{i}"),
+                ViewExtent::Any,
+                &selection(mkb, &rels),
+                &clauses,
+            )
         })
         .collect()
 }
@@ -827,15 +824,44 @@ pub fn views_touching(
                 ));
                 rels.push(next);
             }
-            let spec: Vec<(RelName, Vec<&str>)> = rels
-                .iter()
-                .enumerate()
-                .map(|(pos, r)| {
-                    let attrs = if pos == 0 { vec!["k", "v0"] } else { vec!["k"] };
-                    (r.clone(), attrs)
-                })
-                .collect();
-            build_view(&format!("Fan{i}"), ViewExtent::Any, &spec, &clauses)
+            build_view(
+                &format!("Fan{i}"),
+                ViewExtent::Any,
+                &selection(mkb, &rels),
+                &clauses,
+            )
+        })
+        .collect()
+}
+
+/// What a generated view selects of each of `rels`: the key `k`, and of
+/// the first (the root) one payload attribute. On an MKB that names its
+/// payload attributes as [`SynthWorkload::random`] does (`k, v0, …`),
+/// that is `v0`. On any other MKB it is the root's first attribute other
+/// than `k`, if it has one: `v` or `w` on [`SynthWorkload::chain`] and
+/// [`SynthWorkload::wide_mkb`].
+///
+/// An evolved `random` MKB keeps the `v0` convention while any relation
+/// has a `v0`, even where the root lost or renamed its own. So a view
+/// drawn over a `random` MKB, fresh or evolved, is the view it always
+/// was, and the simulator's runtime registrations, which draw views over
+/// the evolved MKB, still meet a refusal for an attribute the root lost.
+fn selection<'a>(mkb: &'a MetaKnowledgeBase, rels: &[RelName]) -> Vec<(RelName, Vec<&'a str>)> {
+    let names = |d: &'a RelationDescription| d.attrs.iter().map(|a| a.name.as_str());
+    let payload = if mkb.relations().any(|d| names(d).any(|a| a == "v0")) {
+        Some("v0")
+    } else {
+        let root = rels.first().and_then(|r| mkb.relation(r));
+        root.and_then(|d| names(d).find(|a| *a != "k"))
+    };
+    rels.iter()
+        .enumerate()
+        .map(|(pos, r)| {
+            let mut attrs = vec!["k"];
+            if pos == 0 {
+                attrs.extend(payload);
+            }
+            (r.clone(), attrs)
         })
         .collect()
 }
@@ -1044,6 +1070,44 @@ mod tests {
         // Deterministic per seed.
         let again = random_views(&w.mkb, 5, 3, 9);
         assert_eq!(views, again);
+    }
+
+    /// Every view either generator draws passes the builder on every MKB
+    /// shape: the root selects an attribute it has (`T(k, v)` on `chain`
+    /// and `wide_mkb`), and on `random` MKBs that is `v0`, as it always
+    /// was.
+    #[test]
+    fn generated_views_pass_the_builder() {
+        let random = SynthConfig {
+            topology: Topology::Random { extra: 12 },
+            ..SynthConfig::default()
+        };
+        for (shape, w) in [
+            ("chain", SynthWorkload::chain(3, true)),
+            ("wide_mkb", SynthWorkload::wide_mkb(4, 3)),
+            ("random", SynthWorkload::random(&random, 11)),
+        ] {
+            for seed in 0..8 {
+                let mut builder = eve_core::SynchronizerBuilder::new(w.mkb.clone());
+                let views = views_touching(&w.mkb, &w.target, 8, 3, seed)
+                    .into_iter()
+                    .chain(random_views(&w.mkb, 8, 3, seed));
+                for v in views {
+                    let root = v.from[0].relation.clone();
+                    let want = match shape {
+                        "random" => Some("v0"),
+                        _ => (root == w.target).then_some("v"),
+                    };
+                    if let Some(attr) = want.map(|a| AttrRef::new(root, a)) {
+                        assert!(v.uses_attr(&attr), "{shape}: {} selects no {attr}", v.name);
+                    }
+                    let name = v.name.clone();
+                    builder = builder
+                        .with_view(v)
+                        .unwrap_or_else(|e| panic!("{shape} seed {seed}: {name} refused: {e}"));
+                }
+            }
+        }
     }
 
     #[test]

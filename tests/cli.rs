@@ -471,6 +471,11 @@ fn exit_codes_tell_bad_input_from_a_disabled_view() {
                 CREATE VIEW V AS SELECT T.TourID FROM Tour T;\n";
     std::fs::write(&dup, text).expect("write views");
     let dup = dup.to_str().expect("utf-8 temp path");
+    // A view over an attribute the MKB does not describe.
+    let ghost = dir.join("ghost.esql");
+    std::fs::write(&ghost, "CREATE VIEW G AS SELECT C.Shoe FROM Customer C;\n")
+        .expect("write views");
+    let ghost = ghost.to_str().expect("utf-8 temp path");
     let (mkb, views, del) = (
         "fixtures/travel.misd",
         "fixtures/travel_views.esql",
@@ -483,6 +488,7 @@ fn exit_codes_tell_bad_input_from_a_disabled_view() {
         (2, mkb, views, del, &["--at-version", "x"]),
         (2, "no-such-file.misd", views, del, &[]),
         (2, mkb, dup, del, &[]),
+        (2, mkb, ghost, del, &[]),
     ] {
         let mut args = vec!["sync", "--mkb", mkb, "--views", views, "--change", change];
         args.extend_from_slice(more);

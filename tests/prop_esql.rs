@@ -4,11 +4,11 @@
 //! parsers on malformed input (no panic; every error is typed, with a
 //! position inside its input).
 
-use eve::cvs::SynchronizerBuilder;
+use eve::cvs::{is_evaluable, SynchronizerBuilder};
 use eve::esql::lexer::tokenize;
 use eve::esql::{
-    parse_view, parse_views, CondItem, EvolutionParams, FromItem, ParseError, SelectItem,
-    ViewDefinition, ViewExtent,
+    parse_view, parse_views, validate_view, CondItem, EvolutionParams, FromItem, ParseError,
+    SelectItem, ValidationError, ViewDefinition, ViewExtent,
 };
 use eve::misd::{parse_misd, CapabilityChange, MisdError};
 use eve::relational::expr::ArithOp;
@@ -16,6 +16,7 @@ use eve::relational::{AttrName, AttrRef, Clause, CompareOp, ScalarExpr, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Words that must not be generated as identifiers (keywords of E-SQL or
@@ -132,6 +133,110 @@ fn view() -> impl Strategy<Value = ViewDefinition> {
                 conditions,
             }
         })
+}
+
+/// Views over three relation names and two attribute names, so that
+/// repeated FROM relations, references outside FROM, unpreserved
+/// distinguished attributes, interface clashes and contradictory WHERE
+/// clauses all come up, often several in one view.
+fn tangled_view() -> impl Strategy<Value = ViewDefinition> {
+    let leaf = prop_oneof![
+        ("[RST]", "[ab]").prop_map(|(r, a)| ScalarExpr::attr(r, a)),
+        (0i64..3).prop_map(ScalarExpr::lit),
+    ];
+    let expr = leaf.prop_recursive(1, 3, 2, |inner| {
+        (inner.clone(), inner).prop_map(|(l, r)| ScalarExpr::binary(ArithOp::Add, l, r))
+    });
+    let select_item = (expr.clone(), params()).prop_map(|(expr, params)| SelectItem {
+        expr,
+        alias: None,
+        params,
+    });
+    let from_item = ("[RST]", params()).prop_map(|(rel, params)| FromItem {
+        relation: rel.into(),
+        alias: None,
+        params,
+    });
+    let cond_item =
+        (expr.clone(), compare_op(), expr, params()).prop_map(|(lhs, op, rhs, params)| CondItem {
+            clause: Clause::new(lhs, op, rhs),
+            params,
+        });
+    let interface = proptest::option::of(proptest::collection::vec("[XYZ]", 0..4));
+    (
+        proptest::collection::vec(select_item, 0..4),
+        proptest::collection::vec(from_item, 0..4),
+        proptest::collection::vec(cond_item, 0..6),
+        interface,
+    )
+        .prop_map(|(select, from, conditions, interface)| ViewDefinition {
+            name: "V".to_string(),
+            interface: interface.map(|names| names.into_iter().map(AttrName::new).collect()),
+            extent: ViewExtent::Equivalent,
+            select,
+            from,
+            conditions,
+        })
+}
+
+/// [`validate_view`] as it was written over sets: a FROM set, the
+/// referenced, distinguished and preserved attribute sets, and a cloned
+/// WHERE conjunction. The one-pass walk must report what this reports,
+/// in the same order.
+fn validate_with_sets(view: &ViewDefinition) -> Vec<ValidationError> {
+    let mut errors = Vec::new();
+    if view.select.is_empty() {
+        errors.push(ValidationError::EmptySelect);
+    }
+    if view.from.is_empty() {
+        errors.push(ValidationError::EmptyFrom);
+    }
+    let mut seen = BTreeSet::new();
+    for f in &view.from {
+        if !seen.insert(f.relation.clone()) {
+            errors.push(ValidationError::DuplicateRelation(f.relation.clone()));
+        }
+    }
+    for attr in view.referenced_attrs() {
+        if !seen.contains(&attr.relation) {
+            let e = ValidationError::UnknownRelation(attr.relation.clone());
+            if !errors.contains(&e) {
+                errors.push(e);
+            }
+        }
+    }
+    let preserved: BTreeSet<AttrRef> = view.select.iter().flat_map(|s| s.expr.attrs()).collect();
+    let distinguished: BTreeSet<AttrRef> = view
+        .conditions
+        .iter()
+        .filter(|c| !c.params.dispensable)
+        .flat_map(|c| c.clause.attrs())
+        .collect();
+    for attr in distinguished {
+        if !preserved.contains(&attr) {
+            errors.push(ValidationError::DistinguishedNotPreserved(attr));
+        }
+    }
+    if let Some(iface) = &view.interface {
+        if iface.len() != view.select.len() {
+            errors.push(ValidationError::InterfaceArity {
+                interface: iface.len(),
+                select: view.select.len(),
+            });
+        }
+        let mut names = BTreeSet::new();
+        for n in iface {
+            if !names.insert(n.as_str()) {
+                errors.push(ValidationError::DuplicateInterfaceName(
+                    n.as_str().to_string(),
+                ));
+            }
+        }
+    }
+    if !view.where_conjunction().is_consistent() {
+        errors.push(ValidationError::InconsistentWhere);
+    }
+    errors
 }
 
 /// Why `e`'s position does not lie inside `input`, if it does not.
@@ -258,18 +363,21 @@ fn mutate(input: &str, rng: &mut StdRng) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// If `mkb_text` parses, register the fixture views and apply
-/// [`SCRIPT`]. A change that fails returns a typed error and leaves the
+/// If `mkb_text` parses, register the fixture views it can evaluate and
+/// apply [`SCRIPT`]. The builder refuses a view that references a
+/// relation or attribute the mutant lost, so only the others register.
+/// A change that fails returns a typed error and leaves the
 /// synchronizer as it was; the next change goes on from there.
 fn drive(mkb_text: &str, views: &[ViewDefinition]) {
     let Ok(mkb) = parse_misd(mkb_text) else {
         return;
     };
+    let evaluable: Vec<&ViewDefinition> = views.iter().filter(|v| is_evaluable(v, &mkb)).collect();
     let mut builder = SynchronizerBuilder::new(mkb);
-    for v in views {
+    for v in evaluable {
         builder = builder
             .with_view(v.clone())
-            .expect("fixture views are valid");
+            .expect("the builder accepts valid fixture views the MKB evaluates");
     }
     let mut sync = builder.build();
     for text in SCRIPT {
@@ -332,6 +440,25 @@ proptest! {
         prop_assert!(fault.is_none(), "{}", fault.unwrap_or_default());
     }
 
+    /// The one-pass `validate_view` reports what the set-based reference
+    /// reports, in the same order, on random views and on tangled ones.
+    #[test]
+    fn validation_matches_set_reference(v in prop_oneof![view(), tangled_view()]) {
+        prop_assert_eq!(validate_view(&v), validate_with_sets(&v), "\n{}", v);
+    }
+
+    /// `is_evaluable` walks the view in place and gives the verdict of
+    /// the set-based check it replaced, on views whose relations and
+    /// attributes are described or not, inside FROM or outside it.
+    #[test]
+    fn evaluability_matches_set_reference(v in tangled_view()) {
+        let mkb = parse_misd("RELATION IS1 R(a int, b int)\nRELATION IS2 S(a int)")
+            .expect("the MKB parses");
+        let reference = v.relations().iter().all(|r| mkb.contains_relation(r))
+            && v.referenced_attrs().iter().all(|a| mkb.has_attr(a));
+        prop_assert_eq!(is_evaluable(&v, &mkb), reference, "\n{}", v);
+    }
+
     /// Substituting an attribute then printing still yields parseable
     /// E-SQL (the shape CVS outputs).
     #[test]
@@ -375,4 +502,33 @@ proptest! {
             Err(_) => prop_assert!(false, "panicked on mutants {mutants:?}"),
         }
     }
+}
+
+/// The same agreement on byte-level mutants of the fixture views that
+/// still parse, valid and invalid ones alike (both must come up), and on
+/// the fixture views themselves.
+#[test]
+fn validation_matches_set_reference_on_fixture_mutants() {
+    let views = parse_views(TRAVEL_VIEWS).expect("fixture views parse");
+    let mut rng = StdRng::seed_from_u64(0x7a1d);
+    let (mut valid, mut invalid) = (0, 0);
+    for round in 0..5_000 {
+        let v = &views[round % views.len()];
+        let text = if round < views.len() {
+            v.to_string()
+        } else {
+            mutate(&v.to_string(), &mut rng)
+        };
+        let Ok(m) = parse_view(&text) else {
+            continue;
+        };
+        let errors = validate_view(&m);
+        assert_eq!(errors, validate_with_sets(&m), "\n{text}");
+        if errors.is_empty() {
+            valid += 1;
+        } else {
+            invalid += 1;
+        }
+    }
+    assert!(valid > 0 && invalid > 0, "valid {valid}, invalid {invalid}");
 }
